@@ -1,0 +1,26 @@
+"""Simulation and verification toolkit for bilayer-square-lattice cluster
+states: temporal-mode construction, nullifier witnesses, homodyne
+measurement-based gates, and a grid wavefunction oracle for the non-Gaussian
+identities."""
+
+from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
+                         covariance, equal_up_to_phase, gate_beamsplitter,
+                         gate_cz, gate_displacement, gate_identity,
+                         gate_rotation, gate_shear, gate_squeeze, omega,
+                         squeezed_vacua, vacuum)
+from .lattice import (LatticeConfig, MacronodeLattice, build_bsl, build_square,
+                      canonical_wire, edge_summary, graph_part, ideal_graph,
+                      macronode_lookup, schedule, to_dot)
+from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
+                   decouple_wires, feedforward, measure_p_theta,
+                   measure_quadrature, run_program, simulate_single_mode_gate,
+                   two_mode_gate, v_gate, v_gate_displacement)
+from .nullifiers import (NullifierSet, WitnessReport, exact_nullifiers,
+                         ingest_samples, nullifier_variances, phi_transform,
+                         quadrature_nullifiers, sample_homodyne_dataset,
+                         verify_quarter_delay_transform, witness_from_variances)
+from .oracle import GridError, WaveFunction, fidelity_up_to_phase
+from .identities import (run_suite, verify_teleport_identity, verify_cubic_device,
+                         verify_teleport_circuit, verify_commutation)
+
+__version__ = "0.1.0"

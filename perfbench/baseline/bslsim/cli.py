@@ -1,0 +1,265 @@
+"""Command-line interface: build lattices, verify nullifiers and identities,
+run measurement programs, and export homodyne sample sets.
+
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .graphstate import GraphState, GraphStateError
+from .identities import run_suite, verify_cubic_device
+from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
+                      to_dot)
+from .mbqc import ProgramError, run_program
+from .nullifiers import (exact_nullifiers, nullifier_variances,
+                         phi_transform, quadrature_nullifiers,
+                         sample_homodyne_dataset, witness_from_variances)
+from .oracle import DEFAULT_L, DEFAULT_P2, GridError
+
+
+def _lattice_arg(text: str):
+    try:
+        n, m = (int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("expected N,M") from exc
+    return n, m
+
+
+def _grid_arg(text: str):
+    try:
+        half, pts = text.split(",")
+        return float(half), int(pts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("expected L,P") from exc
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    skip = {"func"}
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def cmd_build_bsl(args) -> int:
+    if args.lattice[0] < 2 or args.lattice[1] < 2:
+        print("build-bsl needs N >= 2 and M >= 2", file=sys.stderr)
+        return 2
+    config = LatticeConfig(args.lattice[0], args.lattice[1], args.squeezing)
+    state, lattice = build_bsl(config)
+    summary = edge_summary(state, config)
+    v = ideal_graph(config)
+    out = Path(args.out)
+    payload = {
+        "config": _echo(args),
+        "graph": json.loads(state.to_json()),
+        "ideal_graph": v.tolist(),
+        "lattice": {f"{t},{d}": mode for (t, d), mode in lattice.coords.items()},
+        "summary": summary,
+    }
+    out.with_suffix(".json").write_text(json.dumps(payload, indent=1))
+    out.with_suffix(".dot").write_text(to_dot(state, config, lattice))
+    print(f"{config.n_modes}-mode lattice written to {out.with_suffix('.json')} "
+          f"and {out.with_suffix('.dot')}")
+    print(f"self-loop i*{summary['selfloop']:.6f} "
+          f"(deviation {summary['selfloop_deviation']:.2e})")
+    print(f"bulk edges: {summary['bulk_edges']} at magnitude "
+          f"{summary['bulk_magnitude']:.6f} "
+          f"(relative spread {summary['bulk_relative_spread']:.2e})")
+    print(f"magnitude classes: {summary['magnitude_classes']}")
+    print(f"non-nearest-neighbor edges: {summary['nonlocal_edges']}")
+    return 0
+
+
+def cmd_verify_nullifiers(args) -> int:
+    if args.graph is not None:
+        state = GraphState.from_json(Path(args.graph).read_text())
+        nulls = exact_nullifiers(state)
+        variances = nullifier_variances(state, nulls)
+        ok = bool((np.abs(variances) <= 1e-10).all())
+        print(f"exact nullifier variances: max {np.abs(variances).max():.3e} "
+              f"-> {'pass' if ok else 'FAIL'}")
+        return 0 if ok else 1
+    n, m = args.lattice
+    overall = True
+    for r in args.squeezing_list:
+        config = LatticeConfig(n, m, r)
+        state, _ = build_bsl(config)
+        v = ideal_graph(config)
+        phi = phi_transform(state)
+        nulls = quadrature_nullifiers(v)
+        variances = nullifier_variances(phi, nulls)
+        report = witness_from_variances(variances, nulls, args.threshold_factor)
+        print(f"r = {r}: analytic witness "
+              f"{'pass' if report.passed else 'FAIL'} "
+              f"(max variance {variances.max():.6f})")
+        overall &= report.passed
+        if args.shots:
+            qd = sample_homodyne_dataset(phi, "q", args.shots, args.seed)
+            pd = sample_homodyne_dataset(phi, "p", args.shots, args.seed + 1)
+            emp = np.zeros(nulls.n_rows)
+            for k in range(nulls.n_rows):
+                if np.any(nulls.coeff_p[k] != 0):
+                    emp[k] = (pd @ nulls.coeff_p[k].real).var(ddof=1)
+                else:
+                    emp[k] = (qd @ nulls.coeff_q[k].real).var(ddof=1)
+            emp_report = witness_from_variances(emp, nulls,
+                                                args.threshold_factor, args.shots)
+            rel = np.abs(emp - variances) / variances
+            print(f"        sampled witness "
+                  f"{'pass' if emp_report.passed else 'FAIL'} "
+                  f"({args.shots} shots, worst relative error {rel.max():.3%})")
+            overall &= emp_report.passed
+        if args.report:
+            Path(args.report).write_text(report.to_json())
+    return 0 if overall else 1
+
+
+def cmd_run_program(args) -> int:
+    program = json.loads(Path(args.program).read_text())
+    result = run_program(program, args.seed)
+    payload = {
+        "config": {"program": args.program, "seed": args.seed},
+        "record": json.loads(result.record.to_json()),
+        "final_state": json.loads(result.state.to_json()),
+        "outcome_jacobian": [v.tolist() for v in result.outcome_jacobian],
+        "mode_index": {str(k): v for k, v in result.mode_index.items()},
+    }
+    text = json.dumps(payload, indent=1)
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"record written to {args.out}")
+    else:
+        print(text)
+    return 0
+
+
+def cmd_verify_identities(args) -> int:
+    half, pts = args.grid
+    if args.cases is not None:
+        from .identities import run_cases
+        reports = run_cases(json.loads(Path(args.cases).read_text()), pts, half)
+    elif args.chi is not None:
+        try:
+            from .identities import default_input
+            psi = default_input(pts, half)
+            reports = [verify_cubic_device(args.chi, args.sigma,
+                                           tuple(args.outcomes), args.r, psi)]
+        except (GridError, GraphStateError) as exc:
+            reports = [{"identity": "L", "params": {"chi": args.chi},
+                        "error": str(exc), "pass": False}]
+    else:
+        reports = list(run_suite(args.suite, pts, half, args.seed))
+    ok = True
+    for rep in reports:
+        if "error" in rep:
+            print(f"{rep['identity']}: error: {rep['error']}")
+            ok = False
+            continue
+        print(f"{rep['identity']}: fidelity {rep['fidelity']:.8f} "
+              f"{'pass' if rep['pass'] else 'FAIL'} "
+              f"params {json.dumps(rep['params'])}")
+        ok &= rep["pass"]
+    if args.report:
+        Path(args.report).write_text(json.dumps(reports, indent=1, default=float))
+    return 0 if ok else 1
+
+
+def cmd_sample_homodyne(args) -> int:
+    n, m = args.lattice
+    config = LatticeConfig(n, m, args.squeezing)
+    state, _ = build_bsl(config)
+    if args.phase_delayed:
+        state = phi_transform(state)
+    sample_homodyne_dataset(state, args.setting, args.shots, args.seed, args.out)
+    print(f"{args.shots} shots of the {args.setting} setting written to {args.out}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bslsim",
+        description="Simulate and verify bilayer-square-lattice cluster states")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("build-bsl", help="build the lattice and export graphs")
+    p.add_argument("-N", type=int, help="rows (long-delay length)")
+    p.add_argument("-M", type=int, help="columns")
+    p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
+    p.add_argument("-r", "--squeezing", type=float, default=1.0)
+    p.add_argument("--out", default="bsl", help="output path prefix")
+    p.add_argument("--format", choices=("json", "dot"), default="json",
+                   help="primary format (both files are always written)")
+    p.set_defaults(func=cmd_build_bsl)
+
+    p = sub.add_parser("verify-nullifiers",
+                       help="nullifier variances and the entanglement witness")
+    p.add_argument("--lattice", type=_lattice_arg, default=(2, 2), metavar="N,M")
+    p.add_argument("--squeezing", dest="squeezing_list", type=float,
+                   action="append", default=None, metavar="R")
+    p.add_argument("--graph", help="verify a stored graph JSON instead")
+    p.add_argument("--shots", type=int, default=0,
+                   help="also run the sampled two-setting protocol")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--threshold-factor", type=float, default=0.5)
+    p.add_argument("--report", help="write the witness report JSON here")
+    p.set_defaults(func=cmd_verify_nullifiers)
+
+    p = sub.add_parser("run-program", help="execute a measurement program")
+    p.add_argument("program", help="program JSON path")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the record JSON here")
+    p.set_defaults(func=cmd_run_program)
+
+    p = sub.add_parser("verify-identities",
+                       help="grid verification of the teleportation identities")
+    p.add_argument("suite", choices=("E", "M", "L", "commutation", "all"),
+                   nargs="?", default="all")
+    p.add_argument("--grid", type=_grid_arg, default=(DEFAULT_L, DEFAULT_P2),
+                   metavar="L,P")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--chi", type=float, help="run a single cubic-gate case")
+    p.add_argument("--sigma", type=float, default=0.3)
+    p.add_argument("--r", type=float, default=4.0)
+    p.add_argument("--outcomes", type=float, nargs=3, default=(0.1, -0.2, 0.4))
+    p.add_argument("--cases", help="JSON file with a list of cases to run")
+    p.add_argument("--report", help="write the batch report JSON here")
+    p.set_defaults(func=cmd_verify_identities)
+
+    p = sub.add_parser("sample-homodyne", help="export homodyne sample CSVs")
+    p.add_argument("--lattice", type=_lattice_arg, default=(2, 2), metavar="N,M")
+    p.add_argument("-r", "--squeezing", type=float, default=1.0)
+    p.add_argument("--setting", choices=("q", "p"), required=True)
+    p.add_argument("--shots", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--out", required=True)
+    p.add_argument("--phase-delayed", action="store_true",
+                   help="sample the quarter-rotated state instead")
+    p.set_defaults(func=cmd_sample_homodyne)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "N", None) is not None or getattr(args, "M", None) is not None:
+        args.lattice = (args.N if args.N is not None else args.lattice[0],
+                        args.M if args.M is not None else args.lattice[1])
+    if getattr(args, "squeezing_list", "missing") is None:
+        args.squeezing_list = [1.0]
+    try:
+        return args.func(args)
+    except (ProgramError, GraphStateError, GridError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

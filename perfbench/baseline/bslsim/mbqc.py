@@ -1,0 +1,502 @@
+"""Homodyne measurement on graph states and the macronode gate protocols.
+
+Measuring the rotated quadrature q(theta) = q cos(theta) - p sin(theta) is
+realized by applying R(theta) and projecting onto a position eigenstate;
+the momentum-type quadrature p(theta) equals q(theta - pi/2).  Conditioning
+a pure Gaussian state on q_k = m keeps the state pure: the graph loses row
+and column k and the linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
+
+The macronode protocols follow the slot convention of lattice.canonical_wire:
+a site's physical modes are alpha = mode 2k, beta = 2k+1, obtained from the
+symmetric/antisymmetric slots by a 50:50 beamsplitter, the logical input
+rides the "+" slot, and detectors measure p(theta1) at alpha and p(theta2)
+at beta.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
+                         covariance, gate_beamsplitter, gate_rotation)
+from .lattice import MacronodeLattice, canonical_wire
+
+
+class ProgramError(ValueError):
+    """Raised for malformed or non-executable measurement programs."""
+
+
+@dataclass(frozen=True)
+class MeasurementEvent:
+    mode: int
+    theta: float
+    outcome: float
+
+
+@dataclass
+class MeasurementRecord:
+    """Ordered homodyne events plus the accumulated displacement frame."""
+
+    events: list = field(default_factory=list)
+    frame: tuple = (0.0, 0.0)
+    adaptations: list = field(default_factory=list)
+
+    def add(self, mode: int, theta: float, outcome: float):
+        if any(e.mode == mode for e in self.events):
+            raise ProgramError(f"mode {mode} was already measured")
+        self.events.append(MeasurementEvent(mode, theta, outcome))
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "events": [{"mode": e.mode, "theta": e.theta, "outcome": e.outcome}
+                       for e in self.events],
+            "frame": list(self.frame),
+            "adaptations": self.adaptations,
+        })
+
+
+# -- measurement ---------------------------------------------------------------
+
+
+def _rng_of(rng):
+    if rng is None or isinstance(rng, (int, np.integer)):
+        return np.random.default_rng(rng)
+    return rng
+
+
+def _condition(state: GraphState, k: int, m: float):
+    """Posterior after projecting mode k on q_k = m, with linear response.
+
+    Returns (state', T, g) where mean' = T mean + g m for the affine
+    conditional-mean map (used for outcome-sensitivity tracking).
+    """
+    n = state.n_modes
+    z = state.z
+    rest = [j for j in range(n) if j != k]
+    if not rest:
+        empty = GraphState(np.zeros((0, 0), complex), np.zeros(0))
+        return empty, np.zeros((0, 2 * n)), np.zeros(0)
+    zr = z[np.ix_(rest, rest)]
+    zk = z[rest, k]
+    mu_q, mu_p = state.mean[:n], state.mean[n:]
+    c = mu_p - z @ mu_q
+    cr = c[rest] + m * zk
+    y = zr.imag
+    x = zr.real
+    mu_qr = -np.linalg.solve(y, cr.imag)
+    mu_pr = cr.real + x @ mu_qr
+    out = GraphState(zr, np.concatenate([mu_qr, mu_pr]))
+    # dc/dmean = [-Z | I] restricted to surviving rows
+    dmat = np.concatenate([-z[rest, :], np.eye(n)[rest, :]], axis=1)
+    yinv_im = -np.linalg.solve(y, dmat.imag)
+    t_map = np.concatenate([yinv_im, dmat.real + x @ yinv_im], axis=0)
+    gq = -np.linalg.solve(y, zk.imag)
+    g = np.concatenate([gq, zk.real + x @ gq])
+    return out, t_map, g
+
+
+def measure_quadrature(state: GraphState, mode: int, theta: float,
+                       outcome: float | None = None, rng=None):
+    """Measure q(theta) on one mode; returns (posterior state, outcome).
+
+    The outcome is drawn from the exact Gaussian marginal unless supplied.
+    """
+    res = measure_with_response(state, mode, theta, outcome, rng)
+    return res[0], res[1]
+
+
+def measure_with_response(state: GraphState, mode: int, theta: float,
+                          outcome: float | None = None, rng=None):
+    """measure_quadrature plus the affine response (T, g) of the mean map."""
+    n = state.n_modes
+    if not 0 <= mode < n:
+        raise GraphStateError(f"mode {mode} out of range")
+    rot = gate_rotation(theta, mode, n)
+    rotated = apply(state, rot)
+    if outcome is None:
+        var = covariance(rotated)[mode, mode]
+        outcome = float(_rng_of(rng).normal(rotated.mean[mode], np.sqrt(var)))
+    if not np.isfinite(outcome):
+        raise GraphStateError("measurement outcome must be finite")
+    post, t_map, g = _condition(rotated, mode, outcome)
+    return post, float(outcome), t_map @ rot.s, g
+
+
+def measure_p_theta(state: GraphState, mode: int, theta: float,
+                    outcome: float | None = None, rng=None):
+    """Measure p(theta) = q(theta - pi/2)."""
+    return measure_quadrature(state, mode, theta - np.pi / 2, outcome, rng)
+
+
+# -- wire decoupling -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DecoupleResult:
+    state: GraphState
+    record: MeasurementRecord
+    #: original mode id -> index in the surviving state
+    mode_index: dict
+
+
+def decouple_wires(state: GraphState, lattice: MacronodeLattice, rows=None,
+                   rng=None, angle_override=None) -> DecoupleResult:
+    """Measure bc macronodes at q((-1)^xi pi/4) to sever the wire rows.
+
+    rows: wire rows to isolate (None = all); bins whose deletion severs the
+    listed rows are exactly the complete bc sites, so rows only selects which
+    residuals are asserted by callers.  angle_override replaces the per-site
+    deletion angle (negative controls).
+    """
+    rng = _rng_of(rng)
+    record = MeasurementRecord()
+    live = {m: i for i, m in enumerate(range(state.n_modes))}
+    cur = state
+    for tau in lattice.bc_sites():
+        theta = lattice.deletion_angle(tau) if angle_override is None \
+            else angle_override(tau)
+        for det in ("b", "c"):
+            mode = lattice.mode_at(tau, det)
+            idx = live.pop(mode)
+            cur, m = measure_quadrature(cur, idx, theta, rng=rng)
+            record.add(mode, theta, m)
+            live = {mm: (ii if ii < idx else ii - 1) for mm, ii in live.items()}
+    if rows is not None:
+        bad = [r for r in rows if not 0 <= r < lattice.config.n_rows]
+        if bad:
+            raise ProgramError(f"invalid wire rows {bad}")
+    return DecoupleResult(cur, record, live)
+
+
+# -- single-mode macronode gate ----------------------------------------------------
+
+
+def _v_symplectic(theta1: float, theta2: float) -> np.ndarray:
+    """Heisenberg matrix R(th+) diag(tan th-, cot th-) R(th+).
+
+    Valid whenever sin(theta1 - theta2) != 0; negative tan(th-) continues the
+    squeeze through a parity flip, which the two-mode gate tables require.
+    """
+    if abs(np.sin(theta1 - theta2)) < 1e-12:
+        raise GraphStateError(
+            "singular angle pair: sin(theta1 - theta2) must not vanish")
+    tp, tm = (theta1 + theta2) / 2, (theta1 - theta2) / 2
+    t = np.tan(tm)
+    c, s = np.cos(tp), np.sin(tp)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([t, 1 / t]) @ rot
+
+
+def v_gate_displacement(theta1: float, theta2: float, m1: float, m2: float):
+    """(dq, dp) of D[(-i e^{i th2} m1 - i e^{i th1} m2) / sin(th1 - th2)]."""
+    alpha = (-1j * np.exp(1j * theta2) * m1 - 1j * np.exp(1j * theta1) * m2) \
+        / np.sin(theta1 - theta2)
+    return np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
+
+
+def v_gate(theta1: float, theta2: float, m1: float = 0.0,
+           m2: float = 0.0) -> SymplecticGate:
+    """Single-mode gate of one macronode step: D[..] R(th+) S(ln tan th-) R(th+).
+
+    Restricted to tan(th-) > 0, where ln tan(th-) is real.
+    """
+    if abs(np.sin(theta1 - theta2)) < 1e-12:
+        raise GraphStateError(
+            "singular angle pair: sin(theta1 - theta2) must not vanish")
+    tm = (theta1 - theta2) / 2
+    if np.tan(tm) <= 0:
+        raise GraphStateError(
+            f"tan(theta_minus) = {np.tan(tm):.4f} <= 0: the squeezing "
+            "parameter ln tan(theta_minus) is not real on this branch")
+    dq, dp = v_gate_displacement(theta1, theta2, m1, m2)
+    return SymplecticGate(_v_symplectic(theta1, theta2), np.array([dq, dp]))
+
+
+def simulate_single_mode_gate(input_state: GraphState, theta_d: float,
+                              theta_a: float, r: float = 6.0,
+                              outcomes=None, rng=None):
+    """One macronode step on a decoupled wire at squeezing r.
+
+    Measures p(theta_d) at the head's alpha mode and p(theta_a) at beta;
+    returns (output 1-mode state, record).  The output matches
+    v_gate(theta_d, theta_a, m1, m2) applied to the input up to O(e^{-2r}).
+    """
+    if input_state.n_modes != 1:
+        raise GraphStateError("wire input must be a single-mode state")
+    rng = _rng_of(rng)
+    wire = canonical_wire(2, r, input_state)
+    record = MeasurementRecord()
+    m1 = m2 = None
+    if outcomes is not None:
+        m1, m2 = outcomes
+    cur, m1 = measure_p_theta(wire, 0, theta_d, m1, rng)
+    record.add(0, theta_d - np.pi / 2, m1)
+    cur, m2 = measure_p_theta(cur, 0, theta_a, m2, rng)
+    record.add(1, theta_a - np.pi / 2, m2)
+    # undo the site-1 slot beamsplitter; the "-" slot is an unentangled tail
+    cur = apply(cur, gate_beamsplitter(-np.pi / 4, 0, 1, 2))
+    if abs(cur.z[0, 1]) > 1e-8:
+        raise GraphStateError(
+            f"wire tail stayed entangled (|Z_01| = {abs(cur.z[0, 1]):.3e})")
+    out = GraphState(cur.z[:1, :1],
+                     np.array([cur.mean[0], cur.mean[2]]))
+    record.frame = v_gate_displacement(theta_d, theta_a, m1, m2)
+    return out, record
+
+
+# -- two-mode macronode gate ---------------------------------------------------------
+
+
+def cz_gate_angles(phi: float, k: int = 0):
+    """Homodyne angle table implementing R (x) R followed by C_Z(2 cot phi)."""
+    s = (-1) ** k
+    return (-s * np.pi / 8, s * 3 * np.pi / 8,
+            s * np.pi / 4 + phi, s * np.pi / 4 - phi,
+            -s * np.pi / 8, s * 3 * np.pi / 8)
+
+
+def two_mode_gate(angles, outcomes=None, k: int = 0) -> SymplecticGate:
+    """Gate on two neighboring wires from measuring macronodes 2, 3 and 4.
+
+    angles = (th2a, th2b, th3a, th3b, th4a, th4b); outcomes =
+    (m1b, m2a, m2b, m3a, m3b, m4a, m4b, m5a) with zeros by default.  The
+    composite is B . V(x)V . B . V(x)V in operator order, with the fixed
+    angles (-1)^k pi/4 entering the middle factors.
+    """
+    th2a, th2b, th3a, th3b, th4a, th4b = angles
+    if outcomes is None:
+        outcomes = (0.0,) * 8
+    m1b, m2a, m2b, m3a, m3b, m4a, m4b, m5a = outcomes
+    fixed = ((-1) ** k) * np.pi / 4
+
+    def vfactor(t1, t2, u1, u2, mode):
+        s2 = _v_symplectic(t1, t2)
+        dq, dp = v_gate_displacement(t1, t2, u1, u2)
+        s = np.eye(4)
+        s[np.ix_([mode, 2 + mode], [mode, 2 + mode])] = s2
+        d = np.zeros(4)
+        d[mode], d[2 + mode] = dq, dp
+        return SymplecticGate(s, d)
+
+    bs = gate_beamsplitter(np.pi / 4, 0, 1, 2)
+    gate = vfactor(th2a, th2b, m2a, m2b, 0)
+    gate = gate.then(vfactor(th4a, th4b, m4a, m4b, 1))
+    gate = gate.then(bs)
+    gate = gate.then(vfactor(fixed, th3a, m1b, m3a, 0))
+    gate = gate.then(vfactor(th3b, fixed, m3b, m5a, 1))
+    return gate.then(bs)
+
+
+# -- feedforward -----------------------------------------------------------------
+
+
+def adapted_sigma(sigma: float, s: float, chi: float) -> float:
+    """Shear setting that pre-compensates an incoming q displacement s."""
+    return sigma + np.sqrt(2) * s * chi
+
+
+def cubic_shear(sigma: float, chi: float, m_a: float, m_f: float) -> float:
+    """Residual shear of the cubic device: 4 sigma + 4 chi (m_a + sqrt2 m_f)."""
+    return 4 * sigma + 4 * chi * (m_a + np.sqrt(2) * m_f)
+
+
+def cubic_kick(sigma: float, chi: float, m_a: float, m_e: float,
+               m_f: float) -> float:
+    """Residual q displacement of the cubic device."""
+    return (-2 * m_e * np.sqrt(1 + sigma ** 2)
+            - 2 * sigma * (np.sqrt(2) * m_a + m_f)
+            - np.sqrt(2) * chi * (m_a + np.sqrt(2) * m_f) ** 2)
+
+
+def commutation_kick(s: float, sigma: float, chi: float, m_e: float,
+                     m_f: float) -> float:
+    """q displacement generated by pushing X(s) through the adapted device."""
+    sp = adapted_sigma(sigma, s, chi)
+    return (4 * s * sigma + 2 * np.sqrt(2) * s * chi * (m_f + s)
+            - 2 * m_e * (np.sqrt(1 + sp ** 2) - np.sqrt(1 + sigma ** 2)))
+
+
+def feedforward(record: MeasurementRecord, gate_kind: str, params) -> dict:
+    """Push the accumulated displacement frame through one more gate.
+
+    gate_kind "gaussian": params is a single-mode SymplecticGate; the frame
+    transforms by its matrix (displacements form a normal subgroup).
+    gate_kind "cubic": params = {"chi", "sigma", "outcomes": (m_a, m_e, m_f)};
+    the device is run with the adapted shear sigma' and the frame picks up
+    the exact kick: (s, t) -> (zeta + t, -s).
+    """
+    s, t = record.frame
+    if gate_kind == "gaussian":
+        if not isinstance(params, SymplecticGate) or params.n_modes != 1:
+            raise ProgramError("gaussian feedforward needs a 1-mode gate")
+        s, t = params.s @ np.array([s, t])
+        record.frame = (float(s), float(t))
+        return {"frame": record.frame}
+    if gate_kind == "cubic":
+        chi, sigma = params["chi"], params["sigma"]
+        m_a, m_e, m_f = params["outcomes"]
+        sp = adapted_sigma(sigma, s, chi)
+        zeta = commutation_kick(s, sigma, chi, m_e, m_f)
+        record.frame = (float(zeta + t), float(-s))
+        record.adaptations.append({"sigma": sigma, "sigma_adapted": sp,
+                                   "zeta": zeta})
+        return {"frame": record.frame, "sigma_adapted": sp, "zeta": zeta}
+    raise ProgramError(f"unknown gate kind {gate_kind!r}")
+
+
+# -- program runner -----------------------------------------------------------------
+
+
+@dataclass
+class ProgramResult:
+    state: GraphState
+    record: MeasurementRecord
+    #: per-event sensitivity of the final mean vector to that event's outcome
+    outcome_jacobian: list
+    #: original mode id -> index in the final state
+    mode_index: dict
+
+    def predicted_mean_shift(self) -> np.ndarray:
+        """Sum_j J_j m_j: the outcome-dependent part of the final mean."""
+        shift = np.zeros(2 * self.state.n_modes)
+        for vec, ev in zip(self.outcome_jacobian, self.record.events):
+            shift = shift + vec * ev.outcome
+        return shift
+
+
+def _wire_resource(desc: dict):
+    sites = int(desc.get("macronodes", 2))
+    r = float(desc.get("r", 6.0))
+    inp = None
+    if "input" in desc and desc["input"] is not None:
+        inp = GraphState.from_json(json.dumps(desc["input"])) \
+            if isinstance(desc["input"], dict) else GraphState.from_json(desc["input"])
+    state = canonical_wire(sites, r, inp)
+    modes = {}
+    for k in range(sites):
+        modes[(k, "x")] = 2 * k
+        modes[(k, "a")] = 2 * k + 1
+    return state, modes, r
+
+
+def _bsl_resource(desc: dict):
+    from .lattice import LatticeConfig, build_bsl
+    config = LatticeConfig(int(desc["N"]), int(desc["M"]),
+                           float(desc.get("r", 1.0)))
+    state, lattice = build_bsl(config)
+    modes = dict(lattice.coords)
+    return state, {k: v for k, v in modes.items()}, config.r
+
+
+def run_program(program: dict, seed=None) -> ProgramResult:
+    """Execute a measurement program on a wire or lattice resource.
+
+    Program schema: {"resource": {"kind": "wire"|"bsl", ...}, "steps":
+    [{"time_index": int, "detector": "x|a|b|c", "basis": {"theta": t} |
+    {"cubic": {"chi": 0.0, "sigma": s}}, "outcome": optional}]}.
+    The theta basis measures q(theta); cubic steps run the gate-teleportation
+    macronode circuit, which is Gaussian-simulable exactly when chi = 0.
+    """
+    rng = _rng_of(seed)
+    try:
+        resource = program["resource"]
+        kind = resource["kind"]
+        steps = program["steps"]
+    except (KeyError, TypeError) as exc:
+        raise ProgramError(f"malformed program: missing {exc}") from exc
+    if kind == "wire":
+        state, modes, r = _wire_resource(resource)
+    elif kind == "bsl":
+        state, modes, r = _bsl_resource(resource)
+    else:
+        raise ProgramError(f"unknown resource kind {kind!r}")
+
+    live = {m: m for m in range(state.n_modes)}
+    record = MeasurementRecord()
+    jac: list = []
+
+    def do_measure(mode_id, theta, forced):
+        nonlocal state, jac
+        idx = live.pop(mode_id)
+        state, m, t_map, g = measure_with_response(state, idx, theta, forced, rng)
+        jac = [t_map @ v for v in jac]
+        jac.append(g)
+        for k in live:
+            if live[k] > idx:
+                live[k] -= 1
+        record.add(mode_id, theta, m)
+        return m
+
+    def inject_mode(z_entry):
+        """Append an unentangled ancilla mode; returns its temporary id."""
+        nonlocal state, jac
+        n = state.n_modes
+        z = np.zeros((n + 1, n + 1), complex)
+        z[:n, :n] = state.z
+        z[n, n] = z_entry
+        mean = np.zeros(2 * n + 2)
+        mean[:n] = state.mean[:n]
+        mean[n + 1:2 * n + 1] = state.mean[n:]
+        state = GraphState(z, mean)
+        grown = []
+        for v in jac:
+            w = np.zeros(2 * n + 2)
+            w[:n] = v[:n]
+            w[n + 1:2 * n + 1] = v[n:]
+            grown.append(w)
+        jac = grown
+        mode_id = ("anc", len(record.events))
+        live[mode_id] = n
+        return mode_id
+
+    def apply_gate(gate):
+        nonlocal state, jac
+        state = apply(state, gate)
+        jac = [gate.s @ v for v in jac]
+
+    for step in steps:
+        try:
+            key = (int(step["time_index"]), step["detector"])
+            basis = step["basis"]
+        except (KeyError, TypeError) as exc:
+            raise ProgramError(f"malformed step {step!r}") from exc
+        if key not in modes:
+            raise ProgramError(f"no mode at {key} in this resource")
+        if modes[key] not in live:
+            raise ProgramError(f"mode at {key} was already consumed")
+        forced = step.get("outcome")
+        if "theta" in basis:
+            do_measure(modes[key], float(basis["theta"]), forced)
+        elif "cubic" in basis:
+            chi = float(basis["cubic"].get("chi", 0.0))
+            sigma = float(basis["cubic"]["sigma"])
+            if chi != 0.0:
+                raise ProgramError(
+                    "cubic steps with chi != 0 are not Gaussian-simulable; "
+                    "use the identity verification suite for chi != 0")
+            if key[1] != "x":
+                raise ProgramError("cubic steps consume the x detector")
+            alpha = modes[key]
+            beta_key = (key[0], "a")
+            if beta_key not in modes or modes[beta_key] not in live:
+                raise ProgramError(f"cubic step needs the partner mode {beta_key}")
+            f_a = f_e = f_f = None
+            if forced is not None:
+                f_a, f_e, f_f = (float(v) for v in forced)
+            sech = 1 / np.cosh(2 * r)
+            anc = inject_mode(1j * sech)
+            apply_gate(gate_beamsplitter(np.pi / 4, live[alpha], live[anc],
+                                         state.n_modes))
+            m_a = do_measure(modes[beta_key], 0.0, f_a)
+            m_f = do_measure(anc, 0.0, f_f)
+            theta_e = np.arctan(sigma)
+            m_e = do_measure(alpha, theta_e - np.pi / 2, f_e)
+            record.adaptations.append(
+                {"sigma": sigma, "outcomes": [m_a, m_e, m_f]})
+        else:
+            raise ProgramError(f"unknown basis {basis!r}")
+
+    return ProgramResult(state, record, jac, dict(live))

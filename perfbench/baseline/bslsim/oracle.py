@@ -1,0 +1,392 @@
+"""Brute-force position-space wavefunction engine on uniform grids (1-2 modes).
+
+This is the independent verifier for everything the Gaussian graph engine
+cannot represent: cubic-phase gates, gate-teleportation gadgets and their
+closed forms.  All operations are implemented with exactly unitary grid
+primitives:
+
+* rotations use the identity R(phi) = e^{-i phi/2} P(tan(phi/2))
+  M(-sin(phi)) P(tan(phi/2)) (quadratic phase, momentum-space quadratic
+  phase, quadratic phase), with parity handling angles beyond |phi| <= pi/2;
+* squeezers evaluate the sinc (Fourier) interpolant on a rescaled grid with
+  a zoom FFT, in q for r >= 0 and in p for r < 0, so the chirp rate stays
+  below Nyquist in both directions;
+* the two-mode beamsplitter is a coordinate-plane rotation built from three
+  FFT shears (no polynomial interpolation);
+* shifts and all q-diagonal gates are exact phase multiplies.
+
+Grid: P points per mode at spacing 2L/P, q_n = (n - P/2) * 2L/P.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+SQ2PI = np.sqrt(2 * np.pi)
+
+#: default half-extent and points per mode
+DEFAULT_L = 12.0
+DEFAULT_P1 = 1024
+DEFAULT_P2 = 512
+
+
+class GridError(ValueError):
+    """Raised when a state does not fit its grid or grids are incompatible."""
+
+
+def q_axis(half_extent: float, points: int) -> np.ndarray:
+    return (np.arange(points) - points // 2) * (2 * half_extent / points)
+
+
+def p_axis(half_extent: float, points: int) -> np.ndarray:
+    dq = 2 * half_extent / points
+    return (np.arange(points) - points // 2) * (2 * np.pi / (points * dq))
+
+
+def _to_p(psi: np.ndarray, half_extent: float, ax: int) -> np.ndarray:
+    """Centered transform to psi~(p) = (2pi)^{-1/2} int psi(q) e^{-ipq} dq."""
+    points = psi.shape[ax]
+    dq = 2 * half_extent / points
+    sign = (-1.0) ** np.arange(points)
+    shape = [1] * psi.ndim
+    shape[ax] = points
+    sg = sign.reshape(shape)
+    ph = (-1.0) ** (points // 2)
+    return np.fft.fft(psi * sg, axis=ax) * sg * (dq / SQ2PI) * ph
+
+
+def _from_p(psip: np.ndarray, half_extent: float, ax: int) -> np.ndarray:
+    points = psip.shape[ax]
+    dq = 2 * half_extent / points
+    dp = 2 * np.pi / (points * dq)
+    sign = (-1.0) ** np.arange(points)
+    shape = [1] * psip.ndim
+    shape[ax] = points
+    sg = sign.reshape(shape)
+    ph = (-1.0) ** (points // 2)
+    return np.fft.ifft(psip * sg, axis=ax) * sg * (dp * points / SQ2PI) * ph
+
+
+def _bluestein(x: np.ndarray, a: float) -> np.ndarray:
+    """y_m = sum_n x_n exp(i a (m - P/2)(n - P/2)) along the last axis."""
+    points = x.shape[-1]
+    idx = np.arange(points) - points // 2
+    c = np.exp(0.5j * a * idx * idx)
+    u = x * c
+    k = np.arange(-points + 1, points)
+    kern = np.exp(-0.5j * a * k * k)
+    nfft = 1
+    while nfft < 3 * points - 2:
+        nfft *= 2
+    conv = np.fft.ifft(np.fft.fft(u, nfft, axis=-1)
+                       * np.fft.fft(kern, nfft), axis=-1)
+    return c * conv[..., points - 1:2 * points - 1]
+
+
+@dataclass(frozen=True)
+class WaveFunction:
+    """Complex amplitudes on a centered uniform grid, one or two modes.
+
+    Immutable: every gate returns a new instance.  Norm is not implicitly
+    fixed; projections return unnormalized states by design.
+    """
+
+    psi: np.ndarray
+    half_extent: float
+
+    def __post_init__(self):
+        psi = np.asarray(self.psi, dtype=complex)
+        if psi.ndim not in (1, 2):
+            raise GridError("only 1- or 2-mode wavefunctions are supported")
+        for points in psi.shape:
+            if points < 4 or points & (points - 1):
+                raise GridError("grid points per mode must be a power of two >= 4")
+        object.__setattr__(self, "psi", psi)
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def n_modes(self) -> int:
+        return self.psi.ndim
+
+    @property
+    def dq(self) -> float:
+        return 2 * self.half_extent / self.psi.shape[-1]
+
+    def q(self, mode: int = 0) -> np.ndarray:
+        return q_axis(self.half_extent, self.psi.shape[mode])
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.vdot(self.psi, self.psi).real
+                             * self.dq ** self.n_modes))
+
+    def normalized(self) -> "WaveFunction":
+        return WaveFunction(self.psi / self.norm(), self.half_extent)
+
+    def boundary_mass(self, frac: float = 0.9) -> float:
+        """Probability mass outside |q| > frac * L on any axis."""
+        rho = (self.psi.conj() * self.psi).real
+        total = rho.sum()
+        if total == 0:
+            return 0.0
+        inside = rho
+        for ax in range(self.n_modes):
+            qv = q_axis(self.half_extent, self.psi.shape[ax])
+            mask = np.abs(qv) <= frac * self.half_extent
+            sl = [slice(None)] * self.n_modes
+            sl[ax] = mask
+            inside = inside[tuple(sl)]
+        return float(1.0 - inside.sum() / total)
+
+    def require_resident(self, limit: float = 1e-8, frac: float = 0.9):
+        mass = self.boundary_mass(frac)
+        if mass > limit:
+            raise GridError(
+                f"state leaks off the grid (boundary mass {mass:.3e} > {limit:.0e})")
+
+    # -- single-mode gates ---------------------------------------------------
+
+    def _q_of(self, mode: int) -> np.ndarray:
+        shape = [1] * self.n_modes
+        shape[mode] = self.psi.shape[mode]
+        return q_axis(self.half_extent, self.psi.shape[mode]).reshape(shape)
+
+    def _p_of(self, mode: int) -> np.ndarray:
+        shape = [1] * self.n_modes
+        shape[mode] = self.psi.shape[mode]
+        return p_axis(self.half_extent, self.psi.shape[mode]).reshape(shape)
+
+    def z_shift(self, t: float, mode: int = 0) -> "WaveFunction":
+        """Z(t) = exp(i t q)."""
+        return WaveFunction(self.psi * np.exp(1j * t * self._q_of(mode)),
+                            self.half_extent)
+
+    def x_shift(self, s: float, mode: int = 0) -> "WaveFunction":
+        """X(s) = exp(-i s p): psi(q) -> psi(q - s)."""
+        pp = _to_p(self.psi, self.half_extent, mode)
+        pp = pp * np.exp(-1j * s * self._p_of(mode))
+        return WaveFunction(_from_p(pp, self.half_extent, mode), self.half_extent)
+
+    def shear(self, sigma: float, mode: int = 0) -> "WaveFunction":
+        """P(sigma) = exp(i sigma q^2 / 2)."""
+        qv = self._q_of(mode)
+        return WaveFunction(self.psi * np.exp(0.5j * sigma * qv * qv),
+                            self.half_extent)
+
+    def kubic(self, chi: float, mode: int = 0) -> "WaveFunction":
+        """Cubic-phase gate K(chi) = exp(i chi q^3 / 3)."""
+        qv = self._q_of(mode)
+        return WaveFunction(self.psi * np.exp(1j * chi / 3 * qv ** 3),
+                            self.half_extent)
+
+    def _p_shear(self, s: float, mode: int) -> "WaveFunction":
+        """exp(-i s p^2 / 2)."""
+        pp = _to_p(self.psi, self.half_extent, mode)
+        pv = self._p_of(mode)
+        pp = pp * np.exp(-0.5j * s * pv * pv)
+        return WaveFunction(_from_p(pp, self.half_extent, mode), self.half_extent)
+
+    def _parity(self, mode: int) -> "WaveFunction":
+        out = np.flip(self.psi, axis=mode)
+        out = np.roll(out, 1, axis=mode)  # centered grid: q_n -> -q_n
+        return WaveFunction(out, self.half_extent)
+
+    def rotate(self, theta: float, mode: int = 0) -> "WaveFunction":
+        """R(theta) = exp(i theta a^dag a), exact global phase included."""
+        theta = float(np.mod(theta, 2 * np.pi))
+        out = self
+        phi = theta
+        if np.pi / 2 < phi <= 3 * np.pi / 2:
+            out = out._parity(mode)
+            phi -= np.pi
+        elif phi > 3 * np.pi / 2:
+            phi -= 2 * np.pi
+        if abs(phi) < 1e-13:
+            return out
+        t = np.tan(phi / 2)
+        out = out.shear(t, mode)._p_shear(-np.sin(phi), mode).shear(t, mode)
+        return WaveFunction(out.psi * np.exp(-0.5j * phi), self.half_extent)
+
+    def squeeze(self, r: float, mode: int = 0) -> "WaveFunction":
+        """S(r): psi(q) -> e^{-r/2} psi(e^{-r} q), exact sinc interpolation."""
+        points = self.psi.shape[mode]
+        dq = 2 * self.half_extent / points
+        dp = 2 * np.pi / (points * dq)
+        if r >= 0:
+            moved = np.moveaxis(_to_p(self.psi, self.half_extent, mode), mode, -1)
+            zoom = _bluestein(moved, dp * dq * np.exp(-r))
+            out = np.moveaxis(zoom, -1, mode) * (dp / SQ2PI) * np.exp(-r / 2)
+            return WaveFunction(out, self.half_extent)
+        # r < 0: psi~'(p) = e^{r/2} psi~(e^r p)
+        moved = np.moveaxis(self.psi, mode, -1)
+        zoom = _bluestein(moved, -dp * dq * np.exp(r))
+        pp = np.moveaxis(zoom, -1, mode) * (dq / SQ2PI) * np.exp(r / 2)
+        return WaveFunction(_from_p(pp, self.half_extent, mode), self.half_extent)
+
+    # -- two-mode gates ------------------------------------------------------
+
+    def _shear_between(self, lam: float, shear_ax: int, by_ax: int) -> "WaveFunction":
+        """Coordinate shear q_shear -> q_shear + lam * q_by (FFT phase)."""
+        pp = _to_p(self.psi, self.half_extent, shear_ax)
+        pv = self._p_of(shear_ax)
+        qv = self._q_of(by_ax)
+        pp = pp * np.exp(1j * lam * pv * qv)
+        return WaveFunction(_from_p(pp, self.half_extent, shear_ax), self.half_extent)
+
+    def _quarter_turn(self) -> "WaveFunction":
+        """Exact grid permutation matching one +pi/2 step of the shear path."""
+        points = self.psi.shape[0]
+        idx = (points - np.arange(points)) % points
+        return WaveFunction(self.psi[idx, :].T, self.half_extent)
+
+    def beamsplitter(self, theta: float = np.pi / 4, i: int = 0, j: int = 1) -> "WaveFunction":
+        """B_ij(theta): coordinate rotation psi(q) -> psi(B^T q).
+
+        Exact quarter turns reduce the angle to |phi| <= pi/4, the rest is
+        three FFT shears; exactly unitary on the torus for any theta.
+        """
+        if self.n_modes != 2 or {i, j} != {0, 1}:
+            raise GridError("beamsplitter needs a 2-mode state and modes {0, 1}")
+        if self.psi.shape[0] != self.psi.shape[1]:
+            raise GridError("beamsplitter needs a square grid")
+        t = -theta if (i, j) == (0, 1) else theta
+        t = float(np.mod(t, 2 * np.pi))
+        k = int(np.round(t / (np.pi / 2))) % 4
+        phi = t - np.round(t / (np.pi / 2)) * (np.pi / 2)
+        out = self
+        for _ in range(k):
+            out = out._quarter_turn()
+        if abs(phi) > 1e-13:
+            a = -np.tan(phi / 2)
+            b = np.sin(phi)
+            out = out._shear_between(a, 0, 1)
+            out = out._shear_between(b, 1, 0)
+            out = out._shear_between(a, 0, 1)
+        return out
+
+    def cz(self, g: float) -> "WaveFunction":
+        """C_Z(g) = exp(i g q_1 q_2)."""
+        if self.n_modes != 2:
+            raise GridError("cz needs a 2-mode state")
+        return WaveFunction(self.psi * np.exp(1j * g * self._q_of(0) * self._q_of(1)),
+                            self.half_extent)
+
+    # -- measurement ---------------------------------------------------------
+
+    def project_q(self, mode: int, m: float) -> "WaveFunction":
+        """Slice at q_mode = m (4-point interpolation); unnormalized result."""
+        if self.n_modes != 2:
+            raise GridError("project_q needs a 2-mode state")
+        points = self.psi.shape[mode]
+        x = m / (2 * self.half_extent / points) + points // 2
+        if not 1 <= x <= points - 3:
+            raise GridError(f"projection value {m} outside the grid window")
+        i0 = int(np.floor(x))
+        w = x - i0
+        out = np.zeros(self.psi.shape[1 - mode], dtype=complex)
+        # cubic Lagrange weights on the 4 surrounding grid lines
+        for k, cf in ((-1, -w * (w - 1) * (w - 2) / 6),
+                      (0, (w * w - 1) * (w - 2) / 2),
+                      (1, -w * (w + 1) * (w - 2) / 2),
+                      (2, w * (w * w - 1) / 6)):
+            line = self.psi[i0 + k, :] if mode == 0 else self.psi[:, i0 + k]
+            out += cf * line
+        return WaveFunction(out, self.half_extent)
+
+    def project_p_theta(self, mode: int, theta: float, m: float) -> "WaveFunction":
+        """Project onto the p(theta) = m eigenstate of one mode.
+
+        Uses p(theta) = q(theta - pi/2): rotate then slice.
+        """
+        return self.rotate(theta - np.pi / 2, mode).project_q(mode, m)
+
+    # -- moments -------------------------------------------------------------
+
+    def moments(self):
+        """Grid means and covariance in the (q..., p...) ordering."""
+        n = self.n_modes
+        rho = (self.psi.conj() * self.psi).real
+        total = rho.sum()
+        mean = np.zeros(2 * n)
+        pfield = []
+        for ax in range(n):
+            qv = self._q_of(ax)
+            mean[ax] = (rho * qv).sum() / total
+            pp = _to_p(self.psi, self.half_extent, ax)
+            pp = pp * self._p_of(ax)
+            pfield.append(_from_p(pp, self.half_extent, ax))
+            mean[n + ax] = (self.psi.conj() * pfield[ax]).sum().real / total
+        cov = np.zeros((2 * n, 2 * n))
+        cq = [self._q_of(ax) - mean[ax] for ax in range(n)]
+        cp = [pfield[ax] - mean[n + ax] * self.psi for ax in range(n)]
+        for a in range(n):
+            for b in range(n):
+                cov[a, b] = (rho * cq[a] * cq[b]).sum() / total
+                cov[a, n + b] = (self.psi.conj() * cq[a] * cp[b]).sum().real / total
+                cov[n + b, a] = cov[a, n + b]
+                cov[n + a, n + b] = (cp[a].conj() * cp[b]).sum().real / total
+        return mean, cov
+
+    # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def vacuum(cls, half_extent: float = DEFAULT_L, points: int = DEFAULT_P1,
+               q0: float = 0.0, p0: float = 0.0) -> "WaveFunction":
+        q = q_axis(half_extent, points)
+        psi = np.pi ** -0.25 * np.exp(-0.5 * (q - q0) ** 2 + 1j * p0 * q)
+        return cls(psi, half_extent)
+
+    @classmethod
+    def squeezed(cls, r: float, half_extent: float = DEFAULT_L,
+                 points: int = DEFAULT_P1) -> "WaveFunction":
+        """S(r)|0>: Gaussian with <q^2> = e^{2r}/2."""
+        q = q_axis(half_extent, points)
+        psi = (np.pi * np.exp(2 * r)) ** -0.25 * np.exp(-0.5 * np.exp(-2 * r) * q ** 2)
+        return cls(psi, half_extent)
+
+    @classmethod
+    def cubic_phase(cls, chi: float, r_env: float = 2.0,
+                    half_extent: float = DEFAULT_L,
+                    points: int = DEFAULT_P1) -> "WaveFunction":
+        """Cubic-phase state regularized by a Gaussian envelope of squeezing r_env."""
+        return cls.squeezed(r_env, half_extent, points).kubic(chi)
+
+    @classmethod
+    def from_graphstate(cls, state, half_extent: float = DEFAULT_L,
+                        points: int = DEFAULT_P1) -> "WaveFunction":
+        """Sample a 1- or 2-mode GraphState wavefunction on the grid."""
+        n = state.n_modes
+        if n not in (1, 2):
+            raise GridError("grids support only 1 or 2 modes")
+        mq, mp = state.mean[:n], state.mean[n:]
+        det = np.linalg.det(state.z.imag)
+        if n == 1:
+            q = q_axis(half_extent, points)[:, None] - mq
+        else:
+            qa = q_axis(half_extent, points)
+            q = np.stack(np.meshgrid(qa - mq[0], qa - mq[1], indexing="ij"),
+                         axis=-1).reshape(-1, 2)
+        quad = np.einsum("ni,ij,nj->n", q, state.z, q)
+        psi = (det ** 0.25 / np.pi ** (n / 4)
+               * np.exp(0.5j * quad + 1j * q @ mp))
+        shape = (points,) if n == 1 else (points, points)
+        return cls(psi.reshape(shape), half_extent)
+
+    def product(self, other: "WaveFunction") -> "WaveFunction":
+        """Two-mode product state self (x) other."""
+        if self.n_modes != 1 or other.n_modes != 1:
+            raise GridError("product takes two 1-mode states")
+        if self.half_extent != other.half_extent:
+            raise GridError("grids must share the half extent")
+        return WaveFunction(np.outer(self.psi, other.psi), self.half_extent)
+
+
+def fidelity_up_to_phase(a: WaveFunction, b: WaveFunction) -> float:
+    """|<a|b>| / (|a||b|) on the common grid."""
+    if a.psi.shape != b.psi.shape or a.half_extent != b.half_extent:
+        raise GridError("wavefunctions live on different grids")
+    num = abs(np.vdot(a.psi, b.psi))
+    den = np.sqrt(np.vdot(a.psi, a.psi).real * np.vdot(b.psi, b.psi).real)
+    return float(num / den) if den > 0 else 0.0
