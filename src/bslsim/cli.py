@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
     p.add_argument("--out", default="bsl", help="output path prefix")
-    p.add_argument("--format", choices=("json", "dot"), default="json",
-                   help="primary format (both files are always written)")
     p.set_defaults(func=cmd_build_bsl)
 
     p = sub.add_parser("verify-nullifiers",

@@ -15,7 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +30,11 @@ class GraphStateError(ValueError):
 
 def omega(n: int) -> np.ndarray:
     """Symplectic form [[0, I], [-I, 0]] on n modes."""
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    return np.block([[z, i], [-i, z]])
+    om = np.zeros((2 * n, 2 * n))
+    i = np.arange(n)
+    om[i, n + i] = 1.0
+    om[n + i, i] = -1.0
+    return om
 
 
 @dataclass(frozen=True)
@@ -90,30 +93,76 @@ class GraphState:
 class SymplecticGate:
     """Heisenberg-picture Gaussian gate: x -> S x + d.
 
-    S must satisfy S Omega S^T = Omega to 1e-12.
+    A dense gate, SymplecticGate(s, d), holds the whole 2n x 2n S in `block`
+    and its length-2n displacement in `disp`; `modes` stays None.  A local
+    gate, SymplecticGate(block, disp, modes, n_modes), holds the 2k x 2k block
+    acting on the k listed modes of an n-mode system, rows and columns
+    ordered (q of modes, p of modes), and S is the identity elsewhere.  The
+    dense S and d of a local gate are built on first use of `.s` and `.d`.
+    The block must satisfy block Omega block^T = Omega to 1e-12.
     """
 
-    s: np.ndarray
-    d: np.ndarray = field(default=None)
+    block: np.ndarray
+    disp: np.ndarray = None
+    modes: tuple = None
+    n_modes: int = None
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        n2 = s.shape[0]
-        if s.ndim != 2 or s.shape != (n2, n2) or n2 % 2:
+        block = np.asarray(self.block, dtype=float)
+        k2 = block.shape[0] if block.ndim else 0
+        if block.ndim != 2 or block.shape != (k2, k2) or k2 % 2:
             raise GraphStateError("S must be a 2n x 2n matrix")
-        d = np.zeros(n2) if self.d is None else np.asarray(self.d, dtype=float)
-        if d.shape != (n2,):
-            raise GraphStateError(f"displacement must have length {n2}")
-        om = omega(n2 // 2)
-        dev = np.abs(s @ om @ s.T - om).max()
-        if dev > 1e-12:
+        k = k2 // 2
+        n, modes = k, None
+        if self.modes is not None:
+            if self.n_modes is None:
+                raise GraphStateError("a local gate needs the system's mode count")
+            n, modes = self.n_modes, tuple(int(m) for m in self.modes)
+            if len(modes) != k:
+                raise GraphStateError(
+                    f"a {k2} x {k2} block acts on {k} modes, got {len(modes)}")
+            for m in modes:
+                if not 0 <= m < n:
+                    raise GraphStateError(
+                        f"mode index {m} out of range for {n} modes")
+            if len(set(modes)) != k:
+                raise GraphStateError("mode indices must be distinct")
+        disp = (np.zeros(k2) if self.disp is None
+                else np.asarray(self.disp, dtype=float))
+        if disp.shape != (k2,):
+            raise GraphStateError(f"displacement must have length {k2}")
+        om = omega(k)
+        dev = np.abs(block @ om @ block.T - om).max()
+        if not dev <= 1e-12:        # also rejects a NaN block
             raise GraphStateError(f"matrix is not symplectic (|S Om S^T - Om| = {dev:.3e})")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "disp", disp)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "n_modes", n)
 
-    @property
-    def n_modes(self) -> int:
-        return self.s.shape[0] // 2
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Rows and columns of S that the block occupies."""
+        m = np.arange(self.n_modes) if self.modes is None else np.array(self.modes)
+        return np.concatenate([m, self.n_modes + m])
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Dense 2n x 2n S; built on first use for a local gate."""
+        if self.modes is None:
+            return self.block
+        s = np.eye(2 * self.n_modes)
+        s[np.ix_(self.index, self.index)] = self.block
+        return s
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Dense length-2n displacement; built on first use for a local gate."""
+        if self.modes is None:
+            return self.disp
+        d = np.zeros(2 * self.n_modes)
+        d[self.index] = self.disp
+        return d
 
     def blocks(self):
         n = self.n_modes
@@ -124,31 +173,6 @@ class SymplecticGate:
         return SymplecticGate(other.s @ self.s, other.s @ self.d + other.d)
 
 
-def _embed(n: int, modes, block: np.ndarray, disp=None) -> SymplecticGate:
-    """Embed a 2k x 2k single/two-mode symplectic into n modes."""
-    for m in modes:
-        if not 0 <= m < n:
-            raise GraphStateError(f"mode index {m} out of range for {n} modes")
-    if len(set(modes)) != len(modes):
-        raise GraphStateError("mode indices must be distinct")
-    k = len(modes)
-    s = np.eye(2 * n)
-    a, b = block[:k, :k], block[:k, k:]
-    c, dd = block[k:, :k], block[k:, k:]
-    for x, mx in enumerate(modes):
-        for y, my in enumerate(modes):
-            s[mx, my] = a[x, y]
-            s[mx, n + my] = b[x, y]
-            s[n + mx, my] = c[x, y]
-            s[n + mx, n + my] = dd[x, y]
-    d = np.zeros(2 * n)
-    if disp is not None:
-        for x, mx in enumerate(modes):
-            d[mx] = disp[x]
-            d[n + mx] = disp[k + x]
-    return SymplecticGate(s, d)
-
-
 def gate_identity(n: int) -> SymplecticGate:
     return SymplecticGate(np.eye(2 * n))
 
@@ -156,22 +180,24 @@ def gate_identity(n: int) -> SymplecticGate:
 def gate_rotation(theta: float, i: int, n: int) -> SymplecticGate:
     """Phase delay R(theta) = exp(i theta a^dag a) on mode i."""
     c, s = np.cos(theta), np.sin(theta)
-    return _embed(n, [i], np.array([[c, -s], [s, c]]))
+    return SymplecticGate(np.array([[c, -s], [s, c]]), modes=(i,), n_modes=n)
 
 
 def gate_squeeze(r: float, i: int, n: int) -> SymplecticGate:
     """Squeezer S(r): q -> e^r q, p -> e^-r p on mode i."""
-    return _embed(n, [i], np.diag([np.exp(r), np.exp(-r)]))
+    return SymplecticGate(np.diag([np.exp(r), np.exp(-r)]), modes=(i,),
+                          n_modes=n)
 
 
 def gate_shear(sigma: float, i: int, n: int) -> SymplecticGate:
     """Shear P(sigma) = exp(i sigma q^2 / 2): p -> p + sigma q."""
-    return _embed(n, [i], np.array([[1.0, 0.0], [sigma, 1.0]]))
+    return SymplecticGate(np.array([[1.0, 0.0], [sigma, 1.0]]), modes=(i,),
+                          n_modes=n)
 
 
 def gate_displacement(s: float, t: float, i: int, n: int) -> SymplecticGate:
     """Displacement by s in q and t in p on mode i."""
-    return _embed(n, [i], np.eye(2), disp=[s, t])
+    return SymplecticGate(np.eye(2), [s, t], modes=(i,), n_modes=n)
 
 
 def gate_beamsplitter(theta: float, i: int, j: int, n: int) -> SymplecticGate:
@@ -181,9 +207,9 @@ def gate_beamsplitter(theta: float, i: int, j: int, n: int) -> SymplecticGate:
     (p_i, p_j); theta = pi/4 is the balanced 50:50 convention.
     """
     c, s = np.cos(theta), np.sin(theta)
-    r = np.array([[c, -s], [s, c]])
-    z = np.zeros((2, 2))
-    return _embed(n, [i, j], np.block([[r, z], [z, r]]))
+    blk = np.zeros((4, 4))
+    blk[:2, :2] = blk[2:, 2:] = [[c, -s], [s, c]]
+    return SymplecticGate(blk, modes=(i, j), n_modes=n)
 
 
 def gate_cz(g: float, i: int, j: int, n: int) -> SymplecticGate:
@@ -191,7 +217,7 @@ def gate_cz(g: float, i: int, j: int, n: int) -> SymplecticGate:
     blk = np.eye(4)
     blk[2, 1] = g
     blk[3, 0] = g
-    return _embed(n, [i, j], blk)
+    return SymplecticGate(blk, modes=(i, j), n_modes=n)
 
 
 def vacuum(n: int) -> GraphState:
@@ -209,19 +235,86 @@ def squeezed_vacua(r_list) -> GraphState:
     return GraphState(1j * np.diag(np.exp(-2 * r)), np.zeros(2 * len(r)))
 
 
+def _gate_rows(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
+    """Rows `gate.modes` of A + B Z for a local gate (k x n)."""
+    k, m = len(gate.modes), list(gate.modes)
+    rows = gate.block[:k, k:] @ z[m]
+    rows[:, m] += gate.block[:k, :k]
+    return rows
+
+
+def local_update(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
+    """Z' = (C + D Z)(A + B Z)^-1 for a local gate, in O(n^2 k).
+
+    A + B Z is the identity outside the gate's k rows.  With R those rows
+    minus the identity rows, P = R[:, modes] + I and E the identity's
+    columns at the modes, Woodbury gives (A + B Z)^-1 = I - E P^-1 R, so
+    Z' = N - N[:, modes] P^-1 R, where N = C + D Z differs from Z only in the
+    gate's rows.  The result is neither symmetrized nor checked.
+    """
+    k, m = len(gate.modes), list(gate.modes)
+    rows = _gate_rows(z, gate)
+    p = rows[:, m]
+    rows[:, m] -= np.eye(k)
+    nrows = gate.block[k:, k:] @ z[m]
+    nrows[:, m] += gate.block[k:, :k]
+    nmat = z.copy()
+    nmat[m] = nrows
+    return nmat - nmat[:, m] @ np.linalg.solve(p, rows)
+
+
+def local_cond(z: np.ndarray, gate: SymplecticGate) -> float:
+    """Exact 2-norm cond(A + B Z) of a local gate from a matrix of size <= 2k.
+
+    With the gate's modes first, A + B Z = [[P, Q], [0, I]], whose singular
+    values depend on Q only through Q Q^H.  The R factor of Q^H gives
+    X = R^H with X X^H = Q Q^H and at most k columns; [[P, X], [0, I]] has
+    the same singular values apart from ones, which cannot change the cond
+    because A + B Z and its inverse both contain identity rows.  When the
+    block has no B part, Q = 0 and the cond does not depend on Z.
+    """
+    k, n = len(gate.modes), gate.n_modes
+    b = gate.block[:k, k:]
+    if b.any():
+        rows = _gate_rows(z, gate)
+        p = rows[:, list(gate.modes)]
+        q = np.delete(rows, gate.modes, axis=1)
+        x = np.linalg.qr(q.conj().T, mode="r").conj().T
+    else:
+        p, x = gate.block[:k, :k], np.zeros((k, min(k, n - k)))
+    m = np.eye(k + x.shape[1], dtype=p.dtype)
+    m[:k, :k] = p
+    m[:k, k:] = x
+    return np.linalg.cond(m)
+
+
 def apply(state: GraphState, gate: SymplecticGate) -> GraphState:
-    """Apply a gate: Z' = (C + D Z)(A + B Z)^-1, mean' = S mean + d."""
+    """Apply a gate: Z' = (C + D Z)(A + B Z)^-1, mean' = S mean + d.
+
+    A local gate takes the rank-k update of local_update; a dense gate takes
+    the dense solve, which is also the reference the local update is tested
+    against.
+    """
     if gate.n_modes != state.n_modes:
         raise GraphStateError(
             f"gate acts on {gate.n_modes} modes, state has {state.n_modes}")
-    a, b, c, d = gate.blocks()
-    m = a + b @ state.z
-    cond = np.linalg.cond(m)
+    if gate.modes is None:
+        a, b, c, d = gate.blocks()
+        m = a + b @ state.z
+        _check_cond(np.linalg.cond(m))
+        zp = np.linalg.solve(m.T, (c + d @ state.z).T).T
+        return GraphState(zp, gate.s @ state.mean + gate.d)
+    _check_cond(local_cond(state.z, gate))
+    mean = state.mean.copy()
+    idx = gate.index
+    mean[idx] = gate.block @ mean[idx] + gate.disp
+    return GraphState(local_update(state.z, gate), mean)
+
+
+def _check_cond(cond: float):
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise GraphStateError(
             f"graph update is ill-conditioned (cond(A + B Z) = {cond:.3e})")
-    zp = np.linalg.solve(m.T, (c + d @ state.z).T).T
-    return GraphState(zp, gate.s @ state.mean + gate.d)
 
 
 def covariance(state: GraphState) -> np.ndarray:

@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, apply, gate_beamsplitter,
-                         gate_rotation, gate_squeeze, squeezed_vacua, vacuum)
+                         gate_rotation, gate_squeeze, local_update,
+                         squeezed_vacua, vacuum)
 
 DETECTORS = ("x", "a", "b", "c")
 
@@ -263,9 +264,7 @@ def _raw_graph(config: LatticeConfig, r: float) -> np.ndarray:
     z = 1j * np.eye(n, dtype=complex)
     for item in schedule(LatticeConfig(config.n_rows, config.m_cols, r,
                                        config.phase_delays)):
-        gate = _gate_of(item, n)
-        a, b, c, d = gate.blocks()
-        zp = np.linalg.solve((a + b @ z).T, (c + d @ z).T).T
+        zp = local_update(z, _gate_of(item, n))
         z = (zp + zp.T) / 2
     return z
 

@@ -122,7 +122,9 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
     if not np.isfinite(outcome):
         raise GraphStateError("measurement outcome must be finite")
     post, t_map, g = _condition(rotated, mode, outcome)
-    return post, float(outcome), t_map @ rot.s, g
+    # t_map @ S_rot: only the rotated mode's q and p columns mix
+    t_map[:, rot.index] = t_map[:, rot.index] @ rot.block
+    return post, float(outcome), t_map, g
 
 
 def measure_p_theta(state: GraphState, mode: int, theta: float,
@@ -367,13 +369,29 @@ class ProgramResult:
         return shift
 
 
+def _number(value, name: str, cast=float):
+    """A program field converted by cast; a ProgramError naming it otherwise."""
+    kind = "an integer" if cast is int else "a number"
+    try:
+        out = cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ProgramError(f"{name} must be {kind}, got {value!r}") from exc
+    if not np.isfinite(out):
+        raise ProgramError(f"{name} must be finite, got {value!r}")
+    return out
+
+
 def _wire_resource(desc: dict):
-    sites = int(desc.get("macronodes", 2))
-    r = float(desc.get("r", 6.0))
-    inp = None
-    if "input" in desc and desc["input"] is not None:
-        inp = GraphState.from_json(json.dumps(desc["input"])) \
-            if isinstance(desc["input"], dict) else GraphState.from_json(desc["input"])
+    sites = _number(desc.get("macronodes", 2), "resource.macronodes", int)
+    r = _number(desc.get("r", 6.0), "resource.r")
+    inp = desc.get("input")
+    if inp is not None:
+        if isinstance(inp, dict):
+            inp = json.dumps(inp)
+        if not isinstance(inp, str):
+            raise ProgramError(
+                f"resource.input must be a graph-state object, got {inp!r}")
+        inp = GraphState.from_json(inp)
     state = canonical_wire(sites, r, inp)
     modes = {}
     for k in range(sites):
@@ -384,8 +402,12 @@ def _wire_resource(desc: dict):
 
 def _bsl_resource(desc: dict):
     from .lattice import LatticeConfig, build_bsl
-    config = LatticeConfig(int(desc["N"]), int(desc["M"]),
-                           float(desc.get("r", 1.0)))
+    missing = [key for key in ("N", "M") if key not in desc]
+    if missing:
+        raise ProgramError(f"bsl resource is missing {missing}")
+    config = LatticeConfig(_number(desc["N"], "resource.N", int),
+                           _number(desc["M"], "resource.M", int),
+                           _number(desc.get("r", 1.0), "resource.r"))
     state, lattice = build_bsl(config)
     modes = dict(lattice.coords)
     return state, {k: v for k, v in modes.items()}, config.r
@@ -407,6 +429,8 @@ def run_program(program: dict, seed=None) -> ProgramResult:
         steps = program["steps"]
     except (KeyError, TypeError) as exc:
         raise ProgramError(f"malformed program: missing {exc}") from exc
+    if not isinstance(steps, list):
+        raise ProgramError(f"steps must be a list, got {steps!r}")
     if kind == "wire":
         state, modes, r = _wire_resource(resource)
     elif kind == "bsl":
@@ -453,26 +477,37 @@ def run_program(program: dict, seed=None) -> ProgramResult:
         return mode_id
 
     def apply_gate(gate):
-        nonlocal state, jac
+        nonlocal state
         state = apply(state, gate)
-        jac = [gate.s @ v for v in jac]
+        for v in jac:
+            v[gate.index] = gate.block @ v[gate.index]
 
-    for step in steps:
+    for i, step in enumerate(steps):
         try:
-            key = (int(step["time_index"]), step["detector"])
+            time_index, detector = step["time_index"], step["detector"]
             basis = step["basis"]
         except (KeyError, TypeError) as exc:
             raise ProgramError(f"malformed step {step!r}") from exc
+        key = (_number(time_index, f"steps[{i}].time_index", int), str(detector))
+        if not isinstance(basis, dict):
+            raise ProgramError(f"steps[{i}].basis must be an object, got {basis!r}")
         if key not in modes:
             raise ProgramError(f"no mode at {key} in this resource")
         if modes[key] not in live:
             raise ProgramError(f"mode at {key} was already consumed")
         forced = step.get("outcome")
         if "theta" in basis:
-            do_measure(modes[key], float(basis["theta"]), forced)
+            if forced is not None:
+                forced = _number(forced, f"steps[{i}].outcome")
+            theta = _number(basis["theta"], f"steps[{i}].basis.theta")
+            do_measure(modes[key], theta, forced)
         elif "cubic" in basis:
-            chi = float(basis["cubic"].get("chi", 0.0))
-            sigma = float(basis["cubic"]["sigma"])
+            cubic = basis["cubic"]
+            if not isinstance(cubic, dict) or "sigma" not in cubic:
+                raise ProgramError(f"steps[{i}].basis.cubic must be an object "
+                                   f"with a sigma, got {cubic!r}")
+            chi = _number(cubic.get("chi", 0.0), f"steps[{i}].basis.cubic.chi")
+            sigma = _number(cubic["sigma"], f"steps[{i}].basis.cubic.sigma")
             if chi != 0.0:
                 raise ProgramError(
                     "cubic steps with chi != 0 are not Gaussian-simulable; "
@@ -485,7 +520,10 @@ def run_program(program: dict, seed=None) -> ProgramResult:
                 raise ProgramError(f"cubic step needs the partner mode {beta_key}")
             f_a = f_e = f_f = None
             if forced is not None:
-                f_a, f_e, f_f = (float(v) for v in forced)
+                if not isinstance(forced, list) or len(forced) != 3:
+                    raise ProgramError(f"steps[{i}].outcome of a cubic step must "
+                                       f"list three numbers, got {forced!r}")
+                f_a, f_e, f_f = (_number(v, f"steps[{i}].outcome") for v in forced)
             sech = 1 / np.cosh(2 * r)
             anc = inject_mode(1j * sech)
             apply_gate(gate_beamsplitter(np.pi / 4, live[alpha], live[anc],

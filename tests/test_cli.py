@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from bslsim.cli import main
 from bslsim.graphstate import vacuum
@@ -127,3 +128,29 @@ def test_sample_homodyne_cli(tmp_path):
     assert header == ",".join(f"mode_{k}" for k in range(16))
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape == (500, 16)
+
+
+def test_run_program_malformed_fields_exit_2(tmp_path, capsys):
+    step = {"time_index": 0, "detector": "x"}
+    programs = {
+        "steps[0].basis.theta": {"resource": {"kind": "wire"}, "steps": [
+            {**step, "basis": {"theta": "abc"}}]},
+        "steps[0].basis": {"resource": {"kind": "wire"}, "steps": [
+            {**step, "basis": 5}]},
+        "resource.macronodes": {"resource": {"kind": "wire",
+                                             "macronodes": "two"}, "steps": []},
+    }
+    for field, prog in programs.items():
+        ppath = tmp_path / "prog.json"
+        ppath.write_text(json.dumps(prog))
+        assert main(["run-program", str(ppath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
+def test_build_bsl_format_flag_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build-bsl", "--lattice", "2,2", "--format", "json",
+              "--out", str(tmp_path / "bsl")])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

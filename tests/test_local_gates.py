@@ -1,0 +1,167 @@
+"""Local gate kernels against the dense reference.
+
+Every gate constructor returns a local gate (a 2k x 2k block on k modes);
+`apply` takes a rank-k update for it.  Wrapping the same gate as
+SymplecticGate(g.s, g.d) forces the dense Mobius solve, which is the
+reference here.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bslsim import lattice as lat
+from bslsim.graphstate import (GraphStateError, SymplecticGate, apply,
+                               covariance, gate_beamsplitter, gate_cz,
+                               gate_displacement, gate_rotation, gate_shear,
+                               gate_squeeze, local_cond, omega, squeezed_vacua)
+from bslsim.mbqc import _condition, measure_with_response
+from bslsim.nullifiers import phi_transform
+
+KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz")
+angle = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def local_gate(draw, n):
+    kind = draw(st.sampled_from(KINDS if n > 1 else KINDS[:4]))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1).filter(lambda j: j != i)) if n > 1 else i
+    if kind == "rotation":
+        return gate_rotation(draw(angle), i, n)
+    if kind == "squeeze":
+        return gate_squeeze(draw(st.floats(-0.5, 0.5)), i, n)
+    if kind == "shear":
+        return gate_shear(draw(st.floats(-2, 2)), i, n)
+    if kind == "displacement":
+        return gate_displacement(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)),
+                                 i, n)
+    if kind == "beamsplitter":
+        return gate_beamsplitter(draw(angle), i, j, n)
+    return gate_cz(draw(st.floats(-2, 2)), i, j, n)
+
+
+@st.composite
+def circuit(draw):
+    """(initial squeezed state, list of local gates) on 1-6 modes."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    return squeezed_vacua(r), draw(st.lists(local_gate(n), min_size=1, max_size=8))
+
+
+def dense(gate):
+    return SymplecticGate(gate.s, gate.d)
+
+
+def scale(x):
+    return max(1.0, float(np.abs(x).max()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(circuit())
+def test_local_apply_matches_dense(case):
+    local, gates = case
+    ref = local
+    for g in gates:
+        local, ref = apply(local, g), apply(ref, dense(g))
+        assert np.abs(local.z - ref.z).max() <= 1e-10 * scale(ref.z)
+        assert np.abs(local.mean - ref.mean).max() <= 1e-10 * scale(ref.mean)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit())
+def test_purity_after_local_circuits(case):
+    state, gates = case
+    for g in gates:
+        state = apply(state, g)
+    n = state.n_modes
+    so = covariance(state) @ omega(n)
+    assert np.abs(so @ so + 0.25 * np.eye(2 * n)).max() <= 1e-10 * scale(so) ** 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(circuit(), angle, st.integers(0, 5))
+def test_local_cond_matches_dense_cond(case, theta, i):
+    state, gates = case
+    for g in gates[:-1]:
+        state = apply(state, g)
+    # rotations are the only constructor with a B part, whose cond reads Z
+    rotation = gate_rotation(theta, i % state.n_modes, state.n_modes)
+    for gate in (gates[-1], rotation):
+        a, b, _, _ = gate.blocks()
+        want = np.linalg.cond(a + b @ state.z)
+        assert abs(local_cond(state.z, gate) - want) <= 1e-9 * want
+
+
+def embed_reference(n, modes, block, disp):
+    """The dense embedding loop local gates replace."""
+    k = len(modes)
+    s = np.eye(2 * n)
+    for x, mx in enumerate(modes):
+        for y, my in enumerate(modes):
+            s[mx, my] = block[x, y]
+            s[mx, n + my] = block[x, k + y]
+            s[n + mx, my] = block[k + x, y]
+            s[n + mx, n + my] = block[k + x, k + y]
+    d = np.zeros(2 * n)
+    for x, mx in enumerate(modes):
+        d[mx] = disp[x]
+        d[n + mx] = disp[k + x]
+    return s, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(local_gate))
+def test_cached_dense_matrix_equals_embedding(gate):
+    s, d = embed_reference(gate.n_modes, gate.modes, gate.block, gate.disp)
+    assert np.array_equal(gate.s, s)
+    assert np.array_equal(gate.d, d)
+    assert gate.s is gate.s             # built once, then cached
+
+
+def test_non_finite_block_is_rejected():
+    with pytest.raises(GraphStateError, match="not symplectic"):
+        gate_rotation(float("nan"), 0, 2)
+
+
+def test_omega_is_the_block_form():
+    for n in (1, 2, 5):
+        z, i = np.zeros((n, n)), np.eye(n)
+        assert np.array_equal(omega(n), np.block([[z, i], [-i, z]]))
+
+
+def dense_schedule(config):
+    """Lattice graph with every scheduled gate applied as a dense gate."""
+    state = squeezed_vacua(np.zeros(config.n_modes))
+    for item in lat.schedule(config):
+        state = apply(state, dense(lat._gate_of(item, config.n_modes)))
+    return state
+
+
+def test_lattice_build_matches_dense_reference():
+    for size in (2, 3):
+        config = lat.LatticeConfig(size, size, 1.0)
+        state, _ = lat.build_bsl(config)
+        ref = dense_schedule(config)
+        assert np.abs(state.z - ref.z).max() <= 1e-12
+        phi, phi_ref = phi_transform(state), ref
+        for k in range(config.n_modes):
+            phi_ref = apply(phi_ref, dense(gate_rotation(np.pi / 4, k,
+                                                         config.n_modes)))
+        assert np.abs(phi.z - phi_ref.z).max() <= 1e-12
+        assert np.abs(lat._raw_graph(config, 1.0) - ref.z).max() <= 1e-12
+
+
+def test_measurement_response_matches_dense_product():
+    rng = np.random.default_rng(4)
+    state = squeezed_vacua([0.3, -0.2, 0.5])
+    for g in (gate_beamsplitter(0.7, 0, 1, 3), gate_cz(0.4, 1, 2, 3),
+              gate_shear(0.9, 0, 3)):
+        state = apply(state, g)
+    for mode in range(3):
+        theta = rng.uniform(-np.pi, np.pi)
+        _, m, t_map, _ = measure_with_response(state, mode, theta, rng=rng)
+        rot = gate_rotation(theta, mode, 3)
+        t_ref = _condition(apply(state, rot), mode, m)[1] @ rot.s
+        assert np.abs(t_map - t_ref).max() <= 1e-12

@@ -440,3 +440,24 @@ def test_full_lattice_program_deletions_then_gate():
     inv1 = res1.state.mean - res1.predicted_mean_shift()
     inv2 = res2.state.mean - res2.predicted_mean_shift()
     assert np.abs(inv1 - inv2).max() <= 1e-8
+
+
+def test_run_program_jacobian_through_cubic_step():
+    # the cubic step's beamsplitter must carry earlier outcome sensitivities
+    prog = {
+        "resource": {"kind": "wire", "macronodes": 5, "r": 5.0},
+        "steps": [
+            {"time_index": 0, "detector": "x", "basis": {"theta": 0.3}},
+            {"time_index": 0, "detector": "a", "basis": {"theta": -0.5}},
+            {"time_index": 1, "detector": "x",
+             "basis": {"cubic": {"chi": 0.0, "sigma": 0.3}}},
+            {"time_index": 2, "detector": "x", "basis": {"theta": 0.2}},
+            {"time_index": 2, "detector": "a", "basis": {"theta": -0.7}},
+        ],
+    }
+    res1 = run_program(prog, seed=1)
+    res2 = run_program(prog, seed=2)
+    assert np.abs(res1.state.z - res2.state.z).max() <= 1e-9
+    inv1 = res1.state.mean - res1.predicted_mean_shift()
+    inv2 = res2.state.mean - res2.predicted_mean_shift()
+    assert np.abs(inv1 - inv2).max() <= 1e-8
