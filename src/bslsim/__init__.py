@@ -10,14 +10,15 @@ from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
                          squeezed_vacua, vacuum)
 from .lattice import (LatticeConfig, MacronodeLattice, build_bsl, build_square,
                       canonical_wire, edge_summary, graph_part, ideal_graph,
-                      macronode_lookup, schedule, to_dot)
+                      schedule, to_dot)
 from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
                    decouple_wires, feedforward, measure_p_theta,
                    measure_quadrature, run_program, simulate_single_mode_gate,
                    two_mode_gate, v_gate, v_gate_displacement)
-from .nullifiers import (NullifierSet, WitnessReport, exact_nullifiers,
-                         ingest_samples, nullifier_variances, phi_transform,
-                         quadrature_nullifiers, sample_homodyne_dataset,
+from .nullifiers import (NullifierSet, WitnessReport, empirical_variances,
+                         exact_nullifiers, ingest_samples, nullifier_variances,
+                         phi_transform, quadrature_nullifiers,
+                         sample_homodyne_dataset,
                          verify_quarter_delay_transform, witness_from_variances)
 from .oracle import GridError, WaveFunction, fidelity_up_to_phase
 from .identities import (run_suite, verify_teleport_identity, verify_cubic_device,

@@ -18,9 +18,10 @@ from .identities import run_suite, verify_cubic_device
 from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
                       to_dot)
 from .mbqc import ProgramError, run_program
-from .nullifiers import (exact_nullifiers, nullifier_variances,
-                         phi_transform, quadrature_nullifiers,
-                         sample_homodyne_dataset, witness_from_variances)
+from .nullifiers import (empirical_variances, exact_nullifiers,
+                         nullifier_variances, phi_transform,
+                         quadrature_nullifiers, sample_homodyne_dataset,
+                         witness_from_variances)
 from .oracle import DEFAULT_L, DEFAULT_P2, GridError
 
 
@@ -101,12 +102,7 @@ def cmd_verify_nullifiers(args) -> int:
         if args.shots:
             qd = sample_homodyne_dataset(phi, "q", args.shots, args.seed)
             pd = sample_homodyne_dataset(phi, "p", args.shots, args.seed + 1)
-            emp = np.zeros(nulls.n_rows)
-            for k in range(nulls.n_rows):
-                if np.any(nulls.coeff_p[k] != 0):
-                    emp[k] = (pd @ nulls.coeff_p[k].real).var(ddof=1)
-                else:
-                    emp[k] = (qd @ nulls.coeff_q[k].real).var(ddof=1)
+            emp = empirical_variances(qd, pd, nulls)
             emp_report = witness_from_variances(emp, nulls,
                                                 args.threshold_factor, args.shots)
             rel = np.abs(emp - variances) / variances

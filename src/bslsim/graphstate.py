@@ -51,16 +51,20 @@ class GraphState:
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=complex)
-        z = (z + z.T) / 2
         mean = np.asarray(self.mean, dtype=float)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise GraphStateError("graph matrix must be square")
         if mean.shape != (2 * z.shape[0],):
             raise GraphStateError(
                 f"mean must have length {2 * z.shape[0]}, got {mean.shape}")
+        if not np.isfinite(z).all():
+            raise GraphStateError("graph matrix Z must be finite")
+        if not np.isfinite(mean).all():
+            raise GraphStateError("mean must be finite")
+        z = (z + z.T) / 2
         if z.shape[0]:     # fully measured states are legal, empty leftovers
             eig_min = np.linalg.eigvalsh(z.imag).min()
-            if eig_min <= 1e-14:
+            if not eig_min > 1e-14:
                 raise GraphStateError(
                     f"Im Z must be positive definite (min eigenvalue {eig_min:.3e})")
         object.__setattr__(self, "z", z)

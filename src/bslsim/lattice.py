@@ -221,73 +221,36 @@ def build_bsl(config: LatticeConfig):
     return state, MacronodeLattice(config, _build_coords(config))
 
 
-def macronode_lookup(lattice: MacronodeLattice, time_index: int,
-                     detector: str) -> LatticeCoord:
-    return lattice.lookup(time_index, detector)
-
-
 def graph_part(state: GraphState, r: float) -> np.ndarray:
     """V with Z = i sech(2r) I + tanh(2r) V (exact for interferometer outputs)."""
     n = state.n_modes
     return (state.z - 1j / np.cosh(2 * r) * np.eye(n)).real / np.tanh(2 * r)
 
 
-def _snap(v: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Round entries onto the discrete magnitude classes present in v."""
-    out = v.copy()
-    out[np.abs(out) < zero_tol] = 0.0
-    mags = np.abs(out[out != 0])
-    if mags.size == 0:
-        return out
-    classes = []
-    for m in np.sort(mags):
-        if not classes or m - classes[-1][0] / classes[-1][1] > 1e-4:
-            classes.append([m, 1])
-        else:
-            classes[-1][0] += m
-            classes[-1][1] += 1
-    centers = np.array([c[0] / c[1] for c in classes])
-    nz = out != 0
-    idx = np.argmin(np.abs(np.abs(out[nz])[:, None] - centers[None, :]), axis=1)
-    out[nz] = np.sign(out[nz]) * centers[idx]
-    return out
+def ideal_graph(config: LatticeConfig) -> np.ndarray:
+    """The r-independent graph V of Z(r) = i sech(2r) I + tanh(2r) V.
 
-
-def _raw_graph(config: LatticeConfig, r: float) -> np.ndarray:
-    """Z of the lattice on plain arrays, skipping state validation.
-
-    At the large r used by ideal_graph, Im Z ~ sech(2r) sinks below the
-    update roundoff and the strict positive-definiteness invariant of
-    GraphState would reject a perfectly converged real part.
-    """
-    n = config.n_modes
-    z = 1j * np.eye(n, dtype=complex)
-    for item in schedule(LatticeConfig(config.n_rows, config.m_cols, r,
-                                       config.phase_delays)):
-        zp = local_update(z, _gate_of(item, n))
-        z = (zp + zp.T) / 2
-    return z
-
-
-def ideal_graph(config: LatticeConfig, check_r=(8.0, 10.0),
-                convergence_tol: float = 1e-6) -> np.ndarray:
-    """Infinite-squeezing graph V of the lattice, snapped to magnitude classes.
-
-    Evaluates Re(Z)/tanh(2r) at two large r values and requires agreement.
-    Only defined for the pure-homodyne circuit: the optional detector phase
-    delays rotate the graph out of the i sech I + tanh V form.
+    Built exactly in real arithmetic: every bin's rails (0, 1) and (2, 3)
+    start as the cluster pair [[0, 1], [1, 0]] of cvcs_pair_gates, and each
+    remaining beamsplitter of the schedule, a real orthogonal O acting alike
+    on q and p, maps V to O V O^T.  Only defined for the pure-homodyne
+    circuit: the optional detector phase delays rotate the graph out of the
+    i sech I + tanh V form.
     """
     if config.phase_delays:
         raise GraphStateError(
             "ideal graph extraction requires the pure-homodyne circuit "
             "(phase_delays off)")
-    vs = [_raw_graph(config, r).real / np.tanh(2 * r) for r in check_r]
-    dev = np.abs(vs[0] - vs[1]).max()
-    if dev > convergence_tol:
-        raise GraphStateError(
-            f"ideal graph did not converge between r={check_r[0]} and "
-            f"r={check_r[1]} (max deviation {dev:.3e})")
-    v = _snap(vs[0], zero_tol=1e-6 * np.abs(vs[0]).max())
+    n = config.n_modes
+    v = np.zeros((n, n))
+    first = np.arange(0, n, 2)
+    v[first, first + 1] = v[first + 1, first] = 1.0
+    for item in schedule(config):
+        # the squeezers and pair fusions (rotations and the beamsplitters on
+        # adjacent ids (i, i + 1)) act on modes no earlier gate touched, so
+        # the closed-form pairs above stand for them
+        if item.kind == "beamsplitter" and item.modes[1] != item.modes[0] + 1:
+            v = local_update(v, _gate_of(item, n))
     return (v + v.T) / 2
 
 

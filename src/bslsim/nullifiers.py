@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import (GraphState, GraphStateError, apply, covariance,
-                         gate_rotation, omega)
+from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
+                         covariance, omega)
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,15 @@ def exact_nullifiers(state: GraphState) -> NullifierSet:
 
 
 def phi_transform(state: GraphState) -> GraphState:
-    """Quarter phase delay on every mode: R(pi/4)^(x n)."""
-    out = state
-    for k in range(state.n_modes):
-        out = apply(out, gate_rotation(np.pi / 4, k, state.n_modes))
-    return out
+    """Quarter phase delay on every mode: R(pi/4)^(x n).
+
+    Applied as one dense gate, Z' = (s I + c Z)(c I - s Z)^-1 with
+    c = cos(pi/4) and s = sin(pi/4), so the exact cond guard and the Im Z
+    check of apply run once.
+    """
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    rot = np.kron([[c, -s], [s, c]], np.eye(state.n_modes))
+    return apply(state, SymplecticGate(rot))
 
 
 def quadrature_nullifiers(v: np.ndarray) -> NullifierSet:
@@ -254,6 +258,27 @@ def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
     return data
 
 
+def empirical_variances(data_q: np.ndarray, data_p: np.ndarray,
+                        nulls: NullifierSet) -> np.ndarray:
+    """Sample variance of each quadrature-pure nullifier row.
+
+    data_q and data_p hold q- and p-setting shots (rows are shots, columns
+    are modes); a row with p coefficients is evaluated on the p data, any
+    other row on the q data.
+    """
+    if not nulls.quadrature_pure():
+        raise GraphStateError(
+            "two-setting data can only evaluate quadrature-pure nullifiers")
+    variances = np.zeros(nulls.n_rows)
+    for k in range(nulls.n_rows):
+        if np.any(nulls.coeff_p[k] != 0):
+            vals = data_p @ nulls.coeff_p[k].real
+        else:
+            vals = data_q @ nulls.coeff_q[k].real
+        variances[k] = vals.var(ddof=1)
+    return variances
+
+
 def ingest_samples(q_path, p_path, nulls: NullifierSet,
                    threshold_factor: float = 0.5,
                    min_shots: int = 100):
@@ -262,19 +287,10 @@ def ingest_samples(q_path, p_path, nulls: NullifierSet,
     Returns (empirical covariances dict, WitnessReport); rows built from q
     coefficients use the q-setting file and likewise for p.
     """
-    if not nulls.quadrature_pure():
-        raise GraphStateError(
-            "two-setting data can only evaluate quadrature-pure nullifiers")
     n = nulls.n_modes
     data_q = _load_csv(q_path, n, min_shots)
     data_p = _load_csv(p_path, n, min_shots)
-    variances = np.zeros(nulls.n_rows)
-    for k in range(nulls.n_rows):
-        if np.any(nulls.coeff_p[k] != 0):
-            vals = data_p @ nulls.coeff_p[k].real
-        else:
-            vals = data_q @ nulls.coeff_q[k].real
-        variances[k] = vals.var(ddof=1)
+    variances = empirical_variances(data_q, data_p, nulls)
     shots = min(data_q.shape[0], data_p.shape[0])
     report = witness_from_variances(variances, nulls, threshold_factor, shots)
     cov = {"q": np.cov(data_q.T), "p": np.cov(data_p.T)}

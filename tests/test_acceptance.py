@@ -52,7 +52,7 @@ def test_criterion_02_local_nullifier_transformation():
 
 def test_criterion_03_lattice_graph_structure():
     config = LatticeConfig(3, 3, 1.0)
-    v = ideal_graph(config)          # evaluated at r = 8 with r = 10 check
+    v = ideal_graph(config)          # exact, r-independent V
     tr = abs(np.trace(v))
     self_inv = np.abs(v @ v - np.eye(36)).max()
     worst_form = 0.0

@@ -229,6 +229,17 @@ def test_invalid_inputs_raise():
         apply(vacuum(2), gate_rotation(0.1, 0, 1))
 
 
+@pytest.mark.parametrize("z,mean,field", [
+    ([[np.nan + 1j]], [0.0, 0.0], "Z"),
+    ([[complex(0.3, np.nan)]], [0.0, 0.0], "Z"),
+    ([[np.inf + 1j]], [0.0, 0.0], "Z"),
+    ([[0.3 + 1j]], [np.nan, 0.0], "mean"),
+], ids=["nan-re-z", "nan-im-z", "inf-z", "nan-mean"])
+def test_non_finite_state_is_rejected(z, mean, field):
+    with pytest.raises(GraphStateError, match=field):
+        GraphState(np.array(z), np.array(mean))
+
+
 def test_ill_conditioned_update_reports_condition_number():
     st = squeezed_vacua([15.0, 0.0])
     with pytest.raises(GraphStateError, match="cond"):

@@ -6,7 +6,7 @@ import pytest
 from bslsim.graphstate import GraphStateError, covariance, omega
 from bslsim.lattice import (LatticeConfig, build_bsl, build_square, bulk_modes,
                             canonical_wire, edge_summary, graph_part,
-                            ideal_graph, macronode_lookup, schedule, to_dot)
+                            ideal_graph, schedule, to_dot)
 
 
 def test_square_is_four_cycle():
@@ -102,16 +102,25 @@ def test_graph_form_at_finite_squeezing():
         assert np.abs(state.z - z_expect).max() <= 1e-8
 
 
-def test_ideal_graph_convergence_guard():
-    v8 = ideal_graph(LatticeConfig(2, 2, 1.0), check_r=(8.0, 10.0))
-    v9 = ideal_graph(LatticeConfig(2, 2, 1.0), check_r=(8.0, 9.0))
-    assert np.abs(v8 - v9).max() < 1e-9
+def test_ideal_graph_exact_form():
+    # V is built by exact congruences; the dense-schedule build at any r must
+    # equal i sech(2r) I + tanh(2r) V
+    for n, m in ((2, 1), (2, 3), (3, 2), (3, 3), (4, 4)):
+        v = ideal_graph(LatticeConfig(n, m, 1.0))
+        size = 4 * n * m
+        assert np.array_equal(v, v.T)
+        assert np.abs(v @ v - np.eye(size)).max() <= 1e-12
+        assert abs(np.trace(v)) <= 1e-12
+        for r in (0.3, 1.0, 2.0, 4.0):
+            state, _ = build_bsl(LatticeConfig(n, m, r))
+            z_expect = 1j / np.cosh(2 * r) * np.eye(size) + np.tanh(2 * r) * v
+            assert np.abs(state.z - z_expect).max() <= 1e-12
 
 
 def test_macronode_lookup_and_partition():
     config = LatticeConfig(3, 3, 1.0)
     _, lattice = build_bsl(config)
-    c = macronode_lookup(lattice, 0, "x")
+    c = lattice.lookup(0, "x")
     assert (c.row, c.col, c.site, c.member) == (0, 0, "xa", "alpha")
     assert c.mode == 2
     # every mode appears exactly once across the detector map

@@ -150,7 +150,9 @@ def test_lattice_build_matches_dense_reference():
             phi_ref = apply(phi_ref, dense(gate_rotation(np.pi / 4, k,
                                                          config.n_modes)))
         assert np.abs(phi.z - phi_ref.z).max() <= 1e-12
-        assert np.abs(lat._raw_graph(config, 1.0) - ref.z).max() <= 1e-12
+        z_ideal = (1j / np.cosh(2.0) * np.eye(config.n_modes)
+                   + np.tanh(2.0) * lat.ideal_graph(config))
+        assert np.abs(z_ideal - ref.z).max() <= 1e-12
 
 
 def test_measurement_response_matches_dense_product():

@@ -6,7 +6,8 @@ import pytest
 from bslsim.graphstate import (GraphState, GraphStateError, covariance,
                                squeezed_vacua, vacuum)
 from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph
-from bslsim.nullifiers import (NullifierSet, exact_nullifiers, ingest_samples,
+from bslsim.nullifiers import (NullifierSet, empirical_variances,
+                               exact_nullifiers, ingest_samples,
                                nullifier_variances, phi_transform,
                                quadrature_nullifiers, sample_homodyne_dataset,
                                verify_quarter_delay_transform,
@@ -53,9 +54,11 @@ def test_phi_transform_pair_eigenvalues():
     r = 0.8
     z = 1j / np.cosh(2 * r) * np.eye(2) + np.tanh(2 * r) * np.array([[0., 1.], [1., 0.]])
     out = phi_transform(GraphState(z, np.zeros(4)))
-    eig = np.sort_complex(np.linalg.eigvals(out.z))
-    expect = np.sort_complex(np.array([1j * np.exp(-2 * r), 1j * np.exp(2 * r)]))
-    assert np.abs(eig - expect).max() < 1e-10
+    eig = np.linalg.eigvals(out.z)
+    # the real parts are roundoff-sized, so sort on the imaginary parts only
+    assert np.abs(eig.real).max() <= 1e-10
+    expect = np.exp([-2 * r, 2 * r])
+    assert np.abs(np.sort(eig.imag) - expect).max() <= 1e-10
 
 
 def test_phi_transform_four_times_restores_graph():
@@ -190,6 +193,18 @@ def test_sampled_witness_and_controls(tmp_path):
     np.savetxt(qp, data_q, delimiter=",", header=header, comments="")
     _, rep_bad = ingest_samples(qp, pp, nulls)
     assert not rep_bad.passed
+
+
+def test_empirical_variances_pick_the_setting_per_row():
+    rng = np.random.default_rng(8)
+    data_q, data_p = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+    nulls = quadrature_nullifiers(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    expect = [np.var(data_p @ [1.0, -1.0], ddof=1),
+              np.var(data_p @ [-1.0, 1.0], ddof=1),
+              np.var(data_q @ [1.0, 1.0], ddof=1),
+              np.var(data_q @ [1.0, 1.0], ddof=1)]
+    assert np.allclose(empirical_variances(data_q, data_p, nulls), expect,
+                       rtol=1e-12, atol=0)
 
 
 def test_ingest_error_paths(tmp_path):
