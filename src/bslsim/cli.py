@@ -122,7 +122,7 @@ def cmd_run_program(args) -> int:
         "config": {"program": args.program, "seed": args.seed},
         "record": json.loads(result.record.to_json()),
         "final_state": json.loads(result.state.to_json()),
-        "outcome_jacobian": [v.tolist() for v in result.outcome_jacobian],
+        "outcome_jacobian": result.outcome_jacobian.T.tolist(),
         "mode_index": {str(k): v for k, v in result.mode_index.items()},
     }
     text = json.dumps(payload, indent=1)
@@ -247,10 +247,8 @@ def main(argv=None) -> int:
         args.squeezing_list = [1.0]
     try:
         return args.func(args)
-    except (ProgramError, GraphStateError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ProgramError, GraphStateError, GridError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
-                         covariance, gate_beamsplitter, gate_rotation)
+                         gate_beamsplitter, gate_rotation)
 from .lattice import MacronodeLattice, canonical_wire
 
 
@@ -67,64 +67,53 @@ def _rng_of(rng):
     return rng
 
 
-def _condition(state: GraphState, k: int, m: float):
-    """Posterior after projecting mode k on q_k = m, with linear response.
-
-    Returns (state', T, g) where mean' = T mean + g m for the affine
-    conditional-mean map (used for outcome-sensitivity tracking).
-    """
-    n = state.n_modes
-    z = state.z
-    rest = [j for j in range(n) if j != k]
-    if not rest:
-        empty = GraphState(np.zeros((0, 0), complex), np.zeros(0))
-        return empty, np.zeros((0, 2 * n)), np.zeros(0)
-    zr = z[np.ix_(rest, rest)]
-    zk = z[rest, k]
-    mu_q, mu_p = state.mean[:n], state.mean[n:]
-    c = mu_p - z @ mu_q
-    cr = c[rest] + m * zk
-    y = zr.imag
-    x = zr.real
-    mu_qr = -np.linalg.solve(y, cr.imag)
-    mu_pr = cr.real + x @ mu_qr
-    out = GraphState(zr, np.concatenate([mu_qr, mu_pr]))
-    # dc/dmean = [-Z | I] restricted to surviving rows
-    dmat = np.concatenate([-z[rest, :], np.eye(n)[rest, :]], axis=1)
-    yinv_im = -np.linalg.solve(y, dmat.imag)
-    t_map = np.concatenate([yinv_im, dmat.real + x @ yinv_im], axis=0)
-    gq = -np.linalg.solve(y, zk.imag)
-    g = np.concatenate([gq, zk.real + x @ gq])
-    return out, t_map, g
-
-
 def measure_quadrature(state: GraphState, mode: int, theta: float,
                        outcome: float | None = None, rng=None):
     """Measure q(theta) on one mode; returns (posterior state, outcome).
 
     The outcome is drawn from the exact Gaussian marginal unless supplied.
     """
-    res = measure_with_response(state, mode, theta, outcome, rng)
-    return res[0], res[1]
+    post, m, _ = measure_with_response(state, mode, theta, outcome, rng)
+    return post, m
 
 
 def measure_with_response(state: GraphState, mode: int, theta: float,
-                          outcome: float | None = None, rng=None):
-    """measure_quadrature plus the affine response (T, g) of the mean map."""
+                          outcome: float | None = None, rng=None, jac=None):
+    """measure_quadrature that also carries the outcome Jacobian through.
+
+    jac holds one column per earlier outcome, the sensitivity of state.mean
+    to it (2n x j; None means no columns).  Conditioning the rotated state
+    on q_k = m maps the mean to T mean + m g, with T linear, so one solve
+    against Im Z[rest, rest] serves the mean, the j columns and Z[rest, k]:
+    the last solved column is g, and its q part gives the marginal variance
+    of q_k as the Schur complement 1 / (2 (Y_kk + y_k^T g_q)), where
+    Y = Im Z and y_k = Y[rest, k].  Returns (posterior, outcome, jac') with
+    jac' of shape (2n - 2) x (j + 1): the carried columns, then g.
+    """
     n = state.n_modes
     if not 0 <= mode < n:
         raise GraphStateError(f"mode {mode} out of range")
+    if jac is None:
+        jac = np.zeros((2 * n, 0))
     rot = gate_rotation(theta, mode, n)
-    rotated = apply(state, rot)
+    state = apply(state, rot)
+    cols = np.column_stack([state.mean, jac])
+    cols[rot.index, 1:] = rot.block @ cols[rot.index, 1:]
+    rest = np.delete(np.arange(n), mode)
+    zr = state.z[np.ix_(rest, rest)]
+    # c = mu_p - Z mu_q per column, restricted to the surviving rows
+    c = (cols[n:] - state.z @ cols[:n])[rest]
+    c = np.column_stack([c, state.z[rest, mode]])
+    q = -np.linalg.solve(zr.imag, c.imag)
+    resp = np.concatenate([q, c.real + zr.real @ q])
     if outcome is None:
-        var = covariance(rotated)[mode, mode]
-        outcome = float(_rng_of(rng).normal(rotated.mean[mode], np.sqrt(var)))
+        y = state.z.imag
+        var = 0.5 / (y[mode, mode] + y[rest, mode] @ q[:, -1])
+        outcome = float(_rng_of(rng).normal(state.mean[mode], np.sqrt(var)))
     if not np.isfinite(outcome):
         raise GraphStateError("measurement outcome must be finite")
-    post, t_map, g = _condition(rotated, mode, outcome)
-    # t_map @ S_rot: only the rotated mode's q and p columns mix
-    t_map[:, rot.index] = t_map[:, rot.index] @ rot.block
-    return post, float(outcome), t_map, g
+    post = GraphState(zr, resp[:, 0] + outcome * resp[:, -1])
+    return post, float(outcome), resp[:, 1:]
 
 
 def measure_p_theta(state: GraphState, mode: int, theta: float,
@@ -144,33 +133,27 @@ class DecoupleResult:
     mode_index: dict
 
 
-def decouple_wires(state: GraphState, lattice: MacronodeLattice, rows=None,
+def decouple_wires(state: GraphState, lattice: MacronodeLattice,
                    rng=None, angle_override=None) -> DecoupleResult:
     """Measure bc macronodes at q((-1)^xi pi/4) to sever the wire rows.
 
-    rows: wire rows to isolate (None = all); bins whose deletion severs the
-    listed rows are exactly the complete bc sites, so rows only selects which
-    residuals are asserted by callers.  angle_override replaces the per-site
-    deletion angle (negative controls).
+    Deleting every complete bc site severs all rows.  angle_override
+    replaces the per-site deletion angle (negative controls).
     """
     rng = _rng_of(rng)
     record = MeasurementRecord()
-    live = {m: i for i, m in enumerate(range(state.n_modes))}
+    alive = list(range(state.n_modes))      # original mode id per index
     cur = state
     for tau in lattice.bc_sites():
         theta = lattice.deletion_angle(tau) if angle_override is None \
             else angle_override(tau)
         for det in ("b", "c"):
             mode = lattice.mode_at(tau, det)
-            idx = live.pop(mode)
+            idx = alive.index(mode)
+            del alive[idx]
             cur, m = measure_quadrature(cur, idx, theta, rng=rng)
             record.add(mode, theta, m)
-            live = {mm: (ii if ii < idx else ii - 1) for mm, ii in live.items()}
-    if rows is not None:
-        bad = [r for r in rows if not 0 <= r < lattice.config.n_rows]
-        if bad:
-            raise ProgramError(f"invalid wire rows {bad}")
-    return DecoupleResult(cur, record, live)
+    return DecoupleResult(cur, record, {m: i for i, m in enumerate(alive)})
 
 
 # -- single-mode macronode gate ----------------------------------------------------
@@ -275,13 +258,9 @@ def two_mode_gate(angles, outcomes=None, k: int = 0) -> SymplecticGate:
     fixed = ((-1) ** k) * np.pi / 4
 
     def vfactor(t1, t2, u1, u2, mode):
-        s2 = _v_symplectic(t1, t2)
-        dq, dp = v_gate_displacement(t1, t2, u1, u2)
-        s = np.eye(4)
-        s[np.ix_([mode, 2 + mode], [mode, 2 + mode])] = s2
-        d = np.zeros(4)
-        d[mode], d[2 + mode] = dq, dp
-        return SymplecticGate(s, d)
+        return SymplecticGate(_v_symplectic(t1, t2),
+                              v_gate_displacement(t1, t2, u1, u2),
+                              modes=(mode,), n_modes=2)
 
     bs = gate_beamsplitter(np.pi / 4, 0, 1, 2)
     gate = vfactor(th2a, th2b, m2a, m2b, 0)
@@ -356,17 +335,15 @@ def feedforward(record: MeasurementRecord, gate_kind: str, params) -> dict:
 class ProgramResult:
     state: GraphState
     record: MeasurementRecord
-    #: per-event sensitivity of the final mean vector to that event's outcome
-    outcome_jacobian: list
+    #: (2n, events): column j is the final mean's sensitivity to outcome j
+    outcome_jacobian: np.ndarray
     #: original mode id -> index in the final state
     mode_index: dict
 
     def predicted_mean_shift(self) -> np.ndarray:
-        """Sum_j J_j m_j: the outcome-dependent part of the final mean."""
-        shift = np.zeros(2 * self.state.n_modes)
-        for vec, ev in zip(self.outcome_jacobian, self.record.events):
-            shift = shift + vec * ev.outcome
-        return shift
+        """J m: the outcome-dependent part of the final mean."""
+        return self.outcome_jacobian @ np.array(
+            [e.outcome for e in self.record.events])
 
 
 def _number(value, name: str, cast=float):
@@ -438,19 +415,16 @@ def run_program(program: dict, seed=None) -> ProgramResult:
     else:
         raise ProgramError(f"unknown resource kind {kind!r}")
 
-    live = {m: m for m in range(state.n_modes)}
+    alive = list(range(state.n_modes))      # mode id per index of the state
     record = MeasurementRecord()
-    jac: list = []
+    jac = np.zeros((2 * state.n_modes, 0))
 
     def do_measure(mode_id, theta, forced):
         nonlocal state, jac
-        idx = live.pop(mode_id)
-        state, m, t_map, g = measure_with_response(state, idx, theta, forced, rng)
-        jac = [t_map @ v for v in jac]
-        jac.append(g)
-        for k in live:
-            if live[k] > idx:
-                live[k] -= 1
+        idx = alive.index(mode_id)
+        del alive[idx]
+        state, m, jac = measure_with_response(state, idx, theta, forced, rng,
+                                              jac)
         record.add(mode_id, theta, m)
         return m
 
@@ -458,29 +432,18 @@ def run_program(program: dict, seed=None) -> ProgramResult:
         """Append an unentangled ancilla mode; returns its temporary id."""
         nonlocal state, jac
         n = state.n_modes
-        z = np.zeros((n + 1, n + 1), complex)
-        z[:n, :n] = state.z
+        z = np.pad(state.z, (0, 1))
         z[n, n] = z_entry
-        mean = np.zeros(2 * n + 2)
-        mean[:n] = state.mean[:n]
-        mean[n + 1:2 * n + 1] = state.mean[n:]
-        state = GraphState(z, mean)
-        grown = []
-        for v in jac:
-            w = np.zeros(2 * n + 2)
-            w[:n] = v[:n]
-            w[n + 1:2 * n + 1] = v[n:]
-            grown.append(w)
-        jac = grown
+        state = GraphState(z, np.insert(state.mean, [n, 2 * n], 0.0))
+        jac = np.insert(jac, [n, 2 * n], 0.0, axis=0)
         mode_id = ("anc", len(record.events))
-        live[mode_id] = n
+        alive.append(mode_id)
         return mode_id
 
     def apply_gate(gate):
         nonlocal state
         state = apply(state, gate)
-        for v in jac:
-            v[gate.index] = gate.block @ v[gate.index]
+        jac[gate.index] = gate.block @ jac[gate.index]
 
     for i, step in enumerate(steps):
         try:
@@ -493,7 +456,7 @@ def run_program(program: dict, seed=None) -> ProgramResult:
             raise ProgramError(f"steps[{i}].basis must be an object, got {basis!r}")
         if key not in modes:
             raise ProgramError(f"no mode at {key} in this resource")
-        if modes[key] not in live:
+        if modes[key] not in alive:
             raise ProgramError(f"mode at {key} was already consumed")
         forced = step.get("outcome")
         if "theta" in basis:
@@ -516,7 +479,7 @@ def run_program(program: dict, seed=None) -> ProgramResult:
                 raise ProgramError("cubic steps consume the x detector")
             alpha = modes[key]
             beta_key = (key[0], "a")
-            if beta_key not in modes or modes[beta_key] not in live:
+            if beta_key not in modes or modes[beta_key] not in alive:
                 raise ProgramError(f"cubic step needs the partner mode {beta_key}")
             f_a = f_e = f_f = None
             if forced is not None:
@@ -526,8 +489,8 @@ def run_program(program: dict, seed=None) -> ProgramResult:
                 f_a, f_e, f_f = (_number(v, f"steps[{i}].outcome") for v in forced)
             sech = 1 / np.cosh(2 * r)
             anc = inject_mode(1j * sech)
-            apply_gate(gate_beamsplitter(np.pi / 4, live[alpha], live[anc],
-                                         state.n_modes))
+            apply_gate(gate_beamsplitter(np.pi / 4, alive.index(alpha),
+                                         alive.index(anc), state.n_modes))
             m_a = do_measure(modes[beta_key], 0.0, f_a)
             m_f = do_measure(anc, 0.0, f_f)
             theta_e = np.arctan(sigma)
@@ -537,4 +500,5 @@ def run_program(program: dict, seed=None) -> ProgramResult:
         else:
             raise ProgramError(f"unknown basis {basis!r}")
 
-    return ProgramResult(state, record, jac, dict(live))
+    return ProgramResult(state, record, jac,
+                         {m: i for i, m in enumerate(alive)})

@@ -114,6 +114,8 @@ def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -
     Builds Z = i sech(2r) I + tanh(2r) V, applies the quarter phase delays
     and asserts the closed form i cosh(2r) I + i sinh(2r) V, plus the uniform
     reweighting of edges (factor i cosh 2r) and self-loops (factor cosh^2 2r).
+    tol is relative to each quantity's own scale: cosh 2r for the Z
+    deviation and the edge ratios, cosh^2 2r for the self-loop ratios.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
@@ -150,11 +152,13 @@ def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -
     else:
         loop_factor, loop_spread = None, 0.0
 
-    passed = dev <= tol and edge_spread <= tol and loop_spread <= tol
+    edge_tol, loop_tol = tol * np.cosh(2 * r), tol * np.cosh(2 * r) ** 2
+    passed = (dev <= edge_tol and edge_spread <= edge_tol
+              and loop_spread <= loop_tol)
     if edge_factor is not None:
-        passed = passed and abs(edge_factor - 1j * np.cosh(2 * r)) <= tol
+        passed = passed and abs(edge_factor - 1j * np.cosh(2 * r)) <= edge_tol
     if loop_factor is not None:
-        passed = passed and abs(loop_factor - np.cosh(2 * r) ** 2) <= 1e-6
+        passed = passed and abs(loop_factor - np.cosh(2 * r) ** 2) <= loop_tol
     return {
         "passed": bool(passed),
         "max_deviation": float(dev),

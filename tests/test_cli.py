@@ -80,6 +80,29 @@ def test_run_program_cli(tmp_path, capsys):
     assert main(["run-program", str(tmp_path / "missing.json")]) == 2
 
 
+def test_run_program_seeded_records_are_byte_identical(tmp_path):
+    prog = {
+        "resource": {"kind": "wire", "macronodes": 3, "r": 3.0},
+        "steps": [
+            {"time_index": 0, "detector": "x", "basis": {"theta": 0.4}},
+            {"time_index": 0, "detector": "a", "basis": {"theta": -1.1}},
+            {"time_index": 1, "detector": "x",
+             "basis": {"cubic": {"chi": 0.0, "sigma": 0.3}}},
+        ],
+    }
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(json.dumps(prog))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["run-program", str(ppath), "--seed", "7",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rec = json.loads(outs[0].read_text())
+    jac = rec["outcome_jacobian"]
+    assert len(jac) == len(rec["record"]["events"]) == 5
+    assert all(len(row) == 2 * rec["final_state"]["n"] for row in jac)
+
+
 def test_run_program_rejects_bad_schema(tmp_path):
     ppath = tmp_path / "prog.json"
     ppath.write_text(json.dumps({"resource": {"kind": "wire"}, "steps":

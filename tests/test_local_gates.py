@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bslsim import lattice as lat
-from bslsim.graphstate import (GraphStateError, SymplecticGate, apply,
-                               covariance, gate_beamsplitter, gate_cz,
+from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
+                               apply, covariance, gate_beamsplitter, gate_cz,
                                gate_displacement, gate_rotation, gate_shear,
                                gate_squeeze, local_cond, omega, squeezed_vacua)
-from bslsim.mbqc import _condition, measure_with_response
+from bslsim.mbqc import measure_with_response
 from bslsim.nullifiers import phi_transform
 
 KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz")
@@ -43,9 +43,9 @@ def local_gate(draw, n):
 
 
 @st.composite
-def circuit(draw):
-    """(initial squeezed state, list of local gates) on 1-6 modes."""
-    n = draw(st.integers(1, 6))
+def circuit(draw, min_modes=1):
+    """(initial squeezed state, list of local gates) on min_modes-6 modes."""
+    n = draw(st.integers(min_modes, 6))
     r = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
     return squeezed_vacua(r), draw(st.lists(local_gate(n), min_size=1, max_size=8))
 
@@ -78,6 +78,35 @@ def test_purity_after_local_circuits(case):
     n = state.n_modes
     so = covariance(state) @ omega(n)
     assert np.abs(so @ so + 0.25 * np.eye(2 * n)).max() <= 1e-10 * scale(so) ** 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit(min_modes=2), st.data())
+def test_purity_after_measurements(case, data):
+    state, gates = case
+    for g in gates:
+        state = apply(state, g)
+    n = state.n_modes
+    plan = [(data.draw(st.integers(0, n - 1 - k)), data.draw(angle))
+            for k in range(data.draw(st.integers(1, min(3, n - 1))))]
+    runs = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        post, jac, outcomes = state, None, []
+        for mode, theta in plan:
+            post, m, jac = measure_with_response(post, mode, theta, rng=rng,
+                                                 jac=jac)
+            outcomes.append(m)
+        runs.append((post, jac, np.array(outcomes)))
+    (a, jac, m_a), (b, _, m_b) = runs
+    so = covariance(a) @ omega(a.n_modes)
+    eye = np.eye(2 * a.n_modes)
+    assert np.abs(so @ so + 0.25 * eye).max() <= 1e-10 * scale(so) ** 2
+    # the outcomes move only the mean, and only through the Jacobian
+    assert np.array_equal(a.z, b.z)
+    assert jac.shape == (2 * a.n_modes, len(plan))
+    diff = a.mean - b.mean
+    assert np.abs(diff - jac @ (m_a - m_b)).max() <= 1e-9 * scale(diff)
 
 
 @settings(max_examples=120, deadline=None)
@@ -155,15 +184,26 @@ def test_lattice_build_matches_dense_reference():
         assert np.abs(z_ideal - ref.z).max() <= 1e-12
 
 
-def test_measurement_response_matches_dense_product():
+def test_measurement_response_matches_finite_differences():
+    # the posterior mean is affine in the prior mean and the outcome, so unit
+    # finite differences reproduce the returned Jacobian up to roundoff
     rng = np.random.default_rng(4)
-    state = squeezed_vacua([0.3, -0.2, 0.5])
-    for g in (gate_beamsplitter(0.7, 0, 1, 3), gate_cz(0.4, 1, 2, 3),
-              gate_shear(0.9, 0, 3)):
+    state = squeezed_vacua([0.3, -0.2, 0.5, 0.1])
+    for g in (gate_beamsplitter(0.7, 0, 1, 4), gate_cz(0.4, 1, 2, 4),
+              gate_shear(0.9, 0, 4), gate_displacement(0.3, -0.6, 3, 4)):
         state = apply(state, g)
-    for mode in range(3):
-        theta = rng.uniform(-np.pi, np.pi)
-        _, m, t_map, _ = measure_with_response(state, mode, theta, rng=rng)
-        rot = gate_rotation(theta, mode, 3)
-        t_ref = _condition(apply(state, rot), mode, m)[1] @ rot.s
-        assert np.abs(t_map - t_ref).max() <= 1e-12
+    jac = rng.normal(size=(8, 3))
+    for mode in range(4):
+        theta, m = rng.uniform(-np.pi, np.pi), rng.normal()
+        post, _, resp = measure_with_response(state, mode, theta, m, jac=jac)
+        assert resp.shape == (6, 4)
+        plain = measure_with_response(state, mode, theta, m)[0]
+        assert np.abs(post.mean - plain.mean).max() <= 1e-12 * scale(post.mean)
+        shifted = measure_with_response(state, mode, theta, m + 1)[0]
+        want = shifted.mean - post.mean
+        assert np.abs(resp[:, -1] - want).max() <= 1e-12 * scale(want)
+        for i in range(jac.shape[1]):
+            moved = GraphState(state.z, state.mean + jac[:, i])
+            want = (measure_with_response(moved, mode, theta, m)[0].mean
+                    - post.mean)
+            assert np.abs(resp[:, i] - want).max() <= 1e-12 * scale(want)

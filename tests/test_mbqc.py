@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bslsim.graphstate import (GraphState, GraphStateError, apply, covariance,
                                gate_beamsplitter, gate_cz, gate_displacement,
@@ -48,7 +50,8 @@ def test_measurement_law_of_total_covariance():
     theta = 0.37
     rot = apply(st, gate_rotation(theta, 1, 3))
     var_m = covariance(rot)[1, 1]
-    post, m, t_map, g = measure_with_response(st, 1, theta)
+    post, m, jac = measure_with_response(st, 1, theta)
+    g = jac[:, -1]
     keep = [0, 2, 3, 5]   # q/p rows of the surviving modes in the prior
     prior = covariance(rot)[np.ix_(keep, keep)]
     total = covariance(post) + np.outer(g, g) * var_m
@@ -71,10 +74,32 @@ def test_measure_outcome_distribution():
     assert d_stat < 1.63 / np.sqrt(10000)   # alpha = 0.01
 
 
+def test_sampled_outcome_uses_the_entangled_marginal():
+    # on an entangled state the marginal variance of q_k is 1 / (2 Y_kk)
+    # corrected by the other modes; the draw must use the exact value
+    class Spy:
+        def normal(self, mu, sigma):
+            self.args = (mu, sigma)
+            return mu
+
+    st = squeezed_vacua([0.6, -0.4, 0.3])
+    for g in (gate_beamsplitter(0.9, 0, 1, 3), gate_cz(0.7, 1, 2, 3),
+              gate_displacement(0.5, -0.3, 1, 3)):
+        st = apply(st, g)
+    for mode in range(3):
+        for theta in (0.0, 0.37, -1.2):
+            spy = Spy()
+            measure_quadrature(st, mode, theta, rng=spy)
+            rot = apply(st, gate_rotation(theta, mode, 3))
+            assert spy.args[0] == pytest.approx(rot.mean[mode], abs=1e-12)
+            var = covariance(rot)[mode, mode]
+            assert spy.args[1] ** 2 == pytest.approx(var, rel=1e-12)
+
+
 def test_decouple_wires_severs_rows_exactly():
     config = LatticeConfig(3, 3, 6.0)
     state, lattice = build_bsl(config)
-    res = decouple_wires(state, lattice, rows=[0, 1], rng=2)
+    res = decouple_wires(state, lattice, rng=2)
     live = res.mode_index
     row = {lattice.mode_at(t, d): t % 3
            for t in lattice.xa_sites() for d in ("x", "a")}
@@ -461,3 +486,42 @@ def test_run_program_jacobian_through_cubic_step():
     inv1 = res1.state.mean - res1.predicted_mean_shift()
     inv2 = res2.state.mean - res2.predicted_mean_shift()
     assert np.abs(inv1 - inv2).max() <= 1e-8
+
+
+@st.composite
+def wire_programs(draw):
+    """Wire programs of 1-4 theta or chi = 0 cubic steps, leaving a mode."""
+    sites = draw(st.integers(2, 4))
+    slots = draw(st.permutations([(k, d) for k in range(sites) for d in "xa"]))
+    steps, used, left = [], set(), 2 * sites
+    for k, d in slots[:draw(st.integers(1, 4))]:
+        if (k, d) in used or left == 1:
+            continue
+        if (d == "x" and (k, "a") not in used and left > 2
+                and draw(st.booleans())):
+            basis = {"cubic": {"chi": 0.0, "sigma": draw(st.floats(-1, 1))}}
+            used.add((k, "a"))
+            left -= 1
+        else:
+            basis = {"theta": draw(st.floats(-np.pi, np.pi))}
+        used.add((k, d))
+        left -= 1
+        steps.append({"time_index": k, "detector": d, "basis": basis})
+    r = draw(st.floats(0.2, 3.0))
+    return {"resource": {"kind": "wire", "macronodes": sites, "r": r},
+            "steps": steps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(wire_programs())
+def test_run_program_jacobian_predicts_seed_difference(program):
+    a, b = run_program(program, seed=1), run_program(program, seed=2)
+    n = a.state.n_modes
+    assert a.outcome_jacobian.shape == (2 * n, len(a.record.events))
+    assert np.array_equal(a.state.z, b.state.z)
+    diff = a.state.mean - b.state.mean
+    shift = a.predicted_mean_shift() - b.predicted_mean_shift()
+    assert np.abs(diff - shift).max() <= 1e-9 * max(1.0, np.abs(diff).max())
+    so = covariance(a.state) @ omega(n)
+    assert np.abs(so @ so + 0.25 * np.eye(2 * n)).max() \
+        <= 1e-10 * max(1.0, np.abs(so).max()) ** 2

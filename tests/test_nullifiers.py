@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bslsim import nullifiers
 from bslsim.graphstate import (GraphState, GraphStateError, covariance,
                                squeezed_vacua, vacuum)
 from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph
@@ -105,6 +106,24 @@ def test_transform_rejects_traceful_graph():
 def test_transform_on_bsl_ideal_graph():
     v = ideal_graph(LatticeConfig(2, 2, 1.0))
     assert verify_quarter_delay_transform(v, 1.0)["passed"]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_transform_tolerance_scales_with_squeezing(size, monkeypatch):
+    # the self-loop ratios are cosh^2(2r), about 4e4 at r = 3, so their
+    # roundoff must be judged against that scale, not an absolute 1e-9
+    v = ideal_graph(LatticeConfig(size, size, 1.0))
+    for r in (1.0, 3.0, 5.0):
+        assert verify_quarter_delay_transform(v, r)["passed"]
+    exact = nullifiers.phi_transform
+
+    def perturbed(state):
+        out = exact(state)
+        return GraphState(out.z * (1 + 1e-6), out.mean)
+
+    monkeypatch.setattr(nullifiers, "phi_transform", perturbed)
+    for r in (1.0, 3.0, 5.0):
+        assert not verify_quarter_delay_transform(v, r)["passed"]
 
 
 def test_quadrature_nullifiers_structure():
