@@ -62,13 +62,34 @@ class GraphState:
         if not np.isfinite(mean).all():
             raise GraphStateError("mean must be finite")
         z = (z + z.T) / 2
-        if z.shape[0]:     # fully measured states are legal, empty leftovers
+        # the factor exists exactly when the smallest eigenvalue of Im Z is
+        # above 1e-14; the eigenvalues are computed only for the message
+        try:
+            np.linalg.cholesky(z.imag - 1e-14 * np.eye(len(z)))
+        except np.linalg.LinAlgError:
             eig_min = np.linalg.eigvalsh(z.imag).min()
-            if not eig_min > 1e-14:
-                raise GraphStateError(
-                    f"Im Z must be positive definite (min eigenvalue {eig_min:.3e})")
+            raise GraphStateError(
+                f"Im Z must be positive definite (min eigenvalue {eig_min:.3e})"
+            ) from None
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "mean", mean)
+
+    @classmethod
+    def _principal_submatrix(cls, z: np.ndarray, mean) -> "GraphState":
+        """State whose z is a principal submatrix of an accepted state's z.
+
+        Such a z is finite and exactly symmetric, and by Cauchy interlacing
+        the smallest eigenvalue of its Im part is at least the accepted
+        state's, so the definiteness check cannot fail and is skipped.  The
+        mean is new and is still checked.
+        """
+        mean = np.asarray(mean, dtype=float)
+        if not np.isfinite(mean).all():
+            raise GraphStateError("mean must be finite")
+        state = object.__new__(cls)
+        object.__setattr__(state, "z", z)
+        object.__setattr__(state, "mean", mean)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -283,7 +304,10 @@ def local_cond(z: np.ndarray, gate: SymplecticGate) -> float:
         rows = _gate_rows(z, gate)
         p = rows[:, list(gate.modes)]
         q = np.delete(rows, gate.modes, axis=1)
-        x = np.linalg.qr(q.conj().T, mode="r").conj().T
+        if k == 1:      # R factor of one column: its norm (no column at n = 1)
+            x = np.linalg.norm(q, keepdims=True)[:, :n - 1]
+        else:
+            x = np.linalg.qr(q.conj().T, mode="r").conj().T
     else:
         p, x = gate.block[:k, :k], np.zeros((k, min(k, n - k)))
     m = np.eye(k + x.shape[1], dtype=p.dtype)

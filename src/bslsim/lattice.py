@@ -43,6 +43,14 @@ from .graphstate import (GraphState, GraphStateError, apply, gate_beamsplitter,
 
 DETECTORS = ("x", "a", "b", "c")
 
+#: largest supported lattice squeezing; above it the schedule's roundoff
+#: leaves Im Z of the built or quarter-delayed lattice indefinite (first seen
+#: at r = 8.75 on 5 x 5 and at r = 9 on 2 x 2 to 4 x 4)
+R_MAX_LATTICE = 8.0
+#: largest supported wire squeezing; the wire's self-loops i sech(2r) reach
+#: the 1e-14 definiteness threshold of GraphState at r = 16.45
+R_MAX_WIRE = 15.0
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -51,15 +59,14 @@ class LatticeConfig:
     n_rows: int
     m_cols: int
     r: float = 1.0
-    #: optional pi/4 phase delays ahead of the detectors (off: pure-homodyne
-    #: operation; the deletion/gate angles already absorb them)
-    phase_delays: bool = False
 
     def __post_init__(self):
         if self.n_rows < 2 or self.m_cols < 1:
             raise GraphStateError("need N >= 2 rows and M >= 1 columns")
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise GraphStateError("squeezing r must be positive")
+        if not 0 < self.r <= R_MAX_LATTICE:
+            raise GraphStateError(
+                f"squeezing r must be in (0, {R_MAX_LATTICE}] for the lattice, "
+                f"got {self.r}")
 
     @property
     def bins(self) -> int:
@@ -109,13 +116,6 @@ class MacronodeLattice:
 
     def mode_at(self, time_index: int, detector: str) -> int:
         return self.lookup(time_index, detector).mode
-
-    def detector_of(self, mode: int):
-        """(measured_bin, detector) for a mode id."""
-        for key, m in self.coords.items():
-            if m == mode:
-                return key
-        raise KeyError(f"mode {mode} not in lattice")
 
     def bc_sites(self):
         """Measured bins holding a complete deletion (bc) macronode."""
@@ -191,10 +191,6 @@ def schedule(config: LatticeConfig) -> list:
         if t >= config.n_rows:
             items.append(ScheduledGate(
                 t, "beamsplitter", (4 * (t - config.n_rows) + 3, base + 2), np.pi / 4))
-    if config.phase_delays:
-        for t in range(config.bins):
-            for rail in range(4):
-                items.append(ScheduledGate(t, "rotation", (4 * t + rail,), np.pi / 4))
     return items
 
 
@@ -233,14 +229,8 @@ def ideal_graph(config: LatticeConfig) -> np.ndarray:
     Built exactly in real arithmetic: every bin's rails (0, 1) and (2, 3)
     start as the cluster pair [[0, 1], [1, 0]] of cvcs_pair_gates, and each
     remaining beamsplitter of the schedule, a real orthogonal O acting alike
-    on q and p, maps V to O V O^T.  Only defined for the pure-homodyne
-    circuit: the optional detector phase delays rotate the graph out of the
-    i sech I + tanh V form.
+    on q and p, maps V to O V O^T.
     """
-    if config.phase_delays:
-        raise GraphStateError(
-            "ideal graph extraction requires the pure-homodyne circuit "
-            "(phase_delays off)")
     n = config.n_modes
     v = np.zeros((n, n))
     first = np.arange(0, n, 2)
@@ -343,6 +333,9 @@ def canonical_wire(n_sites: int, r: float,
     """
     if n_sites < 2:
         raise GraphStateError("a wire needs at least two macronodes")
+    if not 0 < r <= R_MAX_WIRE:
+        raise GraphStateError(
+            f"squeezing r must be in (0, {R_MAX_WIRE}] for a wire, got {r}")
     n = 2 * n_sites
     sech, tanh = 1 / np.cosh(2 * r), np.tanh(2 * r)
     z = 1j * sech * np.eye(n, dtype=complex)

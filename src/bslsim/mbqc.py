@@ -112,7 +112,9 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
         outcome = float(_rng_of(rng).normal(state.mean[mode], np.sqrt(var)))
     if not np.isfinite(outcome):
         raise GraphStateError("measurement outcome must be finite")
-    post = GraphState(zr, resp[:, 0] + outcome * resp[:, -1])
+    # zr is a principal submatrix of the checked rotated state's z
+    post = GraphState._principal_submatrix(
+        zr, resp[:, 0] + outcome * resp[:, -1])
     return post, float(outcome), resp[:, 1:]
 
 

@@ -95,17 +95,19 @@ def nullifier_variances(state: GraphState, nulls: NullifierSet) -> np.ndarray:
         raise GraphStateError(
             f"nullifiers act on {nulls.n_modes} modes, state has {state.n_modes}")
     sigma = covariance(state) + 0.5j * omega(state.n_modes)
-    c = nulls.stacked()
-    var = np.einsum("ri,ij,rj->r", c.conj(), sigma, c)
-    return var.real
+    return _row_forms(nulls.stacked(), sigma)
 
 
 def vacuum_variances(nulls: NullifierSet) -> np.ndarray:
     """Same rows evaluated on the vacuum: the product-state baseline."""
     n = nulls.n_modes
     sigma = 0.5 * np.eye(2 * n) + 0.5j * omega(n)
-    c = nulls.stacked()
-    return np.einsum("ri,ij,rj->r", c.conj(), sigma, c).real
+    return _row_forms(nulls.stacked(), sigma)
+
+
+def _row_forms(c: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Re conj(c_r)^T sigma c_r for every row c_r, through one BLAS product."""
+    return ((c.conj() @ sigma) * c).sum(axis=1).real
 
 
 def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -> dict:

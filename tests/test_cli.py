@@ -177,3 +177,37 @@ def test_build_bsl_format_flag_removed(tmp_path, capsys):
               "--out", str(tmp_path / "bsl")])
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+def wire_program(r):
+    """A 6-macronode wire program with theta pairs and a chi = 0 cubic step."""
+    steps = []
+    for k in range(5):
+        if k == 2:
+            steps.append({"time_index": k, "detector": "x",
+                          "basis": {"cubic": {"chi": 0.0, "sigma": 0.3}}})
+        else:
+            steps += [{"time_index": k, "detector": d, "basis": {"theta": t}}
+                      for d, t in (("x", 0.3 + 0.1 * k), ("a", -0.4))]
+    return {"resource": {"kind": "wire", "macronodes": 6, "r": r},
+            "steps": steps}
+
+
+@pytest.mark.parametrize("r,code", [(15.0, 0), (30.0, 2)])
+def test_run_program_wire_squeezing_range(tmp_path, capsys, r, code):
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(json.dumps(wire_program(r)))
+    assert main(["run-program", str(ppath), "--out",
+                 str(tmp_path / "rec.json")]) == code
+    if code:
+        assert "(0, 15.0] for a wire" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r,code", [(8.0, 0), (30.0, 2)])
+def test_lattice_squeezing_range(tmp_path, capsys, r, code):
+    assert main(["build-bsl", "--lattice", "2,2", "-r", str(r),
+                 "--out", str(tmp_path / "bsl")]) == code
+    assert main(["verify-nullifiers", "--lattice", "2,2",
+                 "--squeezing", str(r)]) == code
+    if code:
+        assert "(0, 8.0] for the lattice" in capsys.readouterr().err

@@ -229,6 +229,18 @@ def test_invalid_inputs_raise():
         apply(vacuum(2), gate_rotation(0.1, 0, 1))
 
 
+def test_definiteness_threshold_and_message():
+    # smallest eigenvalue of Im Z in (0, 1e-14]: positive, still rejected
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    y = q @ np.diag([2.0, 1.0, 5e-15]) @ q.T
+    with pytest.raises(GraphStateError, match="positive definite") as exc:
+        GraphState(0.3 + 1j * y, np.zeros(6))
+    reported = float(str(exc.value).split("min eigenvalue ")[1].rstrip(")"))
+    assert abs(reported - np.linalg.eigvalsh((y + y.T) / 2).min()) <= 1e-18
+    assert 0 < reported <= 1e-14
+    GraphState(0.3 + 1j * (y + 1e-13 * np.eye(3)), np.zeros(6))
+
+
 @pytest.mark.parametrize("z,mean,field", [
     ([[np.nan + 1j]], [0.0, 0.0], "Z"),
     ([[complex(0.3, np.nan)]], [0.0, 0.0], "Z"),

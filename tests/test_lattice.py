@@ -175,16 +175,26 @@ def test_invalid_configs():
         LatticeConfig(2, 2, -1.0)
     with pytest.raises(GraphStateError):
         canonical_wire(1, 1.0)
-    with pytest.raises(GraphStateError, match="pure-homodyne"):
-        ideal_graph(LatticeConfig(2, 2, 1.0, phase_delays=True))
+    with pytest.raises(GraphStateError, match=r"\(0, 8.0\]"):
+        LatticeConfig(2, 2, 8.01)
+    with pytest.raises(GraphStateError, match=r"\(0, 15.0\]"):
+        canonical_wire(2, 15.01)
+    with pytest.raises(GraphStateError, match=r"\(0, 15.0\]"):
+        canonical_wire(2, 0.0)
+    LatticeConfig(2, 2, 8.0)
+    canonical_wire(2, 15.0)
 
 
-def test_phase_delay_flag_rotates_detected_modes():
-    plain, _ = build_bsl(LatticeConfig(2, 2, 1.0))
-    delayed, _ = build_bsl(LatticeConfig(2, 2, 1.0, phase_delays=True))
+def test_phase_delayed_lattice_closed_form():
+    # the quarter delay ahead of every detector gives i cosh 2r I + i sinh 2r V
     from bslsim.nullifiers import phi_transform
-    # the flag applies a quarter delay per mode ahead of the detectors
-    assert np.abs(delayed.z - phi_transform(plain).z).max() < 1e-10
+    r = 1.0
+    for size in (2, 3):
+        config = LatticeConfig(size, size, r)
+        z = phi_transform(build_bsl(config)[0]).z
+        want = 1j * (np.cosh(2 * r) * np.eye(config.n_modes)
+                     + np.sinh(2 * r) * ideal_graph(config))
+        assert np.abs(z - want).max() <= 1e-12
 
 
 def test_dot_export_mentions_all_modes():

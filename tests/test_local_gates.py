@@ -207,3 +207,88 @@ def test_measurement_response_matches_finite_differences():
             want = (measure_with_response(moved, mode, theta, m)[0].mean
                     - post.mean)
             assert np.abs(resp[:, i] - want).max() <= 1e-12 * scale(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit(), st.data())
+def test_posterior_skips_only_a_check_that_cannot_fail(case, data):
+    # the posterior's Z is a principal submatrix of the rotated state's, so
+    # by Cauchy interlacing its Im part is at least as definite
+    state, gates = case
+    for g in gates:
+        state = apply(state, g)
+    for _ in range(data.draw(st.integers(1, min(3, state.n_modes)))):
+        n = state.n_modes
+        mode, theta = data.draw(st.integers(0, n - 1)), data.draw(angle)
+        rotated = apply(state, gate_rotation(theta, mode, n))
+        state, _, _ = measure_with_response(state, mode, theta,
+                                            data.draw(st.floats(-3, 3)))
+        rest = np.delete(np.arange(n), mode)
+        assert np.array_equal(state.z, rotated.z[np.ix_(rest, rest)])
+        checked = GraphState(state.z, state.mean)
+        assert np.array_equal(checked.z, state.z)
+        assert np.array_equal(checked.mean, state.mean)
+        if state.n_modes:
+            y = rotated.z.imag
+            low = np.linalg.eigvalsh(state.z.imag).min()
+            assert low >= np.linalg.eigvalsh(y).min() - 1e-13 * scale(y)
+
+
+def test_posterior_with_non_finite_mean_is_rejected():
+    # g_p = Re Z[1, 0] = 2, so the finite outcome 1e308 overflows the mean
+    state = GraphState(np.array([[1j, 2.0], [2.0, 1j]]), np.zeros(4))
+    with np.errstate(over="ignore"), \
+            pytest.raises(GraphStateError, match="mean must be finite"):
+        measure_with_response(state, 0, 0.0, 1e308)
+
+
+def inverse(gate):
+    """x -> S^-1 (x - d), with S^-1 = -Omega S^T Omega."""
+    om = omega(gate.n_modes)
+    s_inv = -om @ gate.s.T @ om
+    return SymplecticGate(s_inv, -s_inv @ gate.d)
+
+
+def gate_list(min_size, max_size):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(local_gate(n), min_size=min_size, max_size=max_size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gate_list(3, 3))
+def test_then_is_associative(gates):
+    a, b, c = gates
+    left, right = a.then(b).then(c), a.then(b.then(c))
+    assert np.abs(left.s - right.s).max() <= 1e-12 * scale(left.s) ** 2
+    assert np.abs(left.d - right.d).max() <= 1e-12 * scale(left.s) * scale(left.d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gate_list(1, 4))
+def test_then_inverse_is_identity(gates):
+    g = gates[0]
+    for h in gates[1:]:
+        g = g.then(h)
+    tol = 1e-12 * scale(g.s) ** 2 * scale(g.d)
+    for ident in (g.then(inverse(g)), inverse(g).then(g)):
+        assert np.abs(ident.s - np.eye(2 * g.n_modes)).max() <= tol
+        assert np.abs(ident.d).max() <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit())
+def test_composed_gate_matches_sequential_local_apply(case):
+    state, gates = case
+    composed = gates[0]
+    for g in gates[1:]:
+        composed = composed.then(g)
+    want = np.eye(2 * state.n_modes)
+    for g in gates:
+        want = g.s @ want
+    assert np.array_equal(composed.s, want)
+    step = state
+    for g in gates:
+        step = apply(step, g)
+    once = apply(state, composed)
+    assert np.abs(once.z - step.z).max() <= 1e-10 * scale(step.z)
+    assert np.abs(once.mean - step.mean).max() <= 1e-10 * scale(step.mean)

@@ -5,7 +5,7 @@ import pytest
 
 from bslsim import nullifiers
 from bslsim.graphstate import (GraphState, GraphStateError, covariance,
-                               squeezed_vacua, vacuum)
+                               omega, squeezed_vacua, vacuum)
 from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph
 from bslsim.nullifiers import (NullifierSet, empirical_variances,
                                exact_nullifiers, ingest_samples,
@@ -21,6 +21,26 @@ def random_self_inverse(n, rng):
     l, _ = np.linalg.qr(a)
     d = np.diag([1.0] * n + [-1.0] * n)
     return l @ d @ l.T
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_nullifier_variances_match_einsum(size):
+    config = LatticeConfig(size, size, 1.0)
+    state, _ = build_bsl(config)
+    phi = phi_transform(state)
+    n = config.n_modes
+    cases = [(phi, quadrature_nullifiers(ideal_graph(config))),
+             (state, exact_nullifiers(state))]
+    for st, nulls in cases:
+        c = nulls.stacked()
+        sigma = covariance(st) + 0.5j * omega(n)
+        want = np.einsum("ri,ij,rj->r", c.conj(), sigma, c).real
+        got = nullifier_variances(st, nulls)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        vac = 0.5 * np.eye(2 * n) + 0.5j * omega(n)
+        want = np.einsum("ri,ij,rj->r", c.conj(), vac, c).real
+        got = nullifiers.vacuum_variances(nulls)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_vacuum_exact_nullifier_zero_variance():
