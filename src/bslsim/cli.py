@@ -36,9 +36,16 @@ def _lattice_arg(text: str):
 def _grid_arg(text: str):
     try:
         half, pts = text.split(",")
-        return float(half), int(pts)
+        half, pts = float(half), int(pts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected L,P") from exc
+    if not 0 < half < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"half extent L must be finite and > 0, got {half}")
+    if pts < 4 or pts & (pts - 1):
+        raise argparse.ArgumentTypeError(
+            f"points P must be a power of two >= 4, got {pts}")
+    return half, pts
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -138,7 +145,12 @@ def cmd_verify_identities(args) -> int:
     half, pts = args.grid
     if args.cases is not None:
         from .identities import run_cases
-        reports = run_cases(json.loads(Path(args.cases).read_text()), pts, half)
+        cases = json.loads(Path(args.cases).read_text())
+        if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
+            print("error: --cases must hold a JSON list of case objects",
+                  file=sys.stderr)
+            return 2
+        reports = run_cases(cases, pts, half)
     elif args.chi is not None:
         try:
             from .identities import default_input

@@ -311,7 +311,7 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
                     float(case.get("r", 4.0)), psi)
             else:
                 raise ValueError(f"unknown identity kind {kind!r}")
-        except (GridError, ValueError) as exc:
+        except (GridError, ValueError, TypeError) as exc:
             rep = {"identity": kind, "params": dict(case), "error": str(exc),
                    "pass": False}
         return rep

@@ -199,7 +199,9 @@ def sample_homodyne_dataset(state: GraphState, setting: str, shots: int,
     data = mean + rng.standard_normal((shots, n)) @ chol.T
     if path is not None:
         header = ",".join(f"mode_{k}" for k in range(n))
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        # 17 significant digits round-trip every double exactly
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
     return data
 
 

@@ -142,6 +142,39 @@ def test_verify_identities_case_file(tmp_path, capsys):
     assert "error" in reports[2]
 
 
+@pytest.mark.parametrize("cases", [[1], {"identity": "L"}])
+def test_verify_identities_cases_must_be_list_of_objects(tmp_path, capsys, cases):
+    cpath = tmp_path / "cases.json"
+    cpath.write_text(json.dumps(cases))
+    assert main(["verify-identities", "--cases", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--cases" in err
+
+
+def test_verify_identities_bad_outcomes_type_is_a_case_error(tmp_path, capsys):
+    cpath = tmp_path / "cases.json"
+    cpath.write_text(json.dumps([{"identity": "L", "outcomes": "abc"}]))
+    rpath = tmp_path / "report.json"
+    code = main(["verify-identities", "--grid", "12,64", "--cases", str(cpath),
+                 "--report", str(rpath)])
+    assert code == 1
+    assert "L: error:" in capsys.readouterr().out
+    (rep,) = json.loads(rpath.read_text())
+    assert rep["pass"] is False and "abs" in rep["error"]
+
+
+@pytest.mark.parametrize("grid,field", [("0,64", "half extent L"),
+                                        ("nan,64", "half extent L"),
+                                        ("12,0", "points P"),
+                                        ("12,100", "points P")])
+def test_verify_identities_rejects_bad_grid(capsys, grid, field):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "L", "--grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --grid" in err and field in err
+
+
 def test_sample_homodyne_cli(tmp_path):
     out = tmp_path / "shots.csv"
     code = main(["sample-homodyne", "--lattice", "2,2", "--setting", "q",

@@ -208,6 +208,15 @@ def test_sampling_seeded_and_vacuum_variance():
     assert np.abs(var - 0.5).max() < 3 * sig
 
 
+def test_sample_csv_round_trips_exactly(tmp_path):
+    state, _ = build_bsl(LatticeConfig(2, 2, 1.0))
+    path = tmp_path / "q.csv"
+    data = sample_homodyne_dataset(phi_transform(state), "q", 2000, seed=4,
+                                   path=path)
+    assert path.read_text().splitlines()[0] == ",".join(f"mode_{k}" for k in range(16))
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), data)
+
+
 def test_sampled_witness_and_controls(tmp_path):
     r = 1.0
     state, _ = build_bsl(LatticeConfig(2, 2, r))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bslsim.graphstate import (GraphState, apply, covariance, gate_beamsplitter,
                                gate_cz, gate_displacement, gate_rotation,
@@ -9,7 +11,8 @@ from bslsim.graphstate import (GraphState, apply, covariance, gate_beamsplitter,
 from bslsim.identities import (verify_commutation, verify_teleport_identity,
                                verify_cubic_device, verify_teleport_circuit)
 from bslsim.mbqc import measure_quadrature
-from bslsim.oracle import (GridError, WaveFunction, fidelity_up_to_phase)
+from bslsim.oracle import (GridError, WaveFunction, _from_p, _to_p,
+                           _two_mode_phase, fidelity_up_to_phase, p_axis, q_axis)
 
 L, P1, P2 = 12.0, 1024, 512
 
@@ -48,6 +51,110 @@ def test_gate_unitarity():
                 wf.shear(1.1), wf.kubic(0.2), wf.x_shift(0.7),
                 wf.z_shift(-1.2)):
         assert abs(out.norm() - 1) < 1e-7
+
+
+# -- p-diagonal kernel against the centred composition -------------------------
+
+
+def _random_grid(rng, shape):
+    return WaveFunction(rng.normal(size=shape) + 1j * rng.normal(size=shape), L)
+
+
+def _along(v, ax, ndim):
+    shape = [1] * ndim
+    shape[ax] = v.size
+    return v.reshape(shape)
+
+
+def _centred(psi, ax, d):
+    """Reference p-diagonal operator: _from_p(_to_p(psi) * d), d on the centred p axis."""
+    return _from_p(_to_p(psi, L, ax) * d, L, ax)
+
+
+def _reference_moments(wf):
+    """Means and covariance from q psi and the centred p field, <a|b> = Re vdot."""
+    n, psi = wf.n_modes, wf.psi
+    fields = [_along(q_axis(L, psi.shape[ax]), ax, n) * psi for ax in range(n)]
+    fields += [_centred(psi, ax, _along(p_axis(L, psi.shape[ax]), ax, n))
+               for ax in range(n)]
+    total = np.vdot(psi, psi).real
+    mean = np.array([np.vdot(psi, f).real / total for f in fields])
+    centred = [f - m * psi for f, m in zip(fields, mean)]
+    cov = np.array([[np.vdot(a, b).real / total for b in centred] for a in centred])
+    return mean, cov
+
+
+def _assert_close(got, ref):
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("points", [8, 64, 256])
+def test_p_diagonal_gates_match_centred_composition(points):
+    rng = np.random.default_rng(points)
+    pv = p_axis(L, points)
+    for ndim in (1, 2):
+        wf = _random_grid(rng, (points,) * ndim)
+        for ax in range(ndim):
+            p = _along(pv, ax, ndim)
+            _assert_close(wf.x_shift(0.83, ax).psi,
+                          _centred(wf.psi, ax, np.exp(-0.83j * p)))
+            _assert_close(wf._p_shear(-0.61, ax).psi,
+                          _centred(wf.psi, ax, np.exp(0.5j * 0.61 * p * p)))
+        mean, cov = wf.moments()
+        ref_mean, ref_cov = _reference_moments(wf)
+        _assert_close(mean, ref_mean)
+        _assert_close(cov, ref_cov)
+    qv = q_axis(L, points)
+    for lam, ax in ((-0.41, 0), (0.71, 1)):    # wf is the 2-mode grid here
+        d = np.exp(1j * lam * _along(pv, ax, 2) * _along(qv, 1 - ax, 2))
+        _assert_close(wf._shear_between(lam, ax).psi, _centred(wf.psi, ax, d))
+
+
+def test_cz_matches_direct_phase_on_non_square_grid():
+    wf = _random_grid(np.random.default_rng(5), (64, 8))
+    q0, q1 = q_axis(L, 64), q_axis(L, 8)
+    ref = wf.psi * np.exp(1j * 0.7 * q0[:, None] * q1[None, :])
+    _assert_close(wf.cz(0.7).psi, ref)
+
+
+def test_two_mode_tables_are_cached_read_only():
+    for p_ax in (0, 1, None):
+        table = _two_mode_phase(0.37, L, (64, 32), p_ax)
+        assert _two_mode_phase(0.37, L, (64, 32), p_ax) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+# -- unitarity on arbitrary grid vectors ---------------------------------------
+
+
+@st.composite
+def grid_vector(draw, modes=(1, 2)):
+    n = draw(st.sampled_from(modes))
+    points = draw(st.sampled_from((8, 16, 64, 256) if n == 1 else (8, 16, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    wf = _random_grid(rng, (points,) * n)
+    return wf, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_vector(), st.floats(-5, 5), st.floats(-10, 10))
+def test_single_mode_gates_preserve_norm(sample, s, theta):
+    wf, mode = sample
+    for out in (wf.z_shift(s, mode), wf.x_shift(s, mode), wf.shear(s, mode),
+                wf._p_shear(s, mode), wf.rotate(theta, mode)):
+        assert abs(out.norm() / wf.norm() - 1) <= 1e-12
+    back = wf.x_shift(s, mode).x_shift(-s, mode)
+    assert np.abs(back.psi - wf.psi).max() <= 1e-12 * np.abs(wf.psi).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_vector(modes=(2,)), st.floats(-3, 3), st.floats(-10, 10))
+def test_two_mode_gates_preserve_norm(sample, g, theta):
+    wf, _ = sample
+    for out in (wf.cz(g), wf.beamsplitter(theta)):
+        assert abs(out.norm() / wf.norm() - 1) <= 1e-12
 
 
 def test_commutation_surrogate_phase():
