@@ -70,7 +70,7 @@ def cmd_build_bsl(args) -> int:
         "summary": summary,
     }
     out.with_suffix(".json").write_text(json.dumps(payload, indent=1))
-    out.with_suffix(".dot").write_text(to_dot(state, config, lattice))
+    out.with_suffix(".dot").write_text(to_dot(state, config))
     print(f"{config.n_modes}-mode lattice written to {out.with_suffix('.json')} "
           f"and {out.with_suffix('.dot')}")
     print(f"self-loop i*{summary['selfloop']:.6f} "

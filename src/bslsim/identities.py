@@ -13,7 +13,7 @@ import numpy as np
 
 from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
-                     fidelity_up_to_phase, q_axis)
+                     cubic_weights, fidelity_up_to_phase, q_axis)
 
 #: normalization of the ancilla-consuming map relative to its three-factor
 #: closed form: the projection kernel contributes an extra 2**(1/4).
@@ -37,12 +37,8 @@ def _as_callable(phi, half_extent, points):
         dq = 2 * half_extent / pts
         x = np.clip(np.asarray(s) / dq + pts // 2, 1, pts - 3)
         i0 = np.floor(x).astype(int)
-        w = x - i0
         out = np.zeros(np.shape(s), dtype=complex)
-        for k, cf in ((-1, -w * (w - 1) * (w - 2) / 6),
-                      (0, (w * w - 1) * (w - 2) / 2),
-                      (1, -w * (w + 1) * (w - 2) / 2),
-                      (2, w * (w * w - 1) / 6)):
+        for k, cf in cubic_weights(x - i0):
             out += cf * phi.psi[i0 + k]
         return out
 

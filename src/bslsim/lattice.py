@@ -15,10 +15,13 @@ Delays are realized as static re-indexing: mode id = 4 t + rail, and the
 delay beamsplitters couple existing modes of different bins.  Couplings that
 would reference bins before the start of the run are skipped (open boundary).
 
-Every gate in the circuit is a phase-free interferometer acting identically
-on q and p, so the graph keeps the exact form
-Z(r) = i sech(2r) I + tanh(2r) V with V orthogonal-conjugated along the way;
-V stays self-inverse and trace-free for every lattice size.
+Steps 1 and 2 act on fresh modes and give the closed-form pairs
+Z = i sech(2r) I + tanh(2r) V0, with V0 joining modes (2k, 2k+1), so the
+code starts there and `schedule` lists only the joining beamsplitters of
+steps 3 and 4.  Each is a phase-free interferometer acting identically on q
+and p, so the graph keeps the exact form Z(r) = i sech(2r) I + tanh(2r) V
+with V = O V0 O^T; V stays self-inverse and trace-free for every lattice
+size.
 
 Detector bookkeeping (measured bin tau = when a mode hits its detector):
 
@@ -38,14 +41,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, apply, gate_beamsplitter,
-                         gate_rotation, gate_squeeze, local_update,
-                         squeezed_vacua, vacuum)
+                         local_update)
 
 DETECTORS = ("x", "a", "b", "c")
 
-#: largest supported lattice squeezing; above it the schedule's roundoff
-#: leaves Im Z of the built or quarter-delayed lattice indefinite (first seen
-#: at r = 8.75 on 5 x 5 and at r = 9 on 2 x 2 to 4 x 4)
+#: largest supported lattice squeezing; above it the roundoff of the quarter
+#: delay (cond e^{2r}) leaves Im Z of the quarter-delayed lattice indefinite,
+#: first at r = 9.25 (2 x 3 to 6 x 6) and r = 9.5 (2 x 1, 2 x 2); the built
+#: lattice itself stays definite up to r = 16.25
 R_MAX_LATTICE = 8.0
 #: largest supported wire squeezing; the wire's self-loops i sech(2r) reach
 #: the 1e-14 definiteness threshold of GraphState at r = 16.45
@@ -75,13 +78,6 @@ class LatticeConfig:
     @property
     def n_modes(self) -> int:
         return 4 * self.bins
-
-
-class ScheduledGate(NamedTuple):
-    time: int
-    kind: str      # "squeeze" | "rotation" | "beamsplitter"
-    modes: tuple
-    param: float
 
 
 class LatticeCoord(NamedTuple):
@@ -135,9 +131,10 @@ class MacronodeLattice:
         return ((-1) ** (time_index % self.config.n_rows)) * np.pi / 4
 
 
-def _measured_bin(mode: int, n_rows: int) -> int:
-    t, rail = divmod(mode, 4)
-    return t + (1 if rail == 1 else n_rows if rail == 3 else 0)
+def _measured_bin(mode, n_rows: int):
+    """Bin at which a mode (int or array) reaches its detector."""
+    t, rail = np.divmod(mode, 4)
+    return t + np.array([0, 1, 0, n_rows])[rail]
 
 
 def _build_coords(config: LatticeConfig) -> dict:
@@ -150,70 +147,53 @@ def _build_coords(config: LatticeConfig) -> dict:
     return coords
 
 
-def cvcs_pair_gates(i: int, j: int, r: float, n: int):
-    """Gate sequence turning squeezed vacua on (i, j) into a cluster pair.
+def _pairs(n: int) -> np.ndarray:
+    """Graph V0 of the cluster pairs on modes (0, 1), (2, 3), ..."""
+    v = np.zeros((n, n))
+    first = np.arange(0, n, 2)
+    v[first, first + 1] = v[first + 1, first] = 1.0
+    return v
 
-    The resulting two-mode graph is i sech(2r) I + tanh(2r) [[0, 1], [1, 0]].
-    """
-    return [
-        gate_rotation(np.pi / 2, i, n),
-        gate_beamsplitter(np.pi / 4, i, j, n),
-        gate_rotation(-np.pi / 4, i, n),
-        gate_rotation(-np.pi / 4, j, n),
-    ]
+
+def _pair_state(n: int, r: float) -> GraphState:
+    """Cluster pairs at squeezing r: Z = i sech(2r) I + tanh(2r) V0."""
+    z = 1j / np.cosh(2 * r) * np.eye(n) + np.tanh(2 * r) * _pairs(n)
+    return GraphState(z, np.zeros(2 * n))
 
 
 def build_square(r: float) -> GraphState:
     """Four-mode square cluster state from two pairs and one beamsplitter."""
-    state = squeezed_vacua([r, r, r, r])
-    for g in cvcs_pair_gates(0, 1, r, 4) + cvcs_pair_gates(2, 3, r, 4):
-        state = apply(state, g)
-    return apply(state, gate_beamsplitter(np.pi / 4, 0, 2, 4))
+    return apply(_pair_state(4, r), gate_beamsplitter(np.pi / 4, 0, 2, 4))
 
 
 def schedule(config: LatticeConfig) -> list:
-    """Deterministic gate list realizing the temporal circuit."""
-    n = config.n_modes
-    items = []
+    """The 50:50 beamsplitters joining the cluster pairs, in circuit order.
+
+    Per bin t: the in-bin (4t, 4t+2), the one-bin delay (4t-3, 4t) for
+    t >= 1 and the N-bin delay (4(t-N)+3, 4t+2) for t >= N.
+    """
+    n, rows = config.n_modes, config.n_rows
+    gates = []
     for t in range(config.bins):
         base = 4 * t
-        for rail in range(4):
-            items.append(ScheduledGate(t, "squeeze", (base + rail,), config.r))
-        for i, j in ((base, base + 1), (base + 2, base + 3)):
-            items.append(ScheduledGate(t, "rotation", (i,), np.pi / 2))
-            items.append(ScheduledGate(t, "beamsplitter", (i, j), np.pi / 4))
-            items.append(ScheduledGate(t, "rotation", (i,), -np.pi / 4))
-            items.append(ScheduledGate(t, "rotation", (j,), -np.pi / 4))
-        items.append(ScheduledGate(t, "beamsplitter", (base, base + 2), np.pi / 4))
+        gates.append(gate_beamsplitter(np.pi / 4, base, base + 2, n))
         if t >= 1:
-            items.append(ScheduledGate(
-                t, "beamsplitter", (4 * (t - 1) + 1, base), np.pi / 4))
-        if t >= config.n_rows:
-            items.append(ScheduledGate(
-                t, "beamsplitter", (4 * (t - config.n_rows) + 3, base + 2), np.pi / 4))
-    return items
-
-
-def _gate_of(item: ScheduledGate, n: int):
-    if item.kind == "squeeze":
-        return gate_squeeze(item.param, item.modes[0], n)
-    if item.kind == "rotation":
-        return gate_rotation(item.param, item.modes[0], n)
-    if item.kind == "beamsplitter":
-        return gate_beamsplitter(item.param, item.modes[0], item.modes[1], n)
-    raise GraphStateError(f"unknown scheduled gate kind {item.kind!r}")
+            gates.append(gate_beamsplitter(np.pi / 4, base - 3, base, n))
+        if t >= rows:
+            gates.append(gate_beamsplitter(
+                np.pi / 4, 4 * (t - rows) + 3, base + 2, n))
+    return gates
 
 
 def build_bsl(config: LatticeConfig):
-    """Run the schedule; returns (GraphState, MacronodeLattice).
+    """Join the cluster pairs; returns (GraphState, MacronodeLattice).
 
-    The squeezers are folded into the initial product state; every following
-    gate is an interferometer, so Z = i sech(2r) I + tanh(2r) V throughout.
+    Every joining gate is an interferometer, so
+    Z = i sech(2r) I + tanh(2r) V holds throughout.
     """
-    n = config.n_modes
-    state = vacuum(n)
-    for item in schedule(config):
-        state = apply(state, _gate_of(item, n))
+    state = _pair_state(config.n_modes, config.r)
+    for gate in schedule(config):
+        state = apply(state, gate)
     return state, MacronodeLattice(config, _build_coords(config))
 
 
@@ -226,61 +206,47 @@ def graph_part(state: GraphState, r: float) -> np.ndarray:
 def ideal_graph(config: LatticeConfig) -> np.ndarray:
     """The r-independent graph V of Z(r) = i sech(2r) I + tanh(2r) V.
 
-    Built exactly in real arithmetic: every bin's rails (0, 1) and (2, 3)
-    start as the cluster pair [[0, 1], [1, 0]] of cvcs_pair_gates, and each
-    remaining beamsplitter of the schedule, a real orthogonal O acting alike
-    on q and p, maps V to O V O^T.
+    Built exactly in real arithmetic: each joining beamsplitter of the
+    schedule, a real orthogonal O acting alike on q and p, maps the pair
+    graph V0 to O V0 O^T in turn.
     """
-    n = config.n_modes
-    v = np.zeros((n, n))
-    first = np.arange(0, n, 2)
-    v[first, first + 1] = v[first + 1, first] = 1.0
-    for item in schedule(config):
-        # the squeezers and pair fusions (rotations and the beamsplitters on
-        # adjacent ids (i, i + 1)) act on modes no earlier gate touched, so
-        # the closed-form pairs above stand for them
-        if item.kind == "beamsplitter" and item.modes[1] != item.modes[0] + 1:
-            v = local_update(v, _gate_of(item, n))
+    v = _pairs(config.n_modes)
+    for gate in schedule(config):
+        v = local_update(v, gate)
     return (v + v.T) / 2
 
 
 def bulk_modes(config: LatticeConfig):
     """Modes whose delay-line beamsplitter was not skipped at a boundary."""
-    t_max = config.bins - 1
-    out = []
-    for mode in range(config.n_modes):
-        t, rail = divmod(mode, 4)
-        ok = {0: t >= 1, 1: t + 1 <= t_max,
-              2: t >= config.n_rows, 3: t + config.n_rows <= t_max}[rail]
-        if ok:
-            out.append(mode)
-    return out
+    t, rail = np.divmod(np.arange(config.n_modes), 4)
+    n = config.n_rows
+    partner = t + np.array([-1, 1, -n, n])[rail]
+    return np.flatnonzero((partner >= 0) & (partner < config.bins)).tolist()
+
+
+def _edges(z: np.ndarray):
+    """Edges (a, b, Z_ab) with a < b in row-major order.
+
+    An off-diagonal entry is an edge when |Z_ab| > 1e-6 max |off-diagonal|.
+    """
+    mag = np.abs(z)
+    np.fill_diagonal(mag, 0.0)
+    a, b = np.nonzero(np.triu(mag > 1e-6 * mag.max(), 1))
+    return a, b, z[a, b]
 
 
 def edge_summary(state: GraphState, config: LatticeConfig) -> dict:
     """Uniformity report: self-loops, bulk edges, magnitude classes, locality."""
-    n = state.n_modes
     z = state.z
     sech = 1 / np.cosh(2 * config.r)
     selfloop_dev = float(np.abs(np.diag(z) - 1j * sech).max())
-    off = z - np.diag(np.diag(z))
-    thresh = 1e-6 * np.abs(off).max()
-    bulk = set(bulk_modes(config))
-    bulk_mags, all_mags, nonlocal_edges = [], [], 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = abs(off[a, b])
-            if w <= thresh:
-                continue
-            all_mags.append(w)
-            if a in bulk and b in bulk:
-                bulk_mags.append(w)
-            dt = abs(_measured_bin(a, config.n_rows)
-                     - _measured_bin(b, config.n_rows))
-            if dt not in (0, 1, config.n_rows):
-                nonlocal_edges += 1
-    bulk_mags = np.array(bulk_mags)
-    all_mags = np.array(all_mags)
+    a, b, w = _edges(z)
+    all_mags = np.abs(w)
+    bulk = np.zeros(state.n_modes, dtype=bool)
+    bulk[bulk_modes(config)] = True
+    bulk_mags = all_mags[bulk[a] & bulk[b]]
+    dt = np.abs(_measured_bin(a, config.n_rows) - _measured_bin(b, config.n_rows))
+    local = (dt == 0) | (dt == 1) | (dt == config.n_rows)
     return {
         "selfloop": sech,
         "selfloop_deviation": selfloop_dev,
@@ -290,30 +256,18 @@ def edge_summary(state: GraphState, config: LatticeConfig) -> dict:
         "bulk_relative_spread": float(np.ptp(bulk_mags) / bulk_mags.mean())
         if len(bulk_mags) else 0.0,
         "magnitude_classes": sorted({round(float(m), 9) for m in all_mags}),
-        "nonlocal_edges": nonlocal_edges,
+        "nonlocal_edges": int(np.count_nonzero(~local)),
     }
 
 
-def to_dot(state: GraphState, config: LatticeConfig,
-           lattice: MacronodeLattice | None = None) -> str:
+def to_dot(state: GraphState, config: LatticeConfig) -> str:
     """Graphviz rendering of the rounded adjacency, edges colored by sign."""
-    n = state.n_modes
-    off = state.z - np.diag(np.diag(state.z))
-    thresh = 1e-6 * np.abs(off).max()
+    modes = np.arange(state.n_modes)
+    tau = _measured_bin(modes, config.n_rows)
     lines = ["graph bsl {", "  node [shape=circle fontsize=10];"]
-    for mode in range(n):
-        t, rail = divmod(mode, 4)
-        tau = _measured_bin(mode, config.n_rows)
-        lines.append(
-            f'  m{mode} [label="{mode}\\nt{tau} r{rail}"];')
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = off[a, b]
-            if abs(w) <= thresh:
-                continue
-            color = "blue" if w.real >= 0 else "orange"
-            lines.append(f'  m{a} -- m{b} [color={color} '
-                         f'label="{abs(w):.3f}"];')
+    lines += [f'  m{m} [label="{m}\\nt{tau[m]} r{m % 4}"];' for m in modes]
+    lines += [f'  m{a} -- m{b} [color={"blue" if w.real >= 0 else "orange"} '
+              f'label="{abs(w):.3f}"];' for a, b, w in zip(*_edges(state.z))]
     lines.append("}")
     return "\n".join(lines)
 

@@ -388,8 +388,7 @@ def _bsl_resource(desc: dict):
                            _number(desc["M"], "resource.M", int),
                            _number(desc.get("r", 1.0), "resource.r"))
     state, lattice = build_bsl(config)
-    modes = dict(lattice.coords)
-    return state, {k: v for k, v in modes.items()}, config.r
+    return state, dict(lattice.coords), config.r
 
 
 def run_program(program: dict, seed=None) -> ProgramResult:

@@ -111,6 +111,17 @@ def _from_p(psip: np.ndarray, half_extent: float, ax: int) -> np.ndarray:
     return np.fft.ifft(psip * sg, axis=ax) * sg * (dp * points / SQ2PI) * ph
 
 
+def cubic_weights(w):
+    """Cubic Lagrange weights on grid lines -1, 0, 1, 2 at offset w in [0, 1).
+
+    Returns (line offset, weight) pairs; w may be an array.
+    """
+    return ((-1, -w * (w - 1) * (w - 2) / 6),
+            (0, (w * w - 1) * (w - 2) / 2),
+            (1, -w * (w + 1) * (w - 2) / 2),
+            (2, w * (w * w - 1) / 6))
+
+
 def _bluestein(x: np.ndarray, a: float) -> np.ndarray:
     """y_m = sum_n x_n exp(i a (m - P/2)(n - P/2)) along the last axis."""
     points = x.shape[-1]
@@ -119,9 +130,8 @@ def _bluestein(x: np.ndarray, a: float) -> np.ndarray:
     u = x * c
     k = np.arange(-points + 1, points)
     kern = np.exp(-0.5j * a * k * k)
-    nfft = 1
-    while nfft < 3 * points - 2:
-        nfft *= 2
+    # a circular length of 2P >= 2P - 1 leaves the P kept outputs unaliased
+    nfft = 2 * points
     conv = np.fft.ifft(np.fft.fft(u, nfft, axis=-1)
                        * np.fft.fft(kern, nfft), axis=-1)
     return c * conv[..., points - 1:2 * points - 1]
@@ -322,13 +332,8 @@ class WaveFunction:
         if not 1 <= x <= points - 3:
             raise GridError(f"projection value {m} outside the grid window")
         i0 = int(np.floor(x))
-        w = x - i0
         out = np.zeros(self.psi.shape[1 - mode], dtype=complex)
-        # cubic Lagrange weights on the 4 surrounding grid lines
-        for k, cf in ((-1, -w * (w - 1) * (w - 2) / 6),
-                      (0, (w * w - 1) * (w - 2) / 2),
-                      (1, -w * (w + 1) * (w - 2) / 2),
-                      (2, w * (w * w - 1) / 6)):
+        for k, cf in cubic_weights(x - i0):
             line = self.psi[i0 + k, :] if mode == 0 else self.psi[:, i0 + k]
             out += cf * line
         return WaveFunction(out, self.half_extent)

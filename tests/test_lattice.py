@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bslsim.graphstate import GraphStateError, covariance, omega
+from bslsim.graphstate import (GraphState, GraphStateError, covariance,
+                               gate_beamsplitter, omega)
 from bslsim.lattice import (LatticeConfig, build_bsl, build_square, bulk_modes,
                             canonical_wire, edge_summary, graph_part,
                             ideal_graph, schedule, to_dot)
@@ -33,19 +34,19 @@ def test_square_zero_squeezing_limit():
 
 def test_schedule_counts_and_reproducibility():
     config = LatticeConfig(3, 3, 1.0)
-    items = schedule(config)
+    gates = schedule(config)
     assert config.n_modes == 36
-    n_bs = sum(1 for it in items if it.kind == "beamsplitter")
-    # 5 beamsplitters per bin minus the skipped boundary couplings
-    assert n_bs == 5 * config.bins - (1 + config.n_rows)
-    assert items == schedule(config)
+    # 3 joining beamsplitters per bin minus the skipped boundary couplings
+    assert len(gates) == 3 * config.bins - (1 + config.n_rows)
+    bs = gate_beamsplitter(np.pi / 4, 0, 1, 2)
+    assert all(np.array_equal(g.block, bs.block) for g in gates)
+    assert [g.modes for g in gates] == [g.modes for g in schedule(config)]
 
 
 def test_schedule_degenerate_single_column():
     config = LatticeConfig(2, 1, 1.0)
-    items = schedule(config)
-    long_delay = [it for it in items if it.kind == "beamsplitter"
-                  and abs(it.modes[0] - it.modes[1]) >= 4 * config.n_rows - 1]
+    long_delay = [g.modes for g in schedule(config)
+                  if abs(g.modes[0] - g.modes[1]) >= 4 * config.n_rows - 1]
     assert long_delay == []
 
 
@@ -199,9 +200,124 @@ def test_phase_delayed_lattice_closed_form():
 
 def test_dot_export_mentions_all_modes():
     config = LatticeConfig(2, 2, 1.0)
-    state, lattice = build_bsl(config)
-    dot = to_dot(state, config, lattice)
+    state, _ = build_bsl(config)
+    dot = to_dot(state, config)
     assert dot.startswith("graph bsl {")
     for mode in range(16):
         assert f"m{mode} " in dot
     assert "color=orange" in dot and "color=blue" in dot
+
+
+# -- edge reports against the pairwise scans they replaced -------------------
+
+
+def _loop_measured_bin(mode, n_rows):
+    t, rail = divmod(mode, 4)
+    return t + (1 if rail == 1 else n_rows if rail == 3 else 0)
+
+
+def _loop_bulk_modes(config):
+    t_max = config.bins - 1
+    out = []
+    for mode in range(config.n_modes):
+        t, rail = divmod(mode, 4)
+        ok = {0: t >= 1, 1: t + 1 <= t_max,
+              2: t >= config.n_rows, 3: t + config.n_rows <= t_max}[rail]
+        if ok:
+            out.append(mode)
+    return out
+
+
+def _loop_edge_summary(state, config):
+    n = state.n_modes
+    z = state.z
+    sech = 1 / np.cosh(2 * config.r)
+    selfloop_dev = float(np.abs(np.diag(z) - 1j * sech).max())
+    off = z - np.diag(np.diag(z))
+    thresh = 1e-6 * np.abs(off).max()
+    bulk = set(_loop_bulk_modes(config))
+    bulk_mags, all_mags, nonlocal_edges = [], [], 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = abs(off[a, b])
+            if w <= thresh:
+                continue
+            all_mags.append(w)
+            if a in bulk and b in bulk:
+                bulk_mags.append(w)
+            dt = abs(_loop_measured_bin(a, config.n_rows)
+                     - _loop_measured_bin(b, config.n_rows))
+            if dt not in (0, 1, config.n_rows):
+                nonlocal_edges += 1
+    bulk_mags = np.array(bulk_mags)
+    all_mags = np.array(all_mags)
+    return {
+        "selfloop": sech,
+        "selfloop_deviation": selfloop_dev,
+        "edges": len(all_mags),
+        "bulk_edges": len(bulk_mags),
+        "bulk_magnitude": float(bulk_mags.mean()) if len(bulk_mags) else 0.0,
+        "bulk_relative_spread": float(np.ptp(bulk_mags) / bulk_mags.mean())
+        if len(bulk_mags) else 0.0,
+        "magnitude_classes": sorted({round(float(m), 9) for m in all_mags}),
+        "nonlocal_edges": nonlocal_edges,
+    }
+
+
+def _loop_to_dot(state, config):
+    n = state.n_modes
+    off = state.z - np.diag(np.diag(state.z))
+    thresh = 1e-6 * np.abs(off).max()
+    lines = ["graph bsl {", "  node [shape=circle fontsize=10];"]
+    for mode in range(n):
+        t, rail = divmod(mode, 4)
+        tau = _loop_measured_bin(mode, config.n_rows)
+        lines.append(f'  m{mode} [label="{mode}\\nt{tau} r{rail}"];')
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = off[a, b]
+            if abs(w) <= thresh:
+                continue
+            color = "blue" if w.real >= 0 else "orange"
+            lines.append(f'  m{a} -- m{b} [color={color} '
+                         f'label="{abs(w):.3f}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _random_sparse_state(rng, n, density):
+    """Complex symmetric Z with sparse off-diagonal support, Im Z > 0."""
+    mask = np.triu(rng.random((n, n)) < density, 1)
+    w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # a spread of magnitudes so some entries fall under the 1e-6 cut
+    w *= 10.0 ** rng.integers(-9, 1, size=(n, n))
+    off = np.where(mask, w, 0)
+    off = off + off.T
+    z = off + 1j * (np.abs(off.imag).sum(axis=1) + 1.0) * np.eye(n)
+    return GraphState(z, np.zeros(2 * n))
+
+
+def _assert_reports_match(state, config):
+    assert edge_summary(state, config) == _loop_edge_summary(state, config)
+    assert to_dot(state, config) == _loop_to_dot(state, config)
+
+
+@pytest.mark.parametrize("n,m,r", [(2, 1, 0.5), (2, 3, 1.0), (3, 2, 3.0),
+                                   (4, 4, 1.0), (5, 3, 0.3)])
+def test_edge_reports_match_pairwise_scan_on_lattices(n, m, r):
+    config = LatticeConfig(n, m, r)
+    assert bulk_modes(config) == _loop_bulk_modes(config)
+    state, _ = build_bsl(config)
+    _assert_reports_match(state, config)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_reports_match_pairwise_scan_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    config = LatticeConfig(int(rng.integers(2, 5)), int(rng.integers(1, 4)),
+                           float(rng.uniform(0.1, 3.0)))
+    state = _random_sparse_state(rng, config.n_modes, [0.02, 0.1, 0.5][seed % 3])
+    _assert_reports_match(state, config)
+    # edgeless graphs: the cut is 0 and no entry passes it
+    empty = GraphState(1j * np.eye(config.n_modes), np.zeros(2 * config.n_modes))
+    _assert_reports_match(empty, config)

@@ -6,6 +6,8 @@ SymplecticGate(g.s, g.d) forces the dense Mobius solve, which is the
 reference here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,16 +163,38 @@ def test_omega_is_the_block_form():
 
 
 def dense_schedule(config):
-    """Lattice graph with every scheduled gate applied as a dense gate."""
-    state = squeezed_vacua(np.zeros(config.n_modes))
-    for item in lat.schedule(config):
-        state = apply(state, dense(lat._gate_of(item, config.n_modes)))
+    """Lattice graph from the full physical circuit, every gate dense.
+
+    Per bin t: squeezers on the four rails, the cluster-pair fusions of
+    rails (0, 1) and (2, 3), then the in-bin beamsplitter and the one-bin
+    and N-bin delay-line beamsplitters.
+    """
+    n, rows = config.n_modes, config.n_rows
+    gates = []
+    for t in range(config.bins):
+        base = 4 * t
+        gates += [gate_squeeze(config.r, base + rail, n) for rail in range(4)]
+        for i, j in ((base, base + 1), (base + 2, base + 3)):
+            gates += [gate_rotation(np.pi / 2, i, n),
+                      gate_beamsplitter(np.pi / 4, i, j, n),
+                      gate_rotation(-np.pi / 4, i, n),
+                      gate_rotation(-np.pi / 4, j, n)]
+        gates.append(gate_beamsplitter(np.pi / 4, base, base + 2, n))
+        if t >= 1:
+            gates.append(gate_beamsplitter(np.pi / 4, base - 3, base, n))
+        if t >= rows:
+            gates.append(gate_beamsplitter(np.pi / 4, 4 * (t - rows) + 3,
+                                           base + 2, n))
+    state = squeezed_vacua(np.zeros(n))
+    for g in gates:
+        state = apply(state, dense(g))
     return state
 
 
 def test_lattice_build_matches_dense_reference():
-    for size in (2, 3):
-        config = lat.LatticeConfig(size, size, 1.0)
+    sizes = [(2, 1), (2, 3), (3, 2)] + [(k, k) for k in range(2, 6)]
+    for (n, m), r in itertools.product(sizes, (0.3, 1.0, 4.0)):
+        config = lat.LatticeConfig(n, m, r)
         state, _ = lat.build_bsl(config)
         ref = dense_schedule(config)
         assert np.abs(state.z - ref.z).max() <= 1e-12
@@ -178,9 +202,12 @@ def test_lattice_build_matches_dense_reference():
         for k in range(config.n_modes):
             phi_ref = apply(phi_ref, dense(gate_rotation(np.pi / 4, k,
                                                          config.n_modes)))
-        assert np.abs(phi.z - phi_ref.z).max() <= 1e-12
-        z_ideal = (1j / np.cosh(2.0) * np.eye(config.n_modes)
-                   + np.tanh(2.0) * lat.ideal_graph(config))
+        # the quarter delay has cond e^{2r} and entries up to cosh 2r, so
+        # both paths carry roundoff of about eps e^{2r} cosh 2r (1e-9 at r = 4)
+        tol = max(1e-12, 1e-15 * np.exp(2 * r) * np.cosh(2 * r))
+        assert np.abs(phi.z - phi_ref.z).max() <= tol
+        z_ideal = (1j / np.cosh(2 * r) * np.eye(config.n_modes)
+                   + np.tanh(2 * r) * lat.ideal_graph(config))
         assert np.abs(z_ideal - ref.z).max() <= 1e-12
 
 

@@ -11,8 +11,9 @@ from bslsim.graphstate import (GraphState, apply, covariance, gate_beamsplitter,
 from bslsim.identities import (verify_commutation, verify_teleport_identity,
                                verify_cubic_device, verify_teleport_circuit)
 from bslsim.mbqc import measure_quadrature
-from bslsim.oracle import (GridError, WaveFunction, _from_p, _to_p,
-                           _two_mode_phase, fidelity_up_to_phase, p_axis, q_axis)
+from bslsim.oracle import (GridError, WaveFunction, _bluestein, _from_p, _to_p,
+                           _two_mode_phase, cubic_weights, fidelity_up_to_phase,
+                           p_axis, q_axis)
 
 L, P1, P2 = 12.0, 1024, 512
 
@@ -108,6 +109,42 @@ def test_p_diagonal_gates_match_centred_composition(points):
     for lam, ax in ((-0.41, 0), (0.71, 1)):    # wf is the 2-mode grid here
         d = np.exp(1j * lam * _along(pv, ax, 2) * _along(qv, 1 - ax, 2))
         _assert_close(wf._shear_between(lam, ax).psi, _centred(wf.psi, ax, d))
+
+
+def _bluestein_padded_4p(x, a):
+    """Chirp-z sum with the convolution zero-padded to 4P."""
+    points = x.shape[-1]
+    idx = np.arange(points) - points // 2
+    c = np.exp(0.5j * a * idx * idx)
+    k = np.arange(-points + 1, points)
+    kern = np.exp(-0.5j * a * k * k)
+    nfft = 4 * points
+    conv = np.fft.ifft(np.fft.fft(x * c, nfft, axis=-1)
+                       * np.fft.fft(kern, nfft), axis=-1)
+    return c * conv[..., points - 1:2 * points - 1]
+
+
+@pytest.mark.parametrize("points", [4, 8, 64, 256, 1024])
+def test_bluestein_matches_4p_padding(points):
+    rng = np.random.default_rng(points)
+    rows = 3 if points > 64 else points
+    x = rng.normal(size=(rows, points)) + 1j * rng.normal(size=(rows, points))
+    for a in (0.37, -1.1, 2 * np.pi / points):
+        got, want = _bluestein(x, a), _bluestein_padded_4p(x, a)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # a = 2 pi / P is the centred DFT, which the direct sum reproduces
+    idx = np.arange(points) - points // 2
+    dft = np.exp(2j * np.pi / points * np.outer(idx, idx))
+    assert np.allclose(_bluestein(x, 2 * np.pi / points), x @ dft.T,
+                       atol=1e-10 * points)
+
+
+def test_cubic_weights_interpolate_cubics_exactly():
+    w = np.linspace(0.0, 1.0, 7, endpoint=False)
+    for coeffs in ([1.0, 0, 0, 0], [0.3, -1.2, 0.5, 2.0]):
+        poly = np.polynomial.Polynomial(coeffs)
+        got = sum(cf * poly(k) for k, cf in cubic_weights(w))
+        assert np.abs(got - poly(w)).max() <= 1e-13
 
 
 def test_cz_matches_direct_phase_on_non_square_grid():
