@@ -75,15 +75,22 @@ class GraphState:
         object.__setattr__(self, "mean", mean)
 
     @classmethod
-    def _principal_submatrix(cls, z: np.ndarray, mean) -> "GraphState":
-        """State whose z is a principal submatrix of an accepted state's z.
+    def _posterior(cls, z: np.ndarray, mean) -> "GraphState":
+        """State left by a homodyne measurement on an accepted state.
 
-        Such a z is finite and exactly symmetric, and by Cauchy interlacing
-        the smallest eigenvalue of its Im part is at least the accepted
-        state's, so the definiteness check cannot fail and is skipped.  The
-        mean is new and is still checked.
+        z must be exactly symmetric.  It is the measured state's graph
+        conditioned on one outcome, and that cannot lower the smallest
+        eigenvalue of Im Z: the rotation before the projection has
+        A + B Z = M equal to I outside row k, Im Z' = M^-H Im Z M^-1, and for
+        x on the surviving modes y = M^-1 x equals x off mode k, so
+        x^H Im Z'_rr x = y^H Im Z y >= lambda_min |y|^2 >= lambda_min |x|^2.
+        The definiteness check therefore cannot fail, apart from roundoff of
+        order eps cond(M) |Z|, and it is skipped; z and the new mean are
+        still checked for finiteness.
         """
         mean = np.asarray(mean, dtype=float)
+        if not np.isfinite(z).all():
+            raise GraphStateError("graph matrix Z must be finite")
         if not np.isfinite(mean).all():
             raise GraphStateError("mean must be finite")
         state = object.__new__(cls)

@@ -275,6 +275,15 @@ def to_dot(state: GraphState, config: LatticeConfig) -> str:
 # -- canonical dual-rail wire (the decoupled-resource idealization) ----------
 
 
+def _site_beamsplitters(a: np.ndarray) -> np.ndarray:
+    """O a, O the 50:50 beamsplitter B(pi/4) on every row pair (2k, 2k+1)."""
+    even, odd = a[0::2], a[1::2]
+    out = np.empty_like(a)
+    out[0::2] = (even - odd) * np.sqrt(0.5)
+    out[1::2] = (even + odd) * np.sqrt(0.5)
+    return out
+
+
 def canonical_wire(n_sites: int, r: float,
                    input_state: GraphState | None = None) -> GraphState:
     """Dual-rail wire of n_sites macronodes in the physical mode basis.
@@ -304,7 +313,8 @@ def canonical_wire(n_sites: int, r: float,
     for k in range(n_sites - 1):
         a, b = 2 * k + 1, 2 * k + 2
         z[a, b] = z[b, a] = tanh
-    state = GraphState(z, mean)
-    for k in range(n_sites):
-        state = apply(state, gate_beamsplitter(np.pi / 4, 2 * k, 2 * k + 1, n))
-    return state
+    # the site beamsplitters form one real orthogonal O that acts alike on q
+    # and p, so Z -> O Z O^T and each half of the mean -> O half
+    return GraphState(_site_beamsplitters(_site_beamsplitters(z).T).T,
+                      np.concatenate([_site_beamsplitters(mean[:n]),
+                                      _site_beamsplitters(mean[n:])]))

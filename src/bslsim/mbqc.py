@@ -1,10 +1,13 @@
 """Homodyne measurement on graph states and the macronode gate protocols.
 
 Measuring the rotated quadrature q(theta) = q cos(theta) - p sin(theta) is
-realized by applying R(theta) and projecting onto a position eigenstate;
-the momentum-type quadrature p(theta) equals q(theta - pi/2).  Conditioning
-a pure Gaussian state on q_k = m keeps the state pure: the graph loses row
-and column k and the linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
+R(theta) followed by a projection onto a position eigenstate; the
+momentum-type quadrature p(theta) equals q(theta - pi/2).  The rotation is
+never applied as a gate: in the graphical calculus for Gaussian pure states
+(Menicucci, Flammia & van Loock, PRA 83, 042335, 2011) it is a rank-1
+update of the surviving graph.  Conditioning a pure Gaussian state on
+q_k = m keeps the state pure: the graph loses row and column k and the
+linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
 
 The macronode protocols follow the slot convention of lattice.canonical_wire:
 a site's physical modes are alpha = mode 2k, beta = 2k+1, obtained from the
@@ -20,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
-                         gate_beamsplitter, gate_rotation)
+from .graphstate import (GraphState, GraphStateError, SymplecticGate,
+                         _check_cond, apply, gate_beamsplitter)
 from .lattice import MacronodeLattice, canonical_wire
 
 
@@ -43,10 +46,15 @@ class MeasurementRecord:
     events: list = field(default_factory=list)
     frame: tuple = (0.0, 0.0)
     adaptations: list = field(default_factory=list)
+    _measured: set = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._measured = {e.mode for e in self.events}
 
     def add(self, mode: int, theta: float, outcome: float):
-        if any(e.mode == mode for e in self.events):
+        if mode in self._measured:
             raise ProgramError(f"mode {mode} was already measured")
+        self._measured.add(mode)
         self.events.append(MeasurementEvent(mode, theta, outcome))
 
     def to_json(self) -> str:
@@ -77,44 +85,81 @@ def measure_quadrature(state: GraphState, mode: int, theta: float,
     return post, m
 
 
+def _rotation_cond(z: np.ndarray, mode: int, theta: float) -> float:
+    """cond(A + B Z) of R(theta) on one mode in closed form, in O(n).
+
+    A + B Z is the identity outside row k, which holds piv = cos - sin Z_kk
+    on the diagonal and -sin Z[k, rest] elsewhere.  As in local_cond, that
+    leaves [[piv, x], [0, 1]] with x = |sin| |Z[k, rest]|, whose singular
+    values have squared sum F = |piv|^2 + x^2 + 1 and product |piv|, so the
+    cond is (F + sqrt(F^2 - 4 |piv|^2)) / (2 |piv|).  F^2 - 4 |piv|^2 is
+    taken as ((|piv| - 1)^2 + x^2)((|piv| + 1)^2 + x^2), which stays accurate
+    near cond 1.  One mode leaves the 1 x 1 matrix [piv], of cond 1.
+    """
+    if len(z) == 1:
+        return 1.0
+    cos, sin = np.cos(theta), np.sin(theta)
+    a = abs(cos - sin * z[mode, mode])
+    row = z[mode].copy()
+    row[mode] = 0.0
+    x2 = sin * sin * np.vdot(row, row).real
+    disc = np.sqrt(((a - 1) ** 2 + x2) * ((a + 1) ** 2 + x2))
+    return (a * a + x2 + 1 + disc) / (2 * a)
+
+
 def measure_with_response(state: GraphState, mode: int, theta: float,
                           outcome: float | None = None, rng=None, jac=None):
     """measure_quadrature that also carries the outcome Jacobian through.
 
     jac holds one column per earlier outcome, the sensitivity of state.mean
-    to it (2n x j; None means no columns).  Conditioning the rotated state
-    on q_k = m maps the mean to T mean + m g, with T linear, so one solve
-    against Im Z[rest, rest] serves the mean, the j columns and Z[rest, k]:
-    the last solved column is g, and its q part gives the marginal variance
-    of q_k as the Schur complement 1 / (2 (Y_kk + y_k^T g_q)), where
-    Y = Im Z and y_k = Y[rest, k].  Returns (posterior, outcome, jac') with
-    jac' of shape (2n - 2) x (j + 1): the carried columns, then g.
+    to it (2n x j; None means no columns).  Measuring q(theta) is R(theta)
+    on mode k, then the projection q_k = m.  The rotated state is never
+    formed: with piv = cos - sin Z_kk the rotation's A + B Z is the identity
+    outside row k, so the rotated Z[rest, k] is Z_rk / piv and the graph of
+    the surviving modes is the rank-1 update
+    Z_rr + (sin / piv) Z_rk Z_kr (node deletion in the graphical calculus),
+    while the mean and the Jacobian rotate on rows q_k, p_k alone.
+    Conditioning on q_k = m maps the mean to T mean + m g, with T linear, so
+    one solve against Im Z_post serves the mean, the j columns and the
+    rotated Z[rest, k]: the last solved column is g, and its q part gives
+    the marginal variance of q_k as the Schur complement
+    1 / (2 (Y_kk + y_k^T g_q)), where Y = Im Z and y_k = Y[rest, k] of the
+    rotated state.  Returns (posterior, outcome, jac') with jac' of shape
+    (2n - 2) x (j + 1): the carried columns, then g.
     """
     n = state.n_modes
     if not 0 <= mode < n:
         raise GraphStateError(f"mode {mode} out of range")
     if jac is None:
         jac = np.zeros((2 * n, 0))
-    rot = gate_rotation(theta, mode, n)
-    state = apply(state, rot)
+    z = state.z
+    _check_cond(_rotation_cond(z, mode, theta))
+    cos, sin = np.cos(theta), np.sin(theta)
+    piv = cos - sin * z[mode, mode]
+    rest = np.arange(n - 1)          # every mode but `mode`
+    rest[mode:] += 1
+    zrk = z[rest, mode]
+    # outer(v, v) may round its mirror entries differently (fused
+    # multiply-add), so the update is symmetrized to keep Z_post symmetric
+    upd = np.outer(zrk, zrk)
+    zr = z[np.ix_(rest, rest)] + (sin / (2 * piv)) * (upd + upd.T)
+    zrk = zrk / piv
     cols = np.column_stack([state.mean, jac])
-    cols[rot.index, 1:] = rot.block @ cols[rot.index, 1:]
-    rest = np.delete(np.arange(n), mode)
-    zr = state.z[np.ix_(rest, rest)]
-    # c = mu_p - Z mu_q per column, restricted to the surviving rows
-    c = (cols[n:] - state.z @ cols[:n])[rest]
-    c = np.column_stack([c, state.z[rest, mode]])
+    rows = [mode, n + mode]
+    cols[rows] = np.array([[cos, -sin], [sin, cos]]) @ cols[rows]
+    # c = mu_p - Z mu_q of the rotated state per column, on the surviving
+    # rows, then the rotated Z[rest, k]
+    c = cols[n + rest] - zr @ cols[rest] - np.outer(zrk, cols[mode])
+    c = np.column_stack([c, zrk])
     q = -np.linalg.solve(zr.imag, c.imag)
     resp = np.concatenate([q, c.real + zr.real @ q])
     if outcome is None:
-        y = state.z.imag
-        var = 0.5 / (y[mode, mode] + y[rest, mode] @ q[:, -1])
-        outcome = float(_rng_of(rng).normal(state.mean[mode], np.sqrt(var)))
+        y_kk = ((sin + cos * z[mode, mode]) / piv).imag
+        var = 0.5 / (y_kk + zrk.imag @ q[:, -1])
+        outcome = float(_rng_of(rng).normal(cols[mode, 0], np.sqrt(var)))
     if not np.isfinite(outcome):
         raise GraphStateError("measurement outcome must be finite")
-    # zr is a principal submatrix of the checked rotated state's z
-    post = GraphState._principal_submatrix(
-        zr, resp[:, 0] + outcome * resp[:, -1])
+    post = GraphState._posterior(zr, resp[:, 0] + outcome * resp[:, -1])
     return post, float(outcome), resp[:, 1:]
 
 
@@ -360,6 +405,17 @@ def _number(value, name: str, cast=float):
     return out
 
 
+def _fields(obj, name: str, keys):
+    """The listed fields of a program object; a ProgramError naming the gap."""
+    if not isinstance(obj, dict):
+        raise ProgramError(
+            f"malformed program: {name} must be an object, got {obj!r}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ProgramError(f"malformed program: {name} is missing {missing}")
+    return [obj[key] for key in keys]
+
+
 def _wire_resource(desc: dict):
     sites = _number(desc.get("macronodes", 2), "resource.macronodes", int)
     r = _number(desc.get("r", 6.0), "resource.r")
@@ -401,12 +457,8 @@ def run_program(program: dict, seed=None) -> ProgramResult:
     macronode circuit, which is Gaussian-simulable exactly when chi = 0.
     """
     rng = _rng_of(seed)
-    try:
-        resource = program["resource"]
-        kind = resource["kind"]
-        steps = program["steps"]
-    except (KeyError, TypeError) as exc:
-        raise ProgramError(f"malformed program: missing {exc}") from exc
+    resource, steps = _fields(program, "program", ("resource", "steps"))
+    (kind,) = _fields(resource, "resource", ("kind",))
     if not isinstance(steps, list):
         raise ProgramError(f"steps must be a list, got {steps!r}")
     if kind == "wire":
@@ -447,11 +499,8 @@ def run_program(program: dict, seed=None) -> ProgramResult:
         jac[gate.index] = gate.block @ jac[gate.index]
 
     for i, step in enumerate(steps):
-        try:
-            time_index, detector = step["time_index"], step["detector"]
-            basis = step["basis"]
-        except (KeyError, TypeError) as exc:
-            raise ProgramError(f"malformed step {step!r}") from exc
+        time_index, detector, basis = _fields(
+            step, f"steps[{i}]", ("time_index", "detector", "basis"))
         key = (_number(time_index, f"steps[{i}].time_index", int), str(detector))
         if not isinstance(basis, dict):
             raise ProgramError(f"steps[{i}].basis must be an object, got {basis!r}")

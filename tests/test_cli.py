@@ -244,3 +244,34 @@ def test_lattice_squeezing_range(tmp_path, capsys, r, code):
                  "--squeezing", str(r)]) == code
     if code:
         assert "(0, 8.0] for the lattice" in capsys.readouterr().err
+
+
+def test_run_program_ill_conditioned_measurement_exits_2(tmp_path, capsys):
+    # at r = 15 the x mode's self-loop is i sech 30, so p-type homodyne there
+    # divides by it: cond(A + B Z) is about 8e12, past COND_LIMIT
+    prog = {"resource": {"kind": "wire", "macronodes": 6, "r": 15.0},
+            "steps": [{"time_index": 0, "detector": "x",
+                       "basis": {"theta": np.pi / 2}}]}
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(json.dumps(prog))
+    assert main(["run-program", str(ppath)]) == 2
+    assert "graph update is ill-conditioned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prog,message", [
+    ({"resource": "wire", "steps": []}, "resource must be an object"),
+    ([], "program must be an object"),
+    ({"steps": []}, "program is missing ['resource']"),
+    ({"resource": {"r": 1.0}, "steps": []}, "resource is missing ['kind']"),
+    ({"resource": {"kind": "wire"}, "steps": [{"detector": "x"}]},
+     "steps[0] is missing ['time_index', 'basis']"),
+    ({"resource": {"kind": "wire"}, "steps": [3]},
+     "steps[0] must be an object"),
+])
+def test_run_program_malformed_structure_exit_2(tmp_path, capsys, prog,
+                                                message):
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(json.dumps(prog))
+    assert main(["run-program", str(ppath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed program:") and message in err

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bslsim.graphstate import (GraphState, GraphStateError, covariance,
-                               gate_beamsplitter, omega)
+from bslsim.graphstate import (GraphState, GraphStateError, apply,
+                               covariance, gate_beamsplitter, omega)
 from bslsim.lattice import (LatticeConfig, build_bsl, build_square, bulk_modes,
                             canonical_wire, edge_summary, graph_part,
                             ideal_graph, schedule, to_dot)
@@ -167,6 +167,33 @@ def test_canonical_wire_structure():
     v = graph_part(wire, r)
     blk = v[0:2, 2:4]
     assert np.abs(np.abs(blk) - np.tanh(2 * r) / 2 / np.tanh(2 * r)).max() < 1e-10
+
+
+def wire_reference(n_sites, r, input_state=None):
+    """canonical_wire as the per-site beamsplitter loop it replaces."""
+    n = 2 * n_sites
+    z = 1j / np.cosh(2 * r) * np.eye(n, dtype=complex)
+    mean = np.zeros(2 * n)
+    if input_state is not None:
+        z[0, 0] = input_state.z[0, 0]
+        mean[[0, n]] = input_state.mean
+    for k in range(n_sites - 1):
+        z[2 * k + 1, 2 * k + 2] = z[2 * k + 2, 2 * k + 1] = np.tanh(2 * r)
+    state = GraphState(z, mean)
+    for k in range(n_sites):
+        state = apply(state, gate_beamsplitter(np.pi / 4, 2 * k, 2 * k + 1, n))
+    return state
+
+
+@pytest.mark.parametrize("r", [0.3, 5.0, 15.0])
+def test_canonical_wire_matches_beamsplitter_loop(r):
+    inp = GraphState(np.array([[0.3 + 0.9j]]), np.array([0.2, -0.5]))
+    for n_sites in range(2, 7):
+        for state in (None, inp):
+            got, want = canonical_wire(n_sites, r, state), \
+                wire_reference(n_sites, r, state)
+            assert np.abs(got.z - want.z).max() <= 1e-12
+            assert np.abs(got.mean - want.mean).max() <= 1e-12
 
 
 def test_invalid_configs():

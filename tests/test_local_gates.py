@@ -18,7 +18,8 @@ from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
                                apply, covariance, gate_beamsplitter, gate_cz,
                                gate_displacement, gate_rotation, gate_shear,
                                gate_squeeze, local_cond, omega, squeezed_vacua)
-from bslsim.mbqc import measure_with_response
+from bslsim import mbqc
+from bslsim.mbqc import _rotation_cond, decouple_wires, measure_with_response
 from bslsim.nullifiers import phi_transform
 
 KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz")
@@ -45,9 +46,9 @@ def local_gate(draw, n):
 
 
 @st.composite
-def circuit(draw, min_modes=1):
-    """(initial squeezed state, list of local gates) on min_modes-6 modes."""
-    n = draw(st.integers(min_modes, 6))
+def circuit(draw, min_modes=1, max_modes=6):
+    """(initial squeezed state, list of local gates) on min-max_modes modes."""
+    n = draw(st.integers(min_modes, max_modes))
     r = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
     return squeezed_vacua(r), draw(st.lists(local_gate(n), min_size=1, max_size=8))
 
@@ -123,6 +124,39 @@ def test_local_cond_matches_dense_cond(case, theta, i):
         a, b, _, _ = gate.blocks()
         want = np.linalg.cond(a + b @ state.z)
         assert abs(local_cond(state.z, gate) - want) <= 1e-9 * want
+
+
+@settings(max_examples=120, deadline=None)
+@given(circuit(), st.sampled_from([0.0, np.pi / 2, -np.pi / 2]) | angle,
+       st.integers(0, 5))
+def test_rotation_cond_closed_form_matches_local_cond(case, theta, i):
+    # the O(n) guard of a measurement against the exact cond of the gate
+    state, gates = case
+    for g in gates:
+        state = apply(state, g)
+    n, k = state.n_modes, i % state.n_modes
+    want = local_cond(state.z, gate_rotation(theta, k, n))
+    assert abs(_rotation_cond(state.z, k, theta) - want) <= 1e-11 * want
+
+
+def test_rotation_cond_closed_form_on_ill_conditioned_states():
+    # a small Im Z with cot(theta) near Re Z_kk puts piv = cos - sin Z_kk
+    # near 0, which drives the cond up to the COND_LIMIT range
+    rng = np.random.default_rng(5)
+    conds = []
+    for trial in range(600):
+        n = int(rng.integers(1, 9))
+        x = rng.normal(size=(n, n))
+        a = rng.normal(size=(n, n))
+        y = (a @ a.T + 1e-3 * np.eye(n)) * 10.0 ** rng.uniform(-12, 3)
+        z = (x + x.T) / 2 + 1j * y
+        k = int(rng.integers(n))
+        theta = (np.arctan2(1.0, z[k, k].real) if trial % 2
+                 else rng.uniform(-np.pi, np.pi))
+        want = local_cond(z, gate_rotation(theta, k, n))
+        assert abs(_rotation_cond(z, k, theta) - want) <= 1e-11 * want
+        conds.append(want)
+    assert min(conds) == 1.0 and max(conds) > 1e12
 
 
 def embed_reference(n, modes, block, disp):
@@ -239,8 +273,8 @@ def test_measurement_response_matches_finite_differences():
 @settings(max_examples=80, deadline=None)
 @given(circuit(), st.data())
 def test_posterior_skips_only_a_check_that_cannot_fail(case, data):
-    # the posterior's Z is a principal submatrix of the rotated state's, so
-    # by Cauchy interlacing its Im part is at least as definite
+    # the posterior's Z is the rotated state's Z on the surviving modes, and
+    # measuring cannot lower the smallest eigenvalue of Im Z
     state, gates = case
     for g in gates:
         state = apply(state, g)
@@ -248,17 +282,108 @@ def test_posterior_skips_only_a_check_that_cannot_fail(case, data):
         n = state.n_modes
         mode, theta = data.draw(st.integers(0, n - 1)), data.draw(angle)
         rotated = apply(state, gate_rotation(theta, mode, n))
+        y = state.z.imag
+        low_in = np.linalg.eigvalsh(y).min()
         state, _, _ = measure_with_response(state, mode, theta,
                                             data.draw(st.floats(-3, 3)))
         rest = np.delete(np.arange(n), mode)
-        assert np.array_equal(state.z, rotated.z[np.ix_(rest, rest)])
+        want = rotated.z[np.ix_(rest, rest)]
+        assert np.abs(state.z - want).max(initial=0) <= 1e-13 * scale(rotated.z)
         checked = GraphState(state.z, state.mean)
         assert np.array_equal(checked.z, state.z)
         assert np.array_equal(checked.mean, state.mean)
         if state.n_modes:
-            y = rotated.z.imag
             low = np.linalg.eigvalsh(state.z.imag).min()
-            assert low >= np.linalg.eigvalsh(y).min() - 1e-13 * scale(y)
+            assert low >= low_in - 1e-13 * scale(y)
+
+
+def test_posterior_is_exactly_symmetric():
+    # complex outer products can round mirror entries differently (fused
+    # multiply-add); the posterior must still be exactly symmetric, as the
+    # skipped GraphState check would have made it
+    rng = np.random.default_rng(8)
+    for n in range(2, 9):
+        x, a = rng.normal(size=(2, n, n))
+        state = GraphState((x + x.T) / 2 + 1j * (a @ a.T + np.eye(n)),
+                           rng.normal(size=2 * n))
+        for mode in range(n):
+            post, _, _ = measure_with_response(
+                state, mode, rng.uniform(-np.pi, np.pi), 0.3)
+            assert np.array_equal(post.z, post.z.T)
+
+
+def measure_reference(state, mode, theta, outcome=None, rng=None, jac=None):
+    """The measurement the rank-1 update replaces, on the rotated state.
+
+    R(theta) is applied as a gate, which checks the rotated state, then one
+    stacked solve conditions the mean, the carried columns and Z[rest, k].
+    """
+    n = state.n_modes
+    if jac is None:
+        jac = np.zeros((2 * n, 0))
+    rot = gate_rotation(theta, mode, n)
+    state = apply(state, rot)
+    cols = np.column_stack([state.mean, jac])
+    cols[rot.index, 1:] = rot.block @ cols[rot.index, 1:]
+    rest = np.delete(np.arange(n), mode)
+    zr = state.z[np.ix_(rest, rest)]
+    c = (cols[n:] - state.z @ cols[:n])[rest]
+    c = np.column_stack([c, state.z[rest, mode]])
+    q = -np.linalg.solve(zr.imag, c.imag)
+    resp = np.concatenate([q, c.real + zr.real @ q])
+    if outcome is None:
+        y = state.z.imag
+        var = 0.5 / (y[mode, mode] + y[rest, mode] @ q[:, -1])
+        outcome = float(rng.normal(state.mean[mode], np.sqrt(var)))
+    post = GraphState(zr, resp[:, 0] + outcome * resp[:, -1])
+    return post, outcome, resp[:, 1:]
+
+
+def assert_close(got, want, tol=1e-12):
+    """|got - want| <= tol max(1, |want|) entrywise."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(circuit(max_modes=8), st.data())
+def test_measurement_matches_dense_reference(case, data):
+    state, gates = case
+    for g in gates:
+        state = apply(state, g)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    j = data.draw(st.integers(0, 3))
+    jac = np.random.default_rng(seed).normal(size=(2 * state.n_modes, j))
+    for _ in range(data.draw(st.integers(1, min(3, state.n_modes)))):
+        mode = data.draw(st.integers(0, state.n_modes - 1))
+        theta = data.draw(st.sampled_from([0.0, np.pi / 2, -np.pi / 2]) | angle)
+        forced = data.draw(st.none() | st.floats(-3, 3))
+        post, m, resp = measure_with_response(
+            state, mode, theta, forced, np.random.default_rng(seed), jac)
+        want, m_ref, resp_ref = measure_reference(
+            state, mode, theta, forced, np.random.default_rng(seed), jac)
+        assert_close(m, m_ref)
+        assert_close(post.z, want.z)
+        assert_close(post.mean, want.mean)
+        assert_close(resp, resp_ref)
+        # both paths go on from the reference, so errors do not compound
+        state, jac = want, resp_ref
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_decouple_wires_matches_dense_reference(size, monkeypatch):
+    state, lattice = lat.build_bsl(lat.LatticeConfig(size, size, 1.0))
+    res = decouple_wires(state, lattice, rng=1)
+    monkeypatch.setattr(mbqc, "measure_with_response", measure_reference)
+    ref = decouple_wires(state, lattice, rng=1)
+    assert [(e.mode, e.theta) for e in res.record.events] == \
+        [(e.mode, e.theta) for e in ref.record.events]
+    assert_close([e.outcome for e in res.record.events],
+                 [e.outcome for e in ref.record.events])
+    assert res.mode_index == ref.mode_index
+    assert_close(res.state.z, ref.state.z)
+    assert_close(res.state.mean, ref.state.mean)
 
 
 def test_posterior_with_non_finite_mean_is_rejected():

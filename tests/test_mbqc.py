@@ -12,8 +12,9 @@ from bslsim.graphstate import (GraphState, GraphStateError, apply, covariance,
                                gate_rotation, gate_shear, gate_squeeze, omega,
                                squeezed_vacua, vacuum)
 from bslsim.lattice import LatticeConfig, build_bsl, graph_part
-from bslsim.mbqc import (MeasurementRecord, ProgramError, adapted_sigma,
-                         commutation_kick, cubic_kick, cubic_shear,
+from bslsim.mbqc import (MeasurementEvent, MeasurementRecord, ProgramError,
+                         adapted_sigma, commutation_kick, cubic_kick,
+                         cubic_shear,
                          cz_gate_angles, decouple_wires, feedforward,
                          measure_quadrature, measure_with_response, run_program,
                          simulate_single_mode_gate, two_mode_gate, v_gate,
@@ -274,6 +275,19 @@ def test_two_mode_gate_symplectic_and_consistent_displacements():
         assert np.abs(g.s @ om @ g.s.T - om).max() < 1e-10
         again = two_mode_gate(cz_gate_angles(np.pi / 3, k), outcomes, k)
         assert np.array_equal(g.d, again.d)
+
+
+def test_record_rejects_a_mode_measured_twice():
+    seeded = MeasurementRecord([MeasurementEvent(3, 0.0, 0.1)])
+    with pytest.raises(ProgramError, match="mode 3 was already measured"):
+        seeded.add(3, 0.5, 0.2)
+    rec = MeasurementRecord()
+    rec.add(("anc", 0), 0.0, 0.4)
+    rec.add(2, 0.1, -0.3)
+    with pytest.raises(ProgramError, match="already measured"):
+        rec.add(("anc", 0), 0.0, 0.4)
+    assert [e.mode for e in rec.events] == [("anc", 0), 2]
+    assert rec == MeasurementRecord(list(rec.events))
 
 
 def test_feedforward_gaussian_and_cubic():
