@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphstate import GraphState, GraphStateError
-from .identities import run_suite, verify_cubic_device
+from .identities import run_cases, run_suite
 from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
                       to_dot)
 from .mbqc import ProgramError, run_program
@@ -54,9 +54,6 @@ def _echo(args: argparse.Namespace) -> dict:
 
 
 def cmd_build_bsl(args) -> int:
-    if args.lattice[0] < 2 or args.lattice[1] < 2:
-        print("build-bsl needs N >= 2 and M >= 2", file=sys.stderr)
-        return 2
     config = LatticeConfig(args.lattice[0], args.lattice[1], args.squeezing)
     state, lattice = build_bsl(config)
     summary = edge_summary(state, config)
@@ -92,17 +89,19 @@ def cmd_verify_nullifiers(args) -> int:
         print(f"exact nullifier variances: max {np.abs(variances).max():.3e} "
               f"-> {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
-    n, m = args.lattice
+    configs = [LatticeConfig(*args.lattice, r)
+               for r in args.squeezing_list or [1.0]]
+    if args.report and len(configs) > 1:
+        print("error: --report holds one witness report; give one "
+              "--squeezing with it", file=sys.stderr)
+        return 2
+    nulls = quadrature_nullifiers(ideal_graph(configs[0]))
     overall = True
-    for r in args.squeezing_list:
-        config = LatticeConfig(n, m, r)
-        state, _ = build_bsl(config)
-        v = ideal_graph(config)
-        phi = phi_transform(state)
-        nulls = quadrature_nullifiers(v)
+    for config in configs:
+        phi = phi_transform(build_bsl(config)[0])
         variances = nullifier_variances(phi, nulls)
         report = witness_from_variances(variances, nulls, args.threshold_factor)
-        print(f"r = {r}: analytic witness "
+        print(f"r = {config.r}: analytic witness "
               f"{'pass' if report.passed else 'FAIL'} "
               f"(max variance {variances.max():.6f})")
         overall &= report.passed
@@ -144,7 +143,6 @@ def cmd_run_program(args) -> int:
 def cmd_verify_identities(args) -> int:
     half, pts = args.grid
     if args.cases is not None:
-        from .identities import run_cases
         cases = json.loads(Path(args.cases).read_text())
         if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
             print("error: --cases must hold a JSON list of case objects",
@@ -152,14 +150,10 @@ def cmd_verify_identities(args) -> int:
             return 2
         reports = run_cases(cases, pts, half)
     elif args.chi is not None:
-        try:
-            from .identities import default_input
-            psi = default_input(pts, half)
-            reports = [verify_cubic_device(args.chi, args.sigma,
-                                           tuple(args.outcomes), args.r, psi)]
-        except (GridError, GraphStateError) as exc:
-            reports = [{"identity": "L", "params": {"chi": args.chi},
-                        "error": str(exc), "pass": False}]
+        reports = run_cases([{"identity": "L", "chi": args.chi,
+                              "sigma": args.sigma,
+                              "outcomes": args.outcomes, "r": args.r}],
+                            pts, half)
     else:
         reports = list(run_suite(args.suite, pts, half, args.seed))
     ok = True
@@ -195,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-bsl", help="build the lattice and export graphs")
-    p.add_argument("-N", type=int, help="rows (long-delay length)")
-    p.add_argument("-M", type=int, help="columns")
     p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
     p.add_argument("--out", default="bsl", help="output path prefix")
@@ -250,13 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "N", None) is not None or getattr(args, "M", None) is not None:
-        args.lattice = (args.N if args.N is not None else args.lattice[0],
-                        args.M if args.M is not None else args.lattice[1])
-    if getattr(args, "squeezing_list", "missing") is None:
-        args.squeezing_list = [1.0]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ProgramError, GraphStateError, GridError, OSError,

@@ -147,6 +147,15 @@ def _build_coords(config: LatticeConfig) -> dict:
     return coords
 
 
+def _mode_at(config: LatticeConfig, time_index: int, detector: str):
+    """_build_coords(config).get((time_index, detector)) in O(1): checking a
+    program against the lattice costs O(steps) whatever its size."""
+    if detector not in ("b", "c", "x", "a"):
+        return None
+    t = time_index - {"c": 1, "a": config.n_rows}.get(detector, 0)
+    return 4 * t + "bcxa".index(detector) if 0 <= t < config.bins else None
+
+
 def _pairs(n: int) -> np.ndarray:
     """Graph V0 of the cluster pairs on modes (0, 1), (2, 3), ..."""
     v = np.zeros((n, n))

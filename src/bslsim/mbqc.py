@@ -19,13 +19,15 @@ at beta.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate,
                          _check_cond, apply, gate_beamsplitter)
-from .lattice import MacronodeLattice, canonical_wire
+from .lattice import (LatticeConfig, MacronodeLattice, _mode_at,
+                      build_bsl, canonical_wire)
 
 
 class ProgramError(ValueError):
@@ -235,16 +237,14 @@ def v_gate(theta1: float, theta2: float, m1: float = 0.0,
 
     Restricted to tan(th-) > 0, where ln tan(th-) is real.
     """
-    if abs(np.sin(theta1 - theta2)) < 1e-12:
-        raise GraphStateError(
-            "singular angle pair: sin(theta1 - theta2) must not vanish")
+    s = _v_symplectic(theta1, theta2)
     tm = (theta1 - theta2) / 2
     if np.tan(tm) <= 0:
         raise GraphStateError(
             f"tan(theta_minus) = {np.tan(tm):.4f} <= 0: the squeezing "
             "parameter ln tan(theta_minus) is not real on this branch")
     dq, dp = v_gate_displacement(theta1, theta2, m1, m2)
-    return SymplecticGate(_v_symplectic(theta1, theta2), np.array([dq, dp]))
+    return SymplecticGate(s, np.array([dq, dp]))
 
 
 def simulate_single_mode_gate(input_state: GraphState, theta_d: float,
@@ -256,8 +256,6 @@ def simulate_single_mode_gate(input_state: GraphState, theta_d: float,
     returns (output 1-mode state, record).  The output matches
     v_gate(theta_d, theta_a, m1, m2) applied to the input up to O(e^{-2r}).
     """
-    if input_state.n_modes != 1:
-        raise GraphStateError("wire input must be a single-mode state")
     rng = _rng_of(rng)
     wire = canonical_wire(2, r, input_state)
     record = MeasurementRecord()
@@ -394,15 +392,16 @@ class ProgramResult:
 
 
 def _number(value, name: str, cast=float):
-    """A program field converted by cast; a ProgramError naming it otherwise."""
-    kind = "an integer" if cast is int else "a number"
-    try:
-        out = cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ProgramError(f"{name} must be {kind}, got {value!r}") from exc
-    if not np.isfinite(out):
+    """A finite real program field, integral if cast is int; cast to cast."""
+    real = (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+    # compares ints exactly, so an integer too large for a float fails too
+    if real and not abs(value) <= sys.float_info.max:
         raise ProgramError(f"{name} must be finite, got {value!r}")
-    return out
+    if not real or (cast is int and value != int(value)):
+        kind = "an integer" if cast is int else "a number"
+        raise ProgramError(f"{name} must be {kind}, got {value!r}")
+    return cast(value)
 
 
 def _fields(obj, name: str, keys):
@@ -416,35 +415,90 @@ def _fields(obj, name: str, keys):
     return [obj[key] for key in keys]
 
 
-def _wire_resource(desc: dict):
-    sites = _number(desc.get("macronodes", 2), "resource.macronodes", int)
-    r = _number(desc.get("r", 6.0), "resource.r")
-    inp = desc.get("input")
-    if inp is not None:
-        if isinstance(inp, dict):
-            inp = json.dumps(inp)
-        if not isinstance(inp, str):
-            raise ProgramError(
-                f"resource.input must be a graph-state object, got {inp!r}")
-        inp = GraphState.from_json(inp)
-    state = canonical_wire(sites, r, inp)
-    modes = {}
-    for k in range(sites):
-        modes[(k, "x")] = 2 * k
-        modes[(k, "a")] = 2 * k + 1
-    return state, modes, r
+def _parse_resource(desc):
+    """(build, r, mode_of); mode_of(t, detector) is a mode or None, in O(1)."""
+    (kind,) = _fields(desc, "resource", ("kind",))
+    if kind == "wire":
+        sites = _number(desc.get("macronodes", 2), "resource.macronodes", int)
+        r = _number(desc.get("r", 6.0), "resource.r")
+        inp = desc.get("input")
+        if inp is not None:
+            if not isinstance(inp, dict):
+                raise ProgramError(
+                    f"resource.input must be a graph-state object, got {inp!r}")
+            inp = GraphState.from_json(json.dumps(inp))
+
+        def mode_of(t, d):
+            ok = 0 <= t < sites and d in ("x", "a")
+            return 2 * t + (d == "a") if ok else None
+
+        return lambda: canonical_wire(sites, r, inp), r, mode_of
+    if kind == "bsl":
+        n, m = _fields(desc, "resource", ("N", "M"))
+        config = LatticeConfig(_number(n, "resource.N", int),
+                               _number(m, "resource.M", int),
+                               _number(desc.get("r", 1.0), "resource.r"))
+        return (lambda: build_bsl(config)[0], config.r,
+                lambda t, d: _mode_at(config, t, d))
+    raise ProgramError(f"unknown resource kind {kind!r}")
 
 
-def _bsl_resource(desc: dict):
-    from .lattice import LatticeConfig, build_bsl
-    missing = [key for key in ("N", "M") if key not in desc]
-    if missing:
-        raise ProgramError(f"bsl resource is missing {missing}")
-    config = LatticeConfig(_number(desc["N"], "resource.N", int),
-                           _number(desc["M"], "resource.M", int),
-                           _number(desc.get("r", 1.0), "resource.r"))
-    state, lattice = build_bsl(config)
-    return state, dict(lattice.coords), config.r
+def _parse_program(program):
+    """Check a whole program before any state is built; (build, r, steps).
+
+    A homodyne step is (mode, theta, outcome) and a chi = 0 cubic step
+    (alpha, beta, sigma, outcomes); an outcome of None is drawn.
+    """
+    resource, steps = _fields(program, "program", ("resource", "steps"))
+    build, r, mode_of = _parse_resource(resource)
+    if not isinstance(steps, list):
+        raise ProgramError(f"steps must be a list, got {steps!r}")
+    consumed, parsed = set(), []
+    for i, step in enumerate(steps):
+        name = f"steps[{i}]"
+        time_index, detector, basis = _fields(
+            step, name, ("time_index", "detector", "basis"))
+        key = (_number(time_index, f"{name}.time_index", int), str(detector))
+        if not isinstance(basis, dict):
+            raise ProgramError(f"{name}.basis must be an object, got {basis!r}")
+        mode = mode_of(*key)
+        if mode is None:
+            raise ProgramError(f"no mode at {key} in this resource")
+        if mode in consumed:
+            raise ProgramError(f"mode at {key} was already consumed")
+        consumed.add(mode)
+        forced = step.get("outcome")
+        if "theta" in basis:
+            if forced is not None:
+                forced = _number(forced, f"{name}.outcome")
+            theta = _number(basis["theta"], f"{name}.basis.theta")
+            parsed.append((mode, theta, forced))
+        elif "cubic" in basis:
+            cubic = basis["cubic"]
+            (sigma,) = _fields(cubic, f"{name}.basis.cubic", ("sigma",))
+            chi = _number(cubic.get("chi", 0.0), f"{name}.basis.cubic.chi")
+            sigma = _number(sigma, f"{name}.basis.cubic.sigma")
+            if chi != 0.0:
+                raise ProgramError(
+                    "cubic steps with chi != 0 are not Gaussian-simulable; "
+                    "use the identity verification suite for chi != 0")
+            if key[1] != "x":
+                raise ProgramError("cubic steps consume the x detector")
+            beta = mode_of(key[0], "a")
+            if beta is None or beta in consumed:
+                raise ProgramError(
+                    f"cubic step needs the partner mode {(key[0], 'a')}")
+            consumed.add(beta)
+            outcomes = (None,) * 3
+            if forced is not None:
+                if not isinstance(forced, list) or len(forced) != 3:
+                    raise ProgramError(f"{name}.outcome of a cubic step must "
+                                       f"list three numbers, got {forced!r}")
+                outcomes = tuple(_number(v, f"{name}.outcome") for v in forced)
+            parsed.append((mode, beta, sigma, outcomes))
+        else:
+            raise ProgramError(f"unknown basis {basis!r}")
+    return build, r, parsed
 
 
 def run_program(program: dict, seed=None) -> ProgramResult:
@@ -455,19 +509,11 @@ def run_program(program: dict, seed=None) -> ProgramResult:
     {"cubic": {"chi": 0.0, "sigma": s}}, "outcome": optional}]}.
     The theta basis measures q(theta); cubic steps run the gate-teleportation
     macronode circuit, which is Gaussian-simulable exactly when chi = 0.
+    The whole program is checked before the resource is built.
     """
     rng = _rng_of(seed)
-    resource, steps = _fields(program, "program", ("resource", "steps"))
-    (kind,) = _fields(resource, "resource", ("kind",))
-    if not isinstance(steps, list):
-        raise ProgramError(f"steps must be a list, got {steps!r}")
-    if kind == "wire":
-        state, modes, r = _wire_resource(resource)
-    elif kind == "bsl":
-        state, modes, r = _bsl_resource(resource)
-    else:
-        raise ProgramError(f"unknown resource kind {kind!r}")
-
+    build, r, steps = _parse_program(program)
+    state = build()
     alive = list(range(state.n_modes))      # mode id per index of the state
     record = MeasurementRecord()
     jac = np.zeros((2 * state.n_modes, 0))
@@ -481,74 +527,27 @@ def run_program(program: dict, seed=None) -> ProgramResult:
         record.add(mode_id, theta, m)
         return m
 
-    def inject_mode(z_entry):
-        """Append an unentangled ancilla mode; returns its temporary id."""
-        nonlocal state, jac
+    for step in steps:
+        if len(step) == 3:
+            do_measure(*step)
+            continue
+        alpha, beta, sigma, (f_a, f_e, f_f) = step
+        # inject an unentangled ancilla as mode n and mix it with alpha
         n = state.n_modes
         z = np.pad(state.z, (0, 1))
-        z[n, n] = z_entry
+        z[n, n] = 1j / np.cosh(2 * r)
         state = GraphState(z, np.insert(state.mean, [n, 2 * n], 0.0))
         jac = np.insert(jac, [n, 2 * n], 0.0, axis=0)
-        mode_id = ("anc", len(record.events))
-        alive.append(mode_id)
-        return mode_id
-
-    def apply_gate(gate):
-        nonlocal state
+        anc = ("anc", len(record.events))
+        alive.append(anc)
+        gate = gate_beamsplitter(np.pi / 4, alive.index(alpha), n, n + 1)
         state = apply(state, gate)
         jac[gate.index] = gate.block @ jac[gate.index]
-
-    for i, step in enumerate(steps):
-        time_index, detector, basis = _fields(
-            step, f"steps[{i}]", ("time_index", "detector", "basis"))
-        key = (_number(time_index, f"steps[{i}].time_index", int), str(detector))
-        if not isinstance(basis, dict):
-            raise ProgramError(f"steps[{i}].basis must be an object, got {basis!r}")
-        if key not in modes:
-            raise ProgramError(f"no mode at {key} in this resource")
-        if modes[key] not in alive:
-            raise ProgramError(f"mode at {key} was already consumed")
-        forced = step.get("outcome")
-        if "theta" in basis:
-            if forced is not None:
-                forced = _number(forced, f"steps[{i}].outcome")
-            theta = _number(basis["theta"], f"steps[{i}].basis.theta")
-            do_measure(modes[key], theta, forced)
-        elif "cubic" in basis:
-            cubic = basis["cubic"]
-            if not isinstance(cubic, dict) or "sigma" not in cubic:
-                raise ProgramError(f"steps[{i}].basis.cubic must be an object "
-                                   f"with a sigma, got {cubic!r}")
-            chi = _number(cubic.get("chi", 0.0), f"steps[{i}].basis.cubic.chi")
-            sigma = _number(cubic["sigma"], f"steps[{i}].basis.cubic.sigma")
-            if chi != 0.0:
-                raise ProgramError(
-                    "cubic steps with chi != 0 are not Gaussian-simulable; "
-                    "use the identity verification suite for chi != 0")
-            if key[1] != "x":
-                raise ProgramError("cubic steps consume the x detector")
-            alpha = modes[key]
-            beta_key = (key[0], "a")
-            if beta_key not in modes or modes[beta_key] not in alive:
-                raise ProgramError(f"cubic step needs the partner mode {beta_key}")
-            f_a = f_e = f_f = None
-            if forced is not None:
-                if not isinstance(forced, list) or len(forced) != 3:
-                    raise ProgramError(f"steps[{i}].outcome of a cubic step must "
-                                       f"list three numbers, got {forced!r}")
-                f_a, f_e, f_f = (_number(v, f"steps[{i}].outcome") for v in forced)
-            sech = 1 / np.cosh(2 * r)
-            anc = inject_mode(1j * sech)
-            apply_gate(gate_beamsplitter(np.pi / 4, alive.index(alpha),
-                                         alive.index(anc), state.n_modes))
-            m_a = do_measure(modes[beta_key], 0.0, f_a)
-            m_f = do_measure(anc, 0.0, f_f)
-            theta_e = np.arctan(sigma)
-            m_e = do_measure(alpha, theta_e - np.pi / 2, f_e)
-            record.adaptations.append(
-                {"sigma": sigma, "outcomes": [m_a, m_e, m_f]})
-        else:
-            raise ProgramError(f"unknown basis {basis!r}")
+        m_a = do_measure(beta, 0.0, f_a)
+        m_f = do_measure(anc, 0.0, f_f)
+        m_e = do_measure(alpha, np.arctan(sigma) - np.pi / 2, f_e)
+        record.adaptations.append(
+            {"sigma": sigma, "outcomes": [m_a, m_e, m_f]})
 
     return ProgramResult(state, record, jac,
                          {m: i for i, m in enumerate(alive)})

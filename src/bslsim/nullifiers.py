@@ -277,13 +277,10 @@ def empirical_variances(data_q: np.ndarray, data_p: np.ndarray,
     if not nulls.quadrature_pure():
         raise GraphStateError(
             "two-setting data can only evaluate quadrature-pure nullifiers")
-    variances = np.zeros(nulls.n_rows)
-    for k in range(nulls.n_rows):
-        if np.any(nulls.coeff_p[k] != 0):
-            vals = data_p @ nulls.coeff_p[k].real
-        else:
-            vals = data_q @ nulls.coeff_q[k].real
-        variances[k] = vals.var(ddof=1)
+    on_p = np.any(nulls.coeff_p != 0, axis=1)
+    variances = np.empty(nulls.n_rows)
+    variances[on_p] = (data_p @ nulls.coeff_p[on_p].real.T).var(0, ddof=1)
+    variances[~on_p] = (data_q @ nulls.coeff_q[~on_p].real.T).var(0, ddof=1)
     return variances
 
 

@@ -348,26 +348,33 @@ class WaveFunction:
     # -- moments -------------------------------------------------------------
 
     def moments(self):
-        """Grid means and covariance in the (q..., p...) ordering."""
+        """Grid means and covariance in the (q..., p...) ordering.
+
+        q-only entries come from the marginal densities; entries with a p
+        are np.vdot inner products of the centred fields.
+        """
         n = self.n_modes
         rho = (self.psi.conj() * self.psi).real
         total = rho.sum()
+        marg = [rho] if n == 1 else [rho.sum(axis=1), rho.sum(axis=0)]
         mean = np.zeros(2 * n)
         pfield = []
         for ax in range(n):
-            qv = self._q_of(ax)
-            mean[ax] = (rho * qv).sum() / total
+            mean[ax] = marg[ax] @ self.q(ax) / total
             pfield.append(_p_diag(self.psi, ax, self._p_of(ax)))
-            mean[n + ax] = (self.psi.conj() * pfield[ax]).sum().real / total
-        cov = np.zeros((2 * n, 2 * n))
+            mean[n + ax] = np.vdot(self.psi, pfield[ax]).real / total
         cq = [self._q_of(ax) - mean[ax] for ax in range(n)]
         cp = [pfield[ax] - mean[n + ax] * self.psi for ax in range(n)]
+        cov = np.zeros((2 * n, 2 * n))
         for a in range(n):
+            cov[a, a] = marg[a] @ cq[a].ravel() ** 2 / total
+            qpsi = cq[a] * self.psi
             for b in range(n):
-                cov[a, b] = (rho * cq[a] * cq[b]).sum() / total
-                cov[a, n + b] = (self.psi.conj() * cq[a] * cp[b]).sum().real / total
+                cov[a, n + b] = np.vdot(qpsi, cp[b]).real / total
                 cov[n + b, a] = cov[a, n + b]
-                cov[n + a, n + b] = (cp[a].conj() * cp[b]).sum().real / total
+                cov[n + a, n + b] = np.vdot(cp[a], cp[b]).real / total
+        if n == 2:
+            cov[0, 1] = cov[1, 0] = cq[0].ravel() @ rho @ cq[1].ravel() / total
         return mean, cov
 
     # -- constructors ----------------------------------------------------------

@@ -1,12 +1,21 @@
 """Command-line interface: files, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bslsim.cli import main
 from bslsim.graphstate import vacuum
+from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph
+from bslsim.nullifiers import (nullifier_variances, phi_transform,
+                               quadrature_nullifiers, witness_from_variances)
 
 
 def test_build_bsl_writes_files(tmp_path, capsys):
@@ -23,7 +32,7 @@ def test_build_bsl_writes_files(tmp_path, capsys):
 
 
 def test_build_bsl_rejects_small_lattice(tmp_path, capsys):
-    assert main(["build-bsl", "-N", "1", "-M", "3",
+    assert main(["build-bsl", "--lattice", "1,3",
                  "--out", str(tmp_path / "x")]) == 2
 
 
@@ -275,3 +284,161 @@ def test_run_program_malformed_structure_exit_2(tmp_path, capsys, prog,
     assert main(["run-program", str(ppath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed program:") and message in err
+
+
+def test_build_bsl_lattice_flag_is_the_only_size(tmp_path, capsys):
+    # LatticeConfig (N >= 2, M >= 1) is the one check on the lattice size
+    out = tmp_path / "bsl"
+    assert main(["build-bsl", "--lattice", "2,1", "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["graph"]["n"] == 8
+    assert main(["build-bsl", "--lattice", "1,3", "--out", str(out)]) == 2
+    assert "need N >= 2 rows" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["build-bsl", "-N", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "-N" in capsys.readouterr().err
+
+
+def test_verify_nullifiers_report_takes_one_squeezing(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify-nullifiers", "--squeezing", "1", "--squeezing", "2",
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--report" in err and "--squeezing" in err
+    assert not report.exists()
+    assert main(["verify-nullifiers", "--lattice", "2,3", "--squeezing", "1.3",
+                 "--report", str(report)]) == 0
+    config = LatticeConfig(2, 3, 1.3)
+    nulls = quadrature_nullifiers(ideal_graph(config))
+    variances = nullifier_variances(phi_transform(build_bsl(config)[0]), nulls)
+    assert report.read_text() == witness_from_variances(variances, nulls,
+                                                        0.5).to_json()
+
+
+@pytest.mark.parametrize("chi,code,line", [
+    ("0.1", 0, 'L: fidelity 0.99999825 pass params {"chi": 0.1, "sigma": 0.3, '
+               '"outcomes": [0.1, -0.2, 0.4], "r_env": null}'),
+    ("5.0", 1, "L: error: parameters outside the validated grid-resident "
+               "range"),
+])
+def test_verify_identities_chi_runs_one_case(capsys, chi, code, line):
+    assert main(["verify-identities", "--chi", chi, "--grid", "12,256"]) == code
+    assert capsys.readouterr().out == line + "\n"
+
+
+def _run(tmp_path, prog):
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(json.dumps(prog))
+    return main(["run-program", str(ppath), "--out", str(tmp_path / "rec.json")])
+
+
+@pytest.mark.parametrize("prog,field", [
+    ({"resource": {"kind": "wire", "macronodes": 2.9}, "steps": []},
+     "resource.macronodes must be an integer"),
+    ({"resource": {"kind": "wire", "macronodes": "3"}, "steps": []},
+     "resource.macronodes must be an integer"),
+    ({"resource": {"kind": "wire", "r": float("inf")}, "steps": []},
+     "resource.r must be finite"),
+    ({"resource": {"kind": "wire", "macronodes": float("inf")}, "steps": []},
+     "resource.macronodes must be finite"),
+    ({"resource": {"kind": "wire", "r": True}, "steps": []},
+     "resource.r must be a number"),
+    ({"resource": {"kind": "bsl", "N": 2, "M": 2.5}, "steps": []},
+     "resource.M must be an integer"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": 0.7, "detector": "x", "basis": {"theta": 0.1}}]},
+     "steps[0].time_index must be an integer"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": True, "detector": "x", "basis": {"theta": 0.1}}]},
+     "steps[0].time_index must be an integer"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": float("inf"), "detector": "x", "basis": {"theta": 0.1}}]},
+     "steps[0].time_index must be finite"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": 0, "detector": "x", "basis": {"theta": float("nan")}}]},
+     "steps[0].basis.theta must be finite"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": 0, "detector": "x", "basis": {"theta": 0.1},
+         "outcome": float("-inf")}]},
+     "steps[0].outcome must be finite"),
+    ({"resource": {"kind": "wire", "macronodes": 3}, "steps": [
+        {"time_index": 0, "detector": "x",
+         "basis": {"cubic": {"chi": 0.0, "sigma": float("inf")}}}]},
+     "steps[0].basis.cubic.sigma must be finite"),
+])
+def test_run_program_rejects_non_finite_and_non_integral_fields(
+        tmp_path, capsys, prog, field):
+    assert _run(tmp_path, prog) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+#: values that break a program leaf: non-finite, fractional, negative, a
+#: string, a bool, null and the wrong container types
+BAD_LEAVES = [float("inf"), float("nan"), 2.9, -1, "3", True, None, [], {}]
+
+
+@st.composite
+def broken_programs(draw):
+    """A small valid wire or lattice program with some leaves replaced."""
+    if draw(st.booleans()):
+        resource = {"kind": "wire", "macronodes": 3, "r": 2.0}
+        slots = [(k, d) for k in range(3) for d in "xa"]
+    else:
+        resource = {"kind": "bsl", "N": 2, "M": 1, "r": 1.0}
+        slots = [(k, d) for k in range(2) for d in "bx"]
+    steps = []
+    for k, d in draw(st.lists(st.sampled_from(slots), max_size=3,
+                              unique=True)):
+        if d == "x" and draw(st.booleans()):
+            basis = {"cubic": {"chi": 0.0, "sigma": 0.3}}
+        else:
+            basis = {"theta": 0.4}
+        step = {"time_index": k, "detector": d, "basis": basis}
+        if draw(st.booleans()):
+            step["outcome"] = [0.1, 0.2, 0.3] if "cubic" in basis else 0.1
+        steps.append(step)
+    program = {"resource": resource, "steps": steps}
+    leaves, nodes = [], []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else None)
+        if items is None:
+            leaves.append(path)
+            return
+        nodes.append(path)
+        for key, child in items:
+            walk(child, path + (key,))
+
+    walk(program, ())
+    for _ in range(draw(st.integers(1, 2))):
+        # mostly a number or string leaf, sometimes a whole object or list
+        pool = nodes if draw(st.integers(0, 3)) == 0 else leaves
+        path = draw(st.sampled_from(pool))
+        bad = copy.deepcopy(draw(st.sampled_from(BAD_LEAVES)))
+        if not path:
+            program = bad
+            continue
+        node = program
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+        except (KeyError, IndexError, TypeError):
+            pass          # an earlier replacement removed this path
+    return program
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=broken_programs())
+def test_run_program_bad_leaves_exit_0_or_2(tmp_path_factory, program):
+    path = tmp_path_factory.mktemp("prog") / "prog.json"
+    path.write_text(json.dumps(program))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run-program", str(path), "--out", os.devnull])
+    assert code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        assert err.getvalue().startswith("error:")

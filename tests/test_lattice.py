@@ -5,9 +5,10 @@ import pytest
 
 from bslsim.graphstate import (GraphState, GraphStateError, apply,
                                covariance, gate_beamsplitter, omega)
-from bslsim.lattice import (LatticeConfig, build_bsl, build_square, bulk_modes,
-                            canonical_wire, edge_summary, graph_part,
-                            ideal_graph, schedule, to_dot)
+from bslsim.lattice import (LatticeConfig, _build_coords, _mode_at, build_bsl,
+                            build_square, bulk_modes, canonical_wire,
+                            edge_summary, graph_part, ideal_graph, schedule,
+                            to_dot)
 
 
 def test_square_is_four_cycle():
@@ -348,3 +349,12 @@ def test_edge_reports_match_pairwise_scan_on_random_graphs(seed):
     # edgeless graphs: the cut is 0 and no entry passes it
     empty = GraphState(1j * np.eye(config.n_modes), np.zeros(2 * config.n_modes))
     _assert_reports_match(empty, config)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2), (4, 4)])
+def test_mode_at_inverts_the_coordinate_table(n, m):
+    config = LatticeConfig(n, m, 1.0)
+    coords = _build_coords(config)
+    for t in range(-2, config.bins + n + 2):
+        for d in ("a", "b", "c", "x", "", "ab", "y"):
+            assert _mode_at(config, t, d) == coords.get((t, d))

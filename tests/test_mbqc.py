@@ -1,6 +1,7 @@
 """Homodyne measurement, wire protocols, two-mode gates, feedforward, runner."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bslsim.graphstate import (GraphState, GraphStateError, apply, covariance,
                                gate_beamsplitter, gate_cz, gate_displacement,
                                gate_rotation, gate_shear, gate_squeeze, omega,
                                squeezed_vacua, vacuum)
+from bslsim import mbqc
 from bslsim.lattice import LatticeConfig, build_bsl, graph_part
 from bslsim.mbqc import (MeasurementEvent, MeasurementRecord, ProgramError,
                          adapted_sigma, commutation_kick, cubic_kick,
@@ -539,3 +541,57 @@ def test_run_program_jacobian_predicts_seed_difference(program):
     so = covariance(a.state) @ omega(n)
     assert np.abs(so @ so + 0.25 * np.eye(2 * n)).max() \
         <= 1e-10 * max(1.0, np.abs(so).max()) ** 2
+
+
+def _deletion_program(n_rows, m_cols, last_step):
+    """Delete every bc site of an N x M lattice, then run last_step."""
+    _, lattice = build_bsl(LatticeConfig(n_rows, m_cols, 1.0))
+    steps = [{"time_index": tau, "detector": d,
+              "basis": {"theta": lattice.deletion_angle(tau)}}
+             for tau in lattice.bc_sites() for d in "bc"]
+    return {"resource": {"kind": "bsl", "N": n_rows, "M": m_cols, "r": 1.0},
+            "steps": steps + [last_step]}
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("the resource was built before the program was checked")
+
+
+@pytest.mark.parametrize("last,message", [
+    ({"time_index": 2, "detector": "b", "basis": {"theta": 0.0}},
+     "already consumed"),
+    ({"time_index": 99, "detector": "x", "basis": {"theta": 0.0}}, "no mode at"),
+    ({"time_index": 0, "detector": "x", "basis": {"theta": "0"}},
+     "steps[10].basis.theta"),
+    ({"time_index": 0, "detector": "x",
+      "basis": {"cubic": {"chi": 0.2, "sigma": 0.1}}}, "chi != 0"),
+])
+def test_bad_last_step_fails_before_the_lattice_is_built(monkeypatch, last,
+                                                        message):
+    prog = _deletion_program(3, 2, last)
+    assert len(prog["steps"]) == 11
+    monkeypatch.setattr(mbqc, "build_bsl", _refuse_to_build)
+    with pytest.raises(ProgramError, match=re.escape(message)):
+        run_program(prog, seed=0)
+
+
+def test_repeated_wire_mode_fails_before_the_wire_is_built(monkeypatch):
+    monkeypatch.setattr(mbqc, "canonical_wire", _refuse_to_build)
+    step = {"time_index": 0, "detector": "x", "basis": {"theta": 0.1}}
+    with pytest.raises(ProgramError, match="already consumed"):
+        run_program({"resource": {"kind": "wire", "macronodes": 3},
+                     "steps": [step, step]})
+
+
+def test_cubic_step_needs_its_partner_unconsumed():
+    base = {"kind": "wire", "macronodes": 3, "r": 2.0}
+    cubic = {"time_index": 1, "detector": "x",
+             "basis": {"cubic": {"chi": 0.0, "sigma": 0.2}}}
+    taken = {"time_index": 1, "detector": "a", "basis": {"theta": 0.3}}
+    with pytest.raises(ProgramError, match=re.escape("partner mode (1, 'a')")):
+        run_program({"resource": base, "steps": [taken, cubic]})
+    with pytest.raises(ProgramError, match="already consumed"):
+        run_program({"resource": base, "steps": [cubic, taken]})
+    with pytest.raises(ProgramError, match="basis.cubic is missing"):
+        run_program({"resource": base, "steps": [
+            {**cubic, "basis": {"cubic": {"chi": 0.0}}}]})

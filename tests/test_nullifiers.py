@@ -255,6 +255,21 @@ def test_empirical_variances_pick_the_setting_per_row():
                        rtol=1e-12, atol=0)
 
 
+def test_empirical_variances_match_the_row_loop():
+    rng = np.random.default_rng(21)
+    nulls = quadrature_nullifiers(ideal_graph(LatticeConfig(3, 2, 1.0)))
+    data_q = rng.normal(size=(400, nulls.n_modes))
+    data_p = rng.normal(size=(300, nulls.n_modes))
+    loop = np.zeros(nulls.n_rows)
+    for k in range(nulls.n_rows):
+        if np.any(nulls.coeff_p[k] != 0):
+            loop[k] = (data_p @ nulls.coeff_p[k].real).var(ddof=1)
+        else:
+            loop[k] = (data_q @ nulls.coeff_q[k].real).var(ddof=1)
+    got = empirical_variances(data_q, data_p, nulls)
+    assert np.all(np.abs(got - loop) <= 1e-12 * loop)
+
+
 def test_ingest_error_paths(tmp_path):
     v = np.diag([1.0, -1.0])
     nulls = quadrature_nullifiers(v)

@@ -11,9 +11,9 @@ from bslsim.graphstate import (GraphState, apply, covariance, gate_beamsplitter,
 from bslsim.identities import (verify_commutation, verify_teleport_identity,
                                verify_cubic_device, verify_teleport_circuit)
 from bslsim.mbqc import measure_quadrature
-from bslsim.oracle import (GridError, WaveFunction, _bluestein, _from_p, _to_p,
-                           _two_mode_phase, cubic_weights, fidelity_up_to_phase,
-                           p_axis, q_axis)
+from bslsim.oracle import (GridError, WaveFunction, _bluestein, _from_p,
+                           _p_diag, _to_p, _two_mode_phase, cubic_weights,
+                           fidelity_up_to_phase, p_axis, q_axis)
 
 L, P1, P2 = 12.0, 1024, 512
 
@@ -87,6 +87,44 @@ def _reference_moments(wf):
 
 def _assert_close(got, ref):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _moments_full_grid(wf):
+    """WaveFunction.moments as it was: one full-grid product per entry."""
+    n = wf.n_modes
+    rho = (wf.psi.conj() * wf.psi).real
+    total = rho.sum()
+    mean = np.zeros(2 * n)
+    pfield = []
+    for ax in range(n):
+        mean[ax] = (rho * wf._q_of(ax)).sum() / total
+        pfield.append(_p_diag(wf.psi, ax, wf._p_of(ax)))
+        mean[n + ax] = (wf.psi.conj() * pfield[ax]).sum().real / total
+    cov = np.zeros((2 * n, 2 * n))
+    cq = [wf._q_of(ax) - mean[ax] for ax in range(n)]
+    cp = [pfield[ax] - mean[n + ax] * wf.psi for ax in range(n)]
+    for a in range(n):
+        for b in range(n):
+            cov[a, b] = (rho * cq[a] * cq[b]).sum() / total
+            cov[a, n + b] = (wf.psi.conj() * cq[a] * cp[b]).sum().real / total
+            cov[n + b, a] = cov[a, n + b]
+            cov[n + a, n + b] = (cp[a].conj() * cp[b]).sum().real / total
+    return mean, cov
+
+
+def test_moments_match_the_full_grid_products():
+    rng = np.random.default_rng(12)
+    states = [GraphState(np.array([[0.4 + 0.9j]]), np.array([0.7, -0.3])),
+              GraphState(np.array([[0.3 + 1.1j, 0.5 + 0.2j],
+                                   [0.5 + 0.2j, -0.2 + 0.8j]]),
+                         np.array([0.2, -0.6, 0.5, 0.1]))]
+    grids = [WaveFunction.from_graphstate(s, L, 256) for s in states]
+    grids += [_random_grid(rng, (64,)), _random_grid(rng, (32, 64))]
+    for wf in grids:
+        mean, cov = wf.moments()
+        ref_mean, ref_cov = _moments_full_grid(wf)
+        for got, ref in ((mean, ref_mean), (cov, ref_cov)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("points", [8, 64, 256])
