@@ -16,9 +16,10 @@ from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
                    measure_quadrature, run_program, simulate_single_mode_gate,
                    two_mode_gate, v_gate, v_gate_displacement)
 from .nullifiers import (NullifierSet, WitnessReport, empirical_variances,
-                         exact_nullifiers, ingest_samples, nullifier_variances,
+                         exact_nullifiers, ingest_samples, lattice_marginals,
+                         marginal_variances, nullifier_variances,
                          phi_transform, quadrature_nullifiers,
-                         sample_homodyne_dataset,
+                         sample_homodyne_dataset, sample_marginal,
                          verify_quarter_delay_transform, witness_from_variances)
 from .oracle import GridError, WaveFunction, fidelity_up_to_phase
 from .identities import (run_suite, verify_teleport_identity, verify_cubic_device,

@@ -19,9 +19,9 @@ from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
                       to_dot)
 from .mbqc import ProgramError, run_program
 from .nullifiers import (empirical_variances, exact_nullifiers,
-                         nullifier_variances, phi_transform,
-                         quadrature_nullifiers, sample_homodyne_dataset,
-                         witness_from_variances)
+                         lattice_marginals, marginal_variances,
+                         nullifier_variances, quadrature_nullifiers,
+                         sample_marginal, witness_from_variances)
 from .oracle import DEFAULT_L, DEFAULT_P2, GridError
 
 
@@ -61,7 +61,7 @@ def cmd_build_bsl(args) -> int:
     out = Path(args.out)
     payload = {
         "config": _echo(args),
-        "graph": json.loads(state.to_json()),
+        "graph": state.to_dict(),
         "ideal_graph": v.tolist(),
         "lattice": {f"{t},{d}": mode for (t, d), mode in lattice.coords.items()},
         "summary": summary,
@@ -80,8 +80,20 @@ def cmd_build_bsl(args) -> int:
     return 0
 
 
+def _refuse(flag: str, context: str) -> int:
+    """Exit 2 for a flag that would do nothing in this context."""
+    print(f"error: {flag} cannot be used {context}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify_nullifiers(args) -> int:
     if args.graph is not None:
+        lattice_only = [flag for flag, value in (
+            ("--lattice", args.lattice), ("--squeezing", args.squeezing_list),
+            ("--shots", args.shots), ("--report", args.report))
+            if value is not None]
+        if lattice_only:
+            return _refuse(lattice_only[0], "with --graph")
         state = GraphState.from_json(Path(args.graph).read_text())
         nulls = exact_nullifiers(state)
         variances = nullifier_variances(state, nulls)
@@ -89,25 +101,26 @@ def cmd_verify_nullifiers(args) -> int:
         print(f"exact nullifier variances: max {np.abs(variances).max():.3e} "
               f"-> {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
-    configs = [LatticeConfig(*args.lattice, r)
+    configs = [LatticeConfig(*(args.lattice or (2, 2)), r)
                for r in args.squeezing_list or [1.0]]
     if args.report and len(configs) > 1:
         print("error: --report holds one witness report; give one "
               "--squeezing with it", file=sys.stderr)
         return 2
-    nulls = quadrature_nullifiers(ideal_graph(configs[0]))
+    v = ideal_graph(configs[0])
+    nulls = quadrature_nullifiers(v)
     overall = True
     for config in configs:
-        phi = phi_transform(build_bsl(config)[0])
-        variances = nullifier_variances(phi, nulls)
+        sigma_q, sigma_p = lattice_marginals(v, config.r)
+        variances = marginal_variances(nulls, sigma_q, sigma_p)
         report = witness_from_variances(variances, nulls, args.threshold_factor)
         print(f"r = {config.r}: analytic witness "
               f"{'pass' if report.passed else 'FAIL'} "
               f"(max variance {variances.max():.6f})")
         overall &= report.passed
         if args.shots:
-            qd = sample_homodyne_dataset(phi, "q", args.shots, args.seed)
-            pd = sample_homodyne_dataset(phi, "p", args.shots, args.seed + 1)
+            qd = sample_marginal(sigma_q, args.shots, args.seed)
+            pd = sample_marginal(sigma_p, args.shots, args.seed + 1)
             emp = empirical_variances(qd, pd, nulls)
             emp_report = witness_from_variances(emp, nulls,
                                                 args.threshold_factor, args.shots)
@@ -126,8 +139,8 @@ def cmd_run_program(args) -> int:
     result = run_program(program, args.seed)
     payload = {
         "config": {"program": args.program, "seed": args.seed},
-        "record": json.loads(result.record.to_json()),
-        "final_state": json.loads(result.state.to_json()),
+        "record": result.record.to_dict(),
+        "final_state": result.state.to_dict(),
         "outcome_jacobian": result.outcome_jacobian.T.tolist(),
         "mode_index": {str(k): v for k, v in result.mode_index.items()},
     }
@@ -140,8 +153,19 @@ def cmd_run_program(args) -> int:
     return 0
 
 
+#: parameters of the --chi case when their flags are not given
+CHI_DEFAULTS = {"sigma": 0.3, "r": 4.0, "outcomes": [0.1, -0.2, 0.4]}
+
+
 def cmd_verify_identities(args) -> int:
     half, pts = args.grid
+    chi_given = {k: getattr(args, k) for k in CHI_DEFAULTS
+                 if getattr(args, k) is not None}
+    if chi_given and args.chi is None:
+        return _refuse(f"--{next(iter(chi_given))}", "without --chi")
+    if args.seed is not None and (args.chi is not None
+                                  or args.cases is not None):
+        return _refuse("--seed", "with --chi or --cases")
     if args.cases is not None:
         cases = json.loads(Path(args.cases).read_text())
         if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
@@ -151,11 +175,10 @@ def cmd_verify_identities(args) -> int:
         reports = run_cases(cases, pts, half)
     elif args.chi is not None:
         reports = run_cases([{"identity": "L", "chi": args.chi,
-                              "sigma": args.sigma,
-                              "outcomes": args.outcomes, "r": args.r}],
-                            pts, half)
+                              **CHI_DEFAULTS, **chi_given}], pts, half)
     else:
-        reports = list(run_suite(args.suite, pts, half, args.seed))
+        reports = list(run_suite(args.suite, pts, half,
+                                 7 if args.seed is None else args.seed))
     ok = True
     for rep in reports:
         if "error" in rep:
@@ -172,12 +195,11 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_sample_homodyne(args) -> int:
-    n, m = args.lattice
-    config = LatticeConfig(n, m, args.squeezing)
-    state, _ = build_bsl(config)
-    if args.phase_delayed:
-        state = phi_transform(state)
-    sample_homodyne_dataset(state, args.setting, args.shots, args.seed, args.out)
+    config = LatticeConfig(*args.lattice, args.squeezing)
+    sigma_q, sigma_p = lattice_marginals(ideal_graph(config), config.r,
+                                         args.phase_delayed)
+    sample_marginal(sigma_q if args.setting == "q" else sigma_p, args.shots,
+                    args.seed, args.out)
     print(f"{args.shots} shots of the {args.setting} setting written to {args.out}")
     return 0
 
@@ -196,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-nullifiers",
                        help="nullifier variances and the entanglement witness")
-    p.add_argument("--lattice", type=_lattice_arg, default=(2, 2), metavar="N,M")
+    p.add_argument("--lattice", type=_lattice_arg, metavar="N,M",
+                   help="lattice size (default 2,2)")
     p.add_argument("--squeezing", dest="squeezing_list", type=float,
                    action="append", default=None, metavar="R")
     p.add_argument("--graph", help="verify a stored graph JSON instead")
-    p.add_argument("--shots", type=int, default=0,
+    p.add_argument("--shots", type=int,
                    help="also run the sampled two-setting protocol")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--threshold-factor", type=float, default=0.5)
@@ -219,12 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
                    nargs="?", default="all")
     p.add_argument("--grid", type=_grid_arg, default=(DEFAULT_L, DEFAULT_P2),
                    metavar="L,P")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--chi", type=float, help="run a single cubic-gate case")
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--r", type=float, default=4.0)
-    p.add_argument("--outcomes", type=float, nargs=3, default=(0.1, -0.2, 0.4))
-    p.add_argument("--cases", help="JSON file with a list of cases to run")
+    p.add_argument("--seed", type=int, help="suite seed (default 7)")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--chi", type=float, help="run a single cubic-gate case")
+    one.add_argument("--cases", help="JSON file with a list of cases to run")
+    p.add_argument("--sigma", type=float, help="--chi case only (default 0.3)")
+    p.add_argument("--r", type=float, help="--chi case only (default 4.0)")
+    p.add_argument("--outcomes", type=float, nargs=3,
+                   help="--chi case only (default 0.1 -0.2 0.4)")
     p.add_argument("--report", help="write the batch report JSON here")
     p.set_defaults(func=cmd_verify_identities)
 

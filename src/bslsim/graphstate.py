@@ -102,13 +102,16 @@ class GraphState:
     def n_modes(self) -> int:
         return self.z.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "n": self.n_modes,
             "Z_re": self.z.real.tolist(),
             "Z_im": self.z.imag.tolist(),
             "mean": self.mean.tolist(),
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "GraphState":

@@ -40,19 +40,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphstate import (GraphState, GraphStateError, apply, gate_beamsplitter,
-                         local_update)
+from .graphstate import GraphState, GraphStateError, apply, gate_beamsplitter
 
 DETECTORS = ("x", "a", "b", "c")
 
-#: largest supported lattice squeezing; above it the roundoff of the quarter
-#: delay (cond e^{2r}) leaves Im Z of the quarter-delayed lattice indefinite,
-#: first at r = 9.25 (2 x 3 to 6 x 6) and r = 9.5 (2 x 1, 2 x 2); the built
-#: lattice itself stays definite up to r = 16.25
+#: largest supported lattice squeezing.  The phase-delayed marginals
+#: (cosh 2r I -+ sinh 2r V) / 2 have cond e^{4r}: the analytic witness
+#: c^T Sigma c, whose value is e^{-2r}, is off by 0.45% at r = 8 and by 14% at
+#: r = 9 (2 x 2 to 6 x 6), and the Cholesky factor of the q marginal fails,
+#: jitter retry included, from r = 9.25 to 9.75 by size.  phi_transform of a
+#: built lattice (cond e^{2r}) leaves Im Z indefinite from r = 9.25; the built
+#: lattice itself stays definite up to r = 16.25.
 R_MAX_LATTICE = 8.0
 #: largest supported wire squeezing; the wire's self-loops i sech(2r) reach
 #: the 1e-14 definiteness threshold of GraphState at r = 16.45
 R_MAX_WIRE = 15.0
+#: largest resource, in modes: a dense complex graph of 8192 modes takes 1 GiB
+MAX_MODES = 8192
+
+
+def _check_modes(n_modes: int, what: str):
+    """Refuse a resource too large for memory before anything is allocated."""
+    if n_modes > MAX_MODES:
+        raise GraphStateError(
+            f"{what} is above the limit of {MAX_MODES} modes")
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,8 @@ class LatticeConfig:
             raise GraphStateError(
                 f"squeezing r must be in (0, {R_MAX_LATTICE}] for the lattice, "
                 f"got {self.r}")
+        _check_modes(self.n_modes, f"the {self.n_rows} x {self.m_cols} "
+                                   f"lattice ({self.n_modes} modes)")
 
     @property
     def bins(self) -> int:
@@ -175,23 +188,27 @@ def build_square(r: float) -> GraphState:
     return apply(_pair_state(4, r), gate_beamsplitter(np.pi / 4, 0, 2, 4))
 
 
-def schedule(config: LatticeConfig) -> list:
-    """The 50:50 beamsplitters joining the cluster pairs, in circuit order.
+def _joins(config: LatticeConfig) -> list:
+    """Mode pairs (a, b) of the beamsplitters joining the cluster pairs.
 
-    Per bin t: the in-bin (4t, 4t+2), the one-bin delay (4t-3, 4t) for
-    t >= 1 and the N-bin delay (4(t-N)+3, 4t+2) for t >= N.
+    In circuit order, per bin t: the in-bin (4t, 4t+2), the one-bin delay
+    (4t-3, 4t) for t >= 1 and the N-bin delay (4(t-N)+3, 4t+2) for t >= N.
     """
-    n, rows = config.n_modes, config.n_rows
-    gates = []
+    rows, pairs = config.n_rows, []
     for t in range(config.bins):
         base = 4 * t
-        gates.append(gate_beamsplitter(np.pi / 4, base, base + 2, n))
+        pairs.append((base, base + 2))
         if t >= 1:
-            gates.append(gate_beamsplitter(np.pi / 4, base - 3, base, n))
+            pairs.append((base - 3, base))
         if t >= rows:
-            gates.append(gate_beamsplitter(
-                np.pi / 4, 4 * (t - rows) + 3, base + 2, n))
-    return gates
+            pairs.append((4 * (t - rows) + 3, base + 2))
+    return pairs
+
+
+def schedule(config: LatticeConfig) -> list:
+    """The 50:50 beamsplitters joining the cluster pairs, in circuit order."""
+    return [gate_beamsplitter(np.pi / 4, a, b, config.n_modes)
+            for a, b in _joins(config)]
 
 
 def build_bsl(config: LatticeConfig):
@@ -215,13 +232,16 @@ def graph_part(state: GraphState, r: float) -> np.ndarray:
 def ideal_graph(config: LatticeConfig) -> np.ndarray:
     """The r-independent graph V of Z(r) = i sech(2r) I + tanh(2r) V.
 
-    Built exactly in real arithmetic: each joining beamsplitter of the
-    schedule, a real orthogonal O acting alike on q and p, maps the pair
-    graph V0 to O V0 O^T in turn.
+    Built exactly in real arithmetic: each joining beamsplitter, a real
+    orthogonal O acting alike on q and p, maps the pair graph V0 to
+    O V0 O^T in turn.  O is a Givens rotation on modes (a, b), applied in
+    place to rows a and b and then to columns a and b, in O(n) per gate.
     """
     v = _pairs(config.n_modes)
-    for gate in schedule(config):
-        v = local_update(v, gate)
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    for a, b in _joins(config):
+        for w in (v, v.T):      # rows, then columns through the transpose
+            w[a], w[b] = c * w[a] - s * w[b], s * w[a] + c * w[b]
     return (v + v.T) / 2
 
 
@@ -309,6 +329,7 @@ def canonical_wire(n_sites: int, r: float,
         raise GraphStateError(
             f"squeezing r must be in (0, {R_MAX_WIRE}] for a wire, got {r}")
     n = 2 * n_sites
+    _check_modes(n, f"a wire of {n_sites} macronodes ({n} modes)")
     sech, tanh = 1 / np.cosh(2 * r), np.tanh(2 * r)
     z = 1j * sech * np.eye(n, dtype=complex)
     mean = np.zeros(2 * n)

@@ -59,13 +59,13 @@ class MeasurementRecord:
         self._measured.add(mode)
         self.events.append(MeasurementEvent(mode, theta, outcome))
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "events": [{"mode": e.mode, "theta": e.theta, "outcome": e.outcome}
                        for e in self.events],
             "frame": list(self.frame),
             "adaptations": self.adaptations,
-        })
+        }
 
 
 # -- measurement ---------------------------------------------------------------

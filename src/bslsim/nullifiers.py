@@ -99,10 +99,14 @@ def nullifier_variances(state: GraphState, nulls: NullifierSet) -> np.ndarray:
 
 
 def vacuum_variances(nulls: NullifierSet) -> np.ndarray:
-    """Same rows evaluated on the vacuum: the product-state baseline."""
-    n = nulls.n_modes
-    sigma = 0.5 * np.eye(2 * n) + 0.5j * omega(n)
-    return _row_forms(nulls.stacked(), sigma)
+    """Same rows evaluated on the vacuum: the product-state baseline.
+
+    With Sigma + i Omega / 2 = (I + i Omega) / 2 the form of row (a, b) is
+    (|a|^2 + |b|^2) / 2 - Im(conj(a) . b), O(n) per row.
+    """
+    a, b = nulls.coeff_q, nulls.coeff_p
+    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1)
+            - (a.conj() * b).sum(axis=1).imag)
 
 
 def _row_forms(c: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -172,6 +176,40 @@ def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -
     }
 
 
+def lattice_marginals(v: np.ndarray, r: float, phase_delayed: bool = True):
+    """(Sigma_qq, Sigma_pp) of the lattice Z = i sech(2r) I + tanh(2r) V.
+
+    V is real symmetric with V^2 = I.  The quarter-delayed lattice has
+    Z = i cosh(2r) I + i sinh(2r) V, so Sigma_pp = Im Z / 2 and
+    Sigma_qq = (Im Z)^-1 / 2, which V^2 = I makes (cosh 2r I - sinh 2r V) / 2;
+    its q-p block is 0.  Without the delay both marginals are cosh(2r) I / 2.
+    Both marginal means are 0.
+    """
+    eye = np.eye(len(v))
+    if not phase_delayed:
+        return (0.5 * np.cosh(2 * r) * eye,) * 2
+    c, s = 0.5 * np.cosh(2 * r), 0.5 * np.sinh(2 * r)
+    return c * eye - s * v, c * eye + s * v
+
+
+def _p_rows(nulls: NullifierSet) -> np.ndarray:
+    """Mask of the rows read in the p setting; every other row is a q row."""
+    if not nulls.quadrature_pure():
+        raise GraphStateError(
+            "the two settings can only evaluate quadrature-pure nullifiers")
+    return np.any(nulls.coeff_p != 0, axis=1)
+
+
+def marginal_variances(nulls: NullifierSet, sigma_q: np.ndarray,
+                       sigma_p: np.ndarray) -> np.ndarray:
+    """c^T Sigma c of each quadrature-pure row on its setting's marginal."""
+    on_p = _p_rows(nulls)
+    variances = np.empty(nulls.n_rows)
+    variances[on_p] = _row_forms(nulls.coeff_p[on_p].real, sigma_p)
+    variances[~on_p] = _row_forms(nulls.coeff_q[~on_p].real, sigma_q)
+    return variances
+
+
 # -- sampling and the two-setting witness protocol ---------------------------
 
 
@@ -179,17 +217,27 @@ def sample_homodyne_dataset(state: GraphState, setting: str, shots: int,
                             seed=None, path=None) -> np.ndarray:
     """Draw homodyne shots with every mode measured in one common basis.
 
-    setting "q" or "p"; rows are shots, columns are modes.  Sampling uses a
-    Cholesky factor of the marginal covariance with a 1e-12 jitter retry.
+    setting "q" or "p"; rows are shots, columns are modes.  The marginal
+    covariance of that setting is read from the state's covariance.
     """
     if setting not in ("q", "p"):
         raise GraphStateError("setting must be 'q' or 'p'")
-    if shots < 1:
-        raise GraphStateError("need at least one shot")
     n = state.n_modes
     sl = slice(0, n) if setting == "q" else slice(n, 2 * n)
-    sigma = covariance(state)[sl, sl]
-    mean = state.mean[sl]
+    return sample_marginal(covariance(state)[sl, sl], shots, seed, path,
+                           state.mean[sl])
+
+
+def sample_marginal(sigma: np.ndarray, shots: int, seed=None, path=None,
+                    mean=0.0) -> np.ndarray:
+    """Draw shots of one homodyne setting from its marginal covariance.
+
+    Sampling uses a Cholesky factor of sigma with a 1e-12 jitter retry; with
+    a path, the shots are written as CSV with a mode_0,...,mode_{n-1} header.
+    """
+    if shots < 1:
+        raise GraphStateError("need at least one shot")
+    n = len(sigma)
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -274,10 +322,7 @@ def empirical_variances(data_q: np.ndarray, data_p: np.ndarray,
     are modes); a row with p coefficients is evaluated on the p data, any
     other row on the q data.
     """
-    if not nulls.quadrature_pure():
-        raise GraphStateError(
-            "two-setting data can only evaluate quadrature-pure nullifiers")
-    on_p = np.any(nulls.coeff_p != 0, axis=1)
+    on_p = _p_rows(nulls)
     variances = np.empty(nulls.n_rows)
     variances[on_p] = (data_p @ nulls.coeff_p[on_p].real.T).var(0, ddof=1)
     variances[~on_p] = (data_q @ nulls.coeff_q[~on_p].real.T).var(0, ddof=1)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from bslsim.cli import main
 from bslsim.graphstate import vacuum
-from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph
-from bslsim.nullifiers import (nullifier_variances, phi_transform,
+from bslsim.lattice import LatticeConfig, ideal_graph
+from bslsim.nullifiers import (lattice_marginals, marginal_variances,
                                quadrature_nullifiers, witness_from_variances)
 
 
@@ -308,9 +308,9 @@ def test_verify_nullifiers_report_takes_one_squeezing(tmp_path, capsys):
     assert not report.exists()
     assert main(["verify-nullifiers", "--lattice", "2,3", "--squeezing", "1.3",
                  "--report", str(report)]) == 0
-    config = LatticeConfig(2, 3, 1.3)
-    nulls = quadrature_nullifiers(ideal_graph(config))
-    variances = nullifier_variances(phi_transform(build_bsl(config)[0]), nulls)
+    v = ideal_graph(LatticeConfig(2, 3, 1.3))
+    nulls = quadrature_nullifiers(v)
+    variances = marginal_variances(nulls, *lattice_marginals(v, 1.3))
     assert report.read_text() == witness_from_variances(variances, nulls,
                                                         0.5).to_json()
 
@@ -442,3 +442,66 @@ def test_run_program_bad_leaves_exit_0_or_2(tmp_path_factory, program):
     assert (code == 0) == (err.getvalue() == "")
     if code:
         assert err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("flag,value", [("--lattice", "3,3"),
+                                        ("--squeezing", "2"),
+                                        ("--shots", "0"),
+                                        ("--report", "REPORT")])
+def test_verify_nullifiers_graph_refuses_lattice_flags(tmp_path, capsys, flag,
+                                                       value):
+    graph = tmp_path / "vac.json"
+    graph.write_text(vacuum(4).to_json())
+    report = tmp_path / "rep.json"
+    value = str(report) if value == "REPORT" else value
+    assert main(["verify-nullifiers", "--graph", str(graph), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} cannot be used with --graph\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["M", "--sigma", "99"], "--sigma"),
+    (["M", "--r", "0.001"], "--r"),
+    (["M", "--outcomes", "1", "2", "3"], "--outcomes"),
+    (["--chi", "0.1", "--seed", "3"], "--seed"),
+    (["--cases", "CASES", "--seed", "3"], "--seed"),
+])
+def test_verify_identities_refuses_unused_flags(tmp_path, capsys, argv, flag):
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps([{"identity": "L", "chi": 0.1}]))
+    argv = [str(cases) if a == "CASES" else a for a in argv]
+    assert main(["verify-identities", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} cannot be used")
+
+
+def test_verify_identities_chi_and_cases_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--chi", "0.1", "--cases",
+              str(tmp_path / "cases.json")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,resource", [
+    (["build-bsl", "--lattice", "64,33", "--out", "OUT"], None),
+    (["verify-nullifiers", "--lattice", "1000,1000"], None),
+    (["sample-homodyne", "--lattice", "64,33", "--setting", "q",
+      "--out", "OUT"], None),
+    (["run-program", "PROGRAM"], {"kind": "wire", "macronodes": 1e300}),
+    (["run-program", "PROGRAM"], {"kind": "wire", "macronodes": 4097}),
+    (["run-program", "PROGRAM"], {"kind": "bsl", "N": 10 ** 6, "M": 10 ** 6}),
+])
+def test_resources_above_the_mode_limit_exit_2(tmp_path, capsys, argv,
+                                               resource):
+    # refused before any array is allocated: 8194 and more modes
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps({"resource": resource, "steps": []}))
+    paths = {"OUT": str(tmp_path / "out"), "PROGRAM": str(path)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "above the limit of 8192 modes" in err
+    assert list(tmp_path.iterdir()) == [path]

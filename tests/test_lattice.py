@@ -5,10 +5,10 @@ import pytest
 
 from bslsim.graphstate import (GraphState, GraphStateError, apply,
                                covariance, gate_beamsplitter, omega)
-from bslsim.lattice import (LatticeConfig, _build_coords, _mode_at, build_bsl,
-                            build_square, bulk_modes, canonical_wire,
-                            edge_summary, graph_part, ideal_graph, schedule,
-                            to_dot)
+from bslsim.lattice import (MAX_MODES, LatticeConfig, _build_coords, _mode_at,
+                            build_bsl, build_square, bulk_modes,
+                            canonical_wire, edge_summary, graph_part,
+                            ideal_graph, schedule, to_dot)
 
 
 def test_square_is_four_cycle():
@@ -212,6 +212,17 @@ def test_invalid_configs():
         canonical_wire(2, 0.0)
     LatticeConfig(2, 2, 8.0)
     canonical_wire(2, 15.0)
+
+
+def test_resources_above_the_mode_limit_are_refused():
+    # 4 N M and 2 * macronodes against MAX_MODES, before any array is made
+    LatticeConfig(2, MAX_MODES // 8, 1.0)
+    with pytest.raises(GraphStateError, match=f"limit of {MAX_MODES} modes"):
+        LatticeConfig(2, MAX_MODES // 8 + 1, 1.0)
+    with pytest.raises(GraphStateError, match=f"limit of {MAX_MODES} modes"):
+        LatticeConfig(10 ** 300, 10 ** 300, 1.0)
+    with pytest.raises(GraphStateError, match=f"limit of {MAX_MODES} modes"):
+        canonical_wire(MAX_MODES // 2 + 1, 1.0)
 
 
 def test_phase_delayed_lattice_closed_form():

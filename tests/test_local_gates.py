@@ -17,10 +17,13 @@ from bslsim import lattice as lat
 from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
                                apply, covariance, gate_beamsplitter, gate_cz,
                                gate_displacement, gate_rotation, gate_shear,
-                               gate_squeeze, local_cond, omega, squeezed_vacua)
+                               gate_squeeze, local_cond, local_update, omega,
+                               squeezed_vacua)
 from bslsim import mbqc
 from bslsim.mbqc import _rotation_cond, decouple_wires, measure_with_response
-from bslsim.nullifiers import phi_transform
+from bslsim.nullifiers import (lattice_marginals, marginal_variances,
+                               nullifier_variances, phi_transform,
+                               quadrature_nullifiers)
 
 KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz")
 angle = st.floats(-np.pi, np.pi)
@@ -225,9 +228,17 @@ def dense_schedule(config):
     return state
 
 
+LATTICE_SIZES = [(2, 1), (2, 3), (3, 2)] + [(k, k) for k in range(2, 6)]
+
+
+def quarter_delay_tol(r):
+    """Bound on the dense quarter delay's roundoff: cond e^{2r}, entries up
+    to cosh 2r, so about eps e^{2r} cosh 2r (1e-9 at r = 4)."""
+    return max(1e-12, 1e-15 * np.exp(2 * r) * np.cosh(2 * r))
+
+
 def test_lattice_build_matches_dense_reference():
-    sizes = [(2, 1), (2, 3), (3, 2)] + [(k, k) for k in range(2, 6)]
-    for (n, m), r in itertools.product(sizes, (0.3, 1.0, 4.0)):
+    for (n, m), r in itertools.product(LATTICE_SIZES, (0.3, 1.0, 4.0)):
         config = lat.LatticeConfig(n, m, r)
         state, _ = lat.build_bsl(config)
         ref = dense_schedule(config)
@@ -236,13 +247,49 @@ def test_lattice_build_matches_dense_reference():
         for k in range(config.n_modes):
             phi_ref = apply(phi_ref, dense(gate_rotation(np.pi / 4, k,
                                                          config.n_modes)))
-        # the quarter delay has cond e^{2r} and entries up to cosh 2r, so
-        # both paths carry roundoff of about eps e^{2r} cosh 2r (1e-9 at r = 4)
-        tol = max(1e-12, 1e-15 * np.exp(2 * r) * np.cosh(2 * r))
-        assert np.abs(phi.z - phi_ref.z).max() <= tol
+        assert np.abs(phi.z - phi_ref.z).max() <= quarter_delay_tol(r)
         z_ideal = (1j / np.cosh(2 * r) * np.eye(config.n_modes)
                    + np.tanh(2 * r) * lat.ideal_graph(config))
         assert np.abs(z_ideal - ref.z).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size", LATTICE_SIZES)
+@pytest.mark.parametrize("r", [0.3, 1.0, 4.0])
+def test_lattice_marginals_and_witness_match_dense_reference(size, r):
+    config = lat.LatticeConfig(*size, r)
+    n = config.n_modes
+    state, _ = lat.build_bsl(config)
+    phi = phi_transform(state)
+    v = lat.ideal_graph(config)
+    # the covariance entries reach cosh 2r / 2 and the nullifier variances
+    # are e^{-2r}; the dense path carries the quarter delay's roundoff
+    tol = quarter_delay_tol(r)
+    for delayed, ref in ((True, phi), (False, state)):
+        sigma = covariance(ref)
+        sigma_q, sigma_p = lattice_marginals(v, r, delayed)
+        assert np.abs(sigma_q - sigma[:n, :n]).max() <= tol * np.cosh(2 * r)
+        assert np.abs(sigma_p - sigma[n:, n:]).max() <= tol * np.cosh(2 * r)
+    assert np.abs(covariance(phi)[:n, n:]).max() <= tol * np.cosh(2 * r)
+    nulls = quadrature_nullifiers(v)
+    got = marginal_variances(nulls, *lattice_marginals(v, r))
+    want = nullifier_variances(phi, nulls)
+    assert np.abs(got - want).max() <= tol * np.exp(-2 * r)
+
+
+def ideal_graph_reference(config):
+    """V from the pair graph through local_update of every schedule gate."""
+    v = lat._pairs(config.n_modes)
+    for gate in lat.schedule(config):
+        v = local_update(v, gate)
+    return (v + v.T) / 2
+
+
+@pytest.mark.parametrize("size", LATTICE_SIZES)
+def test_ideal_graph_givens_matches_local_update(size):
+    config = lat.LatticeConfig(*size, 1.0)
+    v = lat.ideal_graph(config)
+    assert np.array_equal(v, v.T)
+    assert np.abs(v - ideal_graph_reference(config)).max() <= 1e-15
 
 
 def test_measurement_response_matches_finite_differences():

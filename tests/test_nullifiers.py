@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bslsim import nullifiers
 from bslsim.graphstate import (GraphState, GraphStateError, covariance,
@@ -41,6 +43,29 @@ def test_nullifier_variances_match_einsum(size):
         want = np.einsum("ri,ij,rj->r", c.conj(), vac, c).real
         got = nullifiers.vacuum_variances(nulls)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@st.composite
+def complex_rows(draw):
+    """A NullifierSet of 1-4 random complex rows on 1-6 modes."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entry = st.complex_numbers(max_magnitude=10, allow_nan=False,
+                               allow_infinity=False)
+    block = st.lists(entry, min_size=rows * n, max_size=rows * n)
+    cq, cp = (np.array(draw(block)).reshape(rows, n) for _ in range(2))
+    return NullifierSet(cq, cp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nulls=complex_rows())
+def test_vacuum_variances_match_the_dense_form(nulls):
+    assume(not nulls.quadrature_pure())
+    n = nulls.n_modes
+    sigma = 0.5 * np.eye(2 * n) + 0.5j * omega(n)
+    want = nullifiers._row_forms(nulls.stacked(), sigma)
+    scale = (np.abs(nulls.stacked()) ** 2).sum(axis=1)
+    got = nullifiers.vacuum_variances(nulls)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
 
 
 def test_vacuum_exact_nullifier_zero_variance():
