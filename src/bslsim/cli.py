@@ -48,6 +48,28 @@ def _grid_arg(text: str):
     return half, pts
 
 
+def _seed_arg(text: str) -> int:
+    message = f"seed must be an integer >= 0, got {text!r}"
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(message) from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(message)
+    return seed
+
+
+def _threshold_factor_arg(text: str) -> float:
+    message = f"threshold factor must be finite and in (0, 1], got {text!r}"
+    try:
+        factor = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(message) from exc
+    if not 0 < factor <= 1:
+        raise argparse.ArgumentTypeError(message)
+    return factor
+
+
 def _echo(args: argparse.Namespace) -> dict:
     skip = {"func"}
     return {k: v for k, v in vars(args).items() if k not in skip}
@@ -90,7 +112,9 @@ def cmd_verify_nullifiers(args) -> int:
     if args.graph is not None:
         lattice_only = [flag for flag, value in (
             ("--lattice", args.lattice), ("--squeezing", args.squeezing_list),
-            ("--shots", args.shots), ("--report", args.report))
+            ("--shots", args.shots), ("--seed", args.seed),
+            ("--threshold-factor", args.threshold_factor),
+            ("--report", args.report))
             if value is not None]
         if lattice_only:
             return _refuse(lattice_only[0], "with --graph")
@@ -101,6 +125,14 @@ def cmd_verify_nullifiers(args) -> int:
         print(f"exact nullifier variances: max {np.abs(variances).max():.3e} "
               f"-> {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
+    if args.seed is not None and args.shots is None:
+        return _refuse("--seed", "without --shots")
+    if args.shots is not None and args.shots < 1:
+        print(f"error: --shots must be at least 1, got {args.shots}",
+              file=sys.stderr)
+        return 2
+    seed = 7 if args.seed is None else args.seed
+    factor = 0.5 if args.threshold_factor is None else args.threshold_factor
     configs = [LatticeConfig(*(args.lattice or (2, 2)), r)
                for r in args.squeezing_list or [1.0]]
     if args.report and len(configs) > 1:
@@ -113,17 +145,16 @@ def cmd_verify_nullifiers(args) -> int:
     for config in configs:
         sigma_q, sigma_p = lattice_marginals(v, config.r)
         variances = marginal_variances(nulls, sigma_q, sigma_p)
-        report = witness_from_variances(variances, nulls, args.threshold_factor)
+        report = witness_from_variances(variances, nulls, factor)
         print(f"r = {config.r}: analytic witness "
               f"{'pass' if report.passed else 'FAIL'} "
               f"(max variance {variances.max():.6f})")
         overall &= report.passed
         if args.shots:
-            qd = sample_marginal(sigma_q, args.shots, args.seed)
-            pd = sample_marginal(sigma_p, args.shots, args.seed + 1)
+            qd = sample_marginal(sigma_q, args.shots, seed)
+            pd = sample_marginal(sigma_p, args.shots, seed + 1)
             emp = empirical_variances(qd, pd, nulls)
-            emp_report = witness_from_variances(emp, nulls,
-                                                args.threshold_factor, args.shots)
+            emp_report = witness_from_variances(emp, nulls, factor, args.shots)
             rel = np.abs(emp - variances) / variances
             print(f"        sampled witness "
                   f"{'pass' if emp_report.passed else 'FAIL'} "
@@ -166,6 +197,9 @@ def cmd_verify_identities(args) -> int:
     if args.seed is not None and (args.chi is not None
                                   or args.cases is not None):
         return _refuse("--seed", "with --chi or --cases")
+    if args.suite is not None and (args.chi is not None
+                                   or args.cases is not None):
+        return _refuse(f"suite {args.suite}", "with --chi or --cases")
     if args.cases is not None:
         cases = json.loads(Path(args.cases).read_text())
         if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
@@ -177,7 +211,7 @@ def cmd_verify_identities(args) -> int:
         reports = run_cases([{"identity": "L", "chi": args.chi,
                               **CHI_DEFAULTS, **chi_given}], pts, half)
     else:
-        reports = list(run_suite(args.suite, pts, half,
+        reports = list(run_suite(args.suite or "all", pts, half,
                                  7 if args.seed is None else args.seed))
     ok = True
     for rep in reports:
@@ -225,24 +259,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="verify a stored graph JSON instead")
     p.add_argument("--shots", type=int,
                    help="also run the sampled two-setting protocol")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threshold-factor", type=float, default=0.5)
+    p.add_argument("--seed", type=_seed_arg,
+                   help="sampling seed, with --shots (default 7)")
+    p.add_argument("--threshold-factor", type=_threshold_factor_arg,
+                   help="witness threshold per vacuum variance (default 0.5)")
     p.add_argument("--report", help="write the witness report JSON here")
     p.set_defaults(func=cmd_verify_nullifiers)
 
     p = sub.add_parser("run-program", help="execute a measurement program")
     p.add_argument("program", help="program JSON path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", help="write the record JSON here")
     p.set_defaults(func=cmd_run_program)
 
     p = sub.add_parser("verify-identities",
                        help="grid verification of the teleportation identities")
     p.add_argument("suite", choices=("E", "M", "L", "commutation", "all"),
-                   nargs="?", default="all")
+                   nargs="?", help="suite to run (default all)")
     p.add_argument("--grid", type=_grid_arg, default=(DEFAULT_L, DEFAULT_P2),
                    metavar="L,P")
-    p.add_argument("--seed", type=int, help="suite seed (default 7)")
+    p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")
     one = p.add_mutually_exclusive_group()
     one.add_argument("--chi", type=float, help="run a single cubic-gate case")
     one.add_argument("--cases", help="JSON file with a list of cases to run")
@@ -258,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
     p.add_argument("--setting", choices=("q", "p"), required=True)
     p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed_arg, default=7)
     p.add_argument("--out", required=True)
     p.add_argument("--phase-delayed", action="store_true",
                    help="sample the quarter-rotated state instead")

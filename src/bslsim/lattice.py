@@ -23,26 +23,23 @@ and p, so the graph keeps the exact form Z(r) = i sech(2r) I + tanh(2r) V
 with V = O V0 O^T; V stays self-inverse and trace-free for every lattice
 size.
 
-Detector bookkeeping (measured bin tau = when a mode hits its detector):
-
-* rails 0 and 2 of bin tau are measured at bin tau; rail 1 of bin tau-1 and
-  rail 3 of bin tau-N arrive delayed at bin tau;
-* the "bc" macronode of bin tau holds (b: rail0@tau, c: rail1@tau-1) and is
-  consumed by wire-deletion measurements;
-* the "xa" macronode holds (x: rail2@tau, a: rail3@tau-N); chains of xa
-  macronodes along steps of N (fixed row = tau mod N) are the quantum wires.
+Detector bookkeeping follows from one table, `LatticeConfig.rails`: the
+detector each rail reaches and its delay in bins, so a mode is measured at
+its bin plus its rail's delay.  A macronode is rails (2k, 2k+1), the two
+modes that meet on one delay-line beamsplitter and reach their detectors in
+the same bin tau: "bc" (b: rail0@tau, c: rail1@tau-1) is consumed by
+wire-deletion measurements; chains of "xa" (x: rail2@tau, a: rail3@tau-N)
+macronodes along steps of N (fixed row = tau mod N) are the quantum wires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphstate import GraphState, GraphStateError, apply, gate_beamsplitter
-
-DETECTORS = ("x", "a", "b", "c")
 
 #: largest supported lattice squeezing.  The phase-delayed marginals
 #: (cosh 2r I -+ sinh 2r V) / 2 have cond e^{4r}: the analytic witness
@@ -92,6 +89,12 @@ class LatticeConfig:
     def n_modes(self) -> int:
         return 4 * self.bins
 
+    @property
+    def rails(self) -> tuple:
+        """(detector, delay in bins) per rail of a time bin: rail 1 takes the
+        one-bin loop and rail 3 the N-bin loop."""
+        return (("b", 0), ("c", 1), ("x", 0), ("a", self.n_rows))
+
 
 class LatticeCoord(NamedTuple):
     row: int
@@ -106,34 +109,47 @@ class MacronodeLattice:
     """Bijection between temporal modes, detectors and lattice coordinates."""
 
     config: LatticeConfig
-    #: (measured_bin, detector) -> mode id
-    coords: dict = field(repr=False)
+
+    def mode_at(self, time_index: int, detector: str):
+        """Mode measured at (time_index, detector), or None where none is; in
+        O(1), so checking a program costs O(steps) whatever the lattice."""
+        for rail, (det, delay) in enumerate(self.config.rails):
+            if det == detector:
+                t = time_index - delay
+                return 4 * t + rail if 0 <= t < self.config.bins else None
+        return None
 
     def lookup(self, time_index: int, detector: str) -> LatticeCoord:
         """Lattice coordinate of the mode measured at (time_index, detector)."""
-        if detector not in DETECTORS:
-            raise KeyError(f"unknown detector {detector!r}")
-        key = (time_index, detector)
-        if key not in self.coords:
+        rails = self.config.rails
+        mode = self.mode_at(time_index, detector)
+        if mode is None:
+            if all(det != detector for det, _ in rails):
+                raise KeyError(f"unknown detector {detector!r}")
             raise KeyError(f"no mode is measured at bin {time_index}, "
                            f"detector {detector!r}")
-        mode = self.coords[key]
+        rail = mode % 4
+        first = rail - rail % 2     # the macronode's rails (first, first+1)
+        site = rails[first][0] + rails[first + 1][0]
+        member = ("alpha", "beta")[rail % 2]
         n = self.config.n_rows
-        site = "xa" if detector in ("x", "a") else "bc"
-        member = "alpha" if detector in ("x", "b") else "beta"
         return LatticeCoord(time_index % n, time_index // n, site, member, mode)
 
-    def mode_at(self, time_index: int, detector: str) -> int:
-        return self.lookup(time_index, detector).mode
+    @property
+    def coords(self) -> dict:
+        """(measured bin, detector) -> mode, bin by bin; a bin's rails in the
+        order they reach their detectors."""
+        arrival = sorted(enumerate(self.config.rails), key=lambda x: x[1][1])
+        return {(t + delay, det): 4 * t + rail for t in range(self.config.bins)
+                for rail, (det, delay) in arrival}
 
     def bc_sites(self):
-        """Measured bins holding a complete deletion (bc) macronode."""
-        return [t for t in range(self.config.bins)
-                if (t, "b") in self.coords and (t, "c") in self.coords]
+        """Measured bins holding a complete deletion (bc) macronode: every
+        bin from the first that the delayed c mode reaches."""
+        return list(range(dict(self.config.rails)["c"], self.config.bins))
 
     def xa_sites(self):
-        return [t for t in range(self.config.bins)
-                if (t, "x") in self.coords and (t, "a") in self.coords]
+        return list(range(dict(self.config.rails)["a"], self.config.bins))
 
     def wire_sites(self, row: int):
         """Complete xa macronodes of one wire row, in propagation order."""
@@ -144,29 +160,10 @@ class MacronodeLattice:
         return ((-1) ** (time_index % self.config.n_rows)) * np.pi / 4
 
 
-def _measured_bin(mode, n_rows: int):
+def _measured_bin(mode, config: LatticeConfig):
     """Bin at which a mode (int or array) reaches its detector."""
     t, rail = np.divmod(mode, 4)
-    return t + np.array([0, 1, 0, n_rows])[rail]
-
-
-def _build_coords(config: LatticeConfig) -> dict:
-    coords = {}
-    for t in range(config.bins):
-        coords[(t, "b")] = 4 * t + 0
-        coords[(t, "x")] = 4 * t + 2
-        coords[(t + 1, "c")] = 4 * t + 1
-        coords[(t + config.n_rows, "a")] = 4 * t + 3
-    return coords
-
-
-def _mode_at(config: LatticeConfig, time_index: int, detector: str):
-    """_build_coords(config).get((time_index, detector)) in O(1): checking a
-    program against the lattice costs O(steps) whatever its size."""
-    if detector not in ("b", "c", "x", "a"):
-        return None
-    t = time_index - {"c": 1, "a": config.n_rows}.get(detector, 0)
-    return 4 * t + "bcxa".index(detector) if 0 <= t < config.bins else None
+    return t + np.array([delay for _, delay in config.rails])[rail]
 
 
 def _pairs(n: int) -> np.ndarray:
@@ -191,17 +188,17 @@ def build_square(r: float) -> GraphState:
 def _joins(config: LatticeConfig) -> list:
     """Mode pairs (a, b) of the beamsplitters joining the cluster pairs.
 
-    In circuit order, per bin t: the in-bin (4t, 4t+2), the one-bin delay
-    (4t-3, 4t) for t >= 1 and the N-bin delay (4(t-N)+3, 4t+2) for t >= N.
+    In circuit order, per bin t: the in-bin (4t, 4t+2), then the delay-line
+    beamsplitter of each complete macronode measured at bin t, delayed mode
+    first: (c, b), then (a, x).
     """
-    rows, pairs = config.n_rows, []
+    lattice, pairs = MacronodeLattice(config), []
     for t in range(config.bins):
-        base = 4 * t
-        pairs.append((base, base + 2))
-        if t >= 1:
-            pairs.append((base - 3, base))
-        if t >= rows:
-            pairs.append((4 * (t - rows) + 3, base + 2))
+        pairs.append((4 * t, 4 * t + 2))
+        for alpha, beta in ("bc", "xa"):
+            pair = (lattice.mode_at(t, beta), lattice.mode_at(t, alpha))
+            if None not in pair:
+                pairs.append(pair)
     return pairs
 
 
@@ -220,7 +217,7 @@ def build_bsl(config: LatticeConfig):
     state = _pair_state(config.n_modes, config.r)
     for gate in schedule(config):
         state = apply(state, gate)
-    return state, MacronodeLattice(config, _build_coords(config))
+    return state, MacronodeLattice(config)
 
 
 def graph_part(state: GraphState, r: float) -> np.ndarray:
@@ -246,11 +243,12 @@ def ideal_graph(config: LatticeConfig) -> np.ndarray:
 
 
 def bulk_modes(config: LatticeConfig):
-    """Modes whose delay-line beamsplitter was not skipped at a boundary."""
-    t, rail = np.divmod(np.arange(config.n_modes), 4)
-    n = config.n_rows
-    partner = t + np.array([-1, 1, -n, n])[rail]
-    return np.flatnonzero((partner >= 0) & (partner < config.bins)).tolist()
+    """Modes of the complete macronodes: their delay-line beamsplitter was
+    not skipped at a boundary."""
+    lattice = MacronodeLattice(config)
+    sites = {"bc": lattice.bc_sites(), "xa": lattice.xa_sites()}
+    return sorted(lattice.mode_at(t, det) for site, bins in sites.items()
+                  for t in bins for det in site)
 
 
 def _edges(z: np.ndarray):
@@ -274,8 +272,8 @@ def edge_summary(state: GraphState, config: LatticeConfig) -> dict:
     bulk = np.zeros(state.n_modes, dtype=bool)
     bulk[bulk_modes(config)] = True
     bulk_mags = all_mags[bulk[a] & bulk[b]]
-    dt = np.abs(_measured_bin(a, config.n_rows) - _measured_bin(b, config.n_rows))
-    local = (dt == 0) | (dt == 1) | (dt == config.n_rows)
+    dt = np.abs(_measured_bin(a, config) - _measured_bin(b, config))
+    local = np.isin(dt, [delay for _, delay in config.rails])
     return {
         "selfloop": sech,
         "selfloop_deviation": selfloop_dev,
@@ -292,7 +290,7 @@ def edge_summary(state: GraphState, config: LatticeConfig) -> dict:
 def to_dot(state: GraphState, config: LatticeConfig) -> str:
     """Graphviz rendering of the rounded adjacency, edges colored by sign."""
     modes = np.arange(state.n_modes)
-    tau = _measured_bin(modes, config.n_rows)
+    tau = _measured_bin(modes, config)
     lines = ["graph bsl {", "  node [shape=circle fontsize=10];"]
     lines += [f'  m{m} [label="{m}\\nt{tau[m]} r{m % 4}"];' for m in modes]
     lines += [f'  m{a} -- m{b} [color={"blue" if w.real >= 0 else "orange"} '

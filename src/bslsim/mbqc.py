@@ -26,8 +26,7 @@ import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate,
                          _check_cond, apply, gate_beamsplitter)
-from .lattice import (LatticeConfig, MacronodeLattice, _mode_at,
-                      build_bsl, canonical_wire)
+from .lattice import LatticeConfig, MacronodeLattice, build_bsl, canonical_wire
 
 
 class ProgramError(ValueError):
@@ -439,7 +438,7 @@ def _parse_resource(desc):
                                _number(m, "resource.M", int),
                                _number(desc.get("r", 1.0), "resource.r"))
         return (lambda: build_bsl(config)[0], config.r,
-                lambda t, d: _mode_at(config, t, d))
+                MacronodeLattice(config).mode_at)
     raise ProgramError(f"unknown resource kind {kind!r}")
 
 

@@ -447,6 +447,8 @@ def test_run_program_bad_leaves_exit_0_or_2(tmp_path_factory, program):
 @pytest.mark.parametrize("flag,value", [("--lattice", "3,3"),
                                         ("--squeezing", "2"),
                                         ("--shots", "0"),
+                                        ("--seed", "3"),
+                                        ("--threshold-factor", "0.4"),
                                         ("--report", "REPORT")])
 def test_verify_nullifiers_graph_refuses_lattice_flags(tmp_path, capsys, flag,
                                                        value):
@@ -461,12 +463,54 @@ def test_verify_nullifiers_graph_refuses_lattice_flags(tmp_path, capsys, flag,
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "3"], "error: --seed cannot be used without --shots\n"),
+    (["--shots", "0"], "error: --shots must be at least 1, got 0\n"),
+])
+def test_verify_nullifiers_refuses_unused_sampling_flags(capsys, argv,
+                                                         message):
+    assert main(["verify-nullifiers", "--lattice", "2,2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-nullifiers", "--lattice", "2,2", "--shots", "100"],
+    ["sample-homodyne", "--setting", "q", "--out", "OUT"],
+    ["verify-identities", "M"],
+    ["run-program", "PROGRAM"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    program = tmp_path / "prog.json"
+    program.write_text(json.dumps({"resource": {"kind": "wire"}, "steps": []}))
+    paths = {"OUT": str(tmp_path / "q.csv"), "PROGRAM": str(program)}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert ("argument --seed: seed must be an integer >= 0, got '-1'"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [program]
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "5", "0", "-0.5", "half"])
+def test_verify_nullifiers_threshold_factor_range(capsys, factor):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-nullifiers", "--threshold-factor", factor])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold factor must be finite and in (0, 1]" in captured.err
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["M", "--sigma", "99"], "--sigma"),
     (["M", "--r", "0.001"], "--r"),
     (["M", "--outcomes", "1", "2", "3"], "--outcomes"),
     (["--chi", "0.1", "--seed", "3"], "--seed"),
     (["--cases", "CASES", "--seed", "3"], "--seed"),
+    (["M", "--chi", "0.1"], "suite M"),
+    (["all", "--cases", "CASES"], "suite all"),
 ])
 def test_verify_identities_refuses_unused_flags(tmp_path, capsys, argv, flag):
     cases = tmp_path / "cases.json"

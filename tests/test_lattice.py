@@ -5,7 +5,7 @@ import pytest
 
 from bslsim.graphstate import (GraphState, GraphStateError, apply,
                                covariance, gate_beamsplitter, omega)
-from bslsim.lattice import (MAX_MODES, LatticeConfig, _build_coords, _mode_at,
+from bslsim.lattice import (MAX_MODES, LatticeConfig, MacronodeLattice, _joins,
                             build_bsl, build_square, bulk_modes,
                             canonical_wire, edge_summary, graph_part,
                             ideal_graph, schedule, to_dot)
@@ -362,10 +362,71 @@ def test_edge_reports_match_pairwise_scan_on_random_graphs(seed):
     _assert_reports_match(empty, config)
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2), (4, 4)])
+# -- the rail table against the per-rail formulas it replaced ----------------
+
+
+def _reference_coords(config):
+    coords = {}
+    for t in range(config.bins):
+        coords[(t, "b")] = 4 * t + 0
+        coords[(t, "x")] = 4 * t + 2
+        coords[(t + 1, "c")] = 4 * t + 1
+        coords[(t + config.n_rows, "a")] = 4 * t + 3
+    return coords
+
+
+def _reference_mode_at(config, time_index, detector):
+    if detector not in ("b", "c", "x", "a"):
+        return None
+    t = time_index - {"c": 1, "a": config.n_rows}.get(detector, 0)
+    return 4 * t + "bcxa".index(detector) if 0 <= t < config.bins else None
+
+
+def _reference_joins(config):
+    rows, pairs = config.n_rows, []
+    for t in range(config.bins):
+        base = 4 * t
+        pairs.append((base, base + 2))
+        if t >= 1:
+            pairs.append((base - 3, base))
+        if t >= rows:
+            pairs.append((4 * (t - rows) + 3, base + 2))
+    return pairs
+
+
+def _reference_bulk_modes(config):
+    t, rail = np.divmod(np.arange(config.n_modes), 4)
+    n = config.n_rows
+    partner = t + np.array([-1, 1, -n, n])[rail]
+    return np.flatnonzero((partner >= 0) & (partner < config.bins)).tolist()
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2), (4, 4), (5, 3)])
 def test_mode_at_inverts_the_coordinate_table(n, m):
     config = LatticeConfig(n, m, 1.0)
-    coords = _build_coords(config)
+    lattice = MacronodeLattice(config)
+    coords = _reference_coords(config)
+    assert list(lattice.coords.items()) == list(coords.items())
     for t in range(-2, config.bins + n + 2):
         for d in ("a", "b", "c", "x", "", "ab", "y"):
-            assert _mode_at(config, t, d) == coords.get((t, d))
+            mode = _reference_mode_at(config, t, d)
+            assert mode == coords.get((t, d))
+            assert lattice.mode_at(t, d) == mode
+            if mode is None:
+                with pytest.raises(KeyError):
+                    lattice.lookup(t, d)
+            else:
+                site = "xa" if d in ("x", "a") else "bc"
+                member = "alpha" if d in ("x", "b") else "beta"
+                assert lattice.lookup(t, d) == (t % n, t // n, site, member,
+                                                mode)
+    complete = {s: [t for t in range(config.bins)
+                    if (t, s[0]) in coords and (t, s[1]) in coords]
+                for s in ("bc", "xa")}
+    assert lattice.bc_sites() == complete["bc"]
+    assert lattice.xa_sites() == complete["xa"]
+    for row in range(n):
+        assert lattice.wire_sites(row) == [t for t in complete["xa"]
+                                           if t % n == row]
+    assert _joins(config) == _reference_joins(config)
+    assert bulk_modes(config) == _reference_bulk_modes(config)
