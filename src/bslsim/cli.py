@@ -59,6 +59,17 @@ def _seed_arg(text: str) -> int:
     return seed
 
 
+def _finite_arg(text: str) -> float:
+    message = f"expected a finite number, got {text!r}"
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(message) from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _threshold_factor_arg(text: str) -> float:
     message = f"threshold factor must be finite and in (0, 1], got {text!r}"
     try:
@@ -280,11 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="L,P")
     p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")
     one = p.add_mutually_exclusive_group()
-    one.add_argument("--chi", type=float, help="run a single cubic-gate case")
+    one.add_argument("--chi", type=_finite_arg,
+                     help="run a single cubic-gate case")
     one.add_argument("--cases", help="JSON file with a list of cases to run")
-    p.add_argument("--sigma", type=float, help="--chi case only (default 0.3)")
-    p.add_argument("--r", type=float, help="--chi case only (default 4.0)")
-    p.add_argument("--outcomes", type=float, nargs=3,
+    p.add_argument("--sigma", type=_finite_arg,
+                   help="--chi case only (default 0.3)")
+    p.add_argument("--r", type=_finite_arg, help="--chi case only (default 4.0)")
+    p.add_argument("--outcomes", type=_finite_arg, nargs=3,
                    help="--chi case only (default 0.1 -0.2 0.4)")
     p.add_argument("--report", help="write the batch report JSON here")
     p.set_defaults(func=cmd_verify_identities)

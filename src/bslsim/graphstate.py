@@ -114,33 +114,57 @@ class GraphState:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "GraphState":
-        data = json.loads(text)
-        try:
-            z = np.array(data["Z_re"]) + 1j * np.array(data["Z_im"])
-            mean = np.array(data["mean"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphStateError(f"malformed graph JSON: {exc}") from exc
+    def from_dict(cls, data) -> "GraphState":
+        """State from the to_dict layout; a GraphStateError names the field.
+
+        Z_re and Z_im must be square matrices of one shape and n, where
+        given, their size; each part must be symmetric to 1e-12 max(1, |Z|).
+        """
+        parts = []
+        for key in ("Z_re", "Z_im", "mean"):
+            try:
+                parts.append(np.array(data[key], dtype=float))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise GraphStateError(f"malformed graph JSON: field {key} is "
+                                      f"missing or not numeric ({exc})") from exc
+        re, im, mean = parts
+        if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
+            raise GraphStateError("malformed graph JSON: Z_re and Z_im must be "
+                                  f"square of one shape, got {re.shape}, {im.shape}")
+        if data.get("n", len(re)) != len(re):
+            raise GraphStateError(f"malformed graph JSON: n = {data['n']!r}, "
+                                  f"but Z is {len(re)} x {len(re)}")
+        z = re + 1j * im
+        for key, part in (("Z_re", re), ("Z_im", im)):
+            asym = np.abs(part - part.T).max(initial=0.0)
+            # a non-finite Z passes here and is refused by the Z check
+            if asym > 1e-12 * np.abs(z).max(initial=1.0):
+                raise GraphStateError(f"{key} is not symmetric "
+                                      f"(|{key} - {key}^T| = {asym:.3e})")
         return cls(z, mean)
+
+    @classmethod
+    def from_json(cls, text: str) -> "GraphState":
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
 class SymplecticGate:
     """Heisenberg-picture Gaussian gate: x -> S x + d.
 
-    A dense gate, SymplecticGate(s, d), holds the whole 2n x 2n S in `block`
-    and its length-2n displacement in `disp`; `modes` stays None.  A local
-    gate, SymplecticGate(block, disp, modes, n_modes), holds the 2k x 2k block
+    SymplecticGate(block, disp, modes, n_modes) holds the 2k x 2k block
     acting on the k listed modes of an n-mode system, rows and columns
-    ordered (q of modes, p of modes), and S is the identity elsewhere.  The
-    dense S and d of a local gate are built on first use of `.s` and `.d`.
-    The block must satisfy block Omega block^T = Omega to 1e-12.
+    ordered (q of modes, p of modes); S is the identity elsewhere.  Empty
+    `modes` (the default) means the first k modes and `n_modes` 0 means k,
+    so SymplecticGate(s, d) acts with all of S.  The dense S and d are built
+    on first use of `.s` and `.d`.  The block must satisfy
+    block Omega block^T = Omega to 1e-12.
     """
 
     block: np.ndarray
     disp: np.ndarray = None
-    modes: tuple = None
-    n_modes: int = None
+    modes: tuple = ()
+    n_modes: int = 0
 
     def __post_init__(self):
         block = np.asarray(self.block, dtype=float)
@@ -148,20 +172,16 @@ class SymplecticGate:
         if block.ndim != 2 or block.shape != (k2, k2) or k2 % 2:
             raise GraphStateError("S must be a 2n x 2n matrix")
         k = k2 // 2
-        n, modes = k, None
-        if self.modes is not None:
-            if self.n_modes is None:
-                raise GraphStateError("a local gate needs the system's mode count")
-            n, modes = self.n_modes, tuple(int(m) for m in self.modes)
-            if len(modes) != k:
-                raise GraphStateError(
-                    f"a {k2} x {k2} block acts on {k} modes, got {len(modes)}")
-            for m in modes:
-                if not 0 <= m < n:
-                    raise GraphStateError(
-                        f"mode index {m} out of range for {n} modes")
-            if len(set(modes)) != k:
-                raise GraphStateError("mode indices must be distinct")
+        modes = tuple(map(int, self.modes)) or tuple(range(k))
+        n = self.n_modes or k
+        if len(modes) != k:
+            raise GraphStateError(
+                f"a {k2} x {k2} block acts on {k} modes, got {len(modes)}")
+        for m in modes:
+            if not 0 <= m < n:
+                raise GraphStateError(f"mode index {m} out of range for {n} modes")
+        if len(set(modes)) != k:
+            raise GraphStateError("mode indices must be distinct")
         disp = (np.zeros(k2) if self.disp is None
                 else np.asarray(self.disp, dtype=float))
         if disp.shape != (k2,):
@@ -178,30 +198,22 @@ class SymplecticGate:
     @cached_property
     def index(self) -> np.ndarray:
         """Rows and columns of S that the block occupies."""
-        m = np.arange(self.n_modes) if self.modes is None else np.array(self.modes)
+        m = np.array(self.modes, dtype=int)
         return np.concatenate([m, self.n_modes + m])
 
     @cached_property
     def s(self) -> np.ndarray:
-        """Dense 2n x 2n S; built on first use for a local gate."""
-        if self.modes is None:
-            return self.block
+        """Dense 2n x 2n S, built on first use."""
         s = np.eye(2 * self.n_modes)
         s[np.ix_(self.index, self.index)] = self.block
         return s
 
     @cached_property
     def d(self) -> np.ndarray:
-        """Dense length-2n displacement; built on first use for a local gate."""
-        if self.modes is None:
-            return self.disp
+        """Dense length-2n displacement, built on first use."""
         d = np.zeros(2 * self.n_modes)
         d[self.index] = self.disp
         return d
-
-    def blocks(self):
-        n = self.n_modes
-        return self.s[:n, :n], self.s[:n, n:], self.s[n:, :n], self.s[n:, n:]
 
     def then(self, other: "SymplecticGate") -> "SymplecticGate":
         """Gate equal to applying self first, then other."""
@@ -270,79 +282,66 @@ def squeezed_vacua(r_list) -> GraphState:
     return GraphState(1j * np.diag(np.exp(-2 * r)), np.zeros(2 * len(r)))
 
 
-def _gate_rows(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
-    """Rows `gate.modes` of A + B Z for a local gate (k x n)."""
-    k, m = len(gate.modes), list(gate.modes)
-    rows = gate.block[:k, k:] @ z[m]
-    rows[:, m] += gate.block[:k, :k]
-    return rows
-
-
-def local_update(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
-    """Z' = (C + D Z)(A + B Z)^-1 for a local gate, in O(n^2 k).
-
-    A + B Z is the identity outside the gate's k rows.  With R those rows
-    minus the identity rows, P = R[:, modes] + I and E the identity's
-    columns at the modes, Woodbury gives (A + B Z)^-1 = I - E P^-1 R, so
-    Z' = N - N[:, modes] P^-1 R, where N = C + D Z differs from Z only in the
-    gate's rows.  The result is neither symmetrized nor checked.
-    """
-    k, m = len(gate.modes), list(gate.modes)
-    rows = _gate_rows(z, gate)
-    p = rows[:, m]
-    rows[:, m] -= np.eye(k)
-    nrows = gate.block[k:, k:] @ z[m]
-    nrows[:, m] += gate.block[k:, :k]
-    nmat = z.copy()
-    nmat[m] = nrows
-    return nmat - nmat[:, m] @ np.linalg.solve(p, rows)
-
-
-def local_cond(z: np.ndarray, gate: SymplecticGate) -> float:
-    """Exact 2-norm cond(A + B Z) of a local gate from a matrix of size <= 2k.
-
-    With the gate's modes first, A + B Z = [[P, Q], [0, I]], whose singular
-    values depend on Q only through Q Q^H.  The R factor of Q^H gives
-    X = R^H with X X^H = Q Q^H and at most k columns; [[P, X], [0, I]] has
-    the same singular values apart from ones, which cannot change the cond
-    because A + B Z and its inverse both contain identity rows.  When the
-    block has no B part, Q = 0 and the cond does not depend on Z.
-    """
-    k, n = len(gate.modes), gate.n_modes
+def _gate_rows(z: np.ndarray, gate: SymplecticGate):
+    """(P, Q, Z_own, Z_other, rest): P (k x k) and Q (k x n-k) are the
+    gate's rows of A + B Z at its own columns and at the others, `rest`;
+    Z_own and Z_other are the same blocks of Z."""
+    k, m = len(gate.modes), gate.index[:len(gate.modes)]
+    rest = np.delete(np.arange(gate.n_modes), m)
+    zm = z[m]
+    own, other = np.take(zm, m, axis=1), np.take(zm, rest, axis=1)
     b = gate.block[:k, k:]
-    if b.any():
-        rows = _gate_rows(z, gate)
-        p = rows[:, list(gate.modes)]
-        q = np.delete(rows, gate.modes, axis=1)
-        if k == 1:      # R factor of one column: its norm (no column at n = 1)
-            x = np.linalg.norm(q, keepdims=True)[:, :n - 1]
-        else:
-            x = np.linalg.qr(q.conj().T, mode="r").conj().T
-    else:
-        p, x = gate.block[:k, :k], np.zeros((k, min(k, n - k)))
-    m = np.eye(k + x.shape[1], dtype=p.dtype)
+    return gate.block[:k, :k] + b @ own, b @ other, own, other, rest
+
+
+def _cond(p: np.ndarray, q: np.ndarray) -> float:
+    """Exact 2-norm cond of [[P, Q], [0, I]] from a matrix of size <= 2k.
+
+    The singular values depend on Q only through Q Q^H, so Q may give way
+    to X = R^H from the R factor of Q^H, with at most k columns; the ones
+    this drops cannot change the cond, as the matrix and its inverse both
+    contain identity rows.  Q = 0, as for a gate with no B part, needs no R.
+    """
+    k = len(p)
+    m = np.eye(k + min(q.shape), dtype=p.dtype)
     m[:k, :k] = p
-    m[:k, k:] = x
+    if q.any():
+        m[:k, k:] = np.linalg.qr(q.conj().T, mode="r").conj().T
     return np.linalg.cond(m)
 
 
-def apply(state: GraphState, gate: SymplecticGate) -> GraphState:
-    """Apply a gate: Z' = (C + D Z)(A + B Z)^-1, mean' = S mean + d.
+def local_cond(z: np.ndarray, gate: SymplecticGate) -> float:
+    """Exact 2-norm cond(A + B Z) of a gate on k modes."""
+    return _cond(*_gate_rows(z, gate)[:2])
 
-    A local gate takes the rank-k update of local_update; a dense gate takes
-    the dense solve, which is also the reference the local update is tested
-    against.
+
+def local_update(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
+    """Z' = (C + D Z)(A + B Z)^-1 in O(n^2 k), behind the exact cond guard.
+
+    With the gate's modes first, A + B Z = [[P, Q], [0, I]], so the gate's
+    columns of Z' are X = N[:, modes] P^-1, one k x k solve, and the others
+    N[:, rest] - X Q, where N = C + D Z differs from Z only in the gate's
+    rows; at k = n this is the dense solve itself.  Both are built as rows
+    of Z'^T.  The result is neither symmetrized nor checked.
     """
+    k, m = len(gate.modes), gate.index[:len(gate.modes)]
+    p, q, own, other, rest = _gate_rows(z, gate)
+    _check_cond(_cond(p, q))
+    cols = np.take(z, m, axis=1)            # N[:, modes]
+    cols[m] = gate.block[k:, :k] + gate.block[k:, k:] @ own
+    x_t = np.linalg.solve(p.T, cols.T)
+    rows = np.take(z, rest, axis=1).T       # N[:, rest]^T
+    rows[:, m] = (gate.block[k:, k:] @ other).T
+    out = np.empty((gate.n_modes,) * 2, dtype=x_t.dtype)
+    out[m], out[rest] = x_t, rows - q.T @ x_t
+    return out.T
+
+
+def apply(state: GraphState, gate: SymplecticGate) -> GraphState:
+    """Apply a gate: Z' = (C + D Z)(A + B Z)^-1, mean' = S mean + d."""
     if gate.n_modes != state.n_modes:
         raise GraphStateError(
             f"gate acts on {gate.n_modes} modes, state has {state.n_modes}")
-    if gate.modes is None:
-        a, b, c, d = gate.blocks()
-        m = a + b @ state.z
-        _check_cond(np.linalg.cond(m))
-        zp = np.linalg.solve(m.T, (c + d @ state.z).T).T
-        return GraphState(zp, gate.s @ state.mean + gate.d)
-    _check_cond(local_cond(state.z, gate))
     mean = state.mean.copy()
     idx = gate.index
     mean[idx] = gate.block @ mean[idx] + gate.disp

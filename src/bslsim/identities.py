@@ -9,6 +9,8 @@ envelopes, so the fidelity deficit eps(r) shrinks as r grows.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
@@ -272,43 +274,55 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
 
     Case schema: {"identity": "E" | "M" | "L" | "commutation", ...params}.
     Cases run in parallel worker threads (the FFT kernels release the GIL);
-    reports are assembled in input order, and per-case errors are captured in
-    the report instead of aborting the batch.
+    reports are assembled in input order, and per-case errors, a
+    non-finite field among them, are captured in the report instead of
+    aborting the batch.  An error report echoes its case with non-finite
+    numbers as strings, so the report stays strict JSON.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     def one(case):
         kind = case.get("identity")
+
+        def num(key, default):
+            value = float(case.get(key, default))
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            return value
+
+        def outcomes():
+            values = tuple(case.get("outcomes", (0.0, 0.0, 0.0)))
+            # a value that is not a number fails in the verifier
+            if any(isinstance(v, float) and not np.isfinite(v) for v in values):
+                raise ValueError(f"outcomes must be finite, got {list(values)}")
+            return values
+
         try:
             if kind == "E":
-                points1 = int(case.get("points", DEFAULT_P1))
+                points1 = int(num("points", DEFAULT_P1))
                 psi = default_input(points1, half_extent)
                 phi = WaveFunction.cubic_phase(
-                    float(case.get("chi", 0.1)), float(case.get("r_env", 2.0)),
-                    half_extent, points1)
-                rep = verify_teleport_identity(phi, psi, float(case.get("m", 0.0)))
+                    num("chi", 0.1), num("r_env", 2.0), half_extent, points1)
+                rep = verify_teleport_identity(phi, psi, num("m", 0.0))
             elif kind == "M":
                 psi = default_input(points, half_extent)
-                rep = verify_teleport_circuit(float(case.get("theta", 0.0)),
-                                              float(case.get("m", 0.0)),
-                                              float(case.get("r", 4.0)), psi)
+                rep = verify_teleport_circuit(num("theta", 0.0), num("m", 0.0),
+                                              num("r", 4.0), psi)
             elif kind == "L":
                 psi = default_input(points, half_extent)
-                rep = verify_cubic_device(
-                    float(case.get("chi", 0.1)), float(case.get("sigma", 0.3)),
-                    tuple(case.get("outcomes", (0.0, 0.0, 0.0))),
-                    float(case.get("r", 4.0)), psi)
+                rep = verify_cubic_device(num("chi", 0.1), num("sigma", 0.3),
+                                          outcomes(), num("r", 4.0), psi)
             elif kind == "commutation":
                 psi = default_input(points, half_extent)
                 rep = verify_commutation(
-                    float(case.get("s", 0.0)), float(case.get("t", 0.0)),
-                    float(case.get("chi", 0.1)), float(case.get("sigma", 0.3)),
-                    tuple(case.get("outcomes", (0.0, 0.0, 0.0))),
-                    float(case.get("r", 4.0)), psi)
+                    num("s", 0.0), num("t", 0.0), num("chi", 0.1),
+                    num("sigma", 0.3), outcomes(), num("r", 4.0), psi)
             else:
                 raise ValueError(f"unknown identity kind {kind!r}")
         except (GridError, ValueError, TypeError) as exc:
-            rep = {"identity": kind, "params": dict(case), "error": str(exc),
+            params = json.loads(json.dumps(case, default=str),
+                                parse_constant=str)
+            rep = {"identity": kind, "params": params, "error": str(exc),
                    "pass": False}
         return rep
 

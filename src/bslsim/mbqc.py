@@ -18,7 +18,6 @@ at beta.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 
@@ -422,10 +421,10 @@ def _parse_resource(desc):
         r = _number(desc.get("r", 6.0), "resource.r")
         inp = desc.get("input")
         if inp is not None:
-            if not isinstance(inp, dict):
-                raise ProgramError(
-                    f"resource.input must be a graph-state object, got {inp!r}")
-            inp = GraphState.from_json(json.dumps(inp))
+            try:
+                inp = GraphState.from_dict(inp)
+            except GraphStateError as exc:
+                raise ProgramError(f"resource.input: {exc}") from None
 
         def mode_of(t, d):
             ok = 0 <= t < sites and d in ("x", "a")

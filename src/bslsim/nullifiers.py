@@ -63,7 +63,7 @@ def exact_nullifiers(state: GraphState) -> NullifierSet:
 def phi_transform(state: GraphState) -> GraphState:
     """Quarter phase delay on every mode: R(pi/4)^(x n).
 
-    Applied as one dense gate, Z' = (s I + c Z)(c I - s Z)^-1 with
+    Applied as one gate on every mode, Z' = (s I + c Z)(c I - s Z)^-1 with
     c = cos(pi/4) and s = sin(pi/4), so the exact cond guard and the Im Z
     check of apply run once.
     """
@@ -242,8 +242,7 @@ def sample_marginal(sigma: np.ndarray, shots: int, seed=None, path=None,
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(n))
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) \
-        else seed
+    rng = np.random.default_rng(seed)
     data = mean + rng.standard_normal((shots, n)) @ chol.T
     if path is not None:
         header = ",".join(f"mode_{k}" for k in range(n))

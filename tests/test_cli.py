@@ -549,3 +549,89 @@ def test_resources_above_the_mode_limit_exit_2(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "above the limit of 8192 modes" in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--chi", "nan"], "--chi"),
+    (["--chi", "0.1", "--r", "inf"], "--r"),
+    (["--chi", "0.1", "--sigma", "nan"], "--sigma"),
+    (["--chi", "0.1", "--outcomes", "0.1", "inf", "0.2"], "--outcomes"),
+])
+def test_verify_identities_refuses_non_finite_parameters(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a finite number" in captured.err
+
+
+def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
+                                                                 capsys):
+    # json reads NaN and Infinity; the report must not write them back bare
+    cpath = tmp_path / "cases.json"
+    cpath.write_text('[{"identity": "M", "theta": NaN}, '
+                     '{"identity": "L", "outcomes": [0.1, Infinity, 0.0]}, '
+                     '{"identity": "M", "theta": 0.3, "r": 4.0}]')
+    rpath = tmp_path / "report.json"
+    assert main(["verify-identities", "--grid", "12,256", "--cases",
+                 str(cpath), "--report", str(rpath)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["M: error: theta must be finite, got nan",
+                       "L: error: outcomes must be finite, got [0.1, inf, 0.0]"]
+    assert "pass" in out[2]
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    reports = json.loads(rpath.read_text(), parse_constant=refuse)
+    assert [r["pass"] for r in reports] == [False, False, True]
+    assert reports[0]["params"] == {"identity": "M", "theta": "NaN"}
+    assert reports[1]["params"]["outcomes"] == [0.1, "Infinity", 0.0]
+
+
+@pytest.mark.parametrize("graph,field", [
+    ({"Z_re": [[0.1]], "Z_im": [[1, 0], [0, 1]]}, "Z_re and Z_im"),
+    ({"Z_re": [0.1, 0.2], "Z_im": [1, 1]}, "Z_re and Z_im"),
+    ({"n": 3, "Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 0], [0, 1]]}, "n = 3"),
+    ({"Z_re": [[0, 0.1], [0.3, 0]], "Z_im": [[1, 0], [0, 1]]},
+     "Z_re is not symmetric"),
+    ({"Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 1e-9], [0, 1]]},
+     "Z_im is not symmetric"),
+    ({"Z_im": [[1, 0], [0, 1]]}, "field Z_re is missing"),
+    ({"Z_re": [[0, 0], [0, "x"]], "Z_im": [[1, 0], [0, 1]]},
+     "field Z_re is missing or not numeric"),
+], ids=["broadcast", "vector", "n", "asym-re", "asym-im", "missing", "string"])
+def test_graph_json_shapes_and_symmetry_are_checked(tmp_path, capsys, graph,
+                                                    field):
+    # a 1x1 real part used to broadcast over the 2x2 state, and an
+    # asymmetric one to be symmetrized; both passed
+    graph = {"mean": [0.0] * 4, **graph}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert main(["verify-nullifiers", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    program = {"resource": {"kind": "wire", "input": graph}, "steps": []}
+    assert _run(tmp_path, program) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource.input: ") and field in err
+
+
+def test_written_graphs_load_through_the_checked_reader(tmp_path, capsys):
+    out = tmp_path / "bsl"
+    assert main(["build-bsl", "--lattice", "2,1", "-r", "2.0",
+                 "--out", str(out)]) == 0
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(
+        json.loads(out.with_suffix(".json").read_text())["graph"]))
+    assert main(["verify-nullifiers", "--graph", str(graph)]) == 0
+    program = {"resource": {"kind": "wire", "macronodes": 3, "r": 3.0},
+               "steps": [{"time_index": 0, "detector": "x",
+                          "basis": {"theta": 0.4}},
+                         {"time_index": 1, "detector": "a",
+                          "basis": {"theta": -1.1}}]}
+    assert _run(tmp_path, program) == 0
+    final = json.loads((tmp_path / "rec.json").read_text())["final_state"]
+    graph.write_text(json.dumps(final))
+    assert main(["verify-nullifiers", "--graph", str(graph)]) == 0

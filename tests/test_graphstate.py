@@ -78,8 +78,8 @@ def test_covariance_by_quadrature_integral():
 
 
 def test_beamsplitter_balanced_blocks():
-    g = gate_beamsplitter(np.pi / 4, 0, 1, 2)
-    a, b, c, d = g.blocks()
+    s = gate_beamsplitter(np.pi / 4, 0, 1, 2).s
+    a, b, c, d = s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:]
     expected = np.array([[1, -1], [1, 1]]) / np.sqrt(2)
     assert np.allclose(a, expected)
     assert np.allclose(d, expected)
@@ -88,7 +88,8 @@ def test_beamsplitter_balanced_blocks():
 
 @pytest.mark.parametrize("theta", [0.1, 0.9, -1.3, np.pi / 3])
 def test_beamsplitter_blocks_identical_and_orthogonal(theta):
-    a, b, c, d = gate_beamsplitter(theta, 0, 1, 2).blocks()
+    s = gate_beamsplitter(theta, 0, 1, 2).s
+    a, b, c, d = s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:]
     assert np.allclose(a, d)
     assert np.allclose(a @ a.T, np.eye(2), atol=1e-14)
 
@@ -214,6 +215,22 @@ def test_from_json_rejects_wrong_schema():
         GraphState.from_json('{"n": 1}')
     with pytest.raises(GraphStateError, match="malformed"):
         GraphState.from_json('{"Z_re": [[0]], "Z_im": [[1]], "mean": "x"}')
+
+
+def test_from_dict_checks_symmetry_to_roundoff():
+    st = apply(squeezed_vacua([0.3, -0.2]), gate_beamsplitter(0.6, 0, 1, 2))
+    data = st.to_dict()
+    assert np.array_equal(GraphState.from_dict(data).z, st.z)
+    del data["n"]
+    data["Z_re"][0][1] += 1e-13
+    back = GraphState.from_dict(data)
+    assert np.array_equal(back.z, back.z.T)
+    data["Z_re"][0][1] += 1e-11
+    with pytest.raises(GraphStateError, match="Z_re is not symmetric"):
+        GraphState.from_dict(data)
+    data["Z_re"][0][1] = float("nan")
+    with pytest.raises(GraphStateError, match="Z must be finite"):
+        GraphState.from_dict(data)
 
 
 def test_invalid_inputs_raise():

@@ -1,9 +1,8 @@
-"""Local gate kernels against the dense reference.
+"""Gate kernels against the dense reference.
 
-Every gate constructor returns a local gate (a 2k x 2k block on k modes);
-`apply` takes a rank-k update for it.  Wrapping the same gate as
-SymplecticGate(g.s, g.d) forces the dense Mobius solve, which is the
-reference here.
+Every gate is a 2k x 2k block on k modes, and `apply` updates the graph from
+the gate's k rows of A + B Z.  The reference here is `dense_apply`, the
+dense Mobius solve Z' = (C + D Z)(A + B Z)^-1 on the whole 2n x 2n S.
 """
 
 import itertools
@@ -56,8 +55,17 @@ def circuit(draw, min_modes=1, max_modes=6):
     return squeezed_vacua(r), draw(st.lists(local_gate(n), min_size=1, max_size=8))
 
 
-def dense(gate):
-    return SymplecticGate(gate.s, gate.d)
+def dense_apply(state, gate):
+    """Z' = (C + D Z)(A + B Z)^-1 and mean' = S mean + d, all dense.
+
+    The dense solve `apply` took for a gate on every mode; it has no cond
+    guard, and GraphState checks the result.
+    """
+    n, s = gate.n_modes, gate.s
+    a, b, c, d = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
+    m = a + b @ state.z
+    zp = np.linalg.solve(m.T, (c + d @ state.z).T).T
+    return GraphState(zp, s @ state.mean + gate.d)
 
 
 def scale(x):
@@ -70,7 +78,7 @@ def test_local_apply_matches_dense(case):
     local, gates = case
     ref = local
     for g in gates:
-        local, ref = apply(local, g), apply(ref, dense(g))
+        local, ref = apply(local, g), dense_apply(ref, g)
         assert np.abs(local.z - ref.z).max() <= 1e-10 * scale(ref.z)
         assert np.abs(local.mean - ref.mean).max() <= 1e-10 * scale(ref.mean)
 
@@ -124,7 +132,8 @@ def test_local_cond_matches_dense_cond(case, theta, i):
     # rotations are the only constructor with a B part, whose cond reads Z
     rotation = gate_rotation(theta, i % state.n_modes, state.n_modes)
     for gate in (gates[-1], rotation):
-        a, b, _, _ = gate.blocks()
+        n = gate.n_modes
+        a, b = gate.s[:n, :n], gate.s[:n, n:]
         want = np.linalg.cond(a + b @ state.z)
         assert abs(local_cond(state.z, gate) - want) <= 1e-9 * want
 
@@ -188,6 +197,33 @@ def test_cached_dense_matrix_equals_embedding(gate):
     assert gate.s is gate.s             # built once, then cached
 
 
+@pytest.mark.parametrize("r", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("size", [(2, 1), (3, 3)])
+def test_all_mode_gates_match_dense_apply_exactly(size, r):
+    # at k = n the update is the dense solve itself, so no roundoff may differ
+    state, _ = lat.build_bsl(lat.LatticeConfig(*size, r))
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    quarter = SymplecticGate(np.kron([[c, -s], [s, c]], np.eye(state.n_modes)))
+    cases = [(state, quarter, phi_transform(state))]
+    rng = np.random.default_rng(int(10 * r) + size[0])
+    one = GraphState(np.array([[0.3 + 0.8j]]), rng.normal(size=2))
+    two = apply(squeezed_vacua(rng.uniform(-0.5, 0.5, 2)), gate_cz(0.4, 0, 1, 2))
+    four = GraphState(squeezed_vacua(rng.uniform(-0.5, 0.5, 4)).z,
+                      rng.normal(size=8))
+    composed = gate_rotation(0.7, 1, 4).then(gate_beamsplitter(0.4, 0, 3, 4))
+    for state, gate in (
+            (one, mbqc.v_gate(0.9, -0.4, *rng.normal(size=2))),
+            (two, mbqc.two_mode_gate(mbqc.cz_gate_angles(0.6),
+                                     rng.normal(size=8))),
+            (four, composed.then(gate_cz(0.2, 2, 1, 4)))):
+        assert gate.modes == tuple(range(state.n_modes))
+        cases.append((state, gate, apply(state, gate)))
+    for state, gate, got in cases:
+        want = dense_apply(state, gate)
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(got.mean, want.mean)
+
+
 def test_non_finite_block_is_rejected():
     with pytest.raises(GraphStateError, match="not symplectic"):
         gate_rotation(float("nan"), 0, 2)
@@ -224,7 +260,7 @@ def dense_schedule(config):
                                            base + 2, n))
     state = squeezed_vacua(np.zeros(n))
     for g in gates:
-        state = apply(state, dense(g))
+        state = dense_apply(state, g)
     return state
 
 
@@ -245,8 +281,8 @@ def test_lattice_build_matches_dense_reference():
         assert np.abs(state.z - ref.z).max() <= 1e-12
         phi, phi_ref = phi_transform(state), ref
         for k in range(config.n_modes):
-            phi_ref = apply(phi_ref, dense(gate_rotation(np.pi / 4, k,
-                                                         config.n_modes)))
+            phi_ref = dense_apply(phi_ref, gate_rotation(np.pi / 4, k,
+                                                         config.n_modes))
         assert np.abs(phi.z - phi_ref.z).max() <= quarter_delay_tol(r)
         z_ideal = (1j / np.cosh(2 * r) * np.eye(config.n_modes)
                    + np.tanh(2 * r) * lat.ideal_graph(config))
