@@ -16,8 +16,8 @@ from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
                    measure_quadrature, run_program, simulate_single_mode_gate,
                    two_mode_gate, v_gate, v_gate_displacement)
 from .nullifiers import (NullifierSet, WitnessReport, empirical_variances,
-                         exact_nullifiers, ingest_samples, lattice_marginals,
-                         marginal_variances, nullifier_variances,
+                         exact_nullifiers, ingest_samples, lattice_factors,
+                         lattice_variances, nullifier_variances,
                          phi_transform, quadrature_nullifiers,
                          sample_homodyne_dataset, sample_marginal,
                          verify_quarter_delay_transform, witness_from_variances)

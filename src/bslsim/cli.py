@@ -19,10 +19,23 @@ from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
                       to_dot)
 from .mbqc import ProgramError, run_program
 from .nullifiers import (empirical_variances, exact_nullifiers,
-                         lattice_marginals, marginal_variances,
+                         lattice_factors, lattice_variances,
                          nullifier_variances, quadrature_nullifiers,
                          sample_marginal, witness_from_variances)
-from .oracle import DEFAULT_L, DEFAULT_P2, GridError
+from .oracle import DEFAULT_L, DEFAULT_P2, GridError, check_points
+
+
+class InputError(ValueError):
+    """An input file that cannot be read as JSON."""
+
+
+def _read_json(path, what: str):
+    """The parsed JSON file; one that is not UTF-8, not JSON or nested too
+    deep to parse raises an InputError naming the file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{what} {path} is not readable JSON: {exc}") from exc
 
 
 def _lattice_arg(text: str):
@@ -42,9 +55,10 @@ def _grid_arg(text: str):
     if not 0 < half < float("inf"):
         raise argparse.ArgumentTypeError(
             f"half extent L must be finite and > 0, got {half}")
-    if pts < 4 or pts & (pts - 1):
-        raise argparse.ArgumentTypeError(
-            f"points P must be a power of two >= 4, got {pts}")
+    try:
+        check_points(pts)
+    except GridError as exc:
+        raise argparse.ArgumentTypeError(f"points P: {exc}") from exc
     return half, pts
 
 
@@ -129,7 +143,7 @@ def cmd_verify_nullifiers(args) -> int:
             if value is not None]
         if lattice_only:
             return _refuse(lattice_only[0], "with --graph")
-        state = GraphState.from_json(Path(args.graph).read_text())
+        state = GraphState.from_dict(_read_json(args.graph, "graph"))
         nulls = exact_nullifiers(state)
         variances = nullifier_variances(state, nulls)
         ok = bool((np.abs(variances) <= 1e-10).all())
@@ -154,30 +168,33 @@ def cmd_verify_nullifiers(args) -> int:
     nulls = quadrature_nullifiers(v)
     overall = True
     for config in configs:
-        sigma_q, sigma_p = lattice_marginals(v, config.r)
-        variances = marginal_variances(nulls, sigma_q, sigma_p)
+        variances = lattice_variances(nulls, config.r)
         report = witness_from_variances(variances, nulls, factor)
-        print(f"r = {config.r}: analytic witness "
-              f"{'pass' if report.passed else 'FAIL'} "
-              f"(max variance {variances.max():.6f})")
         overall &= report.passed
+        # printed after the draws, so a refused shot count prints nothing
+        lines = [f"r = {config.r}: analytic witness "
+                 f"{'pass' if report.passed else 'FAIL'} "
+                 f"(max variance {variances.max():.6f})"]
         if args.shots:
-            qd = sample_marginal(sigma_q, args.shots, seed)
-            pd = sample_marginal(sigma_p, args.shots, seed + 1)
-            emp = empirical_variances(qd, pd, nulls)
+            f_q, f_p = lattice_factors(v, config.r)
+            emp = empirical_variances(sample_marginal(f_q, args.shots, seed),
+                                      sample_marginal(f_p, args.shots, seed + 1),
+                                      nulls)
             emp_report = witness_from_variances(emp, nulls, factor, args.shots)
             rel = np.abs(emp - variances) / variances
-            print(f"        sampled witness "
-                  f"{'pass' if emp_report.passed else 'FAIL'} "
-                  f"({args.shots} shots, worst relative error {rel.max():.3%})")
+            lines.append(f"        sampled witness "
+                         f"{'pass' if emp_report.passed else 'FAIL'} "
+                         f"({args.shots} shots, worst relative error "
+                         f"{rel.max():.3%})")
             overall &= emp_report.passed
+        print("\n".join(lines))
         if args.report:
             Path(args.report).write_text(report.to_json())
     return 0 if overall else 1
 
 
 def cmd_run_program(args) -> int:
-    program = json.loads(Path(args.program).read_text())
+    program = _read_json(args.program, "program")
     result = run_program(program, args.seed)
     payload = {
         "config": {"program": args.program, "seed": args.seed},
@@ -212,7 +229,7 @@ def cmd_verify_identities(args) -> int:
                                    or args.cases is not None):
         return _refuse(f"suite {args.suite}", "with --chi or --cases")
     if args.cases is not None:
-        cases = json.loads(Path(args.cases).read_text())
+        cases = _read_json(args.cases, "cases file")
         if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
             print("error: --cases must hold a JSON list of case objects",
                   file=sys.stderr)
@@ -241,9 +258,9 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_sample_homodyne(args) -> int:
     config = LatticeConfig(*args.lattice, args.squeezing)
-    sigma_q, sigma_p = lattice_marginals(ideal_graph(config), config.r,
-                                         args.phase_delayed)
-    sample_marginal(sigma_q if args.setting == "q" else sigma_p, args.shots,
+    f_q, f_p = lattice_factors(ideal_graph(config), config.r,
+                               args.phase_delayed)
+    sample_marginal(f_q if args.setting == "q" else f_p, args.shots,
                     args.seed, args.out)
     print(f"{args.shots} shots of the {args.setting} setting written to {args.out}")
     return 0
@@ -319,8 +336,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProgramError, GraphStateError, GridError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ProgramError, GraphStateError, GridError, InputError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
-                     cubic_weights, fidelity_up_to_phase, q_axis)
+                     check_points, cubic_weights, fidelity_up_to_phase, q_axis)
 
 #: normalization of the ancilla-consuming map relative to its three-factor
 #: closed form: the projection kernel contributes an extra 2**(1/4).
@@ -47,11 +47,10 @@ def _as_callable(phi, half_extent, points):
     return interp, phi
 
 
-def teleport_step(psi: WaveFunction, phi, m: float) -> WaveFunction:
+def teleport_step(psi: WaveFunction, phi: WaveFunction,
+                  m: float) -> WaveFunction:
     """Circuit side: attach ancilla phi, 50:50 beamsplitter, q-slice at m."""
-    phi_vec = phi if isinstance(phi, WaveFunction) else _as_callable(
-        phi, psi.half_extent, psi.psi.shape[0])[1]
-    big = psi.product(phi_vec).beamsplitter(np.pi / 4)
+    big = psi.product(phi).beamsplitter(np.pi / 4)
     return big.project_q(1, m)
 
 
@@ -232,18 +231,17 @@ def verify_commutation(s: float, t: float, chi: float, sigma: float,
     def gate(state, sig):
         return cubic_gate_product(state, r, chi, sig, m_a, m_e, m_f)
 
+    ref = gate(psi_in, sigma)
     lhs_a = gate(psi_in.z_shift(t), sigma)
-    rhs_a = gate(psi_in, sigma).x_shift(t)
-    fid_a = fidelity_up_to_phase(lhs_a, rhs_a)
+    fid_a = fidelity_up_to_phase(lhs_a, ref.x_shift(t))
 
     sig_p = adapted_sigma(sigma, s, chi)
     zeta = commutation_kick(s, sigma, chi, m_e, m_f)
     lhs_b = gate(psi_in.x_shift(s), sig_p)
-    rhs_b = gate(psi_in, sigma).x_shift(zeta).z_shift(-s)
-    fid_b = fidelity_up_to_phase(lhs_b, rhs_b)
+    fid_b = fidelity_up_to_phase(lhs_b, ref.x_shift(zeta).z_shift(-s))
 
     # displacement actually produced, read from the means
-    mean_ref, _ = gate(psi_in, sigma).normalized().moments()
+    mean_ref, _ = ref.normalized().moments()
     mean_lhs, _ = lhs_b.normalized().moments()
     observed = mean_lhs - mean_ref
 
@@ -299,7 +297,7 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
 
         try:
             if kind == "E":
-                points1 = int(num("points", DEFAULT_P1))
+                points1 = check_points(int(num("points", DEFAULT_P1)))
                 psi = default_input(points1, half_extent)
                 phi = WaveFunction.cubic_phase(
                     num("chi", 0.1), num("r_env", 2.0), half_extent, points1)

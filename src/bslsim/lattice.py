@@ -41,13 +41,11 @@ import numpy as np
 
 from .graphstate import GraphState, GraphStateError, apply, gate_beamsplitter
 
-#: largest supported lattice squeezing.  The phase-delayed marginals
-#: (cosh 2r I -+ sinh 2r V) / 2 have cond e^{4r}: the analytic witness
-#: c^T Sigma c, whose value is e^{-2r}, is off by 0.45% at r = 8 and by 14% at
-#: r = 9 (2 x 2 to 6 x 6), and the Cholesky factor of the q marginal fails,
-#: jitter retry included, from r = 9.25 to 9.75 by size.  phi_transform of a
-#: built lattice (cond e^{2r}) leaves Im Z indefinite from r = 9.25; the built
-#: lattice itself stays definite up to r = 16.25.
+#: largest supported lattice squeezing.  The CLI's lattice witness and samples
+#: are closed forms in (V, r) and factor nothing; the limit that remains is
+#: the dense reference they are tested against: phi_transform of a built
+#: lattice (cond e^{2r}) leaves Im Z indefinite from r = 9.25 (2 x 3 to
+#: 6 x 6), while the built lattice itself stays definite up to r = 16.25.
 R_MAX_LATTICE = 8.0
 #: largest supported wire squeezing; the wire's self-loops i sech(2r) reach
 #: the 1e-14 definiteness threshold of GraphState at r = 16.45

@@ -56,8 +56,7 @@ class NullifierSet:
 
 def exact_nullifiers(state: GraphState) -> NullifierSet:
     """The defining set (p - Z q) of a graph state; zero variance in theory."""
-    n = state.n_modes
-    return NullifierSet(-state.z, np.eye(n, dtype=complex))
+    return NullifierSet(-state.z, np.eye(state.n_modes, dtype=complex))
 
 
 def phi_transform(state: GraphState) -> GraphState:
@@ -176,74 +175,71 @@ def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -
     }
 
 
-def lattice_marginals(v: np.ndarray, r: float, phase_delayed: bool = True):
-    """(Sigma_qq, Sigma_pp) of the lattice Z = i sech(2r) I + tanh(2r) V.
+def lattice_factors(v: np.ndarray, r: float, phase_delayed: bool = True):
+    """Factors (F_q, F_p), Sigma = F F^T, of Z = i sech(2r) I + tanh(2r) V.
 
-    V is real symmetric with V^2 = I.  The quarter-delayed lattice has
-    Z = i cosh(2r) I + i sinh(2r) V, so Sigma_pp = Im Z / 2 and
-    Sigma_qq = (Im Z)^-1 / 2, which V^2 = I makes (cosh 2r I - sinh 2r V) / 2;
-    its q-p block is 0.  Without the delay both marginals are cosh(2r) I / 2.
-    Both marginal means are 0.
+    V is real symmetric with V^2 = I.  The quarter-delayed lattice
+    i cosh(2r) I + i sinh(2r) V has Sigma_qq = (cosh 2r I - sinh 2r V) / 2,
+    Sigma_pp = (cosh 2r I + sinh 2r V) / 2 and a zero q-p block, and V^2 = I
+    makes (cosh r I -+ sinh r V) / sqrt 2 their symmetric roots.  Without the
+    delay both are cosh(2r) I / 2, with root sqrt(cosh(2r) / 2) I.  Means are 0.
     """
     eye = np.eye(len(v))
     if not phase_delayed:
-        return (0.5 * np.cosh(2 * r) * eye,) * 2
-    c, s = 0.5 * np.cosh(2 * r), 0.5 * np.sinh(2 * r)
+        return (np.sqrt(0.5 * np.cosh(2 * r)) * eye,) * 2
+    c, s = np.cosh(r) / np.sqrt(2), np.sinh(r) / np.sqrt(2)
     return c * eye - s * v, c * eye + s * v
 
 
-def _p_rows(nulls: NullifierSet) -> np.ndarray:
-    """Mask of the rows read in the p setting; every other row is a q row."""
-    if not nulls.quadrature_pure():
-        raise GraphStateError(
-            "the two settings can only evaluate quadrature-pure nullifiers")
-    return np.any(nulls.coeff_p != 0, axis=1)
-
-
-def marginal_variances(nulls: NullifierSet, sigma_q: np.ndarray,
-                       sigma_p: np.ndarray) -> np.ndarray:
-    """c^T Sigma c of each quadrature-pure row on its setting's marginal."""
-    on_p = _p_rows(nulls)
-    variances = np.empty(nulls.n_rows)
-    variances[on_p] = _row_forms(nulls.coeff_p[on_p].real, sigma_p)
-    variances[~on_p] = _row_forms(nulls.coeff_q[~on_p].real, sigma_q)
-    return variances
+def lattice_variances(nulls: NullifierSet, r: float) -> np.ndarray:
+    """Exact variances of quadrature_nullifiers(V) on the delayed lattice:
+    with V^2 = I, (I -+ V)(cosh 2r I +- sinh 2r V)(I -+ V) / 2 is
+    e^{-2r} (I -+ V), and each row's vacuum variance is the diagonal of I -+ V.
+    """
+    return np.exp(-2 * r) * vacuum_variances(nulls)
 
 
 # -- sampling and the two-setting witness protocol ---------------------------
+
+#: most draws (shots x modes) in one sample_marginal call: 1 GiB of float64
+MAX_DRAWS = 2 ** 27
 
 
 def sample_homodyne_dataset(state: GraphState, setting: str, shots: int,
                             seed=None, path=None) -> np.ndarray:
     """Draw homodyne shots with every mode measured in one common basis.
 
-    setting "q" or "p"; rows are shots, columns are modes.  The marginal
-    covariance of that setting is read from the state's covariance.
+    setting "q" or "p"; rows are shots, columns are modes.  The factor is
+    the Cholesky factor of that setting's block of the state's covariance.
     """
     if setting not in ("q", "p"):
         raise GraphStateError("setting must be 'q' or 'p'")
     n = state.n_modes
     sl = slice(0, n) if setting == "q" else slice(n, 2 * n)
-    return sample_marginal(covariance(state)[sl, sl], shots, seed, path,
-                           state.mean[sl])
+    try:
+        factor = np.linalg.cholesky(covariance(state)[sl, sl])
+    except np.linalg.LinAlgError as exc:
+        raise GraphStateError(f"the {setting} marginal covariance has no "
+                              f"Cholesky factor ({exc})") from exc
+    return sample_marginal(factor, shots, seed, path, state.mean[sl])
 
 
-def sample_marginal(sigma: np.ndarray, shots: int, seed=None, path=None,
+def sample_marginal(factor: np.ndarray, shots: int, seed=None, path=None,
                     mean=0.0) -> np.ndarray:
-    """Draw shots of one homodyne setting from its marginal covariance.
+    """Draw shots mean + F z (z standard normal) of one homodyne setting.
 
-    Sampling uses a Cholesky factor of sigma with a 1e-12 jitter retry; with
-    a path, the shots are written as CSV with a mode_0,...,mode_{n-1} header.
+    factor is F (n x n) with marginal covariance F F^T; shots x n must not
+    exceed MAX_DRAWS.  With a path, the shots are also written as CSV with a
+    mode_0,...,mode_{n-1} header.
     """
+    n = len(factor)
     if shots < 1:
         raise GraphStateError("need at least one shot")
-    n = len(sigma)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(sigma + 1e-12 * np.eye(n))
+    if shots * n > MAX_DRAWS:
+        raise GraphStateError(f"{shots} shots of {n} modes are above the "
+                              f"limit of {MAX_DRAWS} draws")
     rng = np.random.default_rng(seed)
-    data = mean + rng.standard_normal((shots, n)) @ chol.T
+    data = mean + rng.standard_normal((shots, n)) @ factor.T
     if path is not None:
         header = ",".join(f"mode_{k}" for k in range(n))
         # 17 significant digits round-trip every double exactly
@@ -321,7 +317,10 @@ def empirical_variances(data_q: np.ndarray, data_p: np.ndarray,
     are modes); a row with p coefficients is evaluated on the p data, any
     other row on the q data.
     """
-    on_p = _p_rows(nulls)
+    if not nulls.quadrature_pure():
+        raise GraphStateError(
+            "the two settings can only evaluate quadrature-pure nullifiers")
+    on_p = np.any(nulls.coeff_p != 0, axis=1)
     variances = np.empty(nulls.n_rows)
     variances[on_p] = (data_p @ nulls.coeff_p[on_p].real.T).var(0, ddof=1)
     variances[~on_p] = (data_q @ nulls.coeff_q[~on_p].real.T).var(0, ddof=1)

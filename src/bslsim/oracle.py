@@ -40,10 +40,23 @@ SQ2PI = np.sqrt(2 * np.pi)
 DEFAULT_L = 12.0
 DEFAULT_P1 = 1024
 DEFAULT_P2 = 512
+#: most points per mode: a two-mode grid of 4096^2 complex values takes 256 MiB
+MAX_POINTS = 4096
 
 
 class GridError(ValueError):
     """Raised when a state does not fit its grid or grids are incompatible."""
+
+
+def check_points(points: int) -> int:
+    """points if it is a power of two in [4, MAX_POINTS], else a GridError.
+
+    Called where a grid size enters, before anything is allocated on it.
+    """
+    if points < 4 or points & (points - 1) or points > MAX_POINTS:
+        raise GridError(f"grid points per mode must be a power of two in "
+                        f"[4, {MAX_POINTS}], got {points}")
+    return points
 
 
 def q_axis(half_extent: float, points: int) -> np.ndarray:
@@ -153,8 +166,7 @@ class WaveFunction:
         if psi.ndim not in (1, 2):
             raise GridError("only 1- or 2-mode wavefunctions are supported")
         for points in psi.shape:
-            if points < 4 or points & (points - 1):
-                raise GridError("grid points per mode must be a power of two >= 4")
+            check_points(points)
         object.__setattr__(self, "psi", psi)
 
     # -- structure ---------------------------------------------------------

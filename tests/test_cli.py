@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from bslsim.cli import main
 from bslsim.graphstate import vacuum
 from bslsim.lattice import LatticeConfig, ideal_graph
-from bslsim.nullifiers import (lattice_marginals, marginal_variances,
-                               quadrature_nullifiers, witness_from_variances)
+from bslsim.nullifiers import (quadrature_nullifiers, vacuum_variances,
+                               witness_from_variances)
 
 
 def test_build_bsl_writes_files(tmp_path, capsys):
@@ -195,6 +196,55 @@ def test_sample_homodyne_cli(tmp_path):
     assert data.shape == (500, 16)
 
 
+def test_phase_delayed_shots_have_the_lattice_marginals(tmp_path):
+    # Sigma_qq = (cosh 2r I - sinh 2r V) / 2 and Sigma_pp with + sinh 2r V;
+    # a sample covariance entry has standard deviation
+    # sqrt((S_ij^2 + S_ii S_jj) / (shots - 1)), and each may sit 5 of them off
+    r, shots = 0.7, 20000
+    v = ideal_graph(LatticeConfig(2, 1, r))
+    for setting, sign in (("q", -1), ("p", 1)):
+        path = tmp_path / f"{setting}.csv"
+        assert main(["sample-homodyne", "--lattice", "2,1", "-r", str(r),
+                     "--setting", setting, "--phase-delayed", "--shots",
+                     str(shots), "--seed", "3", "--out", str(path)]) == 0
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        sigma = (np.cosh(2 * r) * np.eye(8) + sign * np.sinh(2 * r) * v) / 2
+        sd = np.sqrt((sigma ** 2 + np.outer(np.diag(sigma), np.diag(sigma)))
+                     / (shots - 1))
+        assert np.all(np.abs(np.cov(data.T) - sigma) <= 5 * sd)
+
+
+def test_undelayed_draws_are_scaled_standard_normals(tmp_path):
+    # the root and the Cholesky factor of cosh(2r) I / 2 are one matrix
+    path = tmp_path / "q.csv"
+    assert main(["sample-homodyne", "--lattice", "2,1", "-r", "1.5",
+                 "--setting", "q", "--shots", "50", "--seed", "4",
+                 "--out", str(path)]) == 0
+    want = (np.sqrt(np.cosh(3.0) / 2)
+            * np.random.default_rng(4).standard_normal((50, 8)))
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), want)
+
+
+def test_lattice_paths_factor_no_matrix(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    assert main(["verify-nullifiers", "--lattice", "2,2", "--shots",
+                 "100"]) == 0
+    assert main(["sample-homodyne", "--setting", "q", "--phase-delayed",
+                 "--shots", "100", "--out", str(tmp_path / "q.csv")]) == 0
+
+
+def test_analytic_witness_is_exact_at_the_squeezing_limit(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["verify-nullifiers", "--lattice", "2,2", "--squeezing", "8",
+                 "--report", str(report)]) == 0
+    rep = json.loads(report.read_text())
+    want = np.exp(-16) * np.array(rep["vacuum_baselines"])
+    assert np.abs(np.array(rep["variances"]) / want - 1).max() <= 1e-15
+
+
 def test_run_program_malformed_fields_exit_2(tmp_path, capsys):
     step = {"time_index": 0, "detector": "x"}
     programs = {
@@ -308,9 +358,9 @@ def test_verify_nullifiers_report_takes_one_squeezing(tmp_path, capsys):
     assert not report.exists()
     assert main(["verify-nullifiers", "--lattice", "2,3", "--squeezing", "1.3",
                  "--report", str(report)]) == 0
-    v = ideal_graph(LatticeConfig(2, 3, 1.3))
-    nulls = quadrature_nullifiers(v)
-    variances = marginal_variances(nulls, *lattice_marginals(v, 1.3))
+    # the report holds the exact variances, e^{-2r} times the vacuum ones
+    nulls = quadrature_nullifiers(ideal_graph(LatticeConfig(2, 3, 1.3)))
+    variances = np.exp(-2 * 1.3) * vacuum_variances(nulls)
     assert report.read_text() == witness_from_variances(variances, nulls,
                                                         0.5).to_json()
 
@@ -549,6 +599,68 @@ def test_resources_above_the_mode_limit_exit_2(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "above the limit of 8192 modes" in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-identities", "M", "--grid", "12,1048576"],
+     "argument --grid: points P: grid points per mode must be a power of two "
+     "in [4, 4096], got 1048576"),
+    (["sample-homodyne", "--setting", "q", "--shots", "1000000000000",
+      "--out", "OUT"], "error: 1000000000000 shots of 16 modes are above "
+                       "the limit of 134217728 draws"),
+    (["verify-nullifiers", "--lattice", "2,2", "--shots", "1000000000000"],
+     "error: 1000000000000 shots of 16 modes are above the limit of "
+     "134217728 draws"),
+])
+def test_grid_points_and_draws_above_their_limits_exit_2(tmp_path, capsys,
+                                                         argv, message):
+    # refused before anything grid- or shot-sized is allocated
+    tracemalloc.start()
+    try:
+        try:
+            code = main([str(tmp_path / "out") if a == "OUT" else a
+                         for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2 ** 26
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_case_grid_points_above_the_limit_is_a_case_error(tmp_path, capsys):
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps([{"identity": "E", "points": 1048576}]))
+    tracemalloc.start()
+    try:
+        code = main(["verify-identities", "--cases", str(cases)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2 ** 26
+    assert capsys.readouterr().out == (
+        "E: error: grid points per mode must be a power of two in [4, 4096], "
+        "got 1048576\n")
+
+
+@pytest.mark.parametrize("argv", [["run-program", "FILE"],
+                                  ["verify-nullifiers", "--graph", "FILE"],
+                                  ["verify-identities", "--cases", "FILE"]],
+                         ids=["program", "graph", "cases"])
+@pytest.mark.parametrize("content", [b"\xff\xfe[]",
+                                     b"[" * 200000 + b"]" * 200000],
+                         ids=["not-utf8", "deep"])
+def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,flag", [

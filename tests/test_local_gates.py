@@ -20,7 +20,7 @@ from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
                                squeezed_vacua)
 from bslsim import mbqc
 from bslsim.mbqc import _rotation_cond, decouple_wires, measure_with_response
-from bslsim.nullifiers import (lattice_marginals, marginal_variances,
+from bslsim.nullifiers import (lattice_factors, lattice_variances,
                                nullifier_variances, phi_transform,
                                quadrature_nullifiers)
 
@@ -290,7 +290,7 @@ def test_lattice_build_matches_dense_reference():
 
 
 @pytest.mark.parametrize("size", LATTICE_SIZES)
-@pytest.mark.parametrize("r", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("r", [0.3, 1.0, 4.0, 8.0])
 def test_lattice_marginals_and_witness_match_dense_reference(size, r):
     config = lat.LatticeConfig(*size, r)
     n = config.n_modes
@@ -302,12 +302,13 @@ def test_lattice_marginals_and_witness_match_dense_reference(size, r):
     tol = quarter_delay_tol(r)
     for delayed, ref in ((True, phi), (False, state)):
         sigma = covariance(ref)
-        sigma_q, sigma_p = lattice_marginals(v, r, delayed)
-        assert np.abs(sigma_q - sigma[:n, :n]).max() <= tol * np.cosh(2 * r)
-        assert np.abs(sigma_p - sigma[n:, n:]).max() <= tol * np.cosh(2 * r)
+        f_q, f_p = lattice_factors(v, r, delayed)
+        assert np.array_equal(f_q, f_q.T) and np.array_equal(f_p, f_p.T)
+        assert np.abs(f_q @ f_q.T - sigma[:n, :n]).max() <= tol * np.cosh(2 * r)
+        assert np.abs(f_p @ f_p.T - sigma[n:, n:]).max() <= tol * np.cosh(2 * r)
     assert np.abs(covariance(phi)[:n, n:]).max() <= tol * np.cosh(2 * r)
     nulls = quadrature_nullifiers(v)
-    got = marginal_variances(nulls, *lattice_marginals(v, r))
+    got = lattice_variances(nulls, r)
     want = nullifier_variances(phi, nulls)
     assert np.abs(got - want).max() <= tol * np.exp(-2 * r)
 

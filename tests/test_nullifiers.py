@@ -233,6 +233,18 @@ def test_sampling_seeded_and_vacuum_variance():
     assert np.abs(var - 0.5).max() < 3 * sig
 
 
+def test_sample_homodyne_dataset_refuses_a_marginal_without_cholesky(
+        monkeypatch):
+    st = vacuum(3)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(GraphStateError, match="the p marginal covariance"):
+        sample_homodyne_dataset(st, "p", 10, seed=1)
+
+
 def test_sample_csv_round_trips_exactly(tmp_path):
     state, _ = build_bsl(LatticeConfig(2, 2, 1.0))
     path = tmp_path / "q.csv"
