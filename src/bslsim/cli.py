@@ -21,7 +21,8 @@ from .mbqc import ProgramError, run_program
 from .nullifiers import (empirical_variances, exact_nullifiers,
                          lattice_factors, lattice_variances,
                          nullifier_variances, quadrature_nullifiers,
-                         sample_marginal, witness_from_variances)
+                         sample_marginal, vacuum_variances,
+                         witness_from_variances)
 from .oracle import DEFAULT_L, DEFAULT_P2, GridError, check_points
 
 
@@ -166,10 +167,13 @@ def cmd_verify_nullifiers(args) -> int:
         return 2
     v = ideal_graph(configs[0])
     nulls = quadrature_nullifiers(v)
+    # the vacuum baselines depend on V alone, so every squeezing shares them
+    baselines = vacuum_variances(nulls)
     overall = True
     for config in configs:
-        variances = lattice_variances(nulls, config.r)
-        report = witness_from_variances(variances, nulls, factor)
+        variances = lattice_variances(nulls, config.r, baselines)
+        report = witness_from_variances(variances, nulls, factor,
+                                        baselines=baselines)
         overall &= report.passed
         # printed after the draws, so a refused shot count prints nothing
         lines = [f"r = {config.r}: analytic witness "
@@ -180,7 +184,8 @@ def cmd_verify_nullifiers(args) -> int:
             emp = empirical_variances(sample_marginal(f_q, args.shots, seed),
                                       sample_marginal(f_p, args.shots, seed + 1),
                                       nulls)
-            emp_report = witness_from_variances(emp, nulls, factor, args.shots)
+            emp_report = witness_from_variances(emp, nulls, factor, args.shots,
+                                                baselines)
             rel = np.abs(emp - variances) / variances
             lines.append(f"        sampled witness "
                          f"{'pass' if emp_report.passed else 'FAIL'} "

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate,
-                         _check_cond, apply, gate_beamsplitter)
+                         _check_cond, apply, gate_beamsplitter, local_update)
 from .lattice import LatticeConfig, MacronodeLattice, build_bsl, canonical_wire
 
 
@@ -107,60 +107,92 @@ def _rotation_cond(z: np.ndarray, mode: int, theta: float) -> float:
     return (a * a + x2 + 1 + disc) / (2 * a)
 
 
+def _to_c(z: np.ndarray, mean: np.ndarray, jac: np.ndarray):
+    """(c, W): the mean as c = mu_p - Z mu_q, the Jacobian as J_p - Z J_q."""
+    n = len(z)
+    cols = np.column_stack([mean, jac])
+    cols = cols[n:] - z @ cols[:n]
+    return cols[:, 0], cols[:, 1:]
+
+
+def _from_c(z: np.ndarray, c: np.ndarray, w: np.ndarray):
+    """(mean, jac) from (c, W) with one solve against Im Z.
+
+    mu_q = -(Im Z)^-1 Im c and mu_p = Re c + Re Z mu_q, and the same linear
+    map takes each column of W to a column of the Jacobian.
+    """
+    cols = np.column_stack([c, w])
+    q = -np.linalg.solve(z.imag, cols.imag)
+    cols = np.concatenate([q, cols.real + z.real @ q])
+    return cols[:, 0], cols[:, 1:]
+
+
+def _measure_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, mode: int,
+                  theta: float, outcome=None, rng=None):
+    """Measure q(theta) on one mode in c-coordinates; (z', c', w', outcome).
+
+    c = mu_p - Z mu_q is the state's linear coefficient and w (n x j,
+    complex) holds one column per earlier outcome, the sensitivity of c to
+    it.  Measuring q(theta) is R(theta) on mode k, then the projection
+    q_k = m.  The rotated state is never formed: with piv = cos - sin Z_kk
+    the rotation's A + B Z = M is the identity outside row k, so the rotated
+    Z[rest, k] is g = Z_rk / piv and the graph of the surviving modes is the
+    rank-1 update Z_rr + (sin / piv) Z_rk Z_kr (node deletion in the
+    graphical calculus).  c and every column of w map to M^-T c, which adds
+    sin g c_k to the surviving rows, and the projection adds m g to c and
+    appends g to w.  A forced outcome needs no solve.  A drawn one takes the
+    marginal of q_k from one solve against Y' = Im Z' with the two columns
+    [Im g, Im c_r], c_r the rotated c: the Schur complement
+    s = Y_kk - Im g^T Y'^-1 Im g of the rotated Y = Im Z gives the variance
+    1 / (2 s) and the mean -(Im(c_k / piv) - Im g^T Y'^-1 Im c_r) / s.
+    """
+    _check_cond(_rotation_cond(z, mode, theta))
+    cos, sin = np.cos(theta), np.sin(theta)
+    piv = cos - sin * z[mode, mode]
+    rest = np.arange(len(z) - 1)     # every mode but `mode`
+    rest[mode:] += 1
+    zrk = z[rest, mode]
+    # outer(v, v) may round its mirror entries differently (fused
+    # multiply-add), so the update is symmetrized to keep Z' symmetric
+    upd = zrk[:, None] * zrk
+    zr = z.take(rest, 0).take(rest, 1) + (sin / (2 * piv)) * (upd + upd.T)
+    g = zrk / piv
+    cr = c[rest] + (sin * c[mode]) * g
+    wr = w[rest] + (sin * g)[:, None] * w[mode]
+    if outcome is None:
+        y_kk = ((sin + cos * z[mode, mode]) / piv).imag
+        a, b = np.linalg.solve(zr.imag, np.column_stack([g.imag, cr.imag])).T
+        schur = y_kk - g.imag @ a
+        mu = -((c[mode] / piv).imag - g.imag @ b) / schur
+        outcome = float(_rng_of(rng).normal(mu, np.sqrt(0.5 / schur)))
+    if not np.isfinite(outcome):
+        raise GraphStateError("measurement outcome must be finite")
+    cr += outcome * g
+    if not np.isfinite(cr).all():
+        raise GraphStateError("mean must be finite")
+    return zr, cr, np.column_stack([wr, g]), float(outcome)
+
+
 def measure_with_response(state: GraphState, mode: int, theta: float,
                           outcome: float | None = None, rng=None, jac=None):
     """measure_quadrature that also carries the outcome Jacobian through.
 
     jac holds one column per earlier outcome, the sensitivity of state.mean
-    to it (2n x j; None means no columns).  Measuring q(theta) is R(theta)
-    on mode k, then the projection q_k = m.  The rotated state is never
-    formed: with piv = cos - sin Z_kk the rotation's A + B Z is the identity
-    outside row k, so the rotated Z[rest, k] is Z_rk / piv and the graph of
-    the surviving modes is the rank-1 update
-    Z_rr + (sin / piv) Z_rk Z_kr (node deletion in the graphical calculus),
-    while the mean and the Jacobian rotate on rows q_k, p_k alone.
-    Conditioning on q_k = m maps the mean to T mean + m g, with T linear, so
-    one solve against Im Z_post serves the mean, the j columns and the
-    rotated Z[rest, k]: the last solved column is g, and its q part gives
-    the marginal variance of q_k as the Schur complement
-    1 / (2 (Y_kk + y_k^T g_q)), where Y = Im Z and y_k = Y[rest, k] of the
-    rotated state.  Returns (posterior, outcome, jac') with jac' of shape
-    (2n - 2) x (j + 1): the carried columns, then g.
+    to it (2n x j; None means no columns).  The mean and jac go to
+    c-coordinates, one _measure_step conditions them, and one solve against
+    Im Z' brings them back.  Returns (posterior, outcome, jac') with jac' of
+    shape (2n - 2) x (j + 1): the carried columns, then the response to the
+    outcome.
     """
     n = state.n_modes
     if not 0 <= mode < n:
         raise GraphStateError(f"mode {mode} out of range")
     if jac is None:
         jac = np.zeros((2 * n, 0))
-    z = state.z
-    _check_cond(_rotation_cond(z, mode, theta))
-    cos, sin = np.cos(theta), np.sin(theta)
-    piv = cos - sin * z[mode, mode]
-    rest = np.arange(n - 1)          # every mode but `mode`
-    rest[mode:] += 1
-    zrk = z[rest, mode]
-    # outer(v, v) may round its mirror entries differently (fused
-    # multiply-add), so the update is symmetrized to keep Z_post symmetric
-    upd = np.outer(zrk, zrk)
-    zr = z[np.ix_(rest, rest)] + (sin / (2 * piv)) * (upd + upd.T)
-    zrk = zrk / piv
-    cols = np.column_stack([state.mean, jac])
-    rows = [mode, n + mode]
-    cols[rows] = np.array([[cos, -sin], [sin, cos]]) @ cols[rows]
-    # c = mu_p - Z mu_q of the rotated state per column, on the surviving
-    # rows, then the rotated Z[rest, k]
-    c = cols[n + rest] - zr @ cols[rest] - np.outer(zrk, cols[mode])
-    c = np.column_stack([c, zrk])
-    q = -np.linalg.solve(zr.imag, c.imag)
-    resp = np.concatenate([q, c.real + zr.real @ q])
-    if outcome is None:
-        y_kk = ((sin + cos * z[mode, mode]) / piv).imag
-        var = 0.5 / (y_kk + zrk.imag @ q[:, -1])
-        outcome = float(_rng_of(rng).normal(cols[mode, 0], np.sqrt(var)))
-    if not np.isfinite(outcome):
-        raise GraphStateError("measurement outcome must be finite")
-    post = GraphState._posterior(zr, resp[:, 0] + outcome * resp[:, -1])
-    return post, float(outcome), resp[:, 1:]
+    c, w = _to_c(state.z, state.mean, jac)
+    z, c, w, outcome = _measure_step(state.z, c, w, mode, theta, outcome, rng)
+    mean, resp = _from_c(z, c, w)
+    return GraphState._posterior(z, mean), outcome, resp
 
 
 def measure_p_theta(state: GraphState, mode: int, theta: float,
@@ -507,21 +539,23 @@ def run_program(program: dict, seed=None) -> ProgramResult:
     {"cubic": {"chi": 0.0, "sigma": s}}, "outcome": optional}]}.
     The theta basis measures q(theta); cubic steps run the gate-teleportation
     macronode circuit, which is Gaussian-simulable exactly when chi = 0.
-    The whole program is checked before the resource is built.
+    The whole program is checked before the resource is built.  The state
+    and the outcome Jacobian are carried in c-coordinates through every
+    step and read with one solve against Im Z at the end.
     """
     rng = _rng_of(seed)
     build, r, steps = _parse_program(program)
     state = build()
     alive = list(range(state.n_modes))      # mode id per index of the state
     record = MeasurementRecord()
-    jac = np.zeros((2 * state.n_modes, 0))
+    z = state.z
+    c, w = _to_c(z, state.mean, np.zeros((2 * len(z), 0)))
 
     def do_measure(mode_id, theta, forced):
-        nonlocal state, jac
+        nonlocal z, c, w
         idx = alive.index(mode_id)
         del alive[idx]
-        state, m, jac = measure_with_response(state, idx, theta, forced, rng,
-                                              jac)
+        z, c, w, m = _measure_step(z, c, w, idx, theta, forced, rng)
         record.add(mode_id, theta, m)
         return m
 
@@ -530,22 +564,27 @@ def run_program(program: dict, seed=None) -> ProgramResult:
             do_measure(*step)
             continue
         alpha, beta, sigma, (f_a, f_e, f_f) = step
-        # inject an unentangled ancilla as mode n and mix it with alpha
-        n = state.n_modes
-        z = np.pad(state.z, (0, 1))
+        # inject an unentangled ancilla (c = 0) as mode n and mix it with
+        # alpha; the beamsplitter has B = 0, so c and w rotate with its
+        # orthogonal q block, and Im Z by an orthogonal congruence stays
+        # definite
+        n = len(z)
+        z = np.pad(z, (0, 1))
         z[n, n] = 1j / np.cosh(2 * r)
-        state = GraphState(z, np.insert(state.mean, [n, 2 * n], 0.0))
-        jac = np.insert(jac, [n, 2 * n], 0.0, axis=0)
+        c, w = np.append(c, 0.0), np.pad(w, ((0, 1), (0, 0)))
         anc = ("anc", len(record.events))
         alive.append(anc)
         gate = gate_beamsplitter(np.pi / 4, alive.index(alpha), n, n + 1)
-        state = apply(state, gate)
-        jac[gate.index] = gate.block @ jac[gate.index]
+        z = local_update(z, gate)
+        z = (z + z.T) / 2
+        rows, blk = list(gate.modes), gate.block[:2, :2]
+        c[rows], w[rows] = blk @ c[rows], blk @ w[rows]
         m_a = do_measure(beta, 0.0, f_a)
         m_f = do_measure(anc, 0.0, f_f)
         m_e = do_measure(alpha, np.arctan(sigma) - np.pi / 2, f_e)
         record.adaptations.append(
             {"sigma": sigma, "outcomes": [m_a, m_e, m_f]})
 
-    return ProgramResult(state, record, jac,
+    mean, jac = _from_c(z, c, w)
+    return ProgramResult(GraphState(z, mean), record, jac,
                          {m: i for i, m in enumerate(alive)})

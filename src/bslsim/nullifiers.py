@@ -80,12 +80,39 @@ def quadrature_nullifiers(v: np.ndarray) -> NullifierSet:
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
-    if np.abs(v @ v - np.eye(n)).max() > 1e-6:
+    if not _involution_error(v) <= 1e-6:     # also refuses a NaN V
         raise GraphStateError("graph must be self-inverse (V^2 = I)")
     zeros = np.zeros((n, n))
     coeff_q = np.concatenate([zeros, np.eye(n) + v], axis=0)
     coeff_p = np.concatenate([np.eye(n) - v, zeros], axis=0)
     return NullifierSet(coeff_q, coeff_p)
+
+
+def _involution_error(v: np.ndarray) -> float:
+    """max |V^2 - I| of a square V from its nonzeros, in O(n deg^2).
+
+    (V^2)_ik sums V_ij V_jk over the nonzeros (i, j) and (j, k), so every
+    entry it can make nonzero is a key i n + k of one such pair; a diagonal
+    entry no pair reaches is 0 and deviates by 1.
+    """
+    n = len(v)
+    if v.shape != (n, n):
+        raise GraphStateError(f"graph must be square, got shape {v.shape}")
+    rows, cols = np.nonzero(v)
+    vals = v[rows, cols]
+    deg = np.bincount(rows, minlength=n)
+    start = np.cumsum(deg) - deg
+    # each nonzero (i, j) meets the deg j nonzeros (j, k) of row j, which sit
+    # at start[j], ..., start[j] + deg j - 1 of (rows, cols, vals)
+    reps = deg[cols]
+    at = (np.repeat(start[cols] - np.cumsum(reps) + reps, reps)
+          + np.arange(reps.sum()))
+    keys, inverse = np.unique(np.repeat(rows, reps) * n + cols[at],
+                              return_inverse=True)
+    diag = keys // n == keys % n
+    dev = np.bincount(inverse, weights=np.repeat(vals, reps) * vals[at]) - diag
+    dev = np.append(dev, -np.ones(n - diag.sum()))
+    return float(np.abs(dev).max(initial=0.0))
 
 
 def nullifier_variances(state: GraphState, nulls: NullifierSet) -> np.ndarray:
@@ -127,7 +154,7 @@ def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -
     if v.shape != (n, n) or np.abs(v - v.T).max() > 1e-12:
         raise GraphStateError("graph must be real symmetric")
     tr = abs(np.trace(v))
-    self_inv = np.abs(v @ v - np.eye(n)).max()
+    self_inv = _involution_error(v)
     if tr > 1e-8 or self_inv > 1e-6:
         raise GraphStateError(
             "graph does not meet the transformation preconditions: need a "
@@ -191,12 +218,16 @@ def lattice_factors(v: np.ndarray, r: float, phase_delayed: bool = True):
     return c * eye - s * v, c * eye + s * v
 
 
-def lattice_variances(nulls: NullifierSet, r: float) -> np.ndarray:
+def lattice_variances(nulls: NullifierSet, r: float,
+                      baselines=None) -> np.ndarray:
     """Exact variances of quadrature_nullifiers(V) on the delayed lattice:
     with V^2 = I, (I -+ V)(cosh 2r I +- sinh 2r V)(I -+ V) / 2 is
     e^{-2r} (I -+ V), and each row's vacuum variance is the diagonal of I -+ V.
+    baselines, the rows' vacuum variances, are computed unless given.
     """
-    return np.exp(-2 * r) * vacuum_variances(nulls)
+    if baselines is None:
+        baselines = vacuum_variances(nulls)
+    return np.exp(-2 * r) * baselines
 
 
 # -- sampling and the two-setting witness protocol ---------------------------
@@ -284,10 +315,14 @@ class WitnessReport:
 
 def witness_from_variances(variances, nulls: NullifierSet,
                            threshold_factor: float = 0.5,
-                           shots: int = 0) -> WitnessReport:
-    """Verdict: every row variance below factor * its vacuum baseline."""
+                           shots: int = 0, baselines=None) -> WitnessReport:
+    """Verdict: every row variance below factor * its vacuum baseline.
+
+    baselines, the rows' vacuum variances, are computed unless given.
+    """
     variances = np.asarray(variances, dtype=float)
-    baselines = vacuum_variances(nulls)
+    if baselines is None:
+        baselines = vacuum_variances(nulls)
     thresholds = threshold_factor * baselines
     return WitnessReport(variances, baselines, thresholds,
                          variances < thresholds, shots, threshold_factor)

@@ -365,6 +365,24 @@ def test_verify_nullifiers_report_takes_one_squeezing(tmp_path, capsys):
                                                         0.5).to_json()
 
 
+def test_verify_nullifiers_computes_one_vacuum_baseline(monkeypatch, capsys):
+    # the baselines depend on V alone: one evaluation serves every squeezing
+    # and both witnesses
+    from bslsim import cli, nullifiers
+    calls = []
+
+    def counted(nulls):
+        calls.append(nulls.n_rows)
+        return vacuum_variances(nulls)
+
+    monkeypatch.setattr(cli, "vacuum_variances", counted)
+    monkeypatch.setattr(nullifiers, "vacuum_variances", counted)
+    assert main(["verify-nullifiers", "--lattice", "2,3", "--squeezing", "0.5",
+                 "--squeezing", "1", "--squeezing", "2", "--shots", "100"]) == 0
+    assert calls == [48]
+    assert capsys.readouterr().out.count("sampled witness pass") == 3
+
+
 @pytest.mark.parametrize("chi,code,line", [
     ("0.1", 0, 'L: fidelity 0.99999825 pass params {"chi": 0.1, "sigma": 0.3, '
                '"outcomes": [0.1, -0.2, 0.4], "r_env": null}'),

@@ -6,6 +6,7 @@ dense Mobius solve Z' = (C + D Z)(A + B Z)^-1 on the whole 2n x 2n S.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
                                gate_squeeze, local_cond, local_update, omega,
                                squeezed_vacua)
 from bslsim import mbqc
-from bslsim.mbqc import _rotation_cond, decouple_wires, measure_with_response
+from bslsim.cli import main
+from bslsim.mbqc import (_rotation_cond, decouple_wires, measure_with_response,
+                         run_program)
 from bslsim.nullifiers import (lattice_factors, lattice_variances,
                                nullifier_variances, phi_transform,
                                quadrature_nullifiers)
@@ -468,6 +471,124 @@ def test_decouple_wires_matches_dense_reference(size, monkeypatch):
     assert res.mode_index == ref.mode_index
     assert_close(res.state.z, ref.state.z)
     assert_close(res.state.mean, ref.state.mean)
+
+
+def run_program_reference(program, seed=None):
+    """run_program as the per-step chain the c-coordinate carry replaces.
+
+    Every measurement is measure_reference on a checked state, carrying the
+    mean and the Jacobian in (q, p) coordinates with a solve per step, and a
+    cubic step applies its beamsplitter as a gate.  Returns (state,
+    outcomes, outcome Jacobian).
+    """
+    rng = np.random.default_rng(seed)
+    build, r, steps = mbqc._parse_program(program)
+    state = build()
+    alive = list(range(state.n_modes))
+    outcomes, jac = [], np.zeros((2 * state.n_modes, 0))
+
+    def measure(mode_id, theta, forced):
+        nonlocal state, jac
+        idx = alive.index(mode_id)
+        del alive[idx]
+        state, m, jac = measure_reference(state, idx, theta, forced, rng, jac)
+        outcomes.append(m)
+
+    for step in steps:
+        if len(step) == 3:
+            measure(*step)
+            continue
+        alpha, beta, sigma, (f_a, f_e, f_f) = step
+        n = state.n_modes
+        z = np.pad(state.z, (0, 1))
+        z[n, n] = 1j / np.cosh(2 * r)
+        state = GraphState(z, np.insert(state.mean, [n, 2 * n], 0.0))
+        jac = np.insert(jac, [n, 2 * n], 0.0, axis=0)
+        anc = ("anc", len(outcomes))
+        alive.append(anc)
+        gate = gate_beamsplitter(np.pi / 4, alive.index(alpha), n, n + 1)
+        state = apply(state, gate)
+        jac[gate.index] = gate.block @ jac[gate.index]
+        measure(beta, 0.0, f_a)
+        measure(anc, 0.0, f_f)
+        measure(alpha, np.arctan(sigma) - np.pi / 2, f_e)
+    return state, np.array(outcomes), jac
+
+
+def carry_programs():
+    """Wire and bsl programs mixing q(theta) and chi = 0 cubic steps."""
+    wire_input = GraphState(np.array([[0.3 + 0.8j]]), np.array([0.4, -0.7]))
+    wire = {"resource": {"kind": "wire", "macronodes": 5, "r": 2.0,
+                         "input": wire_input.to_dict()},
+            "steps": [
+                {"time_index": 0, "detector": "x", "basis": {"theta": 0.3}},
+                {"time_index": 0, "detector": "a", "basis": {"theta": -1.1}},
+                {"time_index": 1, "detector": "x",
+                 "basis": {"cubic": {"chi": 0.0, "sigma": 0.4}}},
+                {"time_index": 2, "detector": "a", "basis": {"theta": 1.4}},
+                {"time_index": 3, "detector": "x",
+                 "basis": {"cubic": {"chi": 0.0, "sigma": -0.7}}},
+                {"time_index": 2, "detector": "x", "basis": {"theta": 0.0}},
+            ]}
+    config = lat.LatticeConfig(2, 3, 1.0)
+    lattice = lat.MacronodeLattice(config)
+    steps = [{"time_index": tau, "detector": d,
+              "basis": {"theta": lattice.deletion_angle(tau)}}
+             for tau in lattice.bc_sites() for d in "bc"]
+    site, other = lattice.wire_sites(0)[:2]
+    steps += [{"time_index": site, "detector": "x",
+               "basis": {"cubic": {"chi": 0.0, "sigma": 0.25}}},
+              {"time_index": other, "detector": "x", "basis": {"theta": 0.6}},
+              {"time_index": other, "detector": "a", "basis": {"theta": -0.2}}]
+    bsl = {"resource": {"kind": "bsl", "N": 2, "M": 3, "r": 1.0},
+           "steps": steps}
+    return [wire, bsl]
+
+
+def forced(program, seed):
+    """The program with every outcome forced to a seeded draw."""
+    rng = np.random.default_rng(seed)
+    steps = [{**step, "outcome": (rng.normal(size=3).tolist()
+                                  if "cubic" in step["basis"]
+                                  else float(rng.normal()))}
+             for step in program["steps"]]
+    return {**program, "steps": steps}
+
+
+@pytest.mark.parametrize("program", carry_programs(), ids=["wire", "bsl"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_program_carry_matches_per_step_reference(program, seed):
+    # forced outcomes: the state and the Jacobian of the one final solve
+    # against the per-step chain
+    res = run_program(forced(program, seed))
+    state, outcomes, jac = run_program_reference(forced(program, seed))
+    assert_close([e.outcome for e in res.record.events], outcomes, tol=0)
+    assert_close(res.state.z, state.z)
+    assert_close(res.state.mean, state.mean)
+    assert_close(res.outcome_jacobian, jac)
+    # drawn outcomes: the marginals of the carry give the same draws
+    res = run_program(program, seed=seed)
+    _, outcomes, _ = run_program_reference(program, seed=seed)
+    assert_close([e.outcome for e in res.record.events], outcomes)
+
+
+def test_non_finite_carried_coefficient_is_refused(tmp_path, capsys):
+    # p-type homodyne on the wire's x mode divides by its self-loop
+    # i sech 2r, so g = Z_rk / piv reaches |g| > 1 and the forced outcome
+    # 1e308 overflows c; the step refuses it before any later solve
+    prog = {"resource": {"kind": "wire", "macronodes": 3, "r": 1.0},
+            "steps": [{"time_index": 0, "detector": "x",
+                       "basis": {"theta": np.pi / 2}, "outcome": 1e308},
+                      {"time_index": 0, "detector": "a",
+                       "basis": {"theta": 0.3}}]}
+    with np.errstate(over="ignore"), \
+            pytest.raises(GraphStateError, match="mean must be finite"):
+        run_program(prog, seed=0)
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(prog))
+    with np.errstate(over="ignore"):
+        assert main(["run-program", str(path)]) == 2
+    assert "error: mean must be finite" in capsys.readouterr().err
 
 
 def test_posterior_with_non_finite_mean_is_rejected():

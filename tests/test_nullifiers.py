@@ -196,6 +196,37 @@ def test_quadrature_nullifiers_locality_and_rank():
             assert len(support) <= 1 + np.count_nonzero(np.abs(v[j]) > 1e-8)
 
 
+@pytest.mark.parametrize("size", [(2, 1), (2, 3), (3, 3)])
+def test_sparse_involution_check_matches_the_dense_product(size):
+    # the check reads V^2 = I from V's nonzeros; it must find the dense
+    # product's deviation, for the lattice graph and with one entry moved
+    rng = np.random.default_rng(5)
+    v = ideal_graph(LatticeConfig(*size, 1.0))
+    n = len(v)
+    cases = [v, random_self_inverse(3, rng), np.roll(np.eye(5), 1, axis=0)]
+    for _ in range(4):
+        w = v.copy()
+        i, j = rng.integers(n, size=2)
+        w[i, j] += rng.normal() * 10.0 ** -rng.integers(3, 9)
+        cases.append(w)
+    for w in cases:
+        dense = np.abs(w @ w - np.eye(len(w))).max()
+        assert abs(nullifiers._involution_error(w) - dense) <= 1e-12
+
+
+def test_quadrature_nullifiers_refuse_a_non_involution():
+    v = ideal_graph(LatticeConfig(3, 2, 1.0))
+    quadrature_nullifiers(v)
+    bent = v.copy()
+    i, j = np.argwhere(v != 0)[7]
+    bent[i, j] += 1e-5
+    cycle = np.roll(np.eye(4), 1, axis=0)       # a permutation with P^2 != I
+    missing = np.diag([1.0, 0.0, 1.0])          # row 1 has no nonzero
+    for w in (bent, cycle, missing, np.full((2, 2), np.nan)):
+        with pytest.raises(GraphStateError, match=r"self-inverse \(V\^2 = I\)"):
+            quadrature_nullifiers(w)
+
+
 def test_quadrature_nullifier_variances_scale():
     v = ideal_graph(LatticeConfig(2, 2, 1.0))
     nulls = quadrature_nullifiers(v)
