@@ -171,9 +171,8 @@ def cmd_verify_nullifiers(args) -> int:
     baselines = vacuum_variances(nulls)
     overall = True
     for config in configs:
-        variances = lattice_variances(nulls, config.r, baselines)
-        report = witness_from_variances(variances, nulls, factor,
-                                        baselines=baselines)
+        variances = lattice_variances(baselines, config.r)
+        report = witness_from_variances(variances, baselines, factor)
         overall &= report.passed
         # printed after the draws, so a refused shot count prints nothing
         lines = [f"r = {config.r}: analytic witness "
@@ -184,8 +183,8 @@ def cmd_verify_nullifiers(args) -> int:
             emp = empirical_variances(sample_marginal(f_q, args.shots, seed),
                                       sample_marginal(f_p, args.shots, seed + 1),
                                       nulls)
-            emp_report = witness_from_variances(emp, nulls, factor, args.shots,
-                                                baselines)
+            emp_report = witness_from_variances(emp, baselines, factor,
+                                                args.shots)
             rel = np.abs(emp - variances) / variances
             lines.append(f"        sampled witness "
                          f"{'pass' if emp_report.passed else 'FAIL'} "

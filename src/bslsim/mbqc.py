@@ -217,12 +217,15 @@ def decouple_wires(state: GraphState, lattice: MacronodeLattice,
     """Measure bc macronodes at q((-1)^xi pi/4) to sever the wire rows.
 
     Deleting every complete bc site severs all rows.  angle_override
-    replaces the per-site deletion angle (negative controls).
+    replaces the per-site deletion angle (negative controls).  The state is
+    carried in c-coordinates, without outcome Jacobian, and read with one
+    solve at the end.
     """
     rng = _rng_of(rng)
     record = MeasurementRecord()
     alive = list(range(state.n_modes))      # original mode id per index
-    cur = state
+    z = state.z
+    c, w = _to_c(z, state.mean, np.zeros((2 * len(z), 0)))
     for tau in lattice.bc_sites():
         theta = lattice.deletion_angle(tau) if angle_override is None \
             else angle_override(tau)
@@ -230,9 +233,12 @@ def decouple_wires(state: GraphState, lattice: MacronodeLattice,
             mode = lattice.mode_at(tau, det)
             idx = alive.index(mode)
             del alive[idx]
-            cur, m = measure_quadrature(cur, idx, theta, rng=rng)
+            # no Jacobian is kept: every step starts from no columns
+            z, c, w, m = _measure_step(z, c, w[:, :0], idx, theta, rng=rng)
             record.add(mode, theta, m)
-    return DecoupleResult(cur, record, {m: i for i, m in enumerate(alive)})
+    mean, _ = _from_c(z, c, w[:, :0])
+    return DecoupleResult(GraphState._posterior(z, mean), record,
+                          {m: i for i, m in enumerate(alive)})
 
 
 # -- single-mode macronode gate ----------------------------------------------------

@@ -89,30 +89,22 @@ def quadrature_nullifiers(v: np.ndarray) -> NullifierSet:
 
 
 def _involution_error(v: np.ndarray) -> float:
-    """max |V^2 - I| of a square V from its nonzeros, in O(n deg^2).
+    """max |V^2 - I| of a square V, row by row from its nonzeros.
 
-    (V^2)_ik sums V_ij V_jk over the nonzeros (i, j) and (j, k), so every
-    entry it can make nonzero is a key i n + k of one such pair; a diagonal
-    entry no pair reaches is 0 and deviates by 1.
+    Row i of V^2 is V[i, j] @ V[j] over the nonzero columns j of row i, so
+    the check costs O(n^2 deg), the order of the scan for the nonzeros.  A
+    NaN entry is a nonzero and propagates to the result.
     """
     n = len(v)
     if v.shape != (n, n):
         raise GraphStateError(f"graph must be square, got shape {v.shape}")
-    rows, cols = np.nonzero(v)
-    vals = v[rows, cols]
-    deg = np.bincount(rows, minlength=n)
-    start = np.cumsum(deg) - deg
-    # each nonzero (i, j) meets the deg j nonzeros (j, k) of row j, which sit
-    # at start[j], ..., start[j] + deg j - 1 of (rows, cols, vals)
-    reps = deg[cols]
-    at = (np.repeat(start[cols] - np.cumsum(reps) + reps, reps)
-          + np.arange(reps.sum()))
-    keys, inverse = np.unique(np.repeat(rows, reps) * n + cols[at],
-                              return_inverse=True)
-    diag = keys // n == keys % n
-    dev = np.bincount(inverse, weights=np.repeat(vals, reps) * vals[at]) - diag
-    dev = np.append(dev, -np.ones(n - diag.sum()))
-    return float(np.abs(dev).max(initial=0.0))
+    dev = np.zeros(n)
+    for i in range(n):
+        j = np.flatnonzero(v[i])
+        d = v[i, j] @ v[j]
+        d[i] -= 1
+        dev[i] = np.abs(d).max()
+    return float(dev.max(initial=0.0))
 
 
 def nullifier_variances(state: GraphState, nulls: NullifierSet) -> np.ndarray:
@@ -218,15 +210,12 @@ def lattice_factors(v: np.ndarray, r: float, phase_delayed: bool = True):
     return c * eye - s * v, c * eye + s * v
 
 
-def lattice_variances(nulls: NullifierSet, r: float,
-                      baselines=None) -> np.ndarray:
+def lattice_variances(baselines: np.ndarray, r: float) -> np.ndarray:
     """Exact variances of quadrature_nullifiers(V) on the delayed lattice:
     with V^2 = I, (I -+ V)(cosh 2r I +- sinh 2r V)(I -+ V) / 2 is
-    e^{-2r} (I -+ V), and each row's vacuum variance is the diagonal of I -+ V.
-    baselines, the rows' vacuum variances, are computed unless given.
+    e^{-2r} (I -+ V), so each row's variance is e^{-2r} times its vacuum
+    variance, baselines = vacuum_variances(nulls).
     """
-    if baselines is None:
-        baselines = vacuum_variances(nulls)
     return np.exp(-2 * r) * baselines
 
 
@@ -313,16 +302,14 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def witness_from_variances(variances, nulls: NullifierSet,
+def witness_from_variances(variances, baselines: np.ndarray,
                            threshold_factor: float = 0.5,
-                           shots: int = 0, baselines=None) -> WitnessReport:
+                           shots: int = 0) -> WitnessReport:
     """Verdict: every row variance below factor * its vacuum baseline.
 
-    baselines, the rows' vacuum variances, are computed unless given.
+    baselines are the rows' vacuum variances, vacuum_variances(nulls).
     """
     variances = np.asarray(variances, dtype=float)
-    if baselines is None:
-        baselines = vacuum_variances(nulls)
     thresholds = threshold_factor * baselines
     return WitnessReport(variances, baselines, thresholds,
                          variances < thresholds, shots, threshold_factor)
@@ -375,6 +362,7 @@ def ingest_samples(q_path, p_path, nulls: NullifierSet,
     data_p = _load_csv(p_path, n, min_shots)
     variances = empirical_variances(data_q, data_p, nulls)
     shots = min(data_q.shape[0], data_p.shape[0])
-    report = witness_from_variances(variances, nulls, threshold_factor, shots)
+    report = witness_from_variances(variances, vacuum_variances(nulls),
+                                    threshold_factor, shots)
     cov = {"q": np.cov(data_q.T), "p": np.cov(data_p.T)}
     return cov, report

@@ -361,8 +361,8 @@ def test_verify_nullifiers_report_takes_one_squeezing(tmp_path, capsys):
     # the report holds the exact variances, e^{-2r} times the vacuum ones
     nulls = quadrature_nullifiers(ideal_graph(LatticeConfig(2, 3, 1.3)))
     variances = np.exp(-2 * 1.3) * vacuum_variances(nulls)
-    assert report.read_text() == witness_from_variances(variances, nulls,
-                                                        0.5).to_json()
+    assert report.read_text() == witness_from_variances(
+        variances, vacuum_variances(nulls), 0.5).to_json()
 
 
 def test_verify_nullifiers_computes_one_vacuum_baseline(monkeypatch, capsys):

@@ -25,7 +25,7 @@ from bslsim.mbqc import (_rotation_cond, decouple_wires, measure_with_response,
                          run_program)
 from bslsim.nullifiers import (lattice_factors, lattice_variances,
                                nullifier_variances, phi_transform,
-                               quadrature_nullifiers)
+                               quadrature_nullifiers, vacuum_variances)
 
 KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz")
 angle = st.floats(-np.pi, np.pi)
@@ -311,7 +311,7 @@ def test_lattice_marginals_and_witness_match_dense_reference(size, r):
         assert np.abs(f_p @ f_p.T - sigma[n:, n:]).max() <= tol * np.cosh(2 * r)
     assert np.abs(covariance(phi)[:n, n:]).max() <= tol * np.cosh(2 * r)
     nulls = quadrature_nullifiers(v)
-    got = lattice_variances(nulls, r)
+    got = lattice_variances(vacuum_variances(nulls), r)
     want = nullifier_variances(phi, nulls)
     assert np.abs(got - want).max() <= tol * np.exp(-2 * r)
 
@@ -458,19 +458,34 @@ def test_measurement_matches_dense_reference(case, data):
         state, jac = want, resp_ref
 
 
+def decouple_wires_reference(state, lattice, rng):
+    """decouple_wires as a chain of measure_reference on checked states."""
+    rng = np.random.default_rng(rng)
+    alive, events = list(range(state.n_modes)), []
+    for tau in lattice.bc_sites():
+        theta = lattice.deletion_angle(tau)
+        for det in ("b", "c"):
+            mode = lattice.mode_at(tau, det)
+            idx = alive.index(mode)
+            del alive[idx]
+            state, m, _ = measure_reference(state, idx, theta, rng=rng)
+            events.append((mode, theta, m))
+    return state, events, {m: i for i, m in enumerate(alive)}
+
+
 @pytest.mark.parametrize("size", [3, 4])
-def test_decouple_wires_matches_dense_reference(size, monkeypatch):
+def test_decouple_wires_matches_dense_reference(size):
     state, lattice = lat.build_bsl(lat.LatticeConfig(size, size, 1.0))
     res = decouple_wires(state, lattice, rng=1)
-    monkeypatch.setattr(mbqc, "measure_with_response", measure_reference)
-    ref = decouple_wires(state, lattice, rng=1)
+    ref_state, ref_events, ref_index = decouple_wires_reference(state,
+                                                                lattice, 1)
     assert [(e.mode, e.theta) for e in res.record.events] == \
-        [(e.mode, e.theta) for e in ref.record.events]
+        [(mode, theta) for mode, theta, _ in ref_events]
     assert_close([e.outcome for e in res.record.events],
-                 [e.outcome for e in ref.record.events])
-    assert res.mode_index == ref.mode_index
-    assert_close(res.state.z, ref.state.z)
-    assert_close(res.state.mean, ref.state.mean)
+                 [m for _, _, m in ref_events])
+    assert res.mode_index == ref_index
+    assert_close(res.state.z, ref_state.z)
+    assert_close(res.state.mean, ref_state.mean)
 
 
 def run_program_reference(program, seed=None):

@@ -244,11 +244,12 @@ def test_witness_thresholds():
     nulls = quadrature_nullifiers(v)
     state, _ = build_bsl(LatticeConfig(2, 2, 1.0))
     var = nullifier_variances(phi_transform(state), nulls)
-    rep = witness_from_variances(var, nulls)
+    rep = witness_from_variances(var, nullifiers.vacuum_variances(nulls))
     assert rep.passed
     assert np.allclose(rep.baselines, 1.0)   # (1/2)|c|^2 = 1 for these rows
     vac_var = nullifier_variances(phi_transform(vacuum(16)), nulls)
-    assert not witness_from_variances(vac_var, nulls).passed
+    assert not witness_from_variances(
+        vac_var, nullifiers.vacuum_variances(nulls)).passed
     assert "pass" in rep.table()
     assert '"passed": true' in rep.to_json()
 
