@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,22 @@ def _read_json(path, what: str):
         return json.loads(Path(path).read_bytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{what} {path} is not readable JSON: {exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative number as a value.
+
+    argparse takes a word that starts with "-" for an option unless it looks
+    like a negative number to its own pattern, which knows only digits and a
+    point; so "--chi -inf" failed on the argument count instead of naming
+    the flag and the value.  Subcommand parsers are made of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$",
+            re.IGNORECASE)
 
 
 def _lattice_arg(text: str):
@@ -271,7 +288,7 @@ def cmd_sample_homodyne(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bslsim",
         description="Simulate and verify bilayer-square-lattice cluster states")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -283,27 +283,27 @@ def squeezed_vacua(r_list) -> GraphState:
 
 
 def _gate_rows(z: np.ndarray, gate: SymplecticGate):
-    """(P, Q, Z_own, Z_other, rest): P (k x k) and Q (k x n-k) are the
-    gate's rows of A + B Z at its own columns and at the others, `rest`;
-    Z_own and Z_other are the same blocks of Z."""
+    """(P, Q): the gate's rows of A + B Z.  P = A_k + B_k Z[m, m] (k x k) at
+    its own columns m, and Q = B_k Z[m] (k x n) with those columns zeroed."""
     k, m = len(gate.modes), gate.index[:len(gate.modes)]
-    rest = np.delete(np.arange(gate.n_modes), m)
-    zm = z[m]
-    own, other = np.take(zm, m, axis=1), np.take(zm, rest, axis=1)
-    b = gate.block[:k, k:]
-    return gate.block[:k, :k] + b @ own, b @ other, own, other, rest
+    q = gate.block[:k, k:] @ z[m]
+    p = gate.block[:k, :k] + q[:, m]
+    q[:, m] = 0
+    return p, q
 
 
 def _cond(p: np.ndarray, q: np.ndarray) -> float:
     """Exact 2-norm cond of [[P, Q], [0, I]] from a matrix of size <= 2k.
 
     The singular values depend on Q only through Q Q^H, so Q may give way
-    to X = R^H from the R factor of Q^H, with at most k columns; the ones
-    this drops cannot change the cond, as the matrix and its inverse both
-    contain identity rows.  Q = 0, as for a gate with no B part, needs no R.
+    to X = R^H from the k x k R factor of Q^H; the singular values of 1
+    this adds or drops cannot change the cond, as the matrix and its
+    inverse both contain identity rows.  With no other modes (k = n) there
+    are none, and the cond is that of P.  Q = 0, as for a gate with no B
+    part, needs no R.
     """
     k = len(p)
-    m = np.eye(k + min(q.shape), dtype=p.dtype)
+    m = np.eye(2 * k if q.shape[1] > k else k, dtype=p.dtype)
     m[:k, :k] = p
     if q.any():
         m[:k, k:] = np.linalg.qr(q.conj().T, mode="r").conj().T
@@ -312,29 +312,31 @@ def _cond(p: np.ndarray, q: np.ndarray) -> float:
 
 def local_cond(z: np.ndarray, gate: SymplecticGate) -> float:
     """Exact 2-norm cond(A + B Z) of a gate on k modes."""
-    return _cond(*_gate_rows(z, gate)[:2])
+    return _cond(*_gate_rows(z, gate))
 
 
 def local_update(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
     """Z' = (C + D Z)(A + B Z)^-1 in O(n^2 k), behind the exact cond guard.
 
-    With the gate's modes first, A + B Z = [[P, Q], [0, I]], so the gate's
-    columns of Z' are X = N[:, modes] P^-1, one k x k solve, and the others
-    N[:, rest] - X Q, where N = C + D Z differs from Z only in the gate's
-    rows; at k = n this is the dense solve itself.  Both are built as rows
-    of Z'^T.  The result is neither symmetrized nor checked.
+    N = C + D Z is a copy of Z with the gate's k rows m replaced by
+    D_k Z[m] + C_k.  With the gate's modes first, A + B Z = [[P, Q], [0, I]],
+    so the gate's columns of Z' are X = N[:, m] P^-1, one k x k solve, and
+    the others N[:, rest] - X Q, a step taken only when Q is nonzero; at
+    k = n this is the dense solve itself.  The result is neither
+    symmetrized nor checked.
     """
     k, m = len(gate.modes), gate.index[:len(gate.modes)]
-    p, q, own, other, rest = _gate_rows(z, gate)
+    p, q = _gate_rows(z, gate)
     _check_cond(_cond(p, q))
-    cols = np.take(z, m, axis=1)            # N[:, modes]
-    cols[m] = gate.block[k:, :k] + gate.block[k:, k:] @ own
-    x_t = np.linalg.solve(p.T, cols.T)
-    rows = np.take(z, rest, axis=1).T       # N[:, rest]^T
-    rows[:, m] = (gate.block[k:, k:] @ other).T
-    out = np.empty((gate.n_modes,) * 2, dtype=x_t.dtype)
-    out[m], out[rest] = x_t, rows - q.T @ x_t
-    return out.T
+    rows = gate.block[k:, k:] @ z[m]
+    rows[:, m] += gate.block[k:, :k]
+    out = z.copy()
+    out[m] = rows
+    x = np.linalg.solve(p.T, out[:, m].T).T
+    if q.any():
+        out -= x @ q            # q is zero at the gate's own columns
+    out[:, m] = x
+    return out
 
 
 def apply(state: GraphState, gate: SymplecticGate) -> GraphState:

@@ -5,6 +5,12 @@ controlled-Z, rotated projections on the grid) and the right side from the
 closed-form operator products, then reports a fidelity computed up to global
 phase.  Ancilla states at finite squeezing r carry their physical Gaussian
 envelopes, so the fidelity deficit eps(r) shrinks as r grows.
+
+The circuit steps end in a q-slice that reads 4 grid lines of a two-mode
+state, so ``teleport_step`` and ``mb_teleport_circuit`` compute only those
+lines, through ``WaveFunction.beamsplitter_slice`` and ``project_p_theta``;
+the same circuits built from the full-grid ``beamsplitter``, ``rotate`` and
+``project_q`` are their test reference.
 """
 
 from __future__ import annotations
@@ -50,8 +56,7 @@ def _as_callable(phi, half_extent, points):
 def teleport_step(psi: WaveFunction, phi: WaveFunction,
                   m: float) -> WaveFunction:
     """Circuit side: attach ancilla phi, 50:50 beamsplitter, q-slice at m."""
-    big = psi.product(phi).beamsplitter(np.pi / 4)
-    return big.project_q(1, m)
+    return psi.beamsplitter_slice(phi, m, np.pi / 4)
 
 
 def teleport_map(psi: WaveFunction, phi_fun, m: float) -> WaveFunction:
@@ -70,10 +75,14 @@ def mb_teleport_gate(psi: WaveFunction, theta: float, m: float) -> WaveFunction:
 
 def mb_teleport_circuit(psi: WaveFunction, r: float, theta: float,
                         m: float) -> WaveFunction:
-    """Circuit side: p-squeezed ancilla, C_Z(-tanh(2r)/2), p(theta) slice."""
+    """Circuit side: p-squeezed ancilla, C_Z(-tanh(2r)/2), p(theta) slice.
+
+    psi is taken as mode 1 (C_Z is symmetric in its modes), so the FFTs of
+    the slice's rotation run along the contiguous axis.
+    """
     anc = WaveFunction.squeezed(r, psi.half_extent, psi.psi.shape[0])
-    big = psi.product(anc).cz(-np.tanh(2 * r) / 2)
-    return big.project_p_theta(0, theta, m)
+    big = anc.product(psi).cz(-np.tanh(2 * r) / 2)
+    return big.project_p_theta(1, theta, m)
 
 
 def verify_teleport_identity(phi, psi: WaveFunction, m: float) -> dict:

@@ -24,6 +24,16 @@ The two-mode phase tables exp(i lam p (x) q) and exp(i g q (x) q) never
 change for a given gain and grid, so the last 8 are cached read-only
 (``_two_mode_phase``): at most 8 MB on 256^2 grids and 32 MB on 512^2.
 
+A slice reads only 4 grid lines of a two-mode state, so the two steps that
+end in one compute only those lines: ``project_p_theta`` (rotate, then
+slice) and ``beamsplitter_slice`` (attach a mode, beamsplitter, then slice;
+the teleportation step of ``identities``).  The full-grid gates
+``rotate``/``beamsplitter`` followed by ``project_q`` are their test
+reference.  Both sides share the angle reduction and shear parameters
+(``rotation_plan``, ``beamsplitter_plan``) and the slice's window check and
+cubic weights (``slice_window``, ``interpolate_lines``); ``idft_columns``
+evaluates an inverse DFT at a few columns.
+
 Grid: P points per mode at spacing 2L/P, q_n = (n - P/2) * 2L/P.
 """
 
@@ -133,6 +143,75 @@ def cubic_weights(w):
             (0, (w * w - 1) * (w - 2) / 2),
             (1, -w * (w + 1) * (w - 2) / 2),
             (2, w * (w * w - 1) / 6))
+
+
+def slice_window(points: int, half_extent: float, m: float):
+    """(i0, cubic weights) of the slice q = m on one axis of a grid.
+
+    The slice reads grid lines i0 - 1 .. i0 + 2; a value whose lines leave
+    the grid raises a GridError.
+    """
+    x = m / (2 * half_extent / points) + points // 2
+    if not 1 <= x <= points - 3:
+        raise GridError(f"projection value {m} outside the grid window")
+    i0 = int(np.floor(x))
+    return i0, cubic_weights(x - i0)
+
+
+def interpolate_lines(lines: np.ndarray, weights) -> np.ndarray:
+    """The slice from the 4 grid lines it reads, the rows of `lines`."""
+    out = np.zeros(lines.shape[1], dtype=complex)
+    for k, cf in weights:
+        out += cf * lines[k + 1]
+    return out
+
+
+def idft_columns(points: int, at: np.ndarray) -> np.ndarray:
+    """P x len(at) kernel K with work @ K = ifft(work, axis=-1)[..., at].
+
+    The phase is taken from the integer (k l) mod P, so it keeps full
+    precision at any grid size.
+    """
+    kl = np.outer(np.arange(points), at) % points
+    return np.exp(2j * np.pi / points * kl) / points
+
+
+def beamsplitter_plan(shape: tuple, theta: float, i: int = 0, j: int = 1):
+    """(quarter turns, shear gains) of B_ij(theta) on a grid of this shape.
+
+    The angle is reduced by exact quarter turns to |phi| <= pi/4; the rest
+    is the shears (a, axis 0), (b, axis 1), (a, axis 0) with gains (a, b),
+    or None when phi is 0.  Raises the beamsplitter's GridErrors.
+    """
+    if len(shape) != 2 or {i, j} != {0, 1}:
+        raise GridError("beamsplitter needs a 2-mode state and modes {0, 1}")
+    if shape[0] != shape[1]:
+        raise GridError("beamsplitter needs a square grid")
+    t = -theta if (i, j) == (0, 1) else theta
+    t = float(np.mod(t, 2 * np.pi))
+    k = int(np.round(t / (np.pi / 2))) % 4
+    phi = t - np.round(t / (np.pi / 2)) * (np.pi / 2)
+    if abs(phi) <= 1e-13:
+        return k, None
+    return k, (-np.tan(phi / 2), np.sin(phi))
+
+
+def rotation_plan(theta: float):
+    """(parity, shears) of R(theta) = e^{-i phi/2} P(t) M(s) P(t).
+
+    The angle is reduced to |phi| <= pi/2, with a parity first when that
+    takes a half turn; shears is (t, s, phi) with t = tan(phi/2) and
+    s = -sin(phi), or None when phi is 0.
+    """
+    phi = float(np.mod(theta, 2 * np.pi))
+    parity = np.pi / 2 < phi <= 3 * np.pi / 2
+    if parity:
+        phi -= np.pi
+    elif phi > 3 * np.pi / 2:
+        phi -= 2 * np.pi
+    if abs(phi) < 1e-13:
+        return parity, None
+    return parity, (np.tan(phi / 2), -np.sin(phi), phi)
 
 
 def _bluestein(x: np.ndarray, a: float) -> np.ndarray:
@@ -258,18 +337,12 @@ class WaveFunction:
 
     def rotate(self, theta: float, mode: int = 0) -> "WaveFunction":
         """R(theta) = exp(i theta a^dag a), exact global phase included."""
-        theta = float(np.mod(theta, 2 * np.pi))
-        out = self
-        phi = theta
-        if np.pi / 2 < phi <= 3 * np.pi / 2:
-            out = out._parity(mode)
-            phi -= np.pi
-        elif phi > 3 * np.pi / 2:
-            phi -= 2 * np.pi
-        if abs(phi) < 1e-13:
+        parity, shears = rotation_plan(theta)
+        out = self._parity(mode) if parity else self
+        if shears is None:
             return out
-        t = np.tan(phi / 2)
-        out = out.shear(t, mode)._p_shear(-np.sin(phi), mode).shear(t, mode)
+        t, s, phi = shears
+        out = out.shear(t, mode)._p_shear(s, mode).shear(t, mode)
         return WaveFunction(out.psi * np.exp(-0.5j * phi), self.half_extent)
 
     def squeeze(self, r: float, mode: int = 0) -> "WaveFunction":
@@ -307,24 +380,52 @@ class WaveFunction:
         Exact quarter turns reduce the angle to |phi| <= pi/4, the rest is
         three FFT shears; exactly unitary on the torus for any theta.
         """
-        if self.n_modes != 2 or {i, j} != {0, 1}:
-            raise GridError("beamsplitter needs a 2-mode state and modes {0, 1}")
-        if self.psi.shape[0] != self.psi.shape[1]:
-            raise GridError("beamsplitter needs a square grid")
-        t = -theta if (i, j) == (0, 1) else theta
-        t = float(np.mod(t, 2 * np.pi))
-        k = int(np.round(t / (np.pi / 2))) % 4
-        phi = t - np.round(t / (np.pi / 2)) * (np.pi / 2)
+        k, gains = beamsplitter_plan(self.psi.shape, theta, i, j)
         out = self
         for _ in range(k):
             out = out._quarter_turn()
-        if abs(phi) > 1e-13:
-            a = -np.tan(phi / 2)
-            b = np.sin(phi)
+        if gains is not None:
+            a, b = gains
             out = out._shear_between(a, 0)
             out = out._shear_between(b, 1)
             out = out._shear_between(a, 0)
         return out
+
+    def beamsplitter_slice(self, other: "WaveFunction", m: float,
+                           theta: float = np.pi / 4) -> "WaveFunction":
+        """self (x) other through B_01(theta), then the slice q_1 = m.
+
+        Computes only the 4 q_1 columns the slice reads.  The quarter turns
+        act on the two factors (a turn maps a (x) b to b (x) parity(a)); the
+        first shear starts from fft(a) (x) b, the product state's FFT along
+        q_0; the second is inverted at the 4 columns alone, through a P x 4
+        inverse-DFT kernel; the last transforms each q_1 column on its own,
+        so it runs on the 4 columns only.  The full-grid
+        self.product(other).beamsplitter(theta).project_q(1, m) is the test
+        reference.
+        """
+        if self.n_modes != 1 or other.n_modes != 1:
+            raise GridError("beamsplitter_slice takes two 1-mode states")
+        if self.half_extent != other.half_extent:
+            raise GridError("grids must share the half extent")
+        half, a, b = self.half_extent, self.psi, other.psi
+        k, gains = beamsplitter_plan((len(a), len(b)), theta)
+        i0, weights = slice_window(len(b), half, m)
+        at = np.arange(i0 - 1, i0 + 3)
+        for _ in range(k):
+            a, b = b, WaveFunction(a, half)._parity(0).psi
+        if gains is None:
+            return WaveFunction(interpolate_lines(np.outer(a, b[at]).T, weights),
+                                half)
+        ga, gb = gains
+        work = np.outer(np.fft.fft(a), b)
+        shear_a = _two_mode_phase(ga, half, work.shape, 0)
+        work *= shear_a
+        np.fft.ifft(work, axis=0, out=work)
+        np.fft.fft(work, axis=1, out=work)
+        work *= _two_mode_phase(gb, half, work.shape, 1)
+        lines = _p_diag(work @ idft_columns(len(b), at), 0, shear_a[:, at])
+        return WaveFunction(interpolate_lines(lines.T, weights), half)
 
     def cz(self, g: float) -> "WaveFunction":
         """C_Z(g) = exp(i g q_1 q_2)."""
@@ -339,23 +440,37 @@ class WaveFunction:
         """Slice at q_mode = m (4-point interpolation); unnormalized result."""
         if self.n_modes != 2:
             raise GridError("project_q needs a 2-mode state")
-        points = self.psi.shape[mode]
-        x = m / (2 * self.half_extent / points) + points // 2
-        if not 1 <= x <= points - 3:
-            raise GridError(f"projection value {m} outside the grid window")
-        i0 = int(np.floor(x))
-        out = np.zeros(self.psi.shape[1 - mode], dtype=complex)
-        for k, cf in cubic_weights(x - i0):
-            line = self.psi[i0 + k, :] if mode == 0 else self.psi[:, i0 + k]
-            out += cf * line
-        return WaveFunction(out, self.half_extent)
+        i0, weights = slice_window(self.psi.shape[mode], self.half_extent, m)
+        lines = np.moveaxis(self.psi, mode, 0)[i0 - 1:i0 + 3]
+        return WaveFunction(interpolate_lines(lines, weights), self.half_extent)
 
     def project_p_theta(self, mode: int, theta: float, m: float) -> "WaveFunction":
         """Project onto the p(theta) = m eigenstate of one mode.
 
-        Uses p(theta) = q(theta - pi/2): rotate then slice.
+        Uses p(theta) = q(theta - pi/2): rotate, then slice.  The slice reads
+        4 q lines of the rotated mode, so the rotation's momentum shear is
+        inverted at those lines alone, through a P x 4 inverse-DFT kernel, and
+        the trailing q-shear and the global phase act on them only.  The
+        full-grid rotate(theta - pi/2, mode).project_q(mode, m) is the test
+        reference; the FFTs run along the contiguous axis when mode is 1.
         """
-        return self.rotate(theta - np.pi / 2, mode).project_q(mode, m)
+        if self.n_modes != 2:
+            raise GridError("project_p_theta needs a 2-mode state")
+        half, points = self.half_extent, self.psi.shape[mode]
+        i0, weights = slice_window(points, half, m)
+        at = np.arange(i0 - 1, i0 + 3)
+        parity, shears = rotation_plan(theta - np.pi / 2)
+        work = np.moveaxis((self._parity(mode) if parity else self).psi, mode, -1)
+        if shears is None:
+            return WaveFunction(interpolate_lines(work[:, at].T, weights), half)
+        t, s, phi = shears
+        q, p = q_axis(half, points), _p_fft(half, points)
+        work = work * np.exp(0.5j * t * q * q)
+        np.fft.fft(work, axis=-1, out=work)
+        work *= np.exp(-0.5j * s * p * p)
+        lines = (work @ idft_columns(points, at)).T
+        lines *= (np.exp(0.5j * t * q[at] ** 2) * np.exp(-0.5j * phi))[:, None]
+        return WaveFunction(interpolate_lines(lines, weights), half)
 
     # -- moments -------------------------------------------------------------
 

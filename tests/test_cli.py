@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bslsim.cli import main
+from bslsim.cli import build_parser, main
 from bslsim.graphstate import vacuum
 from bslsim.lattice import LatticeConfig, ideal_graph
 from bslsim.nullifiers import (quadrature_nullifiers, vacuum_variances,
@@ -694,6 +694,32 @@ def test_verify_identities_refuses_non_finite_parameters(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: expected a finite number" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["--chi", "-inf"], "--chi", "-inf"),
+    (["--chi", "-nan"], "--chi", "-nan"),
+    (["--chi", "0.1", "--outcomes", "0.1", "-inf", "0.2"], "--outcomes", "-inf"),
+    (["--chi", "0.1", "--r", "-Infinity"], "--r", "-Infinity"),
+    (["--chi", "0.1", "--sigma", "-NaN"], "--sigma", "-NaN"),
+])
+def test_negative_non_finite_values_name_flag_and_value(capsys, argv, flag,
+                                                        value):
+    # argparse's own pattern took "-inf" for an option and failed on the
+    # argument count
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument {flag}: expected a finite number, got {value!r}"
+            in err)
+
+
+def test_negative_numbers_parse_as_values():
+    args = build_parser().parse_args(
+        ["verify-identities", "--chi", "-1e-3", "--r", "-.5",
+         "--outcomes", "-1E-1", "-2", "-0.3"])
+    assert (args.chi, args.r, args.outcomes) == (-1e-3, -0.5, [-0.1, -2.0, -0.3])
 
 
 def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,

@@ -1,0 +1,194 @@
+"""Line-restricted teleportation steps against their full-grid references.
+
+teleport_step and mb_teleport_circuit compute only the 4 grid lines their
+final q-slice reads, through WaveFunction.beamsplitter_slice and
+project_p_theta.  The full-grid circuits below, built from the oracle's
+beamsplitter, cz, rotate and project_q, are the references they must
+reproduce.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bslsim.identities import default_input, mb_teleport_circuit, teleport_step
+from bslsim.oracle import (GridError, WaveFunction, _p_diag, _two_mode_phase,
+                           beamsplitter_plan, idft_columns, q_axis,
+                           slice_window)
+
+HALF = 12.0
+POINTS = [64, 256, 1024]
+
+
+def teleport_step_reference(psi, phi, m):
+    """Attach phi, 50:50 beamsplitter and q-slice of mode 1 on the full grid."""
+    return psi.product(phi).beamsplitter(np.pi / 4).project_q(1, m)
+
+
+def project_p_theta_reference(big, mode, theta, m):
+    """p(theta) = q(theta - pi/2): full-grid rotation, then the q-slice."""
+    return big.rotate(theta - np.pi / 2, mode).project_q(mode, m)
+
+
+def mb_teleport_circuit_reference(psi, r, theta, m):
+    """p-squeezed ancilla, C_Z(-tanh(2r)/2) and p(theta) slice, full grid."""
+    anc = WaveFunction.squeezed(r, psi.half_extent, psi.psi.shape[0])
+    big = psi.product(anc).cz(-np.tanh(2 * r) / 2)
+    return project_p_theta_reference(big, 0, theta, m)
+
+
+def edge_values(points):
+    """The lowest and highest slice values inside the window (exact)."""
+    dq = 2 * HALF / points
+    return (1 - points // 2) * dq, (points // 2 - 3) * dq
+
+
+@st.composite
+def grid_state(draw, points):
+    """A squeezed, a cubic-phase or a random smooth state on the grid."""
+    kind = draw(st.sampled_from(["squeezed", "cubic", "smooth"]))
+    if kind == "squeezed":
+        return WaveFunction.squeezed(draw(st.floats(-1.0, 1.5)), HALF, points)
+    if kind == "cubic":
+        return WaveFunction.cubic_phase(draw(st.floats(-0.3, 0.3)),
+                                        draw(st.floats(0.5, 2.0)), HALF, points)
+    coef = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    width = draw(st.floats(0.3, 0.6))
+    shift = draw(st.floats(-1.0, 1.0))
+    q = q_axis(HALF, points) - shift
+    psi = (coef[0] + coef[1] * q + coef[2] * q * q) * np.exp(-width * q * q)
+    return WaveFunction(psi + 1e-3 * np.exp(-q * q), HALF)
+
+
+@st.composite
+def slice_value(draw, points):
+    """m anywhere in the window, or at one of its two edges."""
+    low, high = edge_values(points)
+    return draw(st.one_of(st.sampled_from([low, high]), st.floats(low, high)))
+
+
+def close(got, want, *factors):
+    """Agreement to 1e-12 max|Psi| for Psi the two-mode state the slice
+    reads, the product of `factors`: roundoff scales with the whole grid,
+    not with the slice, which is tiny near the window edges."""
+    scale = np.prod([np.abs(f.psi).max() for f in factors])
+    return np.abs(got.psi - want.psi).max() <= 1e-12 * scale
+
+
+@st.composite
+def step_case(draw):
+    points = draw(st.sampled_from(POINTS))
+    psi = draw(st.one_of(st.just(default_input(points)), grid_state(points)))
+    return psi, draw(grid_state(points)), draw(slice_value(points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_case())
+def test_teleport_step_matches_full_grid(case):
+    psi, phi, m = case
+    assert close(teleport_step(psi, phi, m), teleport_step_reference(psi, phi, m),
+                 psi, phi)
+
+
+@st.composite
+def circuit_case(draw):
+    points = draw(st.sampled_from(POINTS))
+    psi = draw(st.one_of(st.just(default_input(points)), grid_state(points)))
+    # pi/2 takes no shear, and a negative angle takes the parity first
+    theta = draw(st.one_of(st.sampled_from([np.pi / 2, np.arctan(-0.3), 0.0]),
+                           st.floats(-np.pi, np.pi)))
+    return psi, draw(st.floats(0.5, 4.0)), theta, draw(slice_value(points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit_case())
+def test_mb_teleport_circuit_matches_full_grid(case):
+    psi, r, theta, m = case
+    anc = WaveFunction.squeezed(r, HALF, psi.psi.shape[0])
+    assert close(mb_teleport_circuit(psi, r, theta, m),
+                 mb_teleport_circuit_reference(psi, r, theta, m), psi, anc)
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+@pytest.mark.parametrize("theta", [0.4, -2.0, np.pi / 2, 3 * np.pi / 2])
+def test_project_p_theta_matches_full_grid_on_either_mode(mode, theta):
+    rng = np.random.default_rng(3)
+    big = WaveFunction(rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32)),
+                       HALF)
+    m = 0.7 * edge_values(big.psi.shape[mode])[0]
+    assert close(big.project_p_theta(mode, theta, m),
+                 project_p_theta_reference(big, mode, theta, m), big)
+
+
+def test_project_p_theta_needs_two_modes():
+    with pytest.raises(GridError, match="2-mode"):
+        default_input(64).project_p_theta(0, 0.3, 0.0)
+
+
+# quarter turns k = 0..3 of the angle reduction, each with and without shears
+SPLIT_ANGLES = [k * np.pi / 2 + d for k in range(-1, 3) for d in (0.0, 0.3)]
+
+
+@pytest.mark.parametrize("theta", [np.pi / 4, -3 * np.pi / 4, *SPLIT_ANGLES])
+def test_beamsplitter_slice_matches_full_grid_at_any_angle(theta):
+    psi = default_input(64)
+    phi = WaveFunction.cubic_phase(0.2, 1.0, HALF, 64).x_shift(0.4)
+    for m in (*edge_values(64), 0.3):
+        got = psi.beamsplitter_slice(phi, m, theta)
+        want = psi.product(phi).beamsplitter(theta).project_q(1, m)
+        assert close(got, want, psi, phi)
+
+
+@pytest.mark.parametrize("points", POINTS)
+def test_last_shear_on_the_read_columns_is_bit_identical(points):
+    # the last shear transforms each q_1 column on its own, so running it on
+    # the 4 columns the slice reads changes no bit of them
+    psi = default_input(points)
+    phi = WaveFunction.cubic_phase(0.2, 1.5, HALF, points)
+    _, (a, b) = beamsplitter_plan((points, points), np.pi / 4)
+    two = psi.product(phi)._shear_between(a, 0)._shear_between(b, 1)
+    full = two._shear_between(a, 0).psi
+    for m in (*edge_values(points), 0.3):
+        i0, _ = slice_window(points, HALF, m)
+        at = np.arange(i0 - 1, i0 + 3)
+        table = _two_mode_phase(a, HALF, (points, points), 0)
+        assert np.array_equal(_p_diag(two.psi[:, at], 0, table[:, at]),
+                              full[:, at])
+
+
+@pytest.mark.parametrize("points", POINTS)
+def test_idft_columns_is_the_inverse_fft_at_those_columns(points):
+    rng = np.random.default_rng(points)
+    work = rng.normal(size=(3, points)) + 1j * rng.normal(size=(3, points))
+    at = np.array([0, 1, points // 2, points - 1])
+    want = np.fft.ifft(work, axis=-1)[:, at]
+    assert np.abs(work @ idft_columns(points, at) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("points", POINTS)
+def test_out_of_window_slice_raises_the_projection_error(points):
+    psi = default_input(points)
+    low, high = edge_values(points)
+    dq = 2 * HALF / points
+    for m in (low - dq / 2, high + dq / 2, 40.0):
+        with pytest.raises(GridError) as want:
+            teleport_step_reference(psi, psi, m)
+        with pytest.raises(GridError) as got:
+            teleport_step(psi, psi, m)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(GridError) as want:
+            mb_teleport_circuit_reference(psi, 2.0, 0.3, m)
+        with pytest.raises(GridError) as got:
+            mb_teleport_circuit(psi, 2.0, 0.3, m)
+        assert str(got.value) == str(want.value)
+
+
+def test_teleport_step_keeps_the_grid_errors():
+    psi = default_input(64)
+    with pytest.raises(GridError, match="square grid"):
+        teleport_step(psi, default_input(128), 0.0)
+    with pytest.raises(GridError, match="half extent"):
+        teleport_step(psi, default_input(64, half_extent=10.0), 0.0)
+    with pytest.raises(GridError, match="1-mode"):
+        teleport_step(psi.product(psi), psi, 0.0)

@@ -27,7 +27,8 @@ from bslsim.nullifiers import (lattice_factors, lattice_variances,
                                nullifier_variances, phi_transform,
                                quadrature_nullifiers, vacuum_variances)
 
-KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz")
+KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz",
+         "pair")
 angle = st.floats(-np.pi, np.pi)
 
 
@@ -47,7 +48,12 @@ def local_gate(draw, n):
                                  i, n)
     if kind == "beamsplitter":
         return gate_beamsplitter(draw(angle), i, j, n)
-    return gate_cz(draw(st.floats(-2, 2)), i, j, n)
+    if kind == "cz":
+        return gate_cz(draw(st.floats(-2, 2)), i, j, n)
+    # a two-mode block with a B part: a rotation, then a beamsplitter
+    pair = gate_rotation(draw(angle), 0, 2).then(
+        gate_beamsplitter(draw(angle), 0, 1, 2))
+    return SymplecticGate(pair.block, modes=(i, j), n_modes=n)
 
 
 @st.composite
