@@ -12,9 +12,9 @@ from .lattice import (LatticeConfig, MacronodeLattice, build_bsl, build_square,
                       canonical_wire, edge_summary, graph_part, ideal_graph,
                       schedule, to_dot)
 from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
-                   decouple_wires, feedforward, measure_p_theta,
-                   measure_quadrature, run_program, simulate_single_mode_gate,
-                   two_mode_gate, v_gate, v_gate_displacement)
+                   decouple_wires, feedforward, measure_quadrature,
+                   run_program, simulate_single_mode_gate, two_mode_gate,
+                   v_gate, v_gate_displacement)
 from .nullifiers import (NullifierSet, WitnessReport, empirical_variances,
                          exact_nullifiers, ingest_samples, lattice_factors,
                          lattice_variances, nullifier_variances,

@@ -74,30 +74,6 @@ class GraphState:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "mean", mean)
 
-    @classmethod
-    def _posterior(cls, z: np.ndarray, mean) -> "GraphState":
-        """State left by a homodyne measurement on an accepted state.
-
-        z must be exactly symmetric.  It is the measured state's graph
-        conditioned on one outcome, and that cannot lower the smallest
-        eigenvalue of Im Z: the rotation before the projection has
-        A + B Z = M equal to I outside row k, Im Z' = M^-H Im Z M^-1, and for
-        x on the surviving modes y = M^-1 x equals x off mode k, so
-        x^H Im Z'_rr x = y^H Im Z y >= lambda_min |y|^2 >= lambda_min |x|^2.
-        The definiteness check therefore cannot fail, apart from roundoff of
-        order eps cond(M) |Z|, and it is skipped; z and the new mean are
-        still checked for finiteness.
-        """
-        mean = np.asarray(mean, dtype=float)
-        if not np.isfinite(z).all():
-            raise GraphStateError("graph matrix Z must be finite")
-        if not np.isfinite(mean).all():
-            raise GraphStateError("mean must be finite")
-        state = object.__new__(cls)
-        object.__setattr__(state, "z", z)
-        object.__setattr__(state, "mean", mean)
-        return state
-
     @property
     def n_modes(self) -> int:
         return self.z.shape[0]
@@ -257,6 +233,17 @@ def gate_beamsplitter(theta: float, i: int, j: int, n: int) -> SymplecticGate:
     blk = np.zeros((4, 4))
     blk[:2, :2] = blk[2:, 2:] = [[c, -s], [s, c]]
     return SymplecticGate(blk, modes=(i, j), n_modes=n)
+
+
+def balanced_mix(a: np.ndarray, i, j):
+    """Rows (i, j) of a -> (c a_i - s a_j, s a_i + c a_j) in place, c, s =
+    cos, sin(pi/4): the 50:50 beamsplitter B(pi/4) on the q (or p) rows.
+
+    i and j may be index arrays or slices of disjoint pairs.  On a.T it mixes columns,
+    so the orthogonal congruence Z -> O Z O^T is one call on Z and one on Z.T.
+    """
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    a[i], a[j] = c * a[i] - s * a[j], s * a[i] + c * a[j]
 
 
 def gate_cz(g: float, i: int, j: int, n: int) -> SymplecticGate:

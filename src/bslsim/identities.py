@@ -19,7 +19,8 @@ import json
 
 import numpy as np
 
-from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
+from .mbqc import (_number, adapted_sigma, commutation_kick, cubic_kick,
+                   cubic_shear)
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
                      check_points, cubic_weights, fidelity_up_to_phase, q_axis)
 
@@ -281,9 +282,11 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
 
     Case schema: {"identity": "E" | "M" | "L" | "commutation", ...params}.
     Cases run in parallel worker threads (the FFT kernels release the GIL);
-    reports are assembled in input order, and per-case errors, a
-    non-finite field among them, are captured in the report instead of
-    aborting the batch.  An error report echoes its case with non-finite
+    reports are assembled in input order, and per-case errors are captured
+    in the report instead of aborting the batch.  Each field is checked as
+    a program field is: a boolean, a string, a non-finite number or a
+    fractional points is an error that names the key, and outcomes must
+    list three numbers.  An error report echoes its case with non-finite
     numbers as strings, so the report stays strict JSON.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -291,22 +294,21 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
     def one(case):
         kind = case.get("identity")
 
-        def num(key, default):
-            value = float(case.get(key, default))
-            if not np.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-            return value
+        def num(key, default, cast=float):
+            return _number(case.get(key, default), key, cast)
 
         def outcomes():
-            values = tuple(case.get("outcomes", (0.0, 0.0, 0.0)))
-            # a value that is not a number fails in the verifier
+            values = case.get("outcomes", [0.0, 0.0, 0.0])
+            if not isinstance(values, (list, tuple)) or len(values) != 3:
+                raise ValueError(
+                    f"outcomes must list three numbers, got {values!r}")
             if any(isinstance(v, float) and not np.isfinite(v) for v in values):
                 raise ValueError(f"outcomes must be finite, got {list(values)}")
-            return values
+            return tuple(_number(v, "outcomes") for v in values)
 
         try:
             if kind == "E":
-                points1 = check_points(int(num("points", DEFAULT_P1)))
+                points1 = check_points(num("points", DEFAULT_P1, int))
                 psi = default_input(points1, half_extent)
                 phi = WaveFunction.cubic_phase(
                     num("chi", 0.1), num("r_env", 2.0), half_extent, points1)

@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphstate import GraphState, GraphStateError, apply, gate_beamsplitter
+from .graphstate import (GraphState, GraphStateError, apply, balanced_mix,
+                         gate_beamsplitter)
 
 #: largest supported lattice squeezing.  The CLI's lattice witness and samples
 #: are closed forms in (V, r) and factor nothing; the limit that remains is
@@ -233,10 +234,9 @@ def ideal_graph(config: LatticeConfig) -> np.ndarray:
     place to rows a and b and then to columns a and b, in O(n) per gate.
     """
     v = _pairs(config.n_modes)
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     for a, b in _joins(config):
-        for w in (v, v.T):      # rows, then columns through the transpose
-            w[a], w[b] = c * w[a] - s * w[b], s * w[a] + c * w[b]
+        balanced_mix(v, a, b)
+        balanced_mix(v.T, a, b)
     return (v + v.T) / 2
 
 
@@ -300,15 +300,6 @@ def to_dot(state: GraphState, config: LatticeConfig) -> str:
 # -- canonical dual-rail wire (the decoupled-resource idealization) ----------
 
 
-def _site_beamsplitters(a: np.ndarray) -> np.ndarray:
-    """O a, O the 50:50 beamsplitter B(pi/4) on every row pair (2k, 2k+1)."""
-    even, odd = a[0::2], a[1::2]
-    out = np.empty_like(a)
-    out[0::2] = (even - odd) * np.sqrt(0.5)
-    out[1::2] = (even + odd) * np.sqrt(0.5)
-    return out
-
-
 def canonical_wire(n_sites: int, r: float,
                    input_state: GraphState | None = None) -> GraphState:
     """Dual-rail wire of n_sites macronodes in the physical mode basis.
@@ -339,8 +330,9 @@ def canonical_wire(n_sites: int, r: float,
     for k in range(n_sites - 1):
         a, b = 2 * k + 1, 2 * k + 2
         z[a, b] = z[b, a] = tanh
-    # the site beamsplitters form one real orthogonal O that acts alike on q
-    # and p, so Z -> O Z O^T and each half of the mean -> O half
-    return GraphState(_site_beamsplitters(_site_beamsplitters(z).T).T,
-                      np.concatenate([_site_beamsplitters(mean[:n]),
-                                      _site_beamsplitters(mean[n:])]))
+    # the site beamsplitters on the slot pairs (2k, 2k+1) form one real
+    # orthogonal O that acts alike on q and p: Z -> O Z O^T, each half of
+    # the mean -> O half
+    for part in (z, z.T, mean[:n], mean[n:]):
+        balanced_mix(part, slice(0, n, 2), slice(1, n, 2))
+    return GraphState(z, mean)

@@ -9,6 +9,12 @@ update of the surviving graph.  Conditioning a pure Gaussian state on
 q_k = m keeps the state pure: the graph loses row and column k and the
 linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
 
+One private runner, _run_steps, carries (Z, c, W) through a list of steps,
+W the outcome Jacobian in c-coordinates, and reads the state with one solve
+and one checked GraphState at the end.  run_program, simulate_single_mode_gate
+and measure_with_response are all runs of it; decouple_wires keeps its own
+deletion loop, which carries no Jacobian.
+
 The macronode protocols follow the slot convention of lattice.canonical_wire:
 a site's physical modes are alpha = mode 2k, beta = 2k+1, obtained from the
 symmetric/antisymmetric slots by a 50:50 beamsplitter, the logical input
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate,
-                         _check_cond, apply, gate_beamsplitter, local_update)
+                         _check_cond, apply, balanced_mix, gate_beamsplitter)
 from .lattice import LatticeConfig, MacronodeLattice, build_bsl, canonical_wire
 
 
@@ -128,7 +134,7 @@ def _from_c(z: np.ndarray, c: np.ndarray, w: np.ndarray):
 
 
 def _measure_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, mode: int,
-                  theta: float, outcome=None, rng=None):
+                  theta: float, outcome, rng):
     """Measure q(theta) on one mode in c-coordinates; (z', c', w', outcome).
 
     c = mu_p - Z mu_q is the state's linear coefficient and w (n x j,
@@ -144,7 +150,8 @@ def _measure_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, mode: int,
     marginal of q_k from one solve against Y' = Im Z' with the two columns
     [Im g, Im c_r], c_r the rotated c: the Schur complement
     s = Y_kk - Im g^T Y'^-1 Im g of the rotated Y = Im Z gives the variance
-    1 / (2 s) and the mean -(Im(c_k / piv) - Im g^T Y'^-1 Im c_r) / s.
+    1 / (2 s) and the mean -(Im(c_k / piv) - Im g^T Y'^-1 Im c_r) / s,
+    and rng, resolved once per run, draws it.
     """
     _check_cond(_rotation_cond(z, mode, theta))
     cos, sin = np.cos(theta), np.sin(theta)
@@ -164,7 +171,7 @@ def _measure_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, mode: int,
         a, b = np.linalg.solve(zr.imag, np.column_stack([g.imag, cr.imag])).T
         schur = y_kk - g.imag @ a
         mu = -((c[mode] / piv).imag - g.imag @ b) / schur
-        outcome = float(_rng_of(rng).normal(mu, np.sqrt(0.5 / schur)))
+        outcome = float(rng.normal(mu, np.sqrt(0.5 / schur)))
     if not np.isfinite(outcome):
         raise GraphStateError("measurement outcome must be finite")
     cr += outcome * g
@@ -178,27 +185,14 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
     """measure_quadrature that also carries the outcome Jacobian through.
 
     jac holds one column per earlier outcome, the sensitivity of state.mean
-    to it (2n x j; None means no columns).  The mean and jac go to
-    c-coordinates, one _measure_step conditions them, and one solve against
-    Im Z' brings them back.  Returns (posterior, outcome, jac') with jac' of
-    shape (2n - 2) x (j + 1): the carried columns, then the response to the
-    outcome.
+    to it (2n x j; None means no columns).  A one-step run: returns
+    (posterior, outcome, jac') with jac' of shape (2n - 2) x (j + 1), the
+    carried columns, then the response to the outcome.
     """
-    n = state.n_modes
-    if not 0 <= mode < n:
+    if not 0 <= mode < state.n_modes:
         raise GraphStateError(f"mode {mode} out of range")
-    if jac is None:
-        jac = np.zeros((2 * n, 0))
-    c, w = _to_c(state.z, state.mean, jac)
-    z, c, w, outcome = _measure_step(state.z, c, w, mode, theta, outcome, rng)
-    mean, resp = _from_c(z, c, w)
-    return GraphState._posterior(z, mean), outcome, resp
-
-
-def measure_p_theta(state: GraphState, mode: int, theta: float,
-                    outcome: float | None = None, rng=None):
-    """Measure p(theta) = q(theta - pi/2)."""
-    return measure_quadrature(state, mode, theta - np.pi / 2, outcome, rng)
+    run = _run_steps(state, [(mode, theta, outcome)], None, rng, jac)
+    return run.state, run.record.events[0].outcome, run.outcome_jacobian
 
 
 # -- wire decoupling -------------------------------------------------------------
@@ -234,10 +228,10 @@ def decouple_wires(state: GraphState, lattice: MacronodeLattice,
             idx = alive.index(mode)
             del alive[idx]
             # no Jacobian is kept: every step starts from no columns
-            z, c, w, m = _measure_step(z, c, w[:, :0], idx, theta, rng=rng)
+            z, c, w, m = _measure_step(z, c, w[:, :0], idx, theta, None, rng)
             record.add(mode, theta, m)
     mean, _ = _from_c(z, c, w[:, :0])
-    return DecoupleResult(GraphState._posterior(z, mean), record,
+    return DecoupleResult(GraphState(z, mean), record,
                           {m: i for i, m in enumerate(alive)})
 
 
@@ -292,25 +286,20 @@ def simulate_single_mode_gate(input_state: GraphState, theta_d: float,
     returns (output 1-mode state, record).  The output matches
     v_gate(theta_d, theta_a, m1, m2) applied to the input up to O(e^{-2r}).
     """
-    rng = _rng_of(rng)
-    wire = canonical_wire(2, r, input_state)
-    record = MeasurementRecord()
-    m1 = m2 = None
-    if outcomes is not None:
-        m1, m2 = outcomes
-    cur, m1 = measure_p_theta(wire, 0, theta_d, m1, rng)
-    record.add(0, theta_d - np.pi / 2, m1)
-    cur, m2 = measure_p_theta(cur, 0, theta_a, m2, rng)
-    record.add(1, theta_a - np.pi / 2, m2)
+    m1, m2 = (None, None) if outcomes is None else outcomes
+    # p(theta) = q(theta - pi/2), at alpha (mode 0), then at beta (mode 1)
+    steps = [(0, theta_d - np.pi / 2, m1), (1, theta_a - np.pi / 2, m2)]
+    run = _run_steps(canonical_wire(2, r, input_state), steps, r, rng)
     # undo the site-1 slot beamsplitter; the "-" slot is an unentangled tail
-    cur = apply(cur, gate_beamsplitter(-np.pi / 4, 0, 1, 2))
+    cur = apply(run.state, gate_beamsplitter(-np.pi / 4, 0, 1, 2))
     if abs(cur.z[0, 1]) > 1e-8:
         raise GraphStateError(
             f"wire tail stayed entangled (|Z_01| = {abs(cur.z[0, 1]):.3e})")
     out = GraphState(cur.z[:1, :1],
                      np.array([cur.mean[0], cur.mean[2]]))
-    record.frame = v_gate_displacement(theta_d, theta_a, m1, m2)
-    return out, record
+    run.record.frame = v_gate_displacement(
+        theta_d, theta_a, *(e.outcome for e in run.record.events))
+    return out, run.record
 
 
 # -- two-mode macronode gate ---------------------------------------------------------
@@ -416,7 +405,8 @@ def feedforward(record: MeasurementRecord, gate_kind: str, params) -> dict:
 class ProgramResult:
     state: GraphState
     record: MeasurementRecord
-    #: (2n, events): column j is the final mean's sensitivity to outcome j
+    #: (2n, j + events): the final mean's sensitivity to each of the j
+    #: columns a run was given, then to each outcome
     outcome_jacobian: np.ndarray
     #: original mode id -> index in the final state
     mode_index: dict
@@ -545,17 +535,29 @@ def run_program(program: dict, seed=None) -> ProgramResult:
     {"cubic": {"chi": 0.0, "sigma": s}}, "outcome": optional}]}.
     The theta basis measures q(theta); cubic steps run the gate-teleportation
     macronode circuit, which is Gaussian-simulable exactly when chi = 0.
-    The whole program is checked before the resource is built.  The state
-    and the outcome Jacobian are carried in c-coordinates through every
-    step and read with one solve against Im Z at the end.
+    The whole program is checked before the resource is built, and then
+    run by _run_steps.
     """
-    rng = _rng_of(seed)
     build, r, steps = _parse_program(program)
-    state = build()
+    return _run_steps(build(), steps, r, seed)
+
+
+def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
+    """Run parsed steps on a state: the one step loop of the module.
+
+    steps are _parse_program's tuples, modes named by their index in state;
+    r sets the cubic steps' ancilla squeezing.  jac holds columns the state's
+    mean is already sensitive to (2n x j; None means none).  The state and
+    the Jacobian are carried in c-coordinates through every step and read
+    with one solve against Im Z and one checked GraphState at the end.
+    """
+    rng = _rng_of(rng)
     alive = list(range(state.n_modes))      # mode id per index of the state
     record = MeasurementRecord()
     z = state.z
-    c, w = _to_c(z, state.mean, np.zeros((2 * len(z), 0)))
+    if jac is None:
+        jac = np.zeros((2 * len(z), 0))
+    c, w = _to_c(z, state.mean, jac)
 
     def do_measure(mode_id, theta, forced):
         nonlocal z, c, w
@@ -571,20 +573,19 @@ def run_program(program: dict, seed=None) -> ProgramResult:
             continue
         alpha, beta, sigma, (f_a, f_e, f_f) = step
         # inject an unentangled ancilla (c = 0) as mode n and mix it with
-        # alpha; the beamsplitter has B = 0, so c and w rotate with its
-        # orthogonal q block, and Im Z by an orthogonal congruence stays
-        # definite
+        # alpha on a 50:50 beamsplitter, a real orthogonal O acting alike on
+        # q and p: Z -> O Z O^T, whose Im Z stays definite, and c, w -> O c,
+        # O w
         n = len(z)
         z = np.pad(z, (0, 1))
         z[n, n] = 1j / np.cosh(2 * r)
         c, w = np.append(c, 0.0), np.pad(w, ((0, 1), (0, 0)))
         anc = ("anc", len(record.events))
+        i = alive.index(alpha)
         alive.append(anc)
-        gate = gate_beamsplitter(np.pi / 4, alive.index(alpha), n, n + 1)
-        z = local_update(z, gate)
+        for part in (z, z.T, c, w):
+            balanced_mix(part, i, n)
         z = (z + z.T) / 2
-        rows, blk = list(gate.modes), gate.block[:2, :2]
-        c[rows], w[rows] = blk @ c[rows], blk @ w[rows]
         m_a = do_measure(beta, 0.0, f_a)
         m_f = do_measure(anc, 0.0, f_f)
         m_e = do_measure(alpha, np.arctan(sigma) - np.pi / 2, f_e)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bslsim.cli import build_parser, main
 from bslsim.graphstate import vacuum
+from bslsim.identities import run_cases
 from bslsim.lattice import LatticeConfig, ideal_graph
 from bslsim.nullifiers import (quadrature_nullifiers, vacuum_variances,
                                witness_from_variances)
@@ -170,7 +171,9 @@ def test_verify_identities_bad_outcomes_type_is_a_case_error(tmp_path, capsys):
     assert code == 1
     assert "L: error:" in capsys.readouterr().out
     (rep,) = json.loads(rpath.read_text())
-    assert rep["pass"] is False and "abs" in rep["error"]
+    # a string is not a list, though it has three items
+    assert rep["pass"] is False
+    assert rep["error"] == "outcomes must list three numbers, got 'abc'"
 
 
 @pytest.mark.parametrize("grid,field", [("0,64", "half extent L"),
@@ -744,6 +747,34 @@ def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
     assert [r["pass"] for r in reports] == [False, False, True]
     assert reports[0]["params"] == {"identity": "M", "theta": "NaN"}
     assert reports[1]["params"]["outcomes"] == [0.1, "Infinity", 0.0]
+
+
+@pytest.mark.parametrize("case,message", [
+    ({"identity": "M", "theta": True}, "theta must be a number, got True"),
+    ({"identity": "M", "m": "0.5"}, "m must be a number, got '0.5'"),
+    ({"identity": "E", "points": 64.5}, "points must be an integer, got 64.5"),
+    ({"identity": "E", "points": True}, "points must be an integer, got True"),
+    ({"identity": "L", "outcomes": [0.1, 0.2]},
+     "outcomes must list three numbers, got [0.1, 0.2]"),
+    ({"identity": "L", "outcomes": 0.5},
+     "outcomes must list three numbers, got 0.5"),
+    ({"identity": "L", "outcomes": [True, 0.0, "x"]},
+     "outcomes must be a number, got True"),
+    ({"identity": "commutation", "outcomes": [0.0, 0.0, "x"]},
+     "outcomes must be a number, got 'x'"),
+], ids=["bool", "string", "fractional-points", "bool-points", "two-outcomes",
+        "scalar-outcomes", "bool-outcome", "string-outcome"])
+def test_malformed_case_field_is_a_case_error_naming_the_key(case, message):
+    (rep,) = run_cases([case], 64)
+    assert rep["error"] == message and rep["pass"] is False
+    assert rep["params"] == case
+
+
+def test_integral_case_fields_run_as_their_floats():
+    as_int, as_float = run_cases([{"identity": "M", "theta": 0, "m": 1},
+                                  {"identity": "M", "theta": 0.0, "m": 1.0}],
+                                 64)
+    assert as_int == as_float
 
 
 @pytest.mark.parametrize("graph,field", [

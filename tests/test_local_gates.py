@@ -22,7 +22,7 @@ from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
 from bslsim import mbqc
 from bslsim.cli import main
 from bslsim.mbqc import (_rotation_cond, decouple_wires, measure_with_response,
-                         run_program)
+                         run_program, simulate_single_mode_gate, v_gate)
 from bslsim.nullifiers import (lattice_factors, lattice_variances,
                                nullifier_variances, phi_transform,
                                quadrature_nullifiers, vacuum_variances)
@@ -365,9 +365,10 @@ def test_measurement_response_matches_finite_differences():
 
 @settings(max_examples=80, deadline=None)
 @given(circuit(), st.data())
-def test_posterior_skips_only_a_check_that_cannot_fail(case, data):
-    # the posterior's Z is the rotated state's Z on the surviving modes, and
-    # measuring cannot lower the smallest eigenvalue of Im Z
+def test_posterior_is_the_rotated_graph_and_keeps_im_z_definite(case, data):
+    # the posterior's Z is the rotated state's Z on the surviving modes, it
+    # is returned as the checked GraphState leaves it, and measuring cannot
+    # lower the smallest eigenvalue of Im Z
     state, gates = case
     for g in gates:
         state = apply(state, g)
@@ -393,7 +394,7 @@ def test_posterior_skips_only_a_check_that_cannot_fail(case, data):
 def test_posterior_is_exactly_symmetric():
     # complex outer products can round mirror entries differently (fused
     # multiply-add); the posterior must still be exactly symmetric, as the
-    # skipped GraphState check would have made it
+    # GraphState check leaves it
     rng = np.random.default_rng(8)
     for n in range(2, 9):
         x, a = rng.normal(size=(2, n, n))
@@ -462,6 +463,30 @@ def test_measurement_matches_dense_reference(case, data):
         assert_close(resp, resp_ref)
         # both paths go on from the reference, so errors do not compound
         state, jac = want, resp_ref
+
+
+def test_simulate_single_mode_gate_draws_as_the_reference_chain():
+    # drawn outcomes: p(theta) = q(theta - pi/2) at alpha, then at beta, on
+    # the same wire; one seed draws the same standard normals in both
+    inp = GraphState(np.array([[0.1 + 0.9j]]), np.array([0.4, -0.1]))
+    for seed, (th1, th2) in enumerate([(1.2, -0.3), (0.8 + np.pi / 4,
+                                                     0.8 - np.pi / 4)]):
+        out, rec = simulate_single_mode_gate(inp, th1, th2, r=6.0, rng=seed)
+        rng = np.random.default_rng(seed)
+        state, want = lat.canonical_wire(2, 6.0, inp), []
+        for theta in (th1, th2):
+            state, m, _ = measure_reference(state, 0, theta - np.pi / 2,
+                                            rng=rng)
+            want.append(m)
+        got = [e.outcome for e in rec.events]
+        assert_close(got, want, tol=1e-10)
+        # drawn outcomes spread as sqrt(cosh 2r), tens to hundreds at r = 6,
+        # and the finite-r deviation of the mean grows with them, so its
+        # bound is relative to the mean
+        target = apply(inp, v_gate(th1, th2, *got))
+        assert np.abs(covariance(out) - covariance(target)).max() < 1e-5
+        assert (np.abs(out.mean - target.mean).max()
+                < 1e-4 * scale(target.mean))
 
 
 def decouple_wires_reference(state, lattice, rng):
