@@ -80,15 +80,22 @@ def _grid_arg(text: str):
     return half, pts
 
 
-def _seed_arg(text: str) -> int:
-    message = f"seed must be an integer >= 0, got {text!r}"
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(message) from exc
-    if seed < 0:
-        raise argparse.ArgumentTypeError(message)
-    return seed
+def _int_arg(name: str, low: int):
+    """The argparse type of an integer flag that must be at least low."""
+    def parse(text: str) -> int:
+        message = f"{name} must be an integer >= {low}, got {text!r}"
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(message) from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
+
+
+_seed_arg = _int_arg("seed", 0)
+_shots_arg = _int_arg("shots", 1)
 
 
 def _finite_arg(text: str) -> float:
@@ -170,10 +177,6 @@ def cmd_verify_nullifiers(args) -> int:
         return 0 if ok else 1
     if args.seed is not None and args.shots is None:
         return _refuse("--seed", "without --shots")
-    if args.shots is not None and args.shots < 1:
-        print(f"error: --shots must be at least 1, got {args.shots}",
-              file=sys.stderr)
-        return 2
     seed = 7 if args.seed is None else args.seed
     factor = 0.5 if args.threshold_factor is None else args.threshold_factor
     configs = [LatticeConfig(*(args.lattice or (2, 2)), r)
@@ -222,7 +225,7 @@ def cmd_run_program(args) -> int:
         "record": result.record.to_dict(),
         "final_state": result.state.to_dict(),
         "outcome_jacobian": result.outcome_jacobian.T.tolist(),
-        "mode_index": {str(k): v for k, v in result.mode_index.items()},
+        "mode_index": result.mode_index,
     }
     text = json.dumps(payload, indent=1)
     if args.out:
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--squeezing", dest="squeezing_list", type=float,
                    action="append", default=None, metavar="R")
     p.add_argument("--graph", help="verify a stored graph JSON instead")
-    p.add_argument("--shots", type=int,
+    p.add_argument("--shots", type=_shots_arg,
                    help="also run the sampled two-setting protocol")
     p.add_argument("--seed", type=_seed_arg,
                    help="sampling seed, with --shots (default 7)")
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", type=_lattice_arg, default=(2, 2), metavar="N,M")
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
     p.add_argument("--setting", choices=("q", "p"), required=True)
-    p.add_argument("--shots", type=int, default=10000)
+    p.add_argument("--shots", type=_shots_arg, default=10000)
     p.add_argument("--seed", type=_seed_arg, default=7)
     p.add_argument("--out", required=True)
     p.add_argument("--phase-delayed", action="store_true",

@@ -11,9 +11,8 @@ linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
 
 One private runner, _run_steps, carries (Z, c, W) through a list of steps,
 W the outcome Jacobian in c-coordinates, and reads the state with one solve
-and one checked GraphState at the end.  run_program, simulate_single_mode_gate
-and measure_with_response are all runs of it; decouple_wires keeps its own
-deletion loop, which carries no Jacobian.
+and one checked GraphState at the end.  run_program, simulate_single_mode_gate,
+measure_with_response and decouple_wires are all runs of it.
 
 The macronode protocols follow the slot convention of lattice.canonical_wire:
 a site's physical modes are alpha = mode 2k, beta = 2k+1, obtained from the
@@ -198,41 +197,19 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
 # -- wire decoupling -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecoupleResult:
-    state: GraphState
-    record: MeasurementRecord
-    #: original mode id -> index in the surviving state
-    mode_index: dict
-
-
 def decouple_wires(state: GraphState, lattice: MacronodeLattice,
-                   rng=None, angle_override=None) -> DecoupleResult:
+                   rng=None, angle_override=None) -> ProgramResult:
     """Measure bc macronodes at q((-1)^xi pi/4) to sever the wire rows.
 
     Deleting every complete bc site severs all rows.  angle_override
-    replaces the per-site deletion angle (negative controls).  The state is
-    carried in c-coordinates, without outcome Jacobian, and read with one
-    solve at the end.
+    replaces the per-site deletion angle (negative controls).  A run of
+    _run_steps, b then c at each site.
     """
-    rng = _rng_of(rng)
-    record = MeasurementRecord()
-    alive = list(range(state.n_modes))      # original mode id per index
-    z = state.z
-    c, w = _to_c(z, state.mean, np.zeros((2 * len(z), 0)))
-    for tau in lattice.bc_sites():
-        theta = lattice.deletion_angle(tau) if angle_override is None \
-            else angle_override(tau)
-        for det in ("b", "c"):
-            mode = lattice.mode_at(tau, det)
-            idx = alive.index(mode)
-            del alive[idx]
-            # no Jacobian is kept: every step starts from no columns
-            z, c, w, m = _measure_step(z, c, w[:, :0], idx, theta, None, rng)
-            record.add(mode, theta, m)
-    mean, _ = _from_c(z, c, w[:, :0])
-    return DecoupleResult(GraphState(z, mean), record,
-                          {m: i for i, m in enumerate(alive)})
+    angle = lattice.deletion_angle if angle_override is None \
+        else angle_override
+    steps = [(lattice.mode_at(tau, det), angle(tau), None)
+             for tau in lattice.bc_sites() for det in ("b", "c")]
+    return _run_steps(state, steps, None, rng)
 
 
 # -- single-mode macronode gate ----------------------------------------------------
@@ -430,24 +407,32 @@ def _number(value, name: str, cast=float):
     return cast(value)
 
 
-def _fields(obj, name: str, keys):
-    """The listed fields of a program object; a ProgramError naming the gap."""
+def _fields(obj, name: str, keys, optional=None):
+    """A program object's values at keys, then at each optional key (its
+    default where absent); a ProgramError naming a missing or unknown key."""
+    optional = optional or {}
     if not isinstance(obj, dict):
         raise ProgramError(
             f"malformed program: {name} must be an object, got {obj!r}")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ProgramError(f"malformed program: {name} is missing {missing}")
-    return [obj[key] for key in keys]
+    unknown = [key for key in obj if key not in keys and key not in optional]
+    if unknown:
+        raise ProgramError(
+            f"malformed program: {name} has unknown fields {unknown}")
+    return [obj[key] for key in keys] + [obj.get(key, default)
+                                         for key, default in optional.items()]
 
 
 def _parse_resource(desc):
     """(build, r, mode_of); mode_of(t, detector) is a mode or None, in O(1)."""
-    (kind,) = _fields(desc, "resource", ("kind",))
+    kind = desc.get("kind") if isinstance(desc, dict) else None
     if kind == "wire":
-        sites = _number(desc.get("macronodes", 2), "resource.macronodes", int)
-        r = _number(desc.get("r", 6.0), "resource.r")
-        inp = desc.get("input")
+        _, sites, r, inp = _fields(desc, "resource", ("kind",), {
+            "macronodes": 2, "r": 6.0, "input": None})
+        sites = _number(sites, "resource.macronodes", int)
+        r = _number(r, "resource.r")
         if inp is not None:
             try:
                 inp = GraphState.from_dict(inp)
@@ -460,12 +445,14 @@ def _parse_resource(desc):
 
         return lambda: canonical_wire(sites, r, inp), r, mode_of
     if kind == "bsl":
-        n, m = _fields(desc, "resource", ("N", "M"))
+        _, n, m, r = _fields(desc, "resource", ("kind", "N", "M"), {"r": 1.0})
         config = LatticeConfig(_number(n, "resource.N", int),
                                _number(m, "resource.M", int),
-                               _number(desc.get("r", 1.0), "resource.r"))
+                               _number(r, "resource.r"))
         return (lambda: build_bsl(config)[0], config.r,
                 MacronodeLattice(config).mode_at)
+    if not isinstance(desc, dict) or "kind" not in desc:
+        _fields(desc, "resource", ("kind",))    # raises, naming the fault
     raise ProgramError(f"unknown resource kind {kind!r}")
 
 
@@ -473,7 +460,8 @@ def _parse_program(program):
     """Check a whole program before any state is built; (build, r, steps).
 
     A homodyne step is (mode, theta, outcome) and a chi = 0 cubic step
-    (alpha, beta, sigma, outcomes); an outcome of None is drawn.
+    (alpha, beta, sigma, outcomes); an outcome of None is drawn.  Every
+    object is read by _fields, which refuses a key that nothing reads.
     """
     resource, steps = _fields(program, "program", ("resource", "steps"))
     build, r, mode_of = _parse_resource(resource)
@@ -482,27 +470,29 @@ def _parse_program(program):
     consumed, parsed = set(), []
     for i, step in enumerate(steps):
         name = f"steps[{i}]"
-        time_index, detector, basis = _fields(
-            step, name, ("time_index", "detector", "basis"))
+        time_index, detector, basis, forced = _fields(
+            step, name, ("time_index", "detector", "basis"), {"outcome": None})
         key = (_number(time_index, f"{name}.time_index", int), str(detector))
-        if not isinstance(basis, dict):
-            raise ProgramError(f"{name}.basis must be an object, got {basis!r}")
+        theta, cubic = _fields(basis, f"{name}.basis", (),
+                               {"theta": None, "cubic": None})
+        if ("theta" in basis) == ("cubic" in basis):
+            raise ProgramError(f"malformed program: {name}.basis must hold "
+                               f"one of theta and cubic, got {basis!r}")
         mode = mode_of(*key)
         if mode is None:
             raise ProgramError(f"no mode at {key} in this resource")
         if mode in consumed:
             raise ProgramError(f"mode at {key} was already consumed")
         consumed.add(mode)
-        forced = step.get("outcome")
         if "theta" in basis:
             if forced is not None:
                 forced = _number(forced, f"{name}.outcome")
-            theta = _number(basis["theta"], f"{name}.basis.theta")
+            theta = _number(theta, f"{name}.basis.theta")
             parsed.append((mode, theta, forced))
-        elif "cubic" in basis:
-            cubic = basis["cubic"]
-            (sigma,) = _fields(cubic, f"{name}.basis.cubic", ("sigma",))
-            chi = _number(cubic.get("chi", 0.0), f"{name}.basis.cubic.chi")
+        else:
+            sigma, chi = _fields(cubic, f"{name}.basis.cubic", ("sigma",),
+                                 {"chi": 0.0})
+            chi = _number(chi, f"{name}.basis.cubic.chi")
             sigma = _number(sigma, f"{name}.basis.cubic.sigma")
             if chi != 0.0:
                 raise ProgramError(
@@ -522,8 +512,6 @@ def _parse_program(program):
                                        f"list three numbers, got {forced!r}")
                 outcomes = tuple(_number(v, f"{name}.outcome") for v in forced)
             parsed.append((mode, beta, sigma, outcomes))
-        else:
-            raise ProgramError(f"unknown basis {basis!r}")
     return build, r, parsed
 
 
@@ -546,10 +534,12 @@ def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
     """Run parsed steps on a state: the one step loop of the module.
 
     steps are _parse_program's tuples, modes named by their index in state;
-    r sets the cubic steps' ancilla squeezing.  jac holds columns the state's
-    mean is already sensitive to (2n x j; None means none).  The state and
-    the Jacobian are carried in c-coordinates through every step and read
-    with one solve against Im Z and one checked GraphState at the end.
+    r sets the cubic steps' ancilla squeezing, and the k-th ancilla (k from
+    0) is named mode n + k, n the state's mode count.  jac holds columns the
+    state's mean is already sensitive to (2n x j; None means none).  The
+    state and the Jacobian are carried in c-coordinates through every step
+    and read with one solve against Im Z and one checked GraphState at the
+    end.
     """
     rng = _rng_of(rng)
     alive = list(range(state.n_modes))      # mode id per index of the state
@@ -580,7 +570,8 @@ def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
         z = np.pad(z, (0, 1))
         z[n, n] = 1j / np.cosh(2 * r)
         c, w = np.append(c, 0.0), np.pad(w, ((0, 1), (0, 0)))
-        anc = ("anc", len(record.events))
+        # one adaptation per earlier cubic step
+        anc = state.n_modes + len(record.adaptations)
         i = alive.index(alpha)
         alive.append(anc)
         for part in (z, z.T, c, w):

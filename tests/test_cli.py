@@ -329,6 +329,30 @@ def test_run_program_ill_conditioned_measurement_exits_2(tmp_path, capsys):
      "steps[0] is missing ['time_index', 'basis']"),
     ({"resource": {"kind": "wire"}, "steps": [3]},
      "steps[0] must be an object"),
+    ({"resource": {"kind": "wire"}, "steps": [], "seed": 3},
+     "program has unknown fields ['seed']"),
+    ({"resource": {"kind": "wire", "N": 4}, "steps": []},
+     "resource has unknown fields ['N']"),
+    ({"resource": {"kind": "bsl", "N": 2, "M": 2, "macronodes": 3},
+      "steps": []}, "resource has unknown fields ['macronodes']"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": 0, "detector": "x", "basis": {"theta": 0.4},
+         "outcomes": 0.25}]}, "steps[0] has unknown fields ['outcomes']"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": 0, "detector": "x", "basis": {"theta": 0.4,
+                                                     "phi": 0.1}}]},
+     "steps[0].basis has unknown fields ['phi']"),
+    ({"resource": {"kind": "wire", "macronodes": 3}, "steps": [
+        {"time_index": 0, "detector": "x",
+         "basis": {"cubic": {"sigma": 0.3, "gamma": 1.0}}}]},
+     "steps[0].basis.cubic has unknown fields ['gamma']"),
+    ({"resource": {"kind": "wire", "macronodes": 3}, "steps": [
+        {"time_index": 0, "detector": "x",
+         "basis": {"theta": 0.4, "cubic": {"sigma": 0.3}}}]},
+     "steps[0].basis must hold one of theta and cubic"),
+    ({"resource": {"kind": "wire"}, "steps": [
+        {"time_index": 0, "detector": "x", "basis": {}}]},
+     "steps[0].basis must hold one of theta and cubic"),
 ])
 def test_run_program_malformed_structure_exit_2(tmp_path, capsys, prog,
                                                 message):
@@ -517,7 +541,7 @@ def test_run_program_bad_leaves_exit_0_or_2(tmp_path_factory, program):
 
 @pytest.mark.parametrize("flag,value", [("--lattice", "3,3"),
                                         ("--squeezing", "2"),
-                                        ("--shots", "0"),
+                                        ("--shots", "100"),
                                         ("--seed", "3"),
                                         ("--threshold-factor", "0.4"),
                                         ("--report", "REPORT")])
@@ -536,7 +560,6 @@ def test_verify_nullifiers_graph_refuses_lattice_flags(tmp_path, capsys, flag,
 
 @pytest.mark.parametrize("argv,message", [
     (["--seed", "3"], "error: --seed cannot be used without --shots\n"),
-    (["--shots", "0"], "error: --shots must be at least 1, got 0\n"),
 ])
 def test_verify_nullifiers_refuses_unused_sampling_flags(capsys, argv,
                                                          message):
@@ -562,6 +585,23 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert ("argument --seed: seed must be an integer >= 0, got '-1'"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [program]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-nullifiers", "--lattice", "2,2"],
+    ["sample-homodyne", "--setting", "q", "--out", "OUT"],
+], ids=["verify-nullifiers", "sample-homodyne"])
+@pytest.mark.parametrize("shots", ["0", "-3", "2.5"])
+def test_shots_below_one_exit_2(tmp_path, capsys, argv, shots):
+    out = str(tmp_path / "q.csv")
+    with pytest.raises(SystemExit) as exc:
+        main([out if a == "OUT" else a for a in argv] + ["--shots", shots])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --shots: shots must be an integer >= 1, got '{shots}'"
+            in captured.err)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf", "5", "0", "-0.5", "half"])

@@ -13,7 +13,8 @@ from bslsim.graphstate import (GraphState, GraphStateError, apply, covariance,
                                gate_rotation, gate_shear, gate_squeeze, omega,
                                squeezed_vacua, vacuum)
 from bslsim import mbqc
-from bslsim.lattice import LatticeConfig, build_bsl, graph_part
+from bslsim.lattice import (LatticeConfig, MacronodeLattice, build_bsl,
+                            graph_part)
 from bslsim.mbqc import (MeasurementEvent, MeasurementRecord, ProgramError,
                          adapted_sigma, commutation_kick, cubic_kick,
                          cubic_shear,
@@ -156,6 +157,51 @@ def test_decouple_wrong_angle_fails():
     v = graph_part(st_q, 6.0)
     pair = v[np.ix_([2, 5], [2, 5])].real
     assert np.abs(pair @ pair - np.eye(2)).max() > 0.3
+
+
+@pytest.mark.parametrize("size", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_decouple_wires_is_the_bsl_deletion_program(size, seed):
+    config = LatticeConfig(*size, 1.0)
+    res = decouple_wires(*build_bsl(config), rng=seed)
+    lattice = MacronodeLattice(config)
+    program = {"resource": {"kind": "bsl", "N": size[0], "M": size[1],
+                            "r": 1.0},
+               "steps": [{"time_index": tau, "detector": d,
+                          "basis": {"theta": lattice.deletion_angle(tau)}}
+                         for tau in lattice.bc_sites() for d in "bc"]}
+    ref = run_program(program, seed)
+    assert res.record.events == ref.record.events
+    assert np.array_equal(res.state.z, ref.state.z)
+    assert np.array_equal(res.state.mean, ref.state.mean)
+    assert np.array_equal(res.outcome_jacobian, ref.outcome_jacobian)
+    assert res.mode_index == ref.mode_index
+
+
+def test_decouple_wires_jacobian_predicts_seed_difference():
+    state, lattice = build_bsl(LatticeConfig(3, 3, 1.0))
+    a = decouple_wires(state, lattice, rng=1)
+    b = decouple_wires(state, lattice, rng=2)
+    n = a.state.n_modes
+    assert a.outcome_jacobian.shape == (2 * n, len(a.record.events))
+    assert np.array_equal(a.state.z, b.state.z)
+    diff = a.state.mean - b.state.mean
+    shift = a.predicted_mean_shift() - b.predicted_mean_shift()
+    assert np.abs(diff).max() > 1e-3
+    assert np.abs(diff - shift).max() <= 1e-9 * max(1.0, np.abs(diff).max())
+
+
+def test_cubic_step_ancillas_are_integer_modes_after_the_state():
+    # two cubic steps on a 4-macronode wire of 8 modes: ancillas 8 and 9
+    steps = [{"time_index": k, "detector": "x",
+              "basis": {"cubic": {"chi": 0.0, "sigma": 0.3}}} for k in (0, 2)]
+    res = run_program({"resource": {"kind": "wire", "macronodes": 4,
+                                    "r": 2.0}, "steps": steps}, seed=3)
+    modes = [e.mode for e in res.record.events]
+    assert all(type(m) is int for m in modes)
+    assert [m for m in modes if m >= 8] == [8, 9]
+    assert all(type(m) is int for m in res.mode_index)
+    assert sorted(res.mode_index) == [2, 3, 6, 7]
 
 
 def test_v_gate_special_angles():
