@@ -95,6 +95,7 @@ class GraphState:
 
         Z_re and Z_im must be square matrices of one shape and n, where
         given, their size; each part must be symmetric to 1e-12 max(1, |Z|).
+        Any other key is refused.
         """
         parts = []
         for key in ("Z_re", "Z_im", "mean"):
@@ -104,6 +105,9 @@ class GraphState:
                 raise GraphStateError(f"malformed graph JSON: field {key} is "
                                       f"missing or not numeric ({exc})") from exc
         re, im, mean = parts
+        unknown = sorted(set(data) - {"n", "Z_re", "Z_im", "mean"})
+        if unknown:
+            raise GraphStateError(f"malformed graph JSON: unknown fields {unknown}")
         if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
             raise GraphStateError("malformed graph JSON: Z_re and Z_im must be "
                                   f"square of one shape, got {re.shape}, {im.shape}")

@@ -19,8 +19,8 @@ import json
 
 import numpy as np
 
-from .mbqc import (_number, adapted_sigma, commutation_kick, cubic_kick,
-                   cubic_shear)
+from .mbqc import (ProgramError, _fields, _number, _three_numbers,
+                   adapted_sigma, commutation_kick, cubic_kick, cubic_shear)
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
                      check_points, cubic_weights, fidelity_up_to_phase, q_axis)
 
@@ -134,8 +134,8 @@ def _gauss_envelope(r):
     return env
 
 
-def _cubic_fun(chi, r_env):
-    env = _gauss_envelope(r_env)
+def _cubic_fun(chi, r):
+    env = _gauss_envelope(r)
 
     def fun(s):
         return np.exp(1j * chi / 3 * s ** 3) * env(s)
@@ -143,19 +143,17 @@ def _cubic_fun(chi, r_env):
 
 
 def cubic_gate_circuit(psi: WaveFunction, r: float, chi: float, sigma: float,
-                       m_a: float, m_e: float, m_f: float,
-                       r_env: float | None = None) -> WaveFunction:
+                       m_a: float, m_e: float, m_f: float) -> WaveFunction:
     """Route (i): the full gadget circuit for the cubic measurement device.
 
     Two ancilla-teleportation gadgets (squeezed envelope, then regularized
     cubic-phase state) followed by the shear-angle teleportation circuit and
     the residual momentum kick t_r (sqrt2 m_a - m_f)/2.
     """
-    r_env = r if r_env is None else r_env
     points = psi.psi.shape[0]
     out = teleport_step(psi, WaveFunction.squeezed(r, psi.half_extent, points), m_a)
     out = teleport_step(
-        out, WaveFunction.cubic_phase(chi, r_env, psi.half_extent, points), m_f)
+        out, WaveFunction.cubic_phase(chi, r, psi.half_extent, points), m_f)
     out = mb_teleport_circuit(out, r, np.arctan(sigma), m_e)
     t_r = np.tanh(2 * r)
     return out.z_shift(t_r * (np.sqrt(2) * m_a - m_f) / 2)
@@ -163,18 +161,16 @@ def cubic_gate_circuit(psi: WaveFunction, r: float, chi: float, sigma: float,
 
 def cubic_gate_product(psi: WaveFunction, r: float, chi: float, sigma: float,
                        m_a: float, m_e: float, m_f: float,
-                       r_env: float | None = None,
                        infinite: bool = False) -> WaveFunction:
     """Route (ii): operator product of the two closed-form maps and the
     teleportation gate; `infinite` drops the envelopes and sets t_r = 1."""
-    r_env = r if r_env is None else r_env
     if infinite:
         env = _flat_envelope
         cub = lambda s: np.exp(1j * chi / 3 * s ** 3)
         t_r = 1.0
     else:
         env = _gauss_envelope(r)
-        cub = _cubic_fun(chi, r_env)
+        cub = _cubic_fun(chi, r)
         t_r = np.tanh(2 * r)
     out = teleport_map(psi, env, m_a)
     out = teleport_map(out, cub, m_f)
@@ -192,7 +188,7 @@ def cubic_gate_closed(psi: WaveFunction, chi: float, sigma: float,
 
 
 def verify_cubic_device(chi: float, sigma: float, outcomes, r: float,
-                  psi_in: WaveFunction, r_env: float | None = None) -> dict:
+                        psi_in: WaveFunction) -> dict:
     """Three-way agreement of the cubic measurement device.
 
     Compares (i) the gadget circuit, (ii) the operator-product form, and
@@ -202,8 +198,8 @@ def verify_cubic_device(chi: float, sigma: float, outcomes, r: float,
     if abs(chi) > 0.3 or max(abs(m) for m in outcomes) > 1.0:
         raise GridError("parameters outside the validated grid-resident range")
     m_a, m_e, m_f = outcomes
-    a = cubic_gate_circuit(psi_in, r, chi, sigma, m_a, m_e, m_f, r_env)
-    b = cubic_gate_product(psi_in, r, chi, sigma, m_a, m_e, m_f, r_env)
+    a = cubic_gate_circuit(psi_in, r, chi, sigma, m_a, m_e, m_f)
+    b = cubic_gate_product(psi_in, r, chi, sigma, m_a, m_e, m_f)
     c = cubic_gate_closed(psi_in, chi, sigma, m_a, m_e, m_f)
     b_inf = cubic_gate_product(psi_in, r, chi, sigma, m_a, m_e, m_f,
                                infinite=True)
@@ -215,8 +211,7 @@ def verify_cubic_device(chi: float, sigma: float, outcomes, r: float,
     }
     return {
         "identity": "L",
-        "params": {"chi": chi, "sigma": sigma,
-                   "outcomes": [m_a, m_e, m_f], "r_env": r_env},
+        "params": {"chi": chi, "sigma": sigma, "outcomes": [m_a, m_e, m_f]},
         "fidelity": min(fids["circuit_vs_product"], fids["product_vs_closed"],
                         fids["circuit_vs_closed"]),
         "fidelities": fids,
@@ -276,64 +271,72 @@ def default_input(points: int = DEFAULT_P2, half_extent: float = DEFAULT_L,
     return WaveFunction.vacuum(half_extent, points, q0, p0)
 
 
+#: each kind's case fields and defaults, in its verifier's argument order;
+#: an E case runs at its own points, the others at the batch's grid
+CASE_FIELDS = {
+    "E": {"points": DEFAULT_P1, "chi": 0.1, "r_env": 2.0, "m": 0.0},
+    "M": {"theta": 0.0, "m": 0.0, "r": 4.0},
+    "L": {"chi": 0.1, "sigma": 0.3, "outcomes": (0.0, 0.0, 0.0), "r": 4.0},
+    "commutation": {"s": 0.0, "t": 0.0, "chi": 0.1, "sigma": 0.3,
+                    "outcomes": (0.0, 0.0, 0.0), "r": 4.0},
+}
+
+#: the M, L and commutation batteries of run_suite, as cases
+SUITE_CASES = {
+    "M": [{"identity": "M", "theta": np.pi / 6, "m": 0.5, "r": r}
+          for r in (2.0, 3.0, 4.0)],
+    "L": [{"identity": "L", "chi": 0.2, "sigma": 0.3,
+           "outcomes": (0.1, -0.2, 0.4), "r": r} for r in (2.0, 3.0, 4.0)],
+    "commutation": [{"identity": "commutation", "s": 0.3, "t": -0.2,
+                     "chi": 0.15, "sigma": 0.4, "outcomes": (0.1, -0.2, 0.4),
+                     "r": 4.0}],
+}
+
+
+def _case_report(case: dict, points: int, half_extent: float) -> dict:
+    """Run one case, read by _fields against its kind's CASE_FIELDS; a key
+    the kind does not read, or a malformed value, raises, naming the key."""
+    if not isinstance(case, dict):
+        raise ProgramError(f"case must be an object, got {case!r}")
+    kind = case.get("identity")
+    if kind not in CASE_FIELDS:
+        raise ProgramError(f"unknown identity kind {kind!r}")
+    table = CASE_FIELDS[kind]
+    values = _fields(case, "case", ("identity",), table, prefix="")[1:]
+    args = [_three_numbers(value, key) if key == "outcomes"
+            else _number(value, key, type(table[key]))
+            for key, value in zip(table, values)]
+    if kind == "E":
+        points, chi, r_env, m = check_points(args[0]), *args[1:]
+        phi = WaveFunction.cubic_phase(chi, r_env, half_extent, points)
+        return verify_teleport_identity(phi, default_input(points, half_extent), m)
+    verify = {"M": verify_teleport_circuit, "L": verify_cubic_device,
+              "commutation": verify_commutation}[kind]
+    return verify(*args, default_input(points, half_extent))
+
+
 def run_cases(cases: list, points: int = DEFAULT_P2,
               half_extent: float = DEFAULT_L) -> list[dict]:
     """Batch runner: one report per case dict.
 
-    Case schema: {"identity": "E" | "M" | "L" | "commutation", ...params}.
-    Cases run in parallel worker threads (the FFT kernels release the GIL);
-    reports are assembled in input order, and per-case errors are captured
-    in the report instead of aborting the batch.  Each field is checked as
-    a program field is: a boolean, a string, a non-finite number or a
-    fractional points is an error that names the key, and outcomes must
-    list three numbers.  An error report echoes its case with non-finite
-    numbers as strings, so the report stays strict JSON.
+    Case schema: {"identity": "E" | "M" | "L" | "commutation", ...fields},
+    the fields of CASE_FIELDS.  Cases run in parallel worker threads (the
+    FFT kernels release the GIL); reports are assembled in input order, and
+    a case that _case_report refuses or that fails gets an error report
+    instead of aborting the batch.  An error report echoes its case with
+    non-finite numbers as strings, so the report stays strict JSON.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     def one(case):
-        kind = case.get("identity")
-
-        def num(key, default, cast=float):
-            return _number(case.get(key, default), key, cast)
-
-        def outcomes():
-            values = case.get("outcomes", [0.0, 0.0, 0.0])
-            if not isinstance(values, (list, tuple)) or len(values) != 3:
-                raise ValueError(
-                    f"outcomes must list three numbers, got {values!r}")
-            if any(isinstance(v, float) and not np.isfinite(v) for v in values):
-                raise ValueError(f"outcomes must be finite, got {list(values)}")
-            return tuple(_number(v, "outcomes") for v in values)
-
         try:
-            if kind == "E":
-                points1 = check_points(num("points", DEFAULT_P1, int))
-                psi = default_input(points1, half_extent)
-                phi = WaveFunction.cubic_phase(
-                    num("chi", 0.1), num("r_env", 2.0), half_extent, points1)
-                rep = verify_teleport_identity(phi, psi, num("m", 0.0))
-            elif kind == "M":
-                psi = default_input(points, half_extent)
-                rep = verify_teleport_circuit(num("theta", 0.0), num("m", 0.0),
-                                              num("r", 4.0), psi)
-            elif kind == "L":
-                psi = default_input(points, half_extent)
-                rep = verify_cubic_device(num("chi", 0.1), num("sigma", 0.3),
-                                          outcomes(), num("r", 4.0), psi)
-            elif kind == "commutation":
-                psi = default_input(points, half_extent)
-                rep = verify_commutation(
-                    num("s", 0.0), num("t", 0.0), num("chi", 0.1),
-                    num("sigma", 0.3), outcomes(), num("r", 4.0), psi)
-            else:
-                raise ValueError(f"unknown identity kind {kind!r}")
+            return _case_report(case, points, half_extent)
         except (GridError, ValueError, TypeError) as exc:
             params = json.loads(json.dumps(case, default=str),
                                 parse_constant=str)
-            rep = {"identity": kind, "params": params, "error": str(exc),
-                   "pass": False}
-        return rep
+            kind = case.get("identity") if isinstance(case, dict) else None
+            return {"identity": kind, "params": params, "error": str(exc),
+                    "pass": False}
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         return list(pool.map(one, cases))
@@ -341,12 +344,16 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
 
 def run_suite(which: str = "all", points: int = DEFAULT_P2,
               half_extent: float = DEFAULT_L, seed: int = 7) -> list[dict]:
-    """Run the default verification battery; returns one report per case."""
-    rng = np.random.default_rng(seed)
-    psi = default_input(points, half_extent)
-    psi1 = default_input(DEFAULT_P1, half_extent)
+    """Run the default verification battery; returns one report per case.
+
+    E draws seeded ancillas, which a case cannot express; the M, L and
+    commutation batteries are SUITE_CASES, run serially by _case_report."""
+    if which not in ("E", "all", *SUITE_CASES):
+        raise ValueError(f"unknown identity suite {which!r}")
     reports = []
     if which in ("E", "all"):
+        rng = np.random.default_rng(seed)
+        psi1 = default_input(DEFAULT_P1, half_extent)
         for k in range(5):
             coef = rng.normal(size=3)
             width = rng.uniform(0.3, 0.6)
@@ -355,20 +362,12 @@ def run_suite(which: str = "all", points: int = DEFAULT_P2,
                 return (c[0] + c[1] * sv + c[2] * sv ** 2) * np.exp(-w * sv ** 2)
 
             reports.append(verify_teleport_identity(phi, psi1, rng.normal(0, 0.7)))
-        reports.append(verify_teleport_identity(
-            WaveFunction.cubic_phase(0.1, 2.0, half_extent, DEFAULT_P1),
-            psi1, -0.3))
+        reports.append(_case_report({"identity": "E", "m": -0.3}, points,
+                                    half_extent))
         reports.append(verify_teleport_identity(
             WaveFunction.squeezed(1.0, half_extent, DEFAULT_P1), psi1, 0.4))
-    if which in ("M", "all"):
-        for r in (2.0, 3.0, 4.0):
-            reports.append(verify_teleport_circuit(np.pi / 6, 0.5, r, psi))
-    if which in ("L", "all"):
-        for r in (2.0, 3.0, 4.0):
-            reports.append(verify_cubic_device(0.2, 0.3, (0.1, -0.2, 0.4), r, psi))
-    if which in ("commutation", "all"):
-        reports.append(verify_commutation(0.3, -0.2, 0.15, 0.4,
-                                          (0.1, -0.2, 0.4), 4.0, psi))
-    if not reports:
-        raise ValueError(f"unknown identity suite {which!r}")
+    for name, cases in SUITE_CASES.items():
+        if which in (name, "all"):
+            reports += [_case_report(case, points, half_extent)
+                        for case in cases]
     return reports

@@ -9,10 +9,11 @@ update of the surviving graph.  Conditioning a pure Gaussian state on
 q_k = m keeps the state pure: the graph loses row and column k and the
 linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
 
-One private runner, _run_steps, carries (Z, c, W) through a list of steps,
-W the outcome Jacobian in c-coordinates, and reads the state with one solve
-and one checked GraphState at the end.  run_program, simulate_single_mode_gate,
-measure_with_response and decouple_wires are all runs of it.
+One private runner, _run_steps, carries Z and one block [c | W] through a
+list of steps, W the outcome Jacobian in c-coordinates, and reads the state
+with one solve and one checked GraphState at the end.  run_program,
+simulate_single_mode_gate, measure_with_response and decouple_wires are all
+runs of it.
 
 The macronode protocols follow the slot convention of lattice.canonical_wire:
 a site's physical modes are alpha = mode 2k, beta = 2k+1, obtained from the
@@ -112,45 +113,39 @@ def _rotation_cond(z: np.ndarray, mode: int, theta: float) -> float:
     return (a * a + x2 + 1 + disc) / (2 * a)
 
 
-def _to_c(z: np.ndarray, mean: np.ndarray, jac: np.ndarray):
-    """(c, W): the mean as c = mu_p - Z mu_q, the Jacobian as J_p - Z J_q."""
+def _to_c(z: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns (mu_q; mu_p) of a mean and its Jacobian as mu_p - Z mu_q."""
     n = len(z)
-    cols = np.column_stack([mean, jac])
-    cols = cols[n:] - z @ cols[:n]
-    return cols[:, 0], cols[:, 1:]
+    return cols[n:] - z @ cols[:n]
 
 
-def _from_c(z: np.ndarray, c: np.ndarray, w: np.ndarray):
-    """(mean, jac) from (c, W) with one solve against Im Z.
-
-    mu_q = -(Im Z)^-1 Im c and mu_p = Re c + Re Z mu_q, and the same linear
-    map takes each column of W to a column of the Jacobian.
-    """
-    cols = np.column_stack([c, w])
-    q = -np.linalg.solve(z.imag, cols.imag)
-    cols = np.concatenate([q, cols.real + z.real @ q])
-    return cols[:, 0], cols[:, 1:]
+def _from_c(z: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Each column c of a block as (mu_q; mu_p), with one solve against Im Z:
+    mu_q = -(Im Z)^-1 Im c and mu_p = Re c + Re Z mu_q."""
+    q = -np.linalg.solve(z.imag, block.imag)
+    return np.concatenate([q, block.real + z.real @ q])
 
 
-def _measure_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, mode: int,
-                  theta: float, outcome, rng):
-    """Measure q(theta) on one mode in c-coordinates; (z', c', w', outcome).
+def _measure_step(z: np.ndarray, block: np.ndarray, mode: int, theta: float,
+                  outcome, rng):
+    """Measure q(theta) on one mode in c-coordinates; (z', block', outcome).
 
-    c = mu_p - Z mu_q is the state's linear coefficient and w (n x j,
-    complex) holds one column per earlier outcome, the sensitivity of c to
-    it.  Measuring q(theta) is R(theta) on mode k, then the projection
-    q_k = m.  The rotated state is never formed: with piv = cos - sin Z_kk
-    the rotation's A + B Z = M is the identity outside row k, so the rotated
-    Z[rest, k] is g = Z_rk / piv and the graph of the surviving modes is the
-    rank-1 update Z_rr + (sin / piv) Z_rk Z_kr (node deletion in the
-    graphical calculus).  c and every column of w map to M^-T c, which adds
-    sin g c_k to the surviving rows, and the projection adds m g to c and
-    appends g to w.  A forced outcome needs no solve.  A drawn one takes the
-    marginal of q_k from one solve against Y' = Im Z' with the two columns
-    [Im g, Im c_r], c_r the rotated c: the Schur complement
-    s = Y_kk - Im g^T Y'^-1 Im g of the rotated Y = Im Z gives the variance
-    1 / (2 s) and the mean -(Im(c_k / piv) - Im g^T Y'^-1 Im c_r) / s,
-    and rng, resolved once per run, draws it.
+    block (n x (1 + j), complex) is [c | W]: column 0 is the state's linear
+    coefficient c = mu_p - Z mu_q, each later column its sensitivity to one
+    earlier outcome.  Measuring q(theta) is R(theta) on mode k, then the
+    projection q_k = m.  The rotated state is never formed: with
+    piv = cos - sin Z_kk the rotation's A + B Z = M is the identity outside
+    row k, so the rotated Z[rest, k] is g = Z_rk / piv and the graph of the
+    surviving modes is the rank-1 update Z_rr + (sin / piv) Z_rk Z_kr (node
+    deletion in the graphical calculus).  Every column x maps to M^-T x,
+    which adds sin g x_k to the surviving rows, and the projection adds m g
+    to column 0 and appends g as a column.  A forced outcome needs no solve.
+    A drawn one takes the marginal of q_k from one solve against Y' = Im Z'
+    with the two columns [Im g, Im c_r], c_r the rotated c: the Schur
+    complement s = Y_kk - Im g^T Y'^-1 Im g of the rotated Y = Im Z gives
+    the variance 1 / (2 s) and the mean
+    -(Im(c_k / piv) - Im g^T Y'^-1 Im c_r) / s, and rng, resolved once per
+    run, draws it.
     """
     _check_cond(_rotation_cond(z, mode, theta))
     cos, sin = np.cos(theta), np.sin(theta)
@@ -163,20 +158,19 @@ def _measure_step(z: np.ndarray, c: np.ndarray, w: np.ndarray, mode: int,
     upd = zrk[:, None] * zrk
     zr = z.take(rest, 0).take(rest, 1) + (sin / (2 * piv)) * (upd + upd.T)
     g = zrk / piv
-    cr = c[rest] + (sin * c[mode]) * g
-    wr = w[rest] + (sin * g)[:, None] * w[mode]
+    cr = block[rest] + (sin * block[mode]) * g[:, None]
     if outcome is None:
         y_kk = ((sin + cos * z[mode, mode]) / piv).imag
-        a, b = np.linalg.solve(zr.imag, np.column_stack([g.imag, cr.imag])).T
+        a, b = np.linalg.solve(zr.imag, np.stack([g, cr[:, 0]], 1).imag).T
         schur = y_kk - g.imag @ a
-        mu = -((c[mode] / piv).imag - g.imag @ b) / schur
+        mu = -((block[mode, 0] / piv).imag - g.imag @ b) / schur
         outcome = float(rng.normal(mu, np.sqrt(0.5 / schur)))
     if not np.isfinite(outcome):
         raise GraphStateError("measurement outcome must be finite")
-    cr += outcome * g
-    if not np.isfinite(cr).all():
+    cr[:, 0] += outcome * g
+    if not np.isfinite(cr[:, 0]).all():
         raise GraphStateError("mean must be finite")
-    return zr, cr, np.column_stack([wr, g]), float(outcome)
+    return zr, np.column_stack([cr, g]), float(outcome)
 
 
 def measure_with_response(state: GraphState, mode: int, theta: float,
@@ -407,20 +401,25 @@ def _number(value, name: str, cast=float):
     return cast(value)
 
 
-def _fields(obj, name: str, keys, optional=None):
-    """A program object's values at keys, then at each optional key (its
-    default where absent); a ProgramError naming a missing or unknown key."""
+def _three_numbers(values, name: str) -> tuple:
+    """Three finite real numbers, each checked by _number under name."""
+    if not isinstance(values, (list, tuple)) or len(values) != 3:
+        raise ProgramError(f"{name} must list three numbers, got {values!r}")
+    return tuple(_number(v, name) for v in values)
+
+
+def _fields(obj, name: str, keys, optional=None, prefix="malformed program: "):
+    """An object's values at keys, then at each optional key (its default
+    where absent); a ProgramError naming a missing or unknown key."""
     optional = optional or {}
     if not isinstance(obj, dict):
-        raise ProgramError(
-            f"malformed program: {name} must be an object, got {obj!r}")
+        raise ProgramError(f"{prefix}{name} must be an object, got {obj!r}")
     missing = [key for key in keys if key not in obj]
     if missing:
-        raise ProgramError(f"malformed program: {name} is missing {missing}")
+        raise ProgramError(f"{prefix}{name} is missing {missing}")
     unknown = [key for key in obj if key not in keys and key not in optional]
     if unknown:
-        raise ProgramError(
-            f"malformed program: {name} has unknown fields {unknown}")
+        raise ProgramError(f"{prefix}{name} has unknown fields {unknown}")
     return [obj[key] for key in keys] + [obj.get(key, default)
                                          for key, default in optional.items()]
 
@@ -505,12 +504,8 @@ def _parse_program(program):
                 raise ProgramError(
                     f"cubic step needs the partner mode {(key[0], 'a')}")
             consumed.add(beta)
-            outcomes = (None,) * 3
-            if forced is not None:
-                if not isinstance(forced, list) or len(forced) != 3:
-                    raise ProgramError(f"{name}.outcome of a cubic step must "
-                                       f"list three numbers, got {forced!r}")
-                outcomes = tuple(_number(v, f"{name}.outcome") for v in forced)
+            outcomes = (None,) * 3 if forced is None \
+                else _three_numbers(forced, f"{name}.outcome")
             parsed.append((mode, beta, sigma, outcomes))
     return build, r, parsed
 
@@ -537,7 +532,7 @@ def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
     r sets the cubic steps' ancilla squeezing, and the k-th ancilla (k from
     0) is named mode n + k, n the state's mode count.  jac holds columns the
     state's mean is already sensitive to (2n x j; None means none).  The
-    state and the Jacobian are carried in c-coordinates through every step
+    mean and the Jacobian are carried as one block [c | W] in c-coordinates
     and read with one solve against Im Z and one checked GraphState at the
     end.
     """
@@ -547,13 +542,13 @@ def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
     z = state.z
     if jac is None:
         jac = np.zeros((2 * len(z), 0))
-    c, w = _to_c(z, state.mean, jac)
+    block = _to_c(z, np.column_stack([state.mean, jac]))
 
     def do_measure(mode_id, theta, forced):
-        nonlocal z, c, w
+        nonlocal z, block
         idx = alive.index(mode_id)
         del alive[idx]
-        z, c, w, m = _measure_step(z, c, w, idx, theta, forced, rng)
+        z, block, m = _measure_step(z, block, idx, theta, forced, rng)
         record.add(mode_id, theta, m)
         return m
 
@@ -562,19 +557,19 @@ def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
             do_measure(*step)
             continue
         alpha, beta, sigma, (f_a, f_e, f_f) = step
-        # inject an unentangled ancilla (c = 0) as mode n and mix it with
-        # alpha on a 50:50 beamsplitter, a real orthogonal O acting alike on
-        # q and p: Z -> O Z O^T, whose Im Z stays definite, and c, w -> O c,
-        # O w
+        # inject an unentangled ancilla (a zero block row) as mode n and mix
+        # it with alpha on a 50:50 beamsplitter, a real orthogonal O acting
+        # alike on q and p: Z -> O Z O^T, whose Im Z stays definite, and the
+        # block -> O block
         n = len(z)
         z = np.pad(z, (0, 1))
         z[n, n] = 1j / np.cosh(2 * r)
-        c, w = np.append(c, 0.0), np.pad(w, ((0, 1), (0, 0)))
+        block = np.pad(block, ((0, 1), (0, 0)))
         # one adaptation per earlier cubic step
         anc = state.n_modes + len(record.adaptations)
         i = alive.index(alpha)
         alive.append(anc)
-        for part in (z, z.T, c, w):
+        for part in (z, z.T, block):
             balanced_mix(part, i, n)
         z = (z + z.T) / 2
         m_a = do_measure(beta, 0.0, f_a)
@@ -583,6 +578,6 @@ def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
         record.adaptations.append(
             {"sigma": sigma, "outcomes": [m_a, m_e, m_f]})
 
-    mean, jac = _from_c(z, c, w)
-    return ProgramResult(GraphState(z, mean), record, jac,
+    cols = _from_c(z, block)
+    return ProgramResult(GraphState(z, cols[:, 0]), record, cols[:, 1:],
                          {m: i for i, m in enumerate(alive)})

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bslsim.cli import build_parser, main
-from bslsim.graphstate import vacuum
+from bslsim.graphstate import GraphState, vacuum
 from bslsim.identities import run_cases
 from bslsim.lattice import LatticeConfig, ideal_graph
 from bslsim.nullifiers import (quadrature_nullifiers, vacuum_variances,
@@ -412,7 +412,7 @@ def test_verify_nullifiers_computes_one_vacuum_baseline(monkeypatch, capsys):
 
 @pytest.mark.parametrize("chi,code,line", [
     ("0.1", 0, 'L: fidelity 0.99999825 pass params {"chi": 0.1, "sigma": 0.3, '
-               '"outcomes": [0.1, -0.2, 0.4], "r_env": null}'),
+               '"outcomes": [0.1, -0.2, 0.4]}'),
     ("5.0", 1, "L: error: parameters outside the validated grid-resident "
                "range"),
 ])
@@ -777,7 +777,7 @@ def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
                  str(cpath), "--report", str(rpath)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["M: error: theta must be finite, got nan",
-                       "L: error: outcomes must be finite, got [0.1, inf, 0.0]"]
+                       "L: error: outcomes must be finite, got inf"]
     assert "pass" in out[2]
 
     def refuse(constant):
@@ -802,12 +802,43 @@ def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
      "outcomes must be a number, got True"),
     ({"identity": "commutation", "outcomes": [0.0, 0.0, "x"]},
      "outcomes must be a number, got 'x'"),
+    ({"identity": "L", "chii": 0.25}, "case has unknown fields ['chii']"),
+    ({"identity": "M", "points": 64, "thetaa": 0.3},
+     "case has unknown fields ['points', 'thetaa']"),
+    ({"identity": "L", "points": 64}, "case has unknown fields ['points']"),
+    ({"identity": "E", "sigma": 0.3}, "case has unknown fields ['sigma']"),
+    ({"identity": "L", "r_env": 2.0}, "case has unknown fields ['r_env']"),
 ], ids=["bool", "string", "fractional-points", "bool-points", "two-outcomes",
-        "scalar-outcomes", "bool-outcome", "string-outcome"])
+        "scalar-outcomes", "bool-outcome", "string-outcome", "misspelled-key",
+        "points-and-misspelled-key", "points-on-L", "sigma-on-E", "r_env-on-L"])
 def test_malformed_case_field_is_a_case_error_naming_the_key(case, message):
     (rep,) = run_cases([case], 64)
     assert rep["error"] == message and rep["pass"] is False
     assert rep["params"] == case
+
+
+@pytest.mark.parametrize("case,kind,message", [
+    (3, None, "case must be an object, got 3"),
+    ([], None, "case must be an object, got []"),
+    ({"theta": 0.3}, None, "unknown identity kind None"),
+    ({"identity": "K"}, "K", "unknown identity kind 'K'"),
+])
+def test_case_that_is_not_a_known_kind_is_a_case_error(case, kind, message):
+    assert run_cases([case], 64) == [{"identity": kind, "params": case,
+                                      "error": message, "pass": False}]
+
+
+def test_unknown_case_key_exits_1_and_the_report_names_it(tmp_path, capsys):
+    cpath = tmp_path / "cases.json"
+    cpath.write_text(json.dumps([{"identity": "L", "chii": 0.25},
+                                 {"identity": "M", "theta": 0.3}]))
+    rpath = tmp_path / "report.json"
+    assert main(["verify-identities", "--grid", "12,256", "--cases",
+                 str(cpath), "--report", str(rpath)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "L: error: case has unknown fields ['chii']"
+    assert out[1].startswith("M: fidelity") and " pass " in out[1]
+    assert [r["pass"] for r in json.loads(rpath.read_text())] == [False, True]
 
 
 def test_integral_case_fields_run_as_their_floats():
@@ -828,7 +859,12 @@ def test_integral_case_fields_run_as_their_floats():
     ({"Z_im": [[1, 0], [0, 1]]}, "field Z_re is missing"),
     ({"Z_re": [[0, 0], [0, "x"]], "Z_im": [[1, 0], [0, 1]]},
      "field Z_re is missing or not numeric"),
-], ids=["broadcast", "vector", "n", "asym-re", "asym-im", "missing", "string"])
+    ({"Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 0], [0, 1]],
+      "Zim": [[1, 0], [0, 1]]}, "unknown fields ['Zim']"),
+    ({"Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 0], [0, 1]], "meen": [9, 9]},
+     "unknown fields ['meen']"),
+], ids=["broadcast", "vector", "n", "asym-re", "asym-im", "missing", "string",
+        "extra-Zim", "extra-meen"])
 def test_graph_json_shapes_and_symmetry_are_checked(tmp_path, capsys, graph,
                                                     field):
     # a 1x1 real part used to broadcast over the 2x2 state, and an
@@ -843,6 +879,21 @@ def test_graph_json_shapes_and_symmetry_are_checked(tmp_path, capsys, graph,
     assert _run(tmp_path, program) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: resource.input: ") and field in err
+
+
+def test_written_graphs_hold_exactly_the_keys_the_reader_reads(tmp_path):
+    out = tmp_path / "bsl"
+    assert main(["build-bsl", "--lattice", "2,1", "-r", "2.0",
+                 "--out", str(out)]) == 0
+    graph = json.loads(out.with_suffix(".json").read_text())["graph"]
+    program = {"resource": {"kind": "wire", "macronodes": 3, "r": 3.0},
+               "steps": [{"time_index": 0, "detector": "x",
+                          "basis": {"theta": 0.4}}]}
+    assert _run(tmp_path, program) == 0
+    final = json.loads((tmp_path / "rec.json").read_text())["final_state"]
+    for written in (graph, final):
+        assert set(written) == {"n", "Z_re", "Z_im", "mean"}
+        assert GraphState.from_dict(written).to_dict() == written
 
 
 def test_written_graphs_load_through_the_checked_reader(tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from bslsim.graphstate import (GraphState, apply, covariance, gate_beamsplitter,
                                gate_cz, gate_displacement, gate_rotation,
                                gate_shear, gate_squeeze, squeezed_vacua, vacuum)
-from bslsim.identities import (verify_commutation, verify_teleport_identity,
-                               verify_cubic_device, verify_teleport_circuit)
+from bslsim.identities import (default_input, run_suite, verify_commutation,
+                               verify_teleport_identity, verify_cubic_device,
+                               verify_teleport_circuit)
 from bslsim.mbqc import measure_quadrature
 from bslsim.oracle import (GridError, WaveFunction, _bluestein, _from_p,
                            _p_diag, _to_p, _two_mode_phase, cubic_weights,
@@ -507,3 +508,29 @@ def test_commutation_cases():
     assert rep["pass"]
     assert rep["fidelity"] >= 0.999
     assert abs(rep["zeta_observed"] - rep["zeta"]) < 5e-3
+
+
+@pytest.mark.parametrize("suite,direct", [
+    ("M", lambda psi: [verify_teleport_circuit(np.pi / 6, 0.5, r, psi)
+                       for r in (2.0, 3.0, 4.0)]),
+    ("L", lambda psi: [verify_cubic_device(0.2, 0.3, (0.1, -0.2, 0.4), r, psi)
+                       for r in (2.0, 3.0, 4.0)]),
+    ("commutation", lambda psi: [verify_commutation(
+        0.3, -0.2, 0.15, 0.4, (0.1, -0.2, 0.4), 4.0, psi)]),
+], ids=["M", "L", "commutation"])
+def test_case_batteries_are_the_direct_verifier_calls(suite, direct):
+    # the batteries run as case dicts through the case reader; every report
+    # field, each fidelity bit for bit, is that of the direct call
+    assert run_suite(suite, 256) == direct(default_input(256))
+
+
+def test_e_battery_cubic_case_is_the_direct_call():
+    psi = default_input(1024)
+    want = verify_teleport_identity(WaveFunction.cubic_phase(0.1, 2.0, L, 1024),
+                                    psi, -0.3)
+    assert run_suite("E", 256)[5] == want
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown identity suite 'X'"):
+        run_suite("X")
