@@ -18,7 +18,7 @@ from .graphstate import GraphState, GraphStateError
 from .identities import run_cases, run_suite
 from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
                       to_dot)
-from .mbqc import ProgramError, run_program
+from .mbqc import run_program
 from .nullifiers import (empirical_variances, exact_nullifiers,
                          lattice_factors, lattice_variances,
                          nullifier_variances, quadrature_nullifiers,
@@ -32,11 +32,13 @@ class InputError(ValueError):
 
 
 def _read_json(path, what: str):
-    """The parsed JSON file; one that is not UTF-8, not JSON or nested too
-    deep to parse raises an InputError naming the file."""
+    """The parsed JSON file; one that is not UTF-8, not JSON, nested too
+    deep to parse or holding an integer too long to convert raises an
+    InputError naming the file."""
     try:
         return json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{what} {path} is not readable JSON: {exc}") from exc
 
 
@@ -360,8 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProgramError, GraphStateError, GridError, InputError,
-            OSError) as exc:
+    except (GraphStateError, GridError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

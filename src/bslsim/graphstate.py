@@ -15,8 +15,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import countOf
 
 import numpy as np
 
@@ -26,6 +30,64 @@ COND_LIMIT = 1e12
 
 class GraphStateError(ValueError):
     """Raised for invalid states, gates or ill-conditioned updates."""
+
+
+class ProgramError(GraphStateError):
+    """Raised for malformed or non-executable programs, cases and graphs."""
+
+
+def _number(value, name: str, cast=float):
+    """A finite real field, integral if cast is int; cast to cast."""
+    real = (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+    # compares ints exactly, so an integer too large for a float fails too
+    if real and not abs(value) <= sys.float_info.max:
+        raise ProgramError(f"{name} must be finite, got {value!r}")
+    if not real or (cast is int and value != int(value)):
+        kind = "an integer" if cast is int else "a number"
+        raise ProgramError(f"{name} must be {kind}, got {value!r}")
+    return cast(value)
+
+
+def _three_numbers(values, name: str) -> tuple:
+    """Three finite real numbers, each checked by _number under name."""
+    if not isinstance(values, (list, tuple)) or len(values) != 3:
+        raise ProgramError(f"{name} must list three numbers, got {values!r}")
+    return tuple(_number(v, name) for v in values)
+
+
+def _number_array(values, name: str) -> np.ndarray:
+    """Nested lists as a float array, each entry read as _number reads a
+    scalar, save that GraphState refuses a non-finite float."""
+    with suppress(TypeError, ValueError, OverflowError):
+        array = np.array(values, dtype=float)
+        flat = [values]
+        for _ in range(array.ndim):
+            flat = chain.from_iterable(flat)
+        # one pass in C settles the all-float lists that to_dict writes;
+        # the rest, a failed conversion too, is read entry by entry
+        if countOf(map(type, flat), float) == array.size:
+            return array
+    for value in np.array(values, dtype=object).ravel():
+        if type(value) is not float:
+            _number(value, name)
+    return np.array(values, dtype=float)
+
+
+def _fields(obj, name: str, keys, optional=None, prefix="malformed program: "):
+    """An object's values at keys, then at each optional key (its default
+    where absent); a ProgramError naming a missing or unknown key."""
+    optional = optional or {}
+    if not isinstance(obj, dict):
+        raise ProgramError(f"{prefix}{name} must be an object, got {obj!r}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ProgramError(f"{prefix}{name} is missing {missing}")
+    unknown = [key for key in obj if key not in keys and key not in optional]
+    if unknown:
+        raise ProgramError(f"{prefix}{name} has unknown fields {unknown}")
+    return [obj[key] for key in keys] + [obj.get(key, default)
+                                         for key, default in optional.items()]
 
 
 def omega(n: int) -> np.ndarray:
@@ -91,36 +153,30 @@ class GraphState:
 
     @classmethod
     def from_dict(cls, data) -> "GraphState":
-        """State from the to_dict layout; a GraphStateError names the field.
-
-        Z_re and Z_im must be square matrices of one shape and n, where
-        given, their size; each part must be symmetric to 1e-12 max(1, |Z|).
-        Any other key is refused.
-        """
-        parts = []
-        for key in ("Z_re", "Z_im", "mean"):
-            try:
-                parts.append(np.array(data[key], dtype=float))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise GraphStateError(f"malformed graph JSON: field {key} is "
-                                      f"missing or not numeric ({exc})") from exc
-        re, im, mean = parts
-        unknown = sorted(set(data) - {"n", "Z_re", "Z_im", "mean"})
-        if unknown:
-            raise GraphStateError(f"malformed graph JSON: unknown fields {unknown}")
+        """State from the to_dict layout, read as a program is: no other
+        key, n, where given, an integer, and every entry a JSON number.
+        Z_re and Z_im must be square matrices of one shape and n their size;
+        each part must be symmetric to 1e-12 max(1, |Z|)."""
+        bad = "malformed graph JSON: "
+        keys = ("Z_re", "Z_im", "mean")
+        *parts, n = _fields(data, "graph", keys, {"n": None}, prefix=bad)
+        re, im, mean = (_number_array(part, bad + key)
+                        for key, part in zip(keys, parts))
         if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
-            raise GraphStateError("malformed graph JSON: Z_re and Z_im must be "
-                                  f"square of one shape, got {re.shape}, {im.shape}")
-        if data.get("n", len(re)) != len(re):
-            raise GraphStateError(f"malformed graph JSON: n = {data['n']!r}, "
-                                  f"but Z is {len(re)} x {len(re)}")
-        z = re + 1j * im
-        for key, part in (("Z_re", re), ("Z_im", im)):
-            asym = np.abs(part - part.T).max(initial=0.0)
-            # a non-finite Z passes here and is refused by the Z check
-            if asym > 1e-12 * np.abs(z).max(initial=1.0):
-                raise GraphStateError(f"{key} is not symmetric "
-                                      f"(|{key} - {key}^T| = {asym:.3e})")
+            raise GraphStateError(f"{bad}Z_re and Z_im must be square of one "
+                                  f"shape, got {re.shape}, {im.shape}")
+        if "n" in data and _number(n, bad + "n", int) != len(re):
+            raise GraphStateError(
+                f"{bad}n = {n!r}, but Z is {len(re)} x {len(re)}")
+        # a non-finite Z passes here, unwarned, and is refused by the Z check
+        with np.errstate(invalid="ignore"):
+            z = re + 1j * im
+            diff = z - z.T
+            for key, part in (("Z_re", diff.real), ("Z_im", diff.imag)):
+                asym = np.abs(part).max(initial=0.0)
+                if asym > 1e-12 * np.abs(z).max(initial=1.0):
+                    raise GraphStateError(f"{key} is not symmetric "
+                                          f"(|{key} - {key}^T| = {asym:.3e})")
         return cls(z, mean)
 
     @classmethod

@@ -19,8 +19,8 @@ import json
 
 import numpy as np
 
-from .mbqc import (ProgramError, _fields, _number, _three_numbers,
-                   adapted_sigma, commutation_kick, cubic_kick, cubic_shear)
+from .graphstate import ProgramError, _fields, _number, _three_numbers
+from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
                      check_points, cubic_weights, fidelity_up_to_phase, q_axis)
 

@@ -24,18 +24,14 @@ at beta.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import (GraphState, GraphStateError, SymplecticGate,
-                         _check_cond, apply, balanced_mix, gate_beamsplitter)
+from .graphstate import (GraphState, GraphStateError, ProgramError,
+                         SymplecticGate, _check_cond, _fields, _number,
+                         _three_numbers, balanced_mix, gate_beamsplitter)
 from .lattice import LatticeConfig, MacronodeLattice, build_bsl, canonical_wire
-
-
-class ProgramError(ValueError):
-    """Raised for malformed or non-executable measurement programs."""
 
 
 @dataclass(frozen=True)
@@ -192,16 +188,13 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
 
 
 def decouple_wires(state: GraphState, lattice: MacronodeLattice,
-                   rng=None, angle_override=None) -> ProgramResult:
+                   rng=None) -> ProgramResult:
     """Measure bc macronodes at q((-1)^xi pi/4) to sever the wire rows.
 
-    Deleting every complete bc site severs all rows.  angle_override
-    replaces the per-site deletion angle (negative controls).  A run of
-    _run_steps, b then c at each site.
+    Deleting every complete bc site severs all rows.  A run of _run_steps,
+    b then c at each site.
     """
-    angle = lattice.deletion_angle if angle_override is None \
-        else angle_override
-    steps = [(lattice.mode_at(tau, det), angle(tau), None)
+    steps = [(lattice.mode_at(tau, det), lattice.deletion_angle(tau), None)
              for tau in lattice.bc_sites() for det in ("b", "c")]
     return _run_steps(state, steps, None, rng)
 
@@ -261,13 +254,15 @@ def simulate_single_mode_gate(input_state: GraphState, theta_d: float,
     # p(theta) = q(theta - pi/2), at alpha (mode 0), then at beta (mode 1)
     steps = [(0, theta_d - np.pi / 2, m1), (1, theta_a - np.pi / 2, m2)]
     run = _run_steps(canonical_wire(2, r, input_state), steps, r, rng)
-    # undo the site-1 slot beamsplitter; the "-" slot is an unentangled tail
-    cur = apply(run.state, gate_beamsplitter(-np.pi / 4, 0, 1, 2))
-    if abs(cur.z[0, 1]) > 1e-8:
+    # undo the site-1 slot beamsplitter B(pi/4), whose inverse mixes the
+    # rows in swapped order; the "-" slot is an unentangled tail
+    z, mean = run.state.z.copy(), run.state.mean.copy()
+    for part in (z, z.T, mean[:2], mean[2:]):
+        balanced_mix(part, 1, 0)
+    if abs(z[0, 1]) > 1e-8:
         raise GraphStateError(
-            f"wire tail stayed entangled (|Z_01| = {abs(cur.z[0, 1]):.3e})")
-    out = GraphState(cur.z[:1, :1],
-                     np.array([cur.mean[0], cur.mean[2]]))
+            f"wire tail stayed entangled (|Z_01| = {abs(z[0, 1]):.3e})")
+    out = GraphState(z[:1, :1], mean[::2])
     run.record.frame = v_gate_displacement(
         theta_d, theta_a, *(e.outcome for e in run.record.events))
     return out, run.record
@@ -386,42 +381,6 @@ class ProgramResult:
         """J m: the outcome-dependent part of the final mean."""
         return self.outcome_jacobian @ np.array(
             [e.outcome for e in self.record.events])
-
-
-def _number(value, name: str, cast=float):
-    """A finite real program field, integral if cast is int; cast to cast."""
-    real = (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
-    # compares ints exactly, so an integer too large for a float fails too
-    if real and not abs(value) <= sys.float_info.max:
-        raise ProgramError(f"{name} must be finite, got {value!r}")
-    if not real or (cast is int and value != int(value)):
-        kind = "an integer" if cast is int else "a number"
-        raise ProgramError(f"{name} must be {kind}, got {value!r}")
-    return cast(value)
-
-
-def _three_numbers(values, name: str) -> tuple:
-    """Three finite real numbers, each checked by _number under name."""
-    if not isinstance(values, (list, tuple)) or len(values) != 3:
-        raise ProgramError(f"{name} must list three numbers, got {values!r}")
-    return tuple(_number(v, name) for v in values)
-
-
-def _fields(obj, name: str, keys, optional=None, prefix="malformed program: "):
-    """An object's values at keys, then at each optional key (its default
-    where absent); a ProgramError naming a missing or unknown key."""
-    optional = optional or {}
-    if not isinstance(obj, dict):
-        raise ProgramError(f"{prefix}{name} must be an object, got {obj!r}")
-    missing = [key for key in keys if key not in obj]
-    if missing:
-        raise ProgramError(f"{prefix}{name} is missing {missing}")
-    unknown = [key for key in obj if key not in keys and key not in optional]
-    if unknown:
-        raise ProgramError(f"{prefix}{name} has unknown fields {unknown}")
-    return [obj[key] for key in keys] + [obj.get(key, default)
-                                         for key, default in optional.items()]
 
 
 def _parse_resource(desc):

@@ -473,6 +473,44 @@ def test_run_program_rejects_non_finite_and_non_integral_fields(
 BAD_LEAVES = [float("inf"), float("nan"), 2.9, -1, "3", True, None, [], {}]
 
 
+def _break(draw, obj):
+    """obj with one or two leaves or nodes replaced by BAD_LEAVES, and the
+    replacements still in it."""
+    leaves, nodes = [], []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else None)
+        if items is None:
+            leaves.append(path)
+            return
+        nodes.append(path)
+        for key, child in items:
+            walk(child, path + (key,))
+
+    walk(obj, ())
+    used = {}
+    for _ in range(draw(st.integers(1, 2))):
+        # mostly a number or string leaf, sometimes a whole object or list
+        pool = nodes if draw(st.integers(0, 3)) == 0 else leaves
+        path = draw(st.sampled_from(pool))
+        bad = copy.deepcopy(draw(st.sampled_from(BAD_LEAVES)))
+        if not path:
+            obj = bad
+        else:
+            node = obj
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = bad
+            except (KeyError, IndexError, TypeError):
+                continue      # an earlier replacement removed this path
+        # a replacement overwrites the earlier ones at or below its path
+        used = {at: v for at, v in used.items() if at[:len(path)] != path}
+        used[path] = bad
+    return obj, list(used.values())
+
+
 @st.composite
 def broken_programs(draw):
     """A small valid wire or lattice program with some leaves replaced."""
@@ -493,36 +531,7 @@ def broken_programs(draw):
         if draw(st.booleans()):
             step["outcome"] = [0.1, 0.2, 0.3] if "cubic" in basis else 0.1
         steps.append(step)
-    program = {"resource": resource, "steps": steps}
-    leaves, nodes = [], []
-
-    def walk(node, path):
-        items = node.items() if isinstance(node, dict) else (
-            enumerate(node) if isinstance(node, list) else None)
-        if items is None:
-            leaves.append(path)
-            return
-        nodes.append(path)
-        for key, child in items:
-            walk(child, path + (key,))
-
-    walk(program, ())
-    for _ in range(draw(st.integers(1, 2))):
-        # mostly a number or string leaf, sometimes a whole object or list
-        pool = nodes if draw(st.integers(0, 3)) == 0 else leaves
-        path = draw(st.sampled_from(pool))
-        bad = copy.deepcopy(draw(st.sampled_from(BAD_LEAVES)))
-        if not path:
-            program = bad
-            continue
-        node = program
-        try:
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = bad
-        except (KeyError, IndexError, TypeError):
-            pass          # an earlier replacement removed this path
-    return program
+    return _break(draw, {"resource": resource, "steps": steps})[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,6 +546,43 @@ def test_run_program_bad_leaves_exit_0_or_2(tmp_path_factory, program):
     assert (code == 0) == (err.getvalue() == "")
     if code:
         assert err.getvalue().startswith("error:")
+
+
+#: valid graph objects of one and two modes; one mode is a wire input
+GRAPHS = [{"n": 1, "Z_re": [[0.2]], "Z_im": [[0.8]], "mean": [0.1, -0.3]},
+          {"n": 2, "Z_re": [[0.1, 0.2], [0.2, -0.1]],
+           "Z_im": [[1.0, 0.3], [0.3, 0.9]], "mean": [0.1, 0.2, -0.3, 0.0]}]
+
+
+@st.composite
+def broken_graphs(draw):
+    """A valid graph object with some leaves or nodes replaced, and whether
+    a replacement is other than a finite number."""
+    graph, used = _break(draw, copy.deepcopy(draw(st.sampled_from(GRAPHS))))
+    return graph, any(type(v) not in (int, float) or not np.isfinite(v)
+                      for v in used)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # stderr is error: only
+@settings(max_examples=200, deadline=None)
+@given(case=broken_graphs())
+def test_graph_bad_leaves_exit_2_unless_a_number(tmp_path_factory, case):
+    graph, refused = case
+    path = tmp_path_factory.mktemp("graph") / "in.json"
+    runs = [(["verify-nullifiers", "--graph", str(path)], graph)]
+    if graph is not None:       # a null input is the wire's default input
+        runs.append((["run-program", str(path), "--out", os.devnull],
+                     {"resource": {"kind": "wire", "input": graph},
+                      "steps": []}))
+    for argv, obj in runs:
+        path.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 if refused else code in (0, 2)
+        assert (code == 0) == (err.getvalue() == "")
+        if code:
+            assert err.getvalue().startswith("error:")
 
 
 @pytest.mark.parametrize("flag,value", [("--lattice", "3,3"),
@@ -712,8 +758,9 @@ def test_case_grid_points_above_the_limit_is_a_case_error(tmp_path, capsys):
                                   ["verify-identities", "--cases", "FILE"]],
                          ids=["program", "graph", "cases"])
 @pytest.mark.parametrize("content", [b"\xff\xfe[]",
-                                     b"[" * 200000 + b"]" * 200000],
-                         ids=["not-utf8", "deep"])
+                                     b"[" * 200000 + b"]" * 200000,
+                                     b"[" + b"1" * 5000 + b"]"],
+                         ids=["not-utf8", "deep", "5000-digit-int"])
 def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
     path.write_bytes(content)
@@ -856,20 +903,39 @@ def test_integral_case_fields_run_as_their_floats():
      "Z_re is not symmetric"),
     ({"Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 1e-9], [0, 1]]},
      "Z_im is not symmetric"),
-    ({"Z_im": [[1, 0], [0, 1]]}, "field Z_re is missing"),
+    ({"Z_im": [[1, 0], [0, 1]]}, "graph is missing ['Z_re']"),
     ({"Z_re": [[0, 0], [0, "x"]], "Z_im": [[1, 0], [0, 1]]},
-     "field Z_re is missing or not numeric"),
+     "Z_re must be a number, got 'x'"),
     ({"Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 0], [0, 1]],
       "Zim": [[1, 0], [0, 1]]}, "unknown fields ['Zim']"),
     ({"Z_re": [[0, 0], [0, 0]], "Z_im": [[1, 0], [0, 1]], "meen": [9, 9]},
      "unknown fields ['meen']"),
+    ({"n": True, "Z_re": [[0.0]], "Z_im": [[1.0]], "mean": [0.0, 0.0]},
+     "n must be an integer, got True"),
+    ({"n": 1, "Z_re": [["0.0"]], "Z_im": [[True]], "mean": ["1e-3", False]},
+     "Z_re must be a number, got '0.0'"),
+    ({"n": 1, "Z_re": [["0.0"]], "Z_im": [[True]], "mean": ["0.5", False]},
+     "Z_re must be a number, got '0.0'"),
+    ({"n": 1, "Z_re": [[0.0]], "Z_im": [[True]], "mean": [0.0, 0.0]},
+     "Z_im must be a number, got True"),
+    ({"n": 1, "Z_re": [[0.0]], "Z_im": [[1.0]], "mean": ["0.5", False]},
+     "mean must be a number, got '0.5'"),
+    ([1, 2], "graph must be an object, got [1, 2]"),
+    # nested past numpy's 32-dimension iterators and its 64-dimension arrays
+    ({"Z_re": json.loads("[" * 40 + "1" + "]" * 40), "Z_im": [[1]]},
+     "Z_re and Z_im must be square of one shape"),
+    ({"Z_re": json.loads("[" * 100 + "1.0" + "]" * 100), "Z_im": [[1]]},
+     "Z_re must be a number, got [["),
 ], ids=["broadcast", "vector", "n", "asym-re", "asym-im", "missing", "string",
-        "extra-Zim", "extra-meen"])
+        "extra-Zim", "extra-meen", "bool-n", "string-entries",
+        "string-entries-mean-0.5", "bool-entry", "string-mean",
+        "not-an-object", "deep-40", "deep-100"])
 def test_graph_json_shapes_and_symmetry_are_checked(tmp_path, capsys, graph,
                                                     field):
-    # a 1x1 real part used to broadcast over the 2x2 state, and an
-    # asymmetric one to be symmetrized; both passed
-    graph = {"mean": [0.0] * 4, **graph}
+    # a 1x1 real part used to broadcast over the 2x2 state, an asymmetric
+    # one to be symmetrized, and a bool n, string or bool entries all passed
+    if isinstance(graph, dict):
+        graph = {"mean": [0.0] * 4, **graph}
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
     assert main(["verify-nullifiers", "--graph", str(path)]) == 2

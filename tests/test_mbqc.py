@@ -143,16 +143,23 @@ def test_decouple_wire_form_improves_with_squeezing():
 
 
 def test_decouple_wrong_angle_fails():
+    lattice = MacronodeLattice(LatticeConfig(3, 4, 6.0))
+
+    def delete_bc_at(theta):
+        # decouple_wires' measurements, every one at the same angle
+        return run_program(
+            {"resource": {"kind": "bsl", "N": 3, "M": 4, "r": 6.0},
+             "steps": [{"time_index": tau, "detector": d,
+                        "basis": {"theta": theta}}
+                       for tau in lattice.bc_sites() for d in "bc"]}, 0)
+
     # constant-sign deletion destroys the wire chain entirely
-    config = LatticeConfig(3, 4, 6.0)
-    state, lattice = build_bsl(config)
-    res = decouple_wires(state, lattice, rng=0,
-                         angle_override=lambda tau: np.pi / 4)
+    res = delete_bc_at(np.pi / 4)
     edges, _ = _wire_pair_edges(res, lattice, 6.0)
     # chain destroyed: edges collapse from ~0.94 to O(e^{-2r})
     assert np.abs(edges).max() < 1e-3
     # and a plain q-basis deletion leaves a non-self-inverse wire
-    res_q = decouple_wires(state, lattice, rng=0, angle_override=lambda tau: 0.0)
+    res_q = delete_bc_at(0.0)
     edges_q, st_q = _wire_pair_edges(res_q, lattice, 6.0)
     v = graph_part(st_q, 6.0)
     pair = v[np.ix_([2, 5], [2, 5])].real
