@@ -32,13 +32,11 @@ class InputError(ValueError):
 
 
 def _read_json(path, what: str):
-    """The parsed JSON file; one that is not UTF-8, not JSON, nested too
-    deep to parse or holding an integer too long to convert raises an
-    InputError naming the file."""
+    """The parsed JSON file; one that is not UTF-8, not JSON, too deep or
+    holding an over-long integer raises an InputError naming the file."""
     try:
         return json.loads(Path(path).read_bytes().decode("utf-8"))
-    # ValueError covers UnicodeDecodeError and JSONDecodeError
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:     # decode errors included
         raise InputError(f"{what} {path} is not readable JSON: {exc}") from exc
 
 

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import countOf
 
 import numpy as np
 
@@ -59,16 +56,9 @@ def _three_numbers(values, name: str) -> tuple:
 def _number_array(values, name: str) -> np.ndarray:
     """Nested lists as a float array, each entry read as _number reads a
     scalar, save that GraphState refuses a non-finite float."""
-    with suppress(TypeError, ValueError, OverflowError):
-        array = np.array(values, dtype=float)
-        flat = [values]
-        for _ in range(array.ndim):
-            flat = chain.from_iterable(flat)
-        # one pass in C settles the all-float lists that to_dict writes;
-        # the rest, a failed conversion too, is read entry by entry
-        if countOf(map(type, flat), float) == array.size:
-            return array
     for value in np.array(values, dtype=object).ravel():
+        if isinstance(value, list):
+            raise ProgramError(f"{name} must be a rectangular array of numbers")
         if type(value) is not float:
             _number(value, name)
     return np.array(values, dtype=float)
@@ -171,9 +161,8 @@ class GraphState:
         # a non-finite Z passes here, unwarned, and is refused by the Z check
         with np.errstate(invalid="ignore"):
             z = re + 1j * im
-            diff = z - z.T
-            for key, part in (("Z_re", diff.real), ("Z_im", diff.imag)):
-                asym = np.abs(part).max(initial=0.0)
+            for key, part in (("Z_re", re), ("Z_im", im)):
+                asym = np.abs(part - part.T).max(initial=0.0)
                 if asym > 1e-12 * np.abs(z).max(initial=1.0):
                     raise GraphStateError(f"{key} is not symmetric "
                                           f"(|{key} - {key}^T| = {asym:.3e})")

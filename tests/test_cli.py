@@ -925,11 +925,13 @@ def test_integral_case_fields_run_as_their_floats():
     ({"Z_re": json.loads("[" * 40 + "1" + "]" * 40), "Z_im": [[1]]},
      "Z_re and Z_im must be square of one shape"),
     ({"Z_re": json.loads("[" * 100 + "1.0" + "]" * 100), "Z_im": [[1]]},
-     "Z_re must be a number, got [["),
+     "Z_re must be a rectangular array of numbers"),
+    ({"Z_re": [[0, 0], [0]], "Z_im": [[1, 0], [0, 1]]},
+     "Z_re must be a rectangular array of numbers"),
 ], ids=["broadcast", "vector", "n", "asym-re", "asym-im", "missing", "string",
         "extra-Zim", "extra-meen", "bool-n", "string-entries",
         "string-entries-mean-0.5", "bool-entry", "string-mean",
-        "not-an-object", "deep-40", "deep-100"])
+        "not-an-object", "deep-40", "deep-100", "ragged"])
 def test_graph_json_shapes_and_symmetry_are_checked(tmp_path, capsys, graph,
                                                     field):
     # a 1x1 real part used to broadcast over the 2x2 state, an asymmetric
