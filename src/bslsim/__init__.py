@@ -4,17 +4,17 @@ measurement-based gates, and a grid wavefunction oracle for the non-Gaussian
 identities."""
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
-                         covariance, equal_up_to_phase, gate_beamsplitter,
-                         gate_cz, gate_displacement, gate_identity,
-                         gate_rotation, gate_shear, gate_squeeze, omega,
-                         squeezed_vacua, vacuum)
-from .lattice import (LatticeConfig, MacronodeLattice, build_bsl, build_square,
-                      canonical_wire, edge_summary, graph_part, ideal_graph,
-                      schedule, to_dot)
+                         covariance, gate_beamsplitter, gate_cz,
+                         gate_displacement, gate_identity, gate_rotation,
+                         gate_shear, gate_squeeze, omega, squeezed_vacua,
+                         vacuum)
+from .lattice import (LatticeConfig, MacronodeLattice, build_bsl,
+                      canonical_wire, edge_summary, ideal_graph, schedule,
+                      to_dot)
 from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
-                   decouple_wires, feedforward, measure_quadrature,
-                   run_program, simulate_single_mode_gate, two_mode_gate,
-                   v_gate, v_gate_displacement)
+                   decouple_wires, feedforward, run_program,
+                   simulate_single_mode_gate, two_mode_gate, v_gate,
+                   v_gate_displacement)
 from .nullifiers import (NullifierSet, WitnessReport, empirical_variances,
                          exact_nullifiers, ingest_samples, lattice_factors,
                          lattice_variances, nullifier_variances,

@@ -28,7 +28,8 @@ from .oracle import DEFAULT_L, DEFAULT_P2, GridError, check_points
 
 
 class InputError(ValueError):
-    """An input file that cannot be read as JSON."""
+    """A usage error: an unreadable input file or flags that cannot go
+    together; main prints it and exits 2."""
 
 
 def _read_json(path, what: str):
@@ -80,44 +81,28 @@ def _grid_arg(text: str):
     return half, pts
 
 
-def _int_arg(name: str, low: int):
-    """The argparse type of an integer flag that must be at least low."""
-    def parse(text: str) -> int:
-        message = f"{name} must be an integer >= {low}, got {text!r}"
+def _number_arg(rule: str, cast, ok):
+    """The argparse type of a number flag: the text read by cast and kept
+    by ok; any other text is refused as "{rule}, got {text!r}"."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(message) from exc
-        if value < low:
-            raise argparse.ArgumentTypeError(message)
-        return value
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
     return parse
 
 
-_seed_arg = _int_arg("seed", 0)
-_shots_arg = _int_arg("shots", 1)
-
-
-def _finite_arg(text: str) -> float:
-    message = f"expected a finite number, got {text!r}"
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(message) from exc
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(message)
-    return value
-
-
-def _threshold_factor_arg(text: str) -> float:
-    message = f"threshold factor must be finite and in (0, 1], got {text!r}"
-    try:
-        factor = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(message) from exc
-    if not 0 < factor <= 1:
-        raise argparse.ArgumentTypeError(message)
-    return factor
+_seed_arg = _number_arg("seed must be an integer >= 0", int,
+                        lambda v: v >= 0)
+_shots_arg = _number_arg("shots must be an integer >= 1", int,
+                         lambda v: v >= 1)
+_finite_arg = _number_arg("expected a finite number", float, np.isfinite)
+_threshold_factor_arg = _number_arg(
+    "threshold factor must be finite and in (0, 1]", float,
+    lambda v: 0 < v <= 1)
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -152,12 +137,6 @@ def cmd_build_bsl(args) -> int:
     return 0
 
 
-def _refuse(flag: str, context: str) -> int:
-    """Exit 2 for a flag that would do nothing in this context."""
-    print(f"error: {flag} cannot be used {context}", file=sys.stderr)
-    return 2
-
-
 def cmd_verify_nullifiers(args) -> int:
     if args.graph is not None:
         lattice_only = [flag for flag, value in (
@@ -167,7 +146,7 @@ def cmd_verify_nullifiers(args) -> int:
             ("--report", args.report))
             if value is not None]
         if lattice_only:
-            return _refuse(lattice_only[0], "with --graph")
+            raise InputError(f"{lattice_only[0]} cannot be used with --graph")
         state = GraphState.from_dict(_read_json(args.graph, "graph"))
         nulls = exact_nullifiers(state)
         variances = nullifier_variances(state, nulls)
@@ -176,15 +155,14 @@ def cmd_verify_nullifiers(args) -> int:
               f"-> {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.seed is not None and args.shots is None:
-        return _refuse("--seed", "without --shots")
+        raise InputError("--seed cannot be used without --shots")
     seed = 7 if args.seed is None else args.seed
     factor = 0.5 if args.threshold_factor is None else args.threshold_factor
     configs = [LatticeConfig(*(args.lattice or (2, 2)), r)
                for r in args.squeezing_list or [1.0]]
     if args.report and len(configs) > 1:
-        print("error: --report holds one witness report; give one "
-              "--squeezing with it", file=sys.stderr)
-        return 2
+        raise InputError("--report holds one witness report; give one "
+                         "--squeezing with it")
     v = ideal_graph(configs[0])
     nulls = quadrature_nullifiers(v)
     # the vacuum baselines depend on V alone, so every squeezing shares them
@@ -245,19 +223,19 @@ def cmd_verify_identities(args) -> int:
     chi_given = {k: getattr(args, k) for k in CHI_DEFAULTS
                  if getattr(args, k) is not None}
     if chi_given and args.chi is None:
-        return _refuse(f"--{next(iter(chi_given))}", "without --chi")
+        raise InputError(f"--{next(iter(chi_given))} cannot be used "
+                         "without --chi")
     if args.seed is not None and (args.chi is not None
                                   or args.cases is not None):
-        return _refuse("--seed", "with --chi or --cases")
+        raise InputError("--seed cannot be used with --chi or --cases")
     if args.suite is not None and (args.chi is not None
                                    or args.cases is not None):
-        return _refuse(f"suite {args.suite}", "with --chi or --cases")
+        raise InputError(f"suite {args.suite} cannot be used with --chi or "
+                         "--cases")
     if args.cases is not None:
         cases = _read_json(args.cases, "cases file")
         if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
-            print("error: --cases must hold a JSON list of case objects",
-                  file=sys.stderr)
-            return 2
+            raise InputError("--cases must hold a JSON list of case objects")
         reports = run_cases(cases, pts, half)
     elif args.chi is not None:
         reports = run_cases([{"identity": "L", "chi": args.chi,

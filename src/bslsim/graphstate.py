@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,9 +137,6 @@ class GraphState:
             "mean": self.mean.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data) -> "GraphState":
         """State from the to_dict layout, read as a program is: no other
@@ -167,10 +163,6 @@ class GraphState:
                     raise GraphStateError(f"{key} is not symmetric "
                                           f"(|{key} - {key}^T| = {asym:.3e})")
         return cls(z, mean)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GraphState":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -346,11 +338,6 @@ def _cond(p: np.ndarray, q: np.ndarray) -> float:
     return np.linalg.cond(m)
 
 
-def local_cond(z: np.ndarray, gate: SymplecticGate) -> float:
-    """Exact 2-norm cond(A + B Z) of a gate on k modes."""
-    return _cond(*_gate_rows(z, gate))
-
-
 def local_update(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
     """Z' = (C + D Z)(A + B Z)^-1 in O(n^2 k), behind the exact cond guard.
 
@@ -403,10 +390,3 @@ def covariance(state: GraphState) -> np.ndarray:
     sig = 0.5 * np.block([[yi, yi @ x], [x @ yi, y + x @ yi @ x]])
     return (sig + sig.T) / 2
 
-
-def equal_up_to_phase(a: GraphState, b: GraphState, tol: float = 1e-9) -> bool:
-    """Whether two states coincide as physical states (global phase ignored)."""
-    if a.n_modes != b.n_modes:
-        raise GraphStateError("states have different mode counts")
-    return (np.abs(a.z - b.z).max() <= tol
-            and np.abs(a.mean - b.mean).max() <= tol)

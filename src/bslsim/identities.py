@@ -90,7 +90,10 @@ def verify_teleport_identity(phi, psi: WaveFunction, m: float) -> dict:
     """Check the single ancilla-teleportation identity for arbitrary phi."""
     points = psi.psi.shape[0]
     phi_fun, phi_vec = _as_callable(phi, psi.half_extent, points)
-    scale = 1.0 / phi_vec.norm()
+    norm = phi_vec.norm()
+    if not norm > 0:
+        raise GridError("ancilla has zero norm on the grid")
+    scale = 1.0 / norm
     lhs = teleport_step(psi, phi_vec.normalized(), m)
     rhs = teleport_map(psi, lambda s: scale * phi_fun(s), m)
     fid = fidelity_up_to_phase(lhs, rhs)
@@ -271,6 +274,12 @@ def default_input(points: int = DEFAULT_P2, half_extent: float = DEFAULT_L,
     return WaveFunction.vacuum(half_extent, points, q0, p0)
 
 
+#: largest squeezing r, and envelope squeezing r_env, of an identity case:
+#: (pi e^{2r})^{-1/4} overflows from r = 354.9, and although every verdict
+#: and fidelity is flat from r = 100 up to there, the circuit norm that an L
+#: case reports underflows to 0 from r = 250
+R_MAX_IDENTITY = 200.0
+
 #: each kind's case fields and defaults, in its verifier's argument order;
 #: an E case runs at its own points, the others at the batch's grid
 CASE_FIELDS = {
@@ -295,7 +304,8 @@ SUITE_CASES = {
 
 def _case_report(case: dict, points: int, half_extent: float) -> dict:
     """Run one case, read by _fields against its kind's CASE_FIELDS; a key
-    the kind does not read, or a malformed value, raises, naming the key."""
+    the kind does not read, a malformed value, or an r or r_env outside
+    (0, R_MAX_IDENTITY] raises, naming the key."""
     if not isinstance(case, dict):
         raise ProgramError(f"case must be an object, got {case!r}")
     kind = case.get("identity")
@@ -306,6 +316,10 @@ def _case_report(case: dict, points: int, half_extent: float) -> dict:
     args = [_three_numbers(value, key) if key == "outcomes"
             else _number(value, key, type(table[key]))
             for key, value in zip(table, values)]
+    for key, value in zip(table, args):
+        if key in ("r", "r_env") and not 0 < value <= R_MAX_IDENTITY:
+            raise ProgramError(f"squeezing {key} must be in "
+                               f"(0, {R_MAX_IDENTITY}], got {value}")
     if kind == "E":
         points, chi, r_env, m = check_points(args[0]), *args[1:]
         phi = WaveFunction.cubic_phase(chi, r_env, half_extent, points)

@@ -179,11 +179,6 @@ def _pair_state(n: int, r: float) -> GraphState:
     return GraphState(z, np.zeros(2 * n))
 
 
-def build_square(r: float) -> GraphState:
-    """Four-mode square cluster state from two pairs and one beamsplitter."""
-    return apply(_pair_state(4, r), gate_beamsplitter(np.pi / 4, 0, 2, 4))
-
-
 def _joins(config: LatticeConfig) -> list:
     """Mode pairs (a, b) of the beamsplitters joining the cluster pairs.
 
@@ -217,12 +212,6 @@ def build_bsl(config: LatticeConfig):
     for gate in schedule(config):
         state = apply(state, gate)
     return state, MacronodeLattice(config)
-
-
-def graph_part(state: GraphState, r: float) -> np.ndarray:
-    """V with Z = i sech(2r) I + tanh(2r) V (exact for interferometer outputs)."""
-    n = state.n_modes
-    return (state.z - 1j / np.cosh(2 * r) * np.eye(n)).real / np.tanh(2 * r)
 
 
 def ideal_graph(config: LatticeConfig) -> np.ndarray:

@@ -77,22 +77,12 @@ def _rng_of(rng):
     return rng
 
 
-def measure_quadrature(state: GraphState, mode: int, theta: float,
-                       outcome: float | None = None, rng=None):
-    """Measure q(theta) on one mode; returns (posterior state, outcome).
-
-    The outcome is drawn from the exact Gaussian marginal unless supplied.
-    """
-    post, m, _ = measure_with_response(state, mode, theta, outcome, rng)
-    return post, m
-
-
 def _rotation_cond(z: np.ndarray, mode: int, theta: float) -> float:
     """cond(A + B Z) of R(theta) on one mode in closed form, in O(n).
 
     A + B Z is the identity outside row k, which holds piv = cos - sin Z_kk
-    on the diagonal and -sin Z[k, rest] elsewhere.  As in local_cond, that
-    leaves [[piv, x], [0, 1]] with x = |sin| |Z[k, rest]|, whose singular
+    on the diagonal and -sin Z[k, rest] elsewhere.  As in graphstate._cond,
+    that leaves [[piv, x], [0, 1]] with x = |sin| |Z[k, rest]|, whose singular
     values have squared sum F = |piv|^2 + x^2 + 1 and product |piv|, so the
     cond is (F + sqrt(F^2 - 4 |piv|^2)) / (2 |piv|).  F^2 - 4 |piv|^2 is
     taken as ((|piv| - 1)^2 + x^2)((|piv| + 1)^2 + x^2), which stays accurate
@@ -171,8 +161,9 @@ def _measure_step(z: np.ndarray, block: np.ndarray, mode: int, theta: float,
 
 def measure_with_response(state: GraphState, mode: int, theta: float,
                           outcome: float | None = None, rng=None, jac=None):
-    """measure_quadrature that also carries the outcome Jacobian through.
+    """Measure q(theta) on one mode, carrying the outcome Jacobian through.
 
+    The outcome is drawn from the exact Gaussian marginal unless supplied.
     jac holds one column per earlier outcome, the sensitivity of state.mean
     to it (2n x j; None means no columns).  A one-step run: returns
     (posterior, outcome, jac') with jac' of shape (2n - 2) x (j + 1), the

@@ -292,15 +292,6 @@ class WitnessReport:
             "threshold_factor": self.threshold_factor,
         })
 
-    def table(self) -> str:
-        lines = [f"{'row':>4} {'variance':>12} {'threshold':>12} verdict"]
-        for k, (v, t, ok) in enumerate(zip(self.variances, self.thresholds,
-                                           self.verdicts)):
-            lines.append(f"{k:>4} {v:12.6f} {t:12.6f} {'pass' if ok else 'FAIL'}")
-        lines.append(f"overall: {'pass' if self.passed else 'FAIL'} "
-                     f"({self.shots} shots, factor {self.threshold_factor})")
-        return "\n".join(lines)
-
 
 def witness_from_variances(variances, baselines: np.ndarray,
                            threshold_factor: float = 0.5,

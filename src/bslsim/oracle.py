@@ -559,9 +559,17 @@ class WaveFunction:
 
 
 def fidelity_up_to_phase(a: WaveFunction, b: WaveFunction) -> float:
-    """|<a|b>| / (|a||b|) on the common grid."""
+    """|<a|b>| / (|a||b|) on the common grid; 0 if either vector is zero.
+
+    Each vector is first divided by its largest modulus, so the squared
+    norms are at least 1: unscaled, an L case at r = 150 compares states of
+    squared norm 3e-195 and 3.5e-130, whose product underflows to 0.
+    """
     if a.psi.shape != b.psi.shape or a.half_extent != b.half_extent:
         raise GridError("wavefunctions live on different grids")
-    num = abs(np.vdot(a.psi, b.psi))
-    den = np.sqrt(np.vdot(a.psi, a.psi).real * np.vdot(b.psi, b.psi).real)
-    return float(num / den) if den > 0 else 0.0
+    top_a, top_b = np.abs(a.psi).max(), np.abs(b.psi).max()
+    if not (top_a > 0 and top_b > 0):
+        return 0.0
+    u, v = a.psi / top_a, b.psi / top_b
+    num = abs(np.vdot(u, v))
+    return float(num / np.sqrt(np.vdot(u, u).real * np.vdot(v, v).real))

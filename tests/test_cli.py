@@ -61,7 +61,7 @@ def test_verify_nullifiers_fails_on_vacuum_graph(tmp_path, capsys):
     # an unentangled graph passes the exact-nullifier check trivially, so
     # feed the witness path a stored vacuum graph: exact nullifiers hold
     path = tmp_path / "vac.json"
-    path.write_text(vacuum(4).to_json())
+    path.write_text(json.dumps(vacuum(4).to_dict()))
     assert main(["verify-nullifiers", "--graph", str(path)]) == 0
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -594,7 +594,7 @@ def test_graph_bad_leaves_exit_2_unless_a_number(tmp_path_factory, case):
 def test_verify_nullifiers_graph_refuses_lattice_flags(tmp_path, capsys, flag,
                                                        value):
     graph = tmp_path / "vac.json"
-    graph.write_text(vacuum(4).to_json())
+    graph.write_text(json.dumps(vacuum(4).to_dict()))
     report = tmp_path / "rep.json"
     value = str(report) if value == "REPORT" else value
     assert main(["verify-nullifiers", "--graph", str(graph), flag, value]) == 2
@@ -855,9 +855,14 @@ def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
     ({"identity": "L", "points": 64}, "case has unknown fields ['points']"),
     ({"identity": "E", "sigma": 0.3}, "case has unknown fields ['sigma']"),
     ({"identity": "L", "r_env": 2.0}, "case has unknown fields ['r_env']"),
+    ({"identity": "L", "r": 400}, "squeezing r must be in (0, 200.0], got 400.0"),
+    ({"identity": "M", "r": -1}, "squeezing r must be in (0, 200.0], got -1.0"),
+    ({"identity": "E", "r_env": 400},
+     "squeezing r_env must be in (0, 200.0], got 400.0"),
 ], ids=["bool", "string", "fractional-points", "bool-points", "two-outcomes",
         "scalar-outcomes", "bool-outcome", "string-outcome", "misspelled-key",
-        "points-and-misspelled-key", "points-on-L", "sigma-on-E", "r_env-on-L"])
+        "points-and-misspelled-key", "points-on-L", "sigma-on-E", "r_env-on-L",
+        "r-above-limit", "negative-r", "r_env-above-limit"])
 def test_malformed_case_field_is_a_case_error_naming_the_key(case, message):
     (rep,) = run_cases([case], 64)
     assert rep["error"] == message and rep["pass"] is False

@@ -6,14 +6,13 @@ import pytest
 from bslsim.graphstate import (GraphState, GraphStateError, apply,
                                covariance, gate_beamsplitter, omega)
 from bslsim.lattice import (MAX_MODES, LatticeConfig, MacronodeLattice, _joins,
-                            build_bsl, build_square, bulk_modes,
-                            canonical_wire, edge_summary, graph_part,
-                            ideal_graph, schedule, to_dot)
+                            _pair_state, build_bsl, bulk_modes, canonical_wire,
+                            edge_summary, ideal_graph, schedule, to_dot)
 
 
 def test_square_is_four_cycle():
-    st = build_square(1.0)
-    v = graph_part(st, 1.0)
+    st = apply(_pair_state(4, 1.0), gate_beamsplitter(np.pi / 4, 0, 2, 4))
+    v = st.z.real / np.tanh(2.0)
     cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
     signs = []
     for a in range(4):
@@ -29,7 +28,7 @@ def test_square_is_four_cycle():
 
 
 def test_square_zero_squeezing_limit():
-    st = build_square(1e-8)
+    st = apply(_pair_state(4, 1e-8), gate_beamsplitter(np.pi / 4, 0, 2, 4))
     assert np.abs(st.z - 1j * np.eye(4)).max() < 1e-7
 
 
@@ -165,7 +164,7 @@ def test_canonical_wire_structure():
     so = covariance(wire) @ om
     assert np.abs(so @ so + 0.25 * np.eye(2 * n)).max() < 1e-10
     # inter-site blocks have the K22 form with weight tanh(2r)/2
-    v = graph_part(wire, r)
+    v = wire.z.real / np.tanh(2 * r)
     blk = v[0:2, 2:4]
     assert np.abs(np.abs(blk) - np.tanh(2 * r) / 2 / np.tanh(2 * r)).max() < 1e-10
 

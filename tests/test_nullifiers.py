@@ -250,7 +250,6 @@ def test_witness_thresholds():
     vac_var = nullifier_variances(phi_transform(vacuum(16)), nulls)
     assert not witness_from_variances(
         vac_var, nullifiers.vacuum_variances(nulls)).passed
-    assert "pass" in rep.table()
     assert '"passed": true' in rep.to_json()
 
 

@@ -11,7 +11,7 @@ from bslsim.graphstate import (GraphState, apply, covariance, gate_beamsplitter,
 from bslsim.identities import (default_input, run_suite, verify_commutation,
                                verify_teleport_identity, verify_cubic_device,
                                verify_teleport_circuit)
-from bslsim.mbqc import measure_quadrature
+from bslsim.mbqc import measure_with_response
 from bslsim.oracle import (GridError, WaveFunction, _bluestein, _from_p,
                            _p_diag, _to_p, _two_mode_phase, cubic_weights,
                            fidelity_up_to_phase, p_axis, q_axis)
@@ -362,7 +362,7 @@ def test_pair_slice_shifts_partner_like_gaussian_engine():
     gs = GraphState(z, np.zeros(4))
     wf = WaveFunction.from_graphstate(gs, L, P2).project_q(0, m).normalized()
     mean, _ = wf.moments()
-    post, _ = measure_quadrature(gs, 0, 0.0, m)
+    post, _ = measure_with_response(gs, 0, 0.0, m)[:2]
     assert np.abs(mean - post.mean).max() < 1e-6
     assert abs(mean[1]) > 0.1    # the partner mean really shifted
 
@@ -374,6 +374,17 @@ def test_fidelity_up_to_phase_basics():
     assert abs(fidelity_up_to_phase(a, b) - 1) < 1e-12
     far = WaveFunction.vacuum(L, P1, -8.0, 0.0)
     assert fidelity_up_to_phase(a, far) < 1e-6
+
+
+def test_fidelity_up_to_phase_of_tiny_vectors_does_not_underflow():
+    # each squared norm is below 1e-390, so unscaled it underflows to 0
+    a = WaveFunction.vacuum(L, P1, 0.3, 0.0)
+    b = WaveFunction.squeezed(0.4, L, P1).x_shift(0.2)
+    want = fidelity_up_to_phase(a, b)
+    tiny_a, tiny_b = (WaveFunction(1e-200 * w.psi, L) for w in (a, b))
+    assert abs(fidelity_up_to_phase(tiny_a, tiny_b) - want) <= 1e-15
+    zero = WaveFunction(np.zeros(P1, dtype=complex), L)
+    assert fidelity_up_to_phase(zero, a) == fidelity_up_to_phase(a, zero) == 0.0
 
 
 def test_boundary_mass_checks():
@@ -401,6 +412,12 @@ def test_teleport_identity_cubic_ancilla():
     psi = WaveFunction.vacuum(L, P1)
     rep = verify_teleport_identity(WaveFunction.cubic_phase(0.1, 2.0, L, P1), psi, -0.3)
     assert rep["pass"]
+
+
+def test_teleport_identity_refuses_a_zero_ancilla():
+    psi = WaveFunction.vacuum(L, P1)
+    with pytest.raises(GridError, match="zero norm"):
+        verify_teleport_identity(lambda s: 0.0 * s, psi, 0.1)
 
 
 def test_teleport_identity_zero_outcome_closed_gaussian():
@@ -480,6 +497,13 @@ def test_cubic_device_three_way_agreement():
         eps.append(1 - rep["fidelity"])
     assert eps[0] > eps[1] > eps[2]
     assert 1 - eps[-1] >= 0.999
+
+
+def test_cubic_device_passes_at_the_case_squeezing_limit():
+    # every state of the circuit is below 1e-87 in norm at r = 200
+    psi = WaveFunction.vacuum(L, P2, 0.3, -0.2)
+    rep = verify_cubic_device(0.2, 0.3, (0.1, -0.2, 0.4), 200.0, psi)
+    assert rep["pass"] and min(rep["fidelities"].values()) >= 0.999
 
 
 def test_cubic_device_zero_outcomes_parameters():
