@@ -16,8 +16,8 @@ import numpy as np
 
 from .graphstate import GraphState, GraphStateError
 from .identities import run_cases, run_suite
-from .lattice import (LatticeConfig, build_bsl, edge_summary, ideal_graph,
-                      to_dot)
+from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
+                      edge_summary, ideal_graph, to_dot)
 from .mbqc import run_program
 from .nullifiers import (empirical_variances, exact_nullifiers,
                          lattice_factors, lattice_variances,
@@ -112,9 +112,9 @@ def _echo(args: argparse.Namespace) -> dict:
 
 def cmd_build_bsl(args) -> int:
     config = LatticeConfig(args.lattice[0], args.lattice[1], args.squeezing)
-    state, lattice = build_bsl(config)
-    summary = edge_summary(state, config)
     v = ideal_graph(config)
+    state, lattice = _lattice_state(v, config.r), MacronodeLattice(config)
+    summary = edge_summary(state, config)
     out = Path(args.out)
     payload = {
         "config": _echo(args),

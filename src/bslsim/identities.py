@@ -190,6 +190,25 @@ def cubic_gate_closed(psi: WaveFunction, chi: float, sigma: float,
     return out.x_shift(kappa).z_shift(np.sqrt(2) * m_a)
 
 
+#: bound on |value| of each cubic-device parameter, the validated
+#: grid-resident range: with the suite's other parameters, sigma 2, s 5 and
+#: t 20 pass on a grid of at most 2048 points, while sigma 5, s 10 and t 50
+#: fail on every grid scanned, up to 2048 points; chi and outcomes keep the
+#: bounds the device was validated at
+DEVICE_RANGE = {"chi": 0.3, "sigma": 2.0, "outcomes": 1.0, "s": 5.0, "t": 20.0}
+
+
+def _check_device_range(**params):
+    """Refuse a parameter outside DEVICE_RANGE, naming it, before any grid
+    work; a NaN is refused too."""
+    for key, value in params.items():
+        bound = DEVICE_RANGE[key]
+        if not all(abs(v) <= bound for v in np.ravel(value)):
+            raise GridError("parameters outside the validated grid-resident "
+                            f"range: {key} must be in [-{bound}, {bound}], "
+                            f"got {value}")
+
+
 def verify_cubic_device(chi: float, sigma: float, outcomes, r: float,
                         psi_in: WaveFunction) -> dict:
     """Three-way agreement of the cubic measurement device.
@@ -198,8 +217,7 @@ def verify_cubic_device(chi: float, sigma: float, outcomes, r: float,
     (iii) the closed form, pairwise; also checks (ii) against (iii) in the
     infinite-squeezing variant where the envelopes are removed analytically.
     """
-    if abs(chi) > 0.3 or max(abs(m) for m in outcomes) > 1.0:
-        raise GridError("parameters outside the validated grid-resident range")
+    _check_device_range(chi=chi, sigma=sigma, outcomes=outcomes)
     m_a, m_e, m_f = outcomes
     a = cubic_gate_circuit(psi_in, r, chi, sigma, m_a, m_e, m_f)
     b = cubic_gate_product(psi_in, r, chi, sigma, m_a, m_e, m_f)
@@ -234,6 +252,7 @@ def verify_commutation(s: float, t: float, chi: float, sigma: float,
     (b) with the shear angle adapted to sigma' = sigma + sqrt2 s chi, the
         gate after X(s) equals Z(-s) X(zeta) after the unadapted gate.
     """
+    _check_device_range(s=s, t=t, chi=chi, sigma=sigma, outcomes=outcomes)
     m_a, m_e, m_f = outcomes
 
     def gate(state, sig):
@@ -304,8 +323,9 @@ SUITE_CASES = {
 
 def _case_report(case: dict, points: int, half_extent: float) -> dict:
     """Run one case, read by _fields against its kind's CASE_FIELDS; a key
-    the kind does not read, a malformed value, or an r or r_env outside
-    (0, R_MAX_IDENTITY] raises, naming the key."""
+    the kind does not read, a malformed value, an r or r_env outside
+    (0, R_MAX_IDENTITY], or a device parameter outside DEVICE_RANGE (checked
+    by its verifier) raises, naming the key."""
     if not isinstance(case, dict):
         raise ProgramError(f"case must be an object, got {case!r}")
     kind = case.get("identity")

@@ -15,13 +15,13 @@ Delays are realized as static re-indexing: mode id = 4 t + rail, and the
 delay beamsplitters couple existing modes of different bins.  Couplings that
 would reference bins before the start of the run are skipped (open boundary).
 
-Steps 1 and 2 act on fresh modes and give the closed-form pairs
-Z = i sech(2r) I + tanh(2r) V0, with V0 joining modes (2k, 2k+1), so the
-code starts there and `schedule` lists only the joining beamsplitters of
-steps 3 and 4.  Each is a phase-free interferometer acting identically on q
-and p, so the graph keeps the exact form Z(r) = i sech(2r) I + tanh(2r) V
-with V = O V0 O^T; V stays self-inverse and trace-free for every lattice
-size.
+Steps 1 and 2 act on fresh modes and give the pairs Z = i sech(2r) I +
+tanh(2r) V0, V0 joining modes (2k, 2k+1); `schedule` lists the joining
+beamsplitters of steps 3 and 4.  Each is a phase-free interferometer, so the
+lattice is exactly Z(r) = i sech(2r) I + tanh(2r) V with V = O V0 O^T, real,
+self-inverse and trace-free.  The CLI and "bsl" programs build that form
+from `ideal_graph`'s V; `build_bsl`, which runs `schedule` through the
+Mobius update `apply`, is the dense reference.
 
 Detector bookkeeping follows from one table, `LatticeConfig.rails`: the
 detector each rail reaches and its delay in bins, so a mode is measured at
@@ -173,10 +173,10 @@ def _pairs(n: int) -> np.ndarray:
     return v
 
 
-def _pair_state(n: int, r: float) -> GraphState:
-    """Cluster pairs at squeezing r: Z = i sech(2r) I + tanh(2r) V0."""
-    z = 1j / np.cosh(2 * r) * np.eye(n) + np.tanh(2 * r) * _pairs(n)
-    return GraphState(z, np.zeros(2 * n))
+def _lattice_state(v: np.ndarray, r: float) -> GraphState:
+    """The zero-mean state Z = i sech(2r) I + tanh(2r) V of a real graph V."""
+    z = 1j / np.cosh(2 * r) * np.eye(len(v)) + np.tanh(2 * r) * v
+    return GraphState(z, np.zeros(2 * len(v)))
 
 
 def _joins(config: LatticeConfig) -> list:
@@ -203,12 +203,10 @@ def schedule(config: LatticeConfig) -> list:
 
 
 def build_bsl(config: LatticeConfig):
-    """Join the cluster pairs; returns (GraphState, MacronodeLattice).
-
-    Every joining gate is an interferometer, so
-    Z = i sech(2r) I + tanh(2r) V holds throughout.
-    """
-    state = _pair_state(config.n_modes, config.r)
+    """The dense reference: join the cluster pairs with `apply`, O(n^4) in
+    all; returns (GraphState, MacronodeLattice).  Each gate is an
+    interferometer, so Z = i sech(2r) I + tanh(2r) V holds throughout."""
+    state = _lattice_state(_pairs(config.n_modes), config.r)
     for gate in schedule(config):
         state = apply(state, gate)
     return state, MacronodeLattice(config)

@@ -31,7 +31,8 @@ import numpy as np
 from .graphstate import (GraphState, GraphStateError, ProgramError,
                          SymplecticGate, _check_cond, _fields, _number,
                          _three_numbers, balanced_mix, gate_beamsplitter)
-from .lattice import LatticeConfig, MacronodeLattice, build_bsl, canonical_wire
+from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
+                      canonical_wire, ideal_graph)
 
 
 @dataclass(frozen=True)
@@ -398,8 +399,8 @@ def _parse_resource(desc):
         config = LatticeConfig(_number(n, "resource.N", int),
                                _number(m, "resource.M", int),
                                _number(r, "resource.r"))
-        return (lambda: build_bsl(config)[0], config.r,
-                MacronodeLattice(config).mode_at)
+        return (lambda: _lattice_state(ideal_graph(config), config.r),
+                config.r, MacronodeLattice(config).mode_at)
     if not isinstance(desc, dict) or "kind" not in desc:
         _fields(desc, "resource", ("kind",))    # raises, naming the fault
     raise ProgramError(f"unknown resource kind {kind!r}")

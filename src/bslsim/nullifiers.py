@@ -18,6 +18,7 @@ import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
                          covariance, omega)
+from .lattice import _lattice_state
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,8 @@ def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -
             "graph does not meet the transformation preconditions: need a "
             f"trace-zero, self-inverse graph (|tr| = {tr:.3e}, "
             f"|V^2 - I| = {self_inv:.3e})")
-    z_in = 1j / np.cosh(2 * r) * np.eye(n) + np.tanh(2 * r) * v
-    state = GraphState(z_in, np.zeros(2 * n))
-    z_out = phi_transform(state).z
+    state = _lattice_state(v, r)
+    z_in, z_out = state.z, phi_transform(state).z
     z_expect = 1j * np.cosh(2 * r) * np.eye(n) + 1j * np.sinh(2 * r) * v
     dev = np.abs(z_out - z_expect).max()
 

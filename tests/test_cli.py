@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bslsim import cli, graphstate, lattice, mbqc
 from bslsim.cli import build_parser, main
 from bslsim.graphstate import GraphState, vacuum
 from bslsim.identities import run_cases
-from bslsim.lattice import LatticeConfig, ideal_graph
+from bslsim.lattice import (LatticeConfig, MacronodeLattice, build_bsl,
+                            ideal_graph, to_dot)
 from bslsim.nullifiers import (quadrature_nullifiers, vacuum_variances,
                                witness_from_variances)
 
@@ -46,6 +48,74 @@ def test_build_bsl_repeatable(tmp_path):
     ja = a.with_suffix(".json").read_text().replace(str(a), "OUT")
     jb = b.with_suffix(".json").read_text().replace(str(b), "OUT")
     assert ja == jb
+
+
+def _bsl_program(n_rows, m_cols, r):
+    """Every bc deletion, then a chi = 0 cubic step on the first xa site and
+    a q(theta) step on the last, where the lattice has them."""
+    lat = MacronodeLattice(LatticeConfig(n_rows, m_cols, r))
+    steps = [{"time_index": t, "detector": d,
+              "basis": {"theta": lat.deletion_angle(t)}}
+             for t in lat.bc_sites() for d in "bc"]
+    xa = lat.xa_sites()
+    if xa:
+        steps.append({"time_index": xa[0], "detector": "x",
+                      "basis": {"cubic": {"chi": 0.0, "sigma": 0.25}}})
+    if len(xa) > 1:
+        steps.append({"time_index": xa[-1], "detector": "x",
+                      "basis": {"theta": 0.6}})
+    return {"resource": {"kind": "bsl", "N": n_rows, "M": m_cols, "r": r},
+            "steps": steps}
+
+
+def _refuse_dense(*args, **kwargs):
+    raise AssertionError("a product path ran the dense Mobius build")
+
+
+def test_lattice_product_paths_do_not_run_the_dense_build(tmp_path,
+                                                          monkeypatch):
+    # build-bsl and "bsl" programs take Z from V's closed form; build_bsl,
+    # schedule and apply are the dense reference only
+    for module in (graphstate, lattice, mbqc, cli):
+        for name in ("build_bsl", "schedule", "apply"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse_dense)
+    assert main(["build-bsl", "--lattice", "3,3",
+                 "--out", str(tmp_path / "b")]) == 0
+    res = mbqc.run_program(_bsl_program(2, 3, 1.0), seed=5)
+    assert len(res.record.events) == 14
+
+
+@pytest.mark.parametrize("size", [(2, 1), (2, 3), (3, 2), (2, 2), (3, 3),
+                                  (4, 4), (5, 5)])
+@pytest.mark.parametrize("r", [0.3, 1.0, 4.0, 8.0])
+def test_closed_form_lattice_matches_the_dense_build(tmp_path, capsys, size,
+                                                     r):
+    config = LatticeConfig(*size, r)
+    ref = build_bsl(config)[0]
+    out = tmp_path / "b"
+    assert main(["build-bsl", "--lattice", f"{size[0]},{size[1]}", "-r",
+                 str(r), "--out", str(out)]) == 0
+    graph = json.loads(out.with_suffix(".json").read_text())["graph"]
+    z = np.array(graph["Z_re"]) + 1j * np.array(graph["Z_im"])
+    assert np.abs(z - ref.z).max() <= 1e-15
+    assert out.with_suffix(".dot").read_text() == to_dot(ref, config)
+    # a "bsl" record against the same steps run on the dense build
+    program = _bsl_program(*size, r)
+    _, _, steps = mbqc._parse_program(program)
+    got = mbqc.run_program(program, seed=5)
+    want = mbqc._run_steps(ref, steps, r, 5)
+    assert got.mode_index == want.mode_index
+    assert [e.mode for e in got.record.events] == \
+        [e.mode for e in want.record.events]
+    for a, b in ((got.record.events, want.record.events),
+                 (got.state.mean, want.state.mean),
+                 (got.outcome_jacobian, want.outcome_jacobian)):
+        a = np.array([e.outcome for e in a] if isinstance(a, list) else a)
+        b = np.array([e.outcome for e in b] if isinstance(b, list) else b)
+        assert np.abs(a - b).max(initial=0.0) \
+            <= 1e-12 * max(1.0, np.abs(b).max(initial=0.0))
+    assert np.abs(got.state.z - want.state.z).max() <= 1e-12
 
 
 def test_verify_nullifiers_passes_on_bsl(capsys):
@@ -414,11 +484,42 @@ def test_verify_nullifiers_computes_one_vacuum_baseline(monkeypatch, capsys):
     ("0.1", 0, 'L: fidelity 0.99999825 pass params {"chi": 0.1, "sigma": 0.3, '
                '"outcomes": [0.1, -0.2, 0.4]}'),
     ("5.0", 1, "L: error: parameters outside the validated grid-resident "
-               "range"),
+               "range: chi must be in [-0.3, 0.3], got 5.0"),
 ])
 def test_verify_identities_chi_runs_one_case(capsys, chi, code, line):
     assert main(["verify-identities", "--chi", chi, "--grid", "12,256"]) == code
     assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case,field", [
+    ({"identity": "L", "sigma": 1e300}, "sigma"),
+    ({"identity": "L", "sigma": -2.5}, "sigma"),
+    ({"identity": "commutation", "sigma": 1e300}, "sigma"),
+    ({"identity": "commutation", "s": 1e300}, "s"),
+    ({"identity": "commutation", "s": -5.5}, "s"),
+    ({"identity": "commutation", "t": 1e300}, "t"),
+    ({"identity": "commutation", "t": 21.0}, "t"),
+    ({"identity": "commutation", "chi": 0.5}, "chi"),
+    ({"identity": "commutation", "outcomes": [0.1, 5, 0.2]}, "outcomes"),
+])
+def test_device_parameters_outside_their_range_are_case_errors(
+        tmp_path, capsys, case, field):
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps([case]))
+    assert main(["verify-identities", "--grid", "12,256", "--cases",
+                 str(path)]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"{case['identity']}: error: parameters outside the validated "
+        f"grid-resident range: {field} must be in [-")
+
+
+def test_chi_case_sigma_outside_its_range_is_a_case_error(capsys):
+    assert main(["verify-identities", "--grid", "12,256", "--chi", "0.1",
+                 "--sigma", "1e300"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "L: error: parameters outside the validated grid-resident range: "
+        "sigma must be in [-2.0, 2.0], got 1e+300")
 
 
 def _run(tmp_path, prog):

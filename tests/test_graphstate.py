@@ -172,9 +172,10 @@ def test_loop_weight_identity(r):
 
 
 def test_two_pairs_and_beamsplitter_make_square():
-    from bslsim.lattice import _pair_state
+    from bslsim.lattice import _lattice_state, _pairs
     r = 1.0
-    st = apply(_pair_state(4, r), gate_beamsplitter(np.pi / 4, 0, 2, 4))
+    st = apply(_lattice_state(_pairs(4), r),
+               gate_beamsplitter(np.pi / 4, 0, 2, 4))
     # i sech(2r) I has no real part, so Re Z = tanh(2r) V
     v = st.z.real / np.tanh(2 * r)
     cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
@@ -185,7 +186,8 @@ def test_two_pairs_and_beamsplitter_make_square():
             else:
                 assert abs(v[a, b]) < 1e-10
     # fitted edge scale C tanh 2r: compare two squeezing values
-    st2 = apply(_pair_state(4, 0.5), gate_beamsplitter(np.pi / 4, 0, 2, 4))
+    st2 = apply(_lattice_state(_pairs(4), 0.5),
+                gate_beamsplitter(np.pi / 4, 0, 2, 4))
     ratio = abs(st2.z[0, 1]) / abs(st.z[0, 1])
     assert abs(ratio - np.tanh(1.0) / np.tanh(2.0)) < 1e-12
 

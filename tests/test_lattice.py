@@ -6,12 +6,14 @@ import pytest
 from bslsim.graphstate import (GraphState, GraphStateError, apply,
                                covariance, gate_beamsplitter, omega)
 from bslsim.lattice import (MAX_MODES, LatticeConfig, MacronodeLattice, _joins,
-                            _pair_state, build_bsl, bulk_modes, canonical_wire,
-                            edge_summary, ideal_graph, schedule, to_dot)
+                            _lattice_state, _pairs, build_bsl, bulk_modes,
+                            canonical_wire, edge_summary, ideal_graph,
+                            schedule, to_dot)
 
 
 def test_square_is_four_cycle():
-    st = apply(_pair_state(4, 1.0), gate_beamsplitter(np.pi / 4, 0, 2, 4))
+    st = apply(_lattice_state(_pairs(4), 1.0),
+               gate_beamsplitter(np.pi / 4, 0, 2, 4))
     v = st.z.real / np.tanh(2.0)
     cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
     signs = []
@@ -28,7 +30,8 @@ def test_square_is_four_cycle():
 
 
 def test_square_zero_squeezing_limit():
-    st = apply(_pair_state(4, 1e-8), gate_beamsplitter(np.pi / 4, 0, 2, 4))
+    st = apply(_lattice_state(_pairs(4), 1e-8),
+               gate_beamsplitter(np.pi / 4, 0, 2, 4))
     assert np.abs(st.z - 1j * np.eye(4)).max() < 1e-7
 
 

@@ -12,7 +12,8 @@ from bslsim.graphstate import (GraphState, GraphStateError, apply, covariance,
                                gate_rotation, gate_shear, gate_squeeze, omega,
                                squeezed_vacua, vacuum)
 from bslsim import mbqc
-from bslsim.lattice import LatticeConfig, MacronodeLattice, build_bsl
+from bslsim.lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
+                            build_bsl, ideal_graph)
 from bslsim.mbqc import (MeasurementEvent, MeasurementRecord, ProgramError,
                          adapted_sigma, commutation_kick, cubic_kick,
                          cubic_shear,
@@ -126,17 +127,18 @@ def _wire_pair_edges(res, lattice, r, row=0):
 
 
 def test_decouple_wire_form_improves_with_squeezing():
-    # surviving row wires approach a self-inverse ideal graph as r grows
-    config = LatticeConfig(3, 4, 1.0)
+    # surviving row wires approach the wire form i sech(2r) I + tanh(2r) V as
+    # r grows: |Im Z - sech(2r) I| / tanh(2r) reads 0.083, 0.012, 2.2e-4 and
+    # 4.1e-6 at r = 1, 2, 4 and 6
     residual = []
     for r in (1.0, 2.0, 4.0, 6.0):
         state, lattice = build_bsl(LatticeConfig(3, 4, r))
         res = decouple_wires(state, lattice, rng=0)
         edges, st = _wire_pair_edges(res, lattice, r)
         assert np.abs(np.abs(edges) - np.tanh(2 * r) * 2 * np.sqrt(2) / 3).max() < 0.15
-        v = st.z.real / np.tanh(2 * r)
-        residual.append(np.abs(v.imag).max())
-    assert all(a >= b for a, b in zip(residual, residual[1:]))
+        loops = np.eye(st.n_modes) / np.cosh(2 * r)
+        residual.append(np.abs(st.z.imag - loops).max() / np.tanh(2 * r))
+    assert all(a > b for a, b in zip(residual, residual[1:]))
     assert residual[-1] < 1e-4
 
 
@@ -167,9 +169,11 @@ def test_decouple_wrong_angle_fails():
 @pytest.mark.parametrize("size", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_decouple_wires_is_the_bsl_deletion_program(size, seed):
+    # the state a "bsl" program runs on, so the two runs agree bit for bit
     config = LatticeConfig(*size, 1.0)
-    res = decouple_wires(*build_bsl(config), rng=seed)
     lattice = MacronodeLattice(config)
+    res = decouple_wires(_lattice_state(ideal_graph(config), 1.0), lattice,
+                         rng=seed)
     program = {"resource": {"kind": "bsl", "N": size[0], "M": size[1],
                             "r": 1.0},
                "steps": [{"time_index": tau, "detector": d,
@@ -621,7 +625,7 @@ def test_bad_last_step_fails_before_the_lattice_is_built(monkeypatch, last,
                                                         message):
     prog = _deletion_program(3, 2, last)
     assert len(prog["steps"]) == 11
-    monkeypatch.setattr(mbqc, "build_bsl", _refuse_to_build)
+    monkeypatch.setattr(mbqc, "_lattice_state", _refuse_to_build)
     with pytest.raises(ProgramError, match=re.escape(message)):
         run_program(prog, seed=0)
 

@@ -521,6 +521,22 @@ def test_cubic_device_rejects_out_of_range():
         verify_cubic_device(5.0, 0.3, (0.1, -0.2, 0.4), 4.0, psi)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("s", 1e300), ("t", -1e300), ("chi", 5.0), ("sigma", 1e300),
+    ("sigma", float("nan")), ("outcomes", (0.1, 5.0, 0.4))])
+def test_both_device_verifiers_share_the_range_check(field, value):
+    # a direct library call is refused before any grid work, naming the field
+    psi = WaveFunction.vacuum(L, P2, 0.3, -0.2)
+    args = {"s": 0.3, "t": -0.2, "chi": 0.15, "sigma": 0.4,
+            "outcomes": (0.1, -0.2, 0.4), field: value}
+    with pytest.raises(GridError, match=f"range: {field} must be in "):
+        verify_commutation(*args.values(), 4.0, psi)
+    if field not in ("s", "t"):
+        with pytest.raises(GridError, match=f"range: {field} must be in "):
+            verify_cubic_device(args["chi"], args["sigma"], args["outcomes"],
+                                4.0, psi)
+
+
 def test_commutation_cases():
     psi = WaveFunction.vacuum(L, P2, 0.3, -0.2)
     rep = verify_commutation(0.0, -0.4, 0.2, 0.3, (0.1, -0.2, 0.4), 4.0, psi)
