@@ -310,67 +310,23 @@ def squeezed_vacua(r_list) -> GraphState:
     return GraphState(1j * np.diag(np.exp(-2 * r)), np.zeros(2 * len(r)))
 
 
-def _gate_rows(z: np.ndarray, gate: SymplecticGate):
-    """(P, Q): the gate's rows of A + B Z.  P = A_k + B_k Z[m, m] (k x k) at
-    its own columns m, and Q = B_k Z[m] (k x n) with those columns zeroed."""
-    k, m = len(gate.modes), gate.index[:len(gate.modes)]
-    q = gate.block[:k, k:] @ z[m]
-    p = gate.block[:k, :k] + q[:, m]
-    q[:, m] = 0
-    return p, q
-
-
-def _cond(p: np.ndarray, q: np.ndarray) -> float:
-    """Exact 2-norm cond of [[P, Q], [0, I]] from a matrix of size <= 2k.
-
-    The singular values depend on Q only through Q Q^H, so Q may give way
-    to X = R^H from the k x k R factor of Q^H; the singular values of 1
-    this adds or drops cannot change the cond, as the matrix and its
-    inverse both contain identity rows.  With no other modes (k = n) there
-    are none, and the cond is that of P.  Q = 0, as for a gate with no B
-    part, needs no R.
-    """
-    k = len(p)
-    m = np.eye(2 * k if q.shape[1] > k else k, dtype=p.dtype)
-    m[:k, :k] = p
-    if q.any():
-        m[:k, k:] = np.linalg.qr(q.conj().T, mode="r").conj().T
-    return np.linalg.cond(m)
-
-
-def local_update(z: np.ndarray, gate: SymplecticGate) -> np.ndarray:
-    """Z' = (C + D Z)(A + B Z)^-1 in O(n^2 k), behind the exact cond guard.
-
-    N = C + D Z is a copy of Z with the gate's k rows m replaced by
-    D_k Z[m] + C_k.  With the gate's modes first, A + B Z = [[P, Q], [0, I]],
-    so the gate's columns of Z' are X = N[:, m] P^-1, one k x k solve, and
-    the others N[:, rest] - X Q, a step taken only when Q is nonzero; at
-    k = n this is the dense solve itself.  The result is neither
-    symmetrized nor checked.
-    """
-    k, m = len(gate.modes), gate.index[:len(gate.modes)]
-    p, q = _gate_rows(z, gate)
-    _check_cond(_cond(p, q))
-    rows = gate.block[k:, k:] @ z[m]
-    rows[:, m] += gate.block[k:, :k]
-    out = z.copy()
-    out[m] = rows
-    x = np.linalg.solve(p.T, out[:, m].T).T
-    if q.any():
-        out -= x @ q            # q is zero at the gate's own columns
-    out[:, m] = x
-    return out
-
-
 def apply(state: GraphState, gate: SymplecticGate) -> GraphState:
-    """Apply a gate: Z' = (C + D Z)(A + B Z)^-1, mean' = S mean + d."""
+    """Apply a gate: Z' = (C + D Z)(A + B Z)^-1, mean' = S mean + d.
+
+    The dense Mobius solve of the graphical calculus on the whole 2n x 2n S,
+    O(n^3) per gate, behind the exact 2-norm cond guard: the reference the
+    closed forms are tested against.  No CLI command or program step
+    applies a gate.
+    """
     if gate.n_modes != state.n_modes:
         raise GraphStateError(
             f"gate acts on {gate.n_modes} modes, state has {state.n_modes}")
-    mean = state.mean.copy()
-    idx = gate.index
-    mean[idx] = gate.block @ mean[idx] + gate.disp
-    return GraphState(local_update(state.z, gate), mean)
+    n, s = gate.n_modes, gate.s
+    a, b, c, d = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
+    m = a + b @ state.z
+    _check_cond(np.linalg.cond(m))
+    z = np.linalg.solve(m.T, (c + d @ state.z).T).T
+    return GraphState(z, s @ state.mean + gate.d)
 
 
 def _check_cond(cond: float):

@@ -194,7 +194,11 @@ def cubic_gate_closed(psi: WaveFunction, chi: float, sigma: float,
 #: grid-resident range: with the suite's other parameters, sigma 2, s 5 and
 #: t 20 pass on a grid of at most 2048 points, while sigma 5, s 10 and t 50
 #: fail on every grid scanned, up to 2048 points; chi and outcomes keep the
-#: bounds the device was validated at
+#: bounds the device was validated at.  Inside the range a case neither
+#: overflows nor is refused, but it need not pass on a given grid: at sigma
+#: 0.3 and r 4, chi 0.3 with outcomes (1, 1, 1) reads 0.9664 FAIL on
+#: (12, 512) and 0.99992 pass on (24, 1024), and chi -0.3 with outcomes
+#: (-1, 1, -1) reads 0.9524 FAIL on (12, 512) and still FAILs on (24, 1024)
 DEVICE_RANGE = {"chi": 0.3, "sigma": 2.0, "outcomes": 1.0, "s": 5.0, "t": 20.0}
 
 
@@ -287,10 +291,10 @@ def verify_commutation(s: float, t: float, chi: float, sigma: float,
     }
 
 
-def default_input(points: int = DEFAULT_P2, half_extent: float = DEFAULT_L,
-                  q0: float = 0.3, p0: float = -0.2) -> WaveFunction:
-    """Mildly displaced vacuum used as the default probe state."""
-    return WaveFunction.vacuum(half_extent, points, q0, p0)
+def default_input(points: int = DEFAULT_P2,
+                  half_extent: float = DEFAULT_L) -> WaveFunction:
+    """The default probe state: the vacuum displaced by (0.3, -0.2)."""
+    return WaveFunction.vacuum(half_extent, points, 0.3, -0.2)
 
 
 #: largest squeezing r, and envelope squeezing r_env, of an identity case:

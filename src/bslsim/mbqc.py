@@ -82,12 +82,14 @@ def _rotation_cond(z: np.ndarray, mode: int, theta: float) -> float:
     """cond(A + B Z) of R(theta) on one mode in closed form, in O(n).
 
     A + B Z is the identity outside row k, which holds piv = cos - sin Z_kk
-    on the diagonal and -sin Z[k, rest] elsewhere.  As in graphstate._cond,
-    that leaves [[piv, x], [0, 1]] with x = |sin| |Z[k, rest]|, whose singular
-    values have squared sum F = |piv|^2 + x^2 + 1 and product |piv|, so the
-    cond is (F + sqrt(F^2 - 4 |piv|^2)) / (2 |piv|).  F^2 - 4 |piv|^2 is
-    taken as ((|piv| - 1)^2 + x^2)((|piv| + 1)^2 + x^2), which stays accurate
-    near cond 1.  One mode leaves the 1 x 1 matrix [piv], of cond 1.
+    on the diagonal and -sin Z[k, rest] elsewhere.  A unitary change of the
+    other modes' basis leaves [[piv, x], [0, 1]] with x = |sin| |Z[k, rest]|,
+    plus singular values of 1 that cannot set the cond, as the matrix and its
+    inverse both hold identity rows.  The block's singular values have
+    squared sum F = |piv|^2 + x^2 + 1 and product |piv|, so the cond is
+    (F + sqrt(F^2 - 4 |piv|^2)) / (2 |piv|).  F^2 - 4 |piv|^2 is taken as
+    ((|piv| - 1)^2 + x^2)((|piv| + 1)^2 + x^2), which stays accurate near
+    cond 1.  One mode leaves the 1 x 1 matrix [piv], of cond 1.
     """
     if len(z) == 1:
         return 1.0

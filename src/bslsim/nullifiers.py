@@ -1,12 +1,11 @@
 """Nullifier sets, the local-quadrature transformation, and witness reports.
 
 A nullifier row is the operator sum_k (coeff_q[k] q_k + coeff_p[k] p_k).
-Variances are computed as Var(c) = <c^dag c> - |<c>|^2 =
-conj(c)^T (Sigma + i Omega / 2) c with c the stacked (q, p) coefficient
-vector; the commutator term i Omega / 2 is what makes the exact nullifiers
-(p - Z q) of a graph state have literally zero variance.  For real
-(quadrature-pure) rows it drops out and the variance is the classical
-c^T Sigma c that homodyne statistics estimate.
+Its variance is Var(c) = <c^dag c> - |<c>|^2 = conj(c)^T (Sigma + i Omega / 2) c
+with c the stacked (q, p) coefficient vector; the commutator term i Omega / 2
+is what makes the exact nullifiers (p - Z q) of a graph state have zero
+variance.  For real (quadrature-pure) rows it drops out and the variance is
+the classical c^T Sigma c that homodyne statistics estimate.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
-                         covariance, omega)
+                         covariance)
 from .lattice import _lattice_state
 
 
@@ -113,8 +112,12 @@ def nullifier_variances(state: GraphState, nulls: NullifierSet) -> np.ndarray:
     if nulls.n_modes != state.n_modes:
         raise GraphStateError(
             f"nullifiers act on {nulls.n_modes} modes, state has {state.n_modes}")
-    sigma = covariance(state) + 0.5j * omega(state.n_modes)
-    return _row_forms(nulls.stacked(), sigma)
+    # a pure state has Sigma + i Omega / 2 = [I, Z]^H (Im Z)^-1 [I, Z] / 2, so
+    # row (a, b) has variance |L^-1 (a + Z b)|^2 / 2 with Im Z = L L^T; the
+    # 2n x 2n form is never built, as its entries grow as cosh 2r and cancel
+    low = np.linalg.cholesky(state.z.imag)
+    x = np.linalg.solve(low, (nulls.coeff_q + nulls.coeff_p @ state.z).T)
+    return 0.5 * (np.abs(x) ** 2).sum(axis=0)
 
 
 def vacuum_variances(nulls: NullifierSet) -> np.ndarray:
@@ -126,11 +129,6 @@ def vacuum_variances(nulls: NullifierSet) -> np.ndarray:
     a, b = nulls.coeff_q, nulls.coeff_p
     return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1)
             - (a.conj() * b).sum(axis=1).imag)
-
-
-def _row_forms(c: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Re conj(c_r)^T sigma c_r for every row c_r, through one BLAS product."""
-    return ((c.conj() @ sigma) * c).sum(axis=1).real
 
 
 def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -> dict:

@@ -56,13 +56,44 @@ def complex_rows(draw):
     return NullifierSet(cq, cp)
 
 
+def dense_variances(state, nulls):
+    """Re conj(c)^T (Sigma + i Omega / 2) c per row, from the 2n x 2n form,
+    and the size of the terms it sums, sum |c|^2 max |Sigma + i Omega / 2|."""
+    form = covariance(state) + 0.5j * omega(state.n_modes)
+    c = nulls.stacked()
+    terms = (np.abs(c) ** 2).sum(axis=1) * np.abs(form).max()
+    return ((c.conj() @ form) * c).sum(axis=1).real, terms
+
+
+@st.composite
+def random_states(draw, n):
+    """A random n-mode state: Z = X + iY, Y = A A^T + e I, e in [1e-3, 1]."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    x, a = rng.normal(size=(2, n, n))
+    y = a @ a.T + draw(st.floats(1e-3, 1.0)) * np.eye(n)
+    return GraphState((x + x.T) / 2 + 1j * y, rng.normal(size=2 * n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), nulls=complex_rows())
+def test_nullifier_variances_match_the_dense_form(data, nulls):
+    state = data.draw(random_states(nulls.n_modes))
+    want, terms = dense_variances(state, nulls)
+    got = nullifier_variances(state, nulls)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, terms))
+    # on the vacuum the form is the closed (I + i Omega) / 2
+    got = nullifier_variances(vacuum(nulls.n_modes), nulls)
+    scale = (np.abs(nulls.stacked()) ** 2).sum(axis=1)
+    want = nullifiers.vacuum_variances(nulls)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
+
+
 @settings(max_examples=100, deadline=None)
 @given(nulls=complex_rows())
 def test_vacuum_variances_match_the_dense_form(nulls):
     assume(not nulls.quadrature_pure())
-    n = nulls.n_modes
-    sigma = 0.5 * np.eye(2 * n) + 0.5j * omega(n)
-    want = nullifiers._row_forms(nulls.stacked(), sigma)
+    want, _ = dense_variances(vacuum(nulls.n_modes), nulls)
     scale = (np.abs(nulls.stacked()) ** 2).sum(axis=1)
     got = nullifiers.vacuum_variances(nulls)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
@@ -84,10 +115,12 @@ def test_squeezed_exact_nullifier():
 
 
 def test_bsl_exact_nullifiers():
-    state, _ = build_bsl(LatticeConfig(2, 2, 1.0))
-    var = nullifier_variances(state, exact_nullifiers(state))
-    assert var.shape == (16,)
-    assert np.abs(var).max() <= 1e-10
+    # the 2n x 2n form has entries near cosh 2r / 2 and cancels to about
+    # 1e-10 at r = 8; the factored form reads the exact nullifiers as 0
+    for r in (1.0, 4.0, 8.0):
+        state, _ = build_bsl(LatticeConfig(2, 2, r))
+        var = nullifier_variances(state, exact_nullifiers(state))
+        assert np.array_equal(var, np.zeros(16))
 
 
 def test_phi_transform_vacuum_invariant():
