@@ -155,8 +155,9 @@ class MacronodeLattice:
         return [t for t in self.xa_sites() if t % self.config.n_rows == row]
 
     def deletion_angle(self, time_index: int) -> float:
-        """Quadrature angle deleting the bc macronode at this bin."""
-        return ((-1) ** (time_index % self.config.n_rows)) * np.pi / 4
+        """Quadrature angle (-1)^tau pi/4 deleting the bc macronode at bin
+        tau: consecutive bins alternate, also across the wrap of odd N."""
+        return ((-1) ** time_index) * np.pi / 4
 
 
 def _measured_bin(mode, config: LatticeConfig):

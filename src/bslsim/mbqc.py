@@ -2,18 +2,13 @@
 
 Measuring the rotated quadrature q(theta) = q cos(theta) - p sin(theta) is
 R(theta) followed by a projection onto a position eigenstate; the
-momentum-type quadrature p(theta) equals q(theta - pi/2).  The rotation is
-never applied as a gate: in the graphical calculus for Gaussian pure states
-(Menicucci, Flammia & van Loock, PRA 83, 042335, 2011) it is a rank-1
-update of the surviving graph.  Conditioning a pure Gaussian state on
-q_k = m keeps the state pure: the graph loses row and column k and the
-linear coefficient c = mu_p - Z mu_q gains m Z_{.,k}.
-
-One private runner, _run_steps, carries Z and one block [c | W] through a
-list of steps, W the outcome Jacobian in c-coordinates, and reads the state
-with one solve and one checked GraphState at the end.  run_program,
-simulate_single_mode_gate, measure_with_response and decouple_wires are all
-runs of it.
+momentum-type quadrature p(theta) equals q(theta - pi/2).  No angle of a run
+depends on an earlier outcome, so the run is one rotation of its K measured
+modes and one projection: in the graphical calculus for Gaussian pure states
+(Menicucci, Flammia & van Loock, PRA 83, 042335, 2011), one K-mode block
+update of the surviving graph and of c = mu_p - Z mu_q.  The one runner,
+_run_steps, does this for run_program, simulate_single_mode_gate,
+measure_with_response and decouple_wires.
 
 The macronode protocols follow the slot convention of lattice.canonical_wire:
 a site's physical modes are alpha = mode 2k, beta = 2k+1, obtained from the
@@ -28,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import (GraphState, GraphStateError, ProgramError,
-                         SymplecticGate, _check_cond, _fields, _number,
-                         _three_numbers, balanced_mix, gate_beamsplitter)
+from .graphstate import (COND_LIMIT, GraphState, GraphStateError,
+                         ProgramError, SymplecticGate, _check_cond, _fields,
+                         _number, _three_numbers, balanced_mix,
+                         gate_beamsplitter)
 from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
                       canonical_wire, ideal_graph)
 
@@ -78,30 +74,6 @@ def _rng_of(rng):
     return rng
 
 
-def _rotation_cond(z: np.ndarray, mode: int, theta: float) -> float:
-    """cond(A + B Z) of R(theta) on one mode in closed form, in O(n).
-
-    A + B Z is the identity outside row k, which holds piv = cos - sin Z_kk
-    on the diagonal and -sin Z[k, rest] elsewhere.  A unitary change of the
-    other modes' basis leaves [[piv, x], [0, 1]] with x = |sin| |Z[k, rest]|,
-    plus singular values of 1 that cannot set the cond, as the matrix and its
-    inverse both hold identity rows.  The block's singular values have
-    squared sum F = |piv|^2 + x^2 + 1 and product |piv|, so the cond is
-    (F + sqrt(F^2 - 4 |piv|^2)) / (2 |piv|).  F^2 - 4 |piv|^2 is taken as
-    ((|piv| - 1)^2 + x^2)((|piv| + 1)^2 + x^2), which stays accurate near
-    cond 1.  One mode leaves the 1 x 1 matrix [piv], of cond 1.
-    """
-    if len(z) == 1:
-        return 1.0
-    cos, sin = np.cos(theta), np.sin(theta)
-    a = abs(cos - sin * z[mode, mode])
-    row = z[mode].copy()
-    row[mode] = 0.0
-    x2 = sin * sin * np.vdot(row, row).real
-    disc = np.sqrt(((a - 1) ** 2 + x2) * ((a + 1) ** 2 + x2))
-    return (a * a + x2 + 1 + disc) / (2 * a)
-
-
 def _to_c(z: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Columns (mu_q; mu_p) of a mean and its Jacobian as mu_p - Z mu_q."""
     n = len(z)
@@ -115,51 +87,57 @@ def _from_c(z: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.concatenate([q, block.real + z.real @ q])
 
 
-def _measure_step(z: np.ndarray, block: np.ndarray, mode: int, theta: float,
-                  outcome, rng):
-    """Measure q(theta) on one mode in c-coordinates; (z', block', outcome).
+def _check_rotation(z, modes, rows, p_inv, gs):
+    """Refuse a run whose K-mode rotation has cond(A + B Z) > COND_LIMIT.
 
-    block (n x (1 + j), complex) is [c | W]: column 0 is the state's linear
-    coefficient c = mu_p - Z mu_q, each later column its sensitivity to one
-    earlier outcome.  Measuring q(theta) is R(theta) on mode k, then the
-    projection q_k = m.  The rotated state is never formed: with
-    piv = cos - sin Z_kk the rotation's A + B Z = M is the identity outside
-    row k, so the rotated Z[rest, k] is g = Z_rk / piv and the graph of the
-    surviving modes is the rank-1 update Z_rr + (sin / piv) Z_rk Z_kr (node
-    deletion in the graphical calculus).  Every column x maps to M^-T x,
-    which adds sin g x_k to the surviving rows, and the projection adds m g
-    to column 0 and appends g as a column.  A forced outcome needs no solve.
-    A drawn one takes the marginal of q_k from one solve against Y' = Im Z'
-    with the two columns [Im g, Im c_r], c_r the rotated c: the Schur
-    complement s = Y_kk - Im g^T Y'^-1 Im g of the rotated Y = Im Z gives
-    the variance 1 / (2 s) and the mean
-    -(Im(c_k / piv) - Im g^T Y'^-1 Im c_r) / s, and rng, resolved once per
-    run, draws it.
+    M = A + B Z is the identity outside the measured rows, which hold
+    rows = [-s Z_Kr | P], and M^-1 holds [(G s)^T | P^-1] there.  Row blocks
+    stacked on identity rows add at most their squared Frobenius norm to
+    the squared 2-norm, which bounds cond M in O(nK); only a run whose bound
+    passes the limit pays for the exact dense cond, O(n^3).
     """
-    _check_cond(_rotation_cond(z, mode, theta))
-    cos, sin = np.cos(theta), np.sin(theta)
-    piv = cos - sin * z[mode, mode]
-    rest = np.arange(len(z) - 1)     # every mode but `mode`
-    rest[mode:] += 1
-    zrk = z[rest, mode]
-    # outer(v, v) may round its mirror entries differently (fused
-    # multiply-add), so the update is symmetrized to keep Z' symmetric
-    upd = zrk[:, None] * zrk
-    zr = z.take(rest, 0).take(rest, 1) + (sin / (2 * piv)) * (upd + upd.T)
-    g = zrk / piv
-    cr = block[rest] + (sin * block[mode]) * g[:, None]
-    if outcome is None:
-        y_kk = ((sin + cos * z[mode, mode]) / piv).imag
-        a, b = np.linalg.solve(zr.imag, np.stack([g, cr[:, 0]], 1).imag).T
-        schur = y_kk - g.imag @ a
-        mu = -((block[mode, 0] / piv).imag - g.imag @ b) / schur
-        outcome = float(rng.normal(mu, np.sqrt(0.5 / schur)))
-    if not np.isfinite(outcome):
-        raise GraphStateError("measurement outcome must be finite")
-    cr[:, 0] += outcome * g
-    if not np.isfinite(cr[:, 0]).all():
-        raise GraphStateError("mean must be finite")
-    return zr, np.column_stack([cr, g]), float(outcome)
+    bound = np.sqrt((1 + np.vdot(rows, rows).real)
+                    * (1 + np.vdot(gs, gs).real + np.vdot(p_inv, p_inv).real))
+    if not bound <= COND_LIMIT:
+        dense = np.eye(len(z), dtype=complex)
+        dense[modes] = rows
+        _check_cond(np.linalg.cond(dense))
+
+
+def _outcomes(z, c, modes, cos, sin, forced, rng) -> np.ndarray:
+    """A run's outcomes in step order, each forced one as given.
+
+    The measured quadratures u_k = cos q_k - sin p_k have the covariance
+    C = Re(U^H Y^-1 U) / 2, Y = Im Z and U = E_K c - Z E_K s, and the mean
+    cos mu_q - sin mu_p, both from one solve against Y.  In step order,
+    C's Cholesky factor L gives u_k given the earlier outcomes as
+    N(mu_k + L[k, :k] w, L_kk^2), w the earlier (m - mean) / L_kk: a drawn
+    step calls rng.normal once, a forced one extends w.
+    """
+    if all(f is not None for f in forced):
+        return np.array(forced, dtype=float)
+    k = len(modes)
+    u = -sin * z[:, modes]
+    u[modes, np.arange(k)] += cos
+    sol = np.linalg.solve(z.imag, np.column_stack([u.real, u.imag, c.imag]))
+    cov = (u.real.T @ sol[:, :k] + u.imag.T @ sol[:, k:-1]) / 2
+    mu_q = -sol[:, -1]
+    mu = cos * mu_q[modes] - sin * (c.real[modes] + z.real[modes] @ mu_q)
+    try:
+        chol = np.linalg.cholesky((cov + cov.T) / 2)
+    except np.linalg.LinAlgError:
+        raise GraphStateError(
+            "outcome covariance is not positive definite") from None
+    m, w = np.empty(k), np.zeros(k)
+    for i, f in enumerate(forced):
+        mean = mu[i] + chol[i, :i] @ w[:i]
+        if not np.isfinite(mean):
+            raise GraphStateError("mean must be finite")
+        m[i] = rng.normal(mean, chol[i, i]) if f is None else f
+        w[i] = (m[i] - mean) / chol[i, i]
+        if not np.isfinite(w[i]):
+            raise GraphStateError("mean must be finite")
+    return m
 
 
 def measure_with_response(state: GraphState, mode: int, theta: float,
@@ -183,9 +161,9 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
 
 def decouple_wires(state: GraphState, lattice: MacronodeLattice,
                    rng=None) -> ProgramResult:
-    """Measure bc macronodes at q((-1)^xi pi/4) to sever the wire rows.
+    """Measure bc macronodes at q((-1)^tau pi/4) to sever the wire rows.
 
-    Deleting every complete bc site severs all rows.  A run of _run_steps,
+    Deleting every complete bc site severs all rows: one run of _run_steps,
     b then c at each site.
     """
     steps = [(lattice.mode_at(tau, det), lattice.deletion_angle(tau), None)
@@ -479,58 +457,79 @@ def run_program(program: dict, seed=None) -> ProgramResult:
 
 
 def _run_steps(state: GraphState, steps, r, rng, jac=None) -> ProgramResult:
-    """Run parsed steps on a state: the one step loop of the module.
+    """Run parsed steps on a state as one K-mode block update.
 
     steps are _parse_program's tuples, modes named by their index in state;
     r sets the cubic steps' ancilla squeezing, and the k-th ancilla (k from
     0) is named mode n + k, n the state's mode count.  jac holds columns the
-    state's mean is already sensitive to (2n x j; None means none).  The
-    mean and the Jacobian are carried as one block [c | W] in c-coordinates
-    and read with one solve against Im Z and one checked GraphState at the
-    end.
+    state's mean is already sensitive to (2n x j; None means none).  A cubic
+    step's injection and mix touch only its alpha and a fresh ancilla, both
+    consumed in that step, so they all move to the start of the run.  With
+    c, s = diag cos, sin of the K angles in step order, P = c - s Z_KK and
+    G = Z_rK P^-1, the surviving graph is Z_rr + G s Z_Kr, each column x of
+    the block [c | W] (mean and Jacobian in c-coordinates) becomes
+    x_r + G s x_K, and projecting onto the outcomes m adds G m to column 0
+    and appends G, their Jacobian.  One solve against Im Z and one checked
+    GraphState read the state at the end.
     """
     rng = _rng_of(rng)
-    alive = list(range(state.n_modes))      # mode id per index of the state
-    record = MeasurementRecord()
-    z = state.z
-    if jac is None:
-        jac = np.zeros((2 * len(z), 0))
+    n, z = state.n_modes, state.z
+    jac = np.zeros((2 * n, 0)) if jac is None else jac
     block = _to_c(z, np.column_stack([state.mean, jac]))
-
-    def do_measure(mode_id, theta, forced):
-        nonlocal z, block
-        idx = alive.index(mode_id)
-        del alive[idx]
-        z, block, m = _measure_step(z, block, idx, theta, forced, rng)
-        record.add(mode_id, theta, m)
-        return m
-
+    plan, alphas, cubic = [], [], []    # cubic: (sigma, index of m_a)
     for step in steps:
         if len(step) == 3:
-            do_measure(*step)
+            plan.append(step)
             continue
         alpha, beta, sigma, (f_a, f_e, f_f) = step
-        # inject an unentangled ancilla (a zero block row) as mode n and mix
-        # it with alpha on a 50:50 beamsplitter, a real orthogonal O acting
-        # alike on q and p: Z -> O Z O^T, whose Im Z stays definite, and the
-        # block -> O block
-        n = len(z)
-        z = np.pad(z, (0, 1))
-        z[n, n] = 1j / np.cosh(2 * r)
-        block = np.pad(block, ((0, 1), (0, 0)))
-        # one adaptation per earlier cubic step
-        anc = state.n_modes + len(record.adaptations)
-        i = alive.index(alpha)
-        alive.append(anc)
+        anc = n + len(alphas)
+        alphas.append(alpha)
+        cubic.append((sigma, len(plan)))
+        plan += [(beta, 0.0, f_a), (anc, 0.0, f_f),
+                 (alpha, np.arctan(sigma) - np.pi / 2, f_e)]
+    if alphas:
+        # unentangled ancillas (zero block rows), each mixed with its alpha
+        # on a 50:50 beamsplitter, a real orthogonal O acting alike on q and
+        # p: Z -> O Z O^T, whose Im Z stays definite, and the block -> O block
+        anc = np.arange(n, n + len(alphas))
+        z = np.pad(z, (0, len(alphas)))
+        z[anc, anc] = 1j / np.cosh(2 * r)
+        block = np.pad(block, ((0, len(alphas)), (0, 0)))
         for part in (z, z.T, block):
-            balanced_mix(part, i, n)
+            balanced_mix(part, alphas, anc)
         z = (z + z.T) / 2
-        m_a = do_measure(beta, 0.0, f_a)
-        m_f = do_measure(anc, 0.0, f_f)
-        m_e = do_measure(alpha, np.arctan(sigma) - np.pi / 2, f_e)
+    forced = [f for _, _, f in plan]
+    if not all(f is None or np.isfinite(f) for f in forced):
+        raise GraphStateError("measurement outcome must be finite")
+    modes = np.array([mode for mode, _, _ in plan], dtype=int)
+    theta = np.array([t for _, t, _ in plan], dtype=float)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rest = np.delete(np.arange(len(z)), modes)
+    rows = -sin[:, None] * z[modes]     # the measured rows of A + B Z
+    rows[np.arange(len(modes)), modes] += cos
+    try:
+        p_inv = np.linalg.inv(rows[:, modes])
+    except np.linalg.LinAlgError:       # P singular: cond(A + B Z) = inf
+        _check_cond(np.inf)
+    g = z[np.ix_(rest, modes)] @ p_inv
+    gs = g * sin
+    _check_rotation(z, modes, rows, p_inv, gs)
+    m = _outcomes(z, block[:, 0], modes, cos, sin, forced, rng)
+    # G s Z_Kr is symmetric, its rounding need not be
+    upd = gs @ z[np.ix_(modes, rest)]
+    z = z[np.ix_(rest, rest)] + (upd + upd.T) / 2
+    block = block[rest] + gs @ block[modes]
+    with np.errstate(invalid="ignore"):     # an overflow is refused here
+        block[:, 0] += g @ m
+    if not np.isfinite(block[:, 0]).all():
+        raise GraphStateError("mean must be finite")
+    record = MeasurementRecord()
+    for (mode, t, _), m_k in zip(plan, m):
+        record.add(mode, t, float(m_k))
+    for sigma, i in cubic:
         record.adaptations.append(
-            {"sigma": sigma, "outcomes": [m_a, m_e, m_f]})
-
-    cols = _from_c(z, block)
+            {"sigma": sigma, "outcomes": [float(m[i]), float(m[i + 2]),
+                                          float(m[i + 1])]})
+    cols = _from_c(z, np.column_stack([block, g]))
     return ProgramResult(GraphState(z, cols[:, 0]), record, cols[:, 1:],
-                         {m: i for i, m in enumerate(alive)})
+                         {int(mode): i for i, mode in enumerate(rest)})

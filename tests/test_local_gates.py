@@ -19,11 +19,12 @@ from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
                                gate_squeeze, omega, squeezed_vacua)
 from bslsim import mbqc
 from bslsim.cli import main
-from bslsim.mbqc import (_rotation_cond, decouple_wires, measure_with_response,
-                         run_program, simulate_single_mode_gate, v_gate)
+from bslsim.mbqc import (decouple_wires, measure_with_response, run_program,
+                         simulate_single_mode_gate, v_gate)
 from bslsim.nullifiers import (lattice_factors, lattice_variances,
                                nullifier_variances, phi_transform,
                                quadrature_nullifiers, vacuum_variances)
+from step_reference import rotation_cond
 
 KINDS = ("rotation", "squeeze", "shear", "displacement", "beamsplitter", "cz",
          "pair")
@@ -124,12 +125,12 @@ def assert_dense_cond(got, z, gate):
 @given(circuit(), st.sampled_from([0.0, np.pi / 2, -np.pi / 2]) | angle,
        st.integers(0, 5))
 def test_rotation_cond_closed_form_matches_local_cond(case, theta, i):
-    # the O(n) guard of a measurement against the dense cond of the gate
+    # the per-step runner's O(n) guard against the dense cond of the gate
     state, gates = case
     for g in gates:
         state = apply(state, g)
     n, k = state.n_modes, i % state.n_modes
-    assert_dense_cond(_rotation_cond(state.z, k, theta), state.z,
+    assert_dense_cond(rotation_cond(state.z, k, theta), state.z,
                       gate_rotation(theta, k, n))
 
 
@@ -147,7 +148,7 @@ def test_rotation_cond_closed_form_on_ill_conditioned_states():
         k = int(rng.integers(n))
         theta = (np.arctan2(1.0, z[k, k].real) if trial % 2
                  else rng.uniform(-np.pi, np.pi))
-        conds.append(assert_dense_cond(_rotation_cond(z, k, theta), z,
+        conds.append(assert_dense_cond(rotation_cond(z, k, theta), z,
                                        gate_rotation(theta, k, n)))
     assert min(conds) == 1.0 and max(conds) > 1e12
 

@@ -127,19 +127,47 @@ def _wire_pair_edges(res, lattice, r, row=0):
 
 
 def test_decouple_wire_form_improves_with_squeezing():
-    # surviving row wires approach the wire form i sech(2r) I + tanh(2r) V as
-    # r grows: |Im Z - sech(2r) I| / tanh(2r) reads 0.083, 0.012, 2.2e-4 and
-    # 4.1e-6 at r = 1, 2, 4 and 6
+    # every surviving row wire approaches the wire form i sech(2r) I +
+    # tanh(2r) V as r grows: |Im Z - sech(2r) I| / tanh(2r) reads 0.083,
+    # 0.012, 2.2e-4 and 4.1e-6 at r = 1, 2, 4 and 6 on row 0
     residual = []
     for r in (1.0, 2.0, 4.0, 6.0):
         state, lattice = build_bsl(LatticeConfig(3, 4, r))
         res = decouple_wires(state, lattice, rng=0)
-        edges, st = _wire_pair_edges(res, lattice, r)
-        assert np.abs(np.abs(edges) - np.tanh(2 * r) * 2 * np.sqrt(2) / 3).max() < 0.15
-        loops = np.eye(st.n_modes) / np.cosh(2 * r)
-        residual.append(np.abs(st.z.imag - loops).max() / np.tanh(2 * r))
+        worst = 0.0
+        for row in range(3):
+            edges, st = _wire_pair_edges(res, lattice, r, row)
+            assert np.abs(np.abs(edges)
+                          - np.tanh(2 * r) * 2 * np.sqrt(2) / 3).max() < 0.15
+            loops = np.eye(st.n_modes) / np.cosh(2 * r)
+            worst = max(worst, np.abs(st.z.imag - loops).max())
+        residual.append(worst / np.tanh(2 * r))
     assert all(a > b for a, b in zip(residual, residual[1:]))
     assert residual[-1] < 1e-4
+
+
+@pytest.mark.parametrize("n_rows", [2, 3, 4, 5])
+def test_every_row_stays_one_chain_after_deletion(n_rows):
+    # (-1)^tau alternates across the wrap from bin N - 1 to bin N, so an odd
+    # N keeps its last row: every pair of consecutive sites of a row stays
+    # joined, at |Z| = 0.4714 here, and no two rows are joined
+    config = LatticeConfig(n_rows, 4, 6.0)
+    lattice = MacronodeLattice(config)
+    res = decouple_wires(_lattice_state(ideal_graph(config), 6.0), lattice,
+                         rng=0)
+
+    def block(taus_a, taus_b):
+        idx = [[res.mode_index[lattice.mode_at(t, d)] for t in taus
+                for d in "xa"] for taus in (taus_a, taus_b)]
+        return np.abs(res.state.z[np.ix_(*idx)])
+
+    rows = [lattice.wire_sites(row) for row in range(n_rows)]
+    for taus in rows:
+        assert len(taus) >= 3
+        for t0, t1 in zip(taus, taus[1:]):
+            assert block([t0], [t1]).max() > 0.45
+    for i, j in ((i, j) for i in range(n_rows) for j in range(i)):
+        assert block(rows[i], rows[j]).max() < 1e-6
 
 
 def test_decouple_wrong_angle_fails():
