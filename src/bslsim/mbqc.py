@@ -80,10 +80,19 @@ def _to_c(z: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return cols[n:] - z @ cols[:n]
 
 
+def _solve_im(z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(Im Z)^-1 rhs; an exactly singular Im Z is refused as no state."""
+    try:
+        return np.linalg.solve(z.imag, rhs)
+    except np.linalg.LinAlgError:
+        raise GraphStateError(
+            "Im Z must be positive definite (it is singular)") from None
+
+
 def _from_c(z: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Each column c of a block as (mu_q; mu_p), with one solve against Im Z:
     mu_q = -(Im Z)^-1 Im c and mu_p = Re c + Re Z mu_q."""
-    q = -np.linalg.solve(z.imag, block.imag)
+    q = -_solve_im(z, block.imag)
     return np.concatenate([q, block.real + z.real @ q])
 
 
@@ -119,7 +128,7 @@ def _outcomes(z, c, modes, cos, sin, forced, rng) -> np.ndarray:
     k = len(modes)
     u = -sin * z[:, modes]
     u[modes, np.arange(k)] += cos
-    sol = np.linalg.solve(z.imag, np.column_stack([u.real, u.imag, c.imag]))
+    sol = _solve_im(z, np.column_stack([u.real, u.imag, c.imag]))
     cov = (u.real.T @ sol[:, :k] + u.imag.T @ sol[:, k:-1]) / 2
     mu_q = -sol[:, -1]
     mu = cos * mu_q[modes] - sin * (c.real[modes] + z.real[modes] @ mu_q)

@@ -251,6 +251,8 @@ def sample_marginal(factor: np.ndarray, shots: int, seed=None, path=None,
     mode_0,...,mode_{n-1} header.
     """
     n = len(factor)
+    if n < 1:
+        raise GraphStateError("need at least one mode")
     if shots < 1:
         raise GraphStateError("need at least one shot")
     if shots * n > MAX_DRAWS:
@@ -259,11 +261,35 @@ def sample_marginal(factor: np.ndarray, shots: int, seed=None, path=None,
     rng = np.random.default_rng(seed)
     data = mean + rng.standard_normal((shots, n)) @ factor.T
     if path is not None:
-        header = ",".join(f"mode_{k}" for k in range(n))
-        # 17 significant digits round-trip every double exactly
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
-                   comments="")
+        _write_csv(path, data)
     return data
+
+
+#: rows formatted by one % and written by one call in _write_csv; a block
+#: holds about 60 bytes an entry while it is written, and larger blocks
+#: write at most 3% faster
+_CSV_BLOCK = 64
+
+
+def _csv_header(n_modes: int) -> str:
+    return ",".join(f"mode_{k}" for k in range(n_modes))
+
+
+def _write_csv(path, data: np.ndarray) -> None:
+    """Shots (rows) as CSV under a mode_0,...,mode_{n-1} header.
+
+    The bytes are np.savetxt(path, data, fmt="%.17g", delimiter=",",
+    header=..., comments=""), and 17 significant digits round-trip every
+    double.  savetxt boxes and formats each row by itself; here one % and
+    one write serve a block of _CSV_BLOCK rows, so memory stays O(block).
+    """
+    rows, n = data.shape
+    line = "%.17g," * (n - 1) + "%.17g\n"
+    with open(path, "w") as fh:
+        fh.write(_csv_header(n) + "\n")
+        for start in range(0, rows, _CSV_BLOCK):
+            block = data[start:start + _CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -305,13 +331,31 @@ def witness_from_variances(variances, baselines: np.ndarray,
 
 
 def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-    expected = ",".join(f"mode_{k}" for k in range(n_modes))
-    if header != expected:
-        raise GraphStateError(
-            f"malformed CSV {path}: header {header!r}, expected {expected!r}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The shots of a _write_csv file, header checked, every entry finite."""
+    expected = _csv_header(n_modes)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != expected:
+                raise GraphStateError(f"malformed CSV {path}: header "
+                                      f"{header!r}, expected {expected!r}")
+            # loadtxt warns on a body without data; find its first row here
+            body = fh.tell()
+            line = fh.readline()
+            while line and not line.split("#", 1)[0].strip():
+                line = fh.readline()
+            if not line:
+                raise GraphStateError(f"no shots in {path}")
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except GraphStateError:
+        raise
+    except ValueError as exc:       # UnicodeDecodeError included
+        raise GraphStateError(f"malformed CSV {path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise GraphStateError(f"non-finite entry in {path} at shot {bad[0]} "
+                              "(counted from 0 after the header)")
     if data.shape[0] < min_shots:
         raise GraphStateError(
             f"insufficient shots in {path}: {data.shape[0]} < {min_shots}")
@@ -344,7 +388,10 @@ def ingest_samples(q_path, p_path, nulls: NullifierSet,
     """Estimate quadrature-pure nullifier variances from two-setting data.
 
     Returns (empirical covariances dict, WitnessReport); rows built from q
-    coefficients use the q-setting file and likewise for p.
+    coefficients use the q-setting file and likewise for p.  A file that is
+    not UTF-8, has another header than mode_0,...,mode_{n-1}, holds an entry
+    that is not a number, a ragged row, no row, a non-finite entry or fewer
+    than min_shots rows raises a GraphStateError that names it.
     """
     n = nulls.n_modes
     data_q = _load_csv(q_path, n, min_shots)

@@ -1,12 +1,15 @@
 """A run of homodyne steps as one K-mode block update, against the per-step
 reference runner and against the exact cond of the run's rotation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bslsim import mbqc
+from bslsim.cli import main
 from bslsim.graphstate import COND_LIMIT, GraphState, GraphStateError
 from bslsim.lattice import LatticeConfig, MacronodeLattice
 from bslsim.mbqc import measure_with_response, run_program
@@ -184,7 +187,46 @@ def test_guard_refuses_a_near_singular_pivot():
             # the guard
             try:
                 mbqc._run_steps(state, steps, None, 0)
-            except (GraphStateError, np.linalg.LinAlgError) as exc:
+            except GraphStateError as exc:
                 assert "ill-conditioned" not in str(exc)
     assert seen == {(False, False), (False, True), (True, False),
                     (True, True)}
+
+
+def singular_readout_state():
+    """A state of that family whose one accepted step leaves Im Z singular.
+
+    Z = X + i e I with cot(pi/2) = X_00 = 0: q(pi/2) on mode 0 has the pivot
+    about -i e, cond(A + B Z) about 3 / e, and adds about i / e to every
+    entry of the 2 x 2 survivor, whose Im Z of e I is lost in the rounding:
+    an all-equal Im Z, singular in the read-out solve.
+    """
+    e = 2.0 ** -30
+    x = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return GraphState(x + 1j * e * np.eye(3), np.zeros(6)), np.pi / 2
+
+
+@pytest.mark.parametrize("forced", [0.1, None])
+def test_singular_read_out_is_a_graph_state_error(forced):
+    state, theta = singular_readout_state()
+    assert rotation_cond(state.z, 0, theta) < COND_LIMIT
+    with pytest.raises(GraphStateError, match="Im Z must be positive definite"):
+        mbqc._run_steps(state, [(0, theta, forced)], None, 0)
+    # the outcome draw solves against Im Z the same way
+    with pytest.raises(GraphStateError, match="Im Z must be positive definite"):
+        mbqc._outcomes(np.array([[0.5 + 0j]]), np.zeros(1, dtype=complex),
+                       np.array([0]), np.ones(1), np.zeros(1), [None],
+                       np.random.default_rng(0))
+
+
+def test_singular_read_out_exits_2_through_the_cli(tmp_path, monkeypatch,
+                                                   capsys):
+    state, theta = singular_readout_state()
+    monkeypatch.setattr(mbqc, "_parse_program", lambda program: (
+        lambda: state, None, [(0, theta, None)]))
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps({"resource": {}, "steps": []}))
+    assert main(["run-program", str(path), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: Im Z must be positive definite")

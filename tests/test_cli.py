@@ -18,7 +18,8 @@ from bslsim.graphstate import GraphState, vacuum
 from bslsim.identities import run_cases
 from bslsim.lattice import (LatticeConfig, MacronodeLattice, build_bsl,
                             ideal_graph, to_dot)
-from bslsim.nullifiers import (quadrature_nullifiers, vacuum_variances,
+from bslsim.nullifiers import (lattice_factors, quadrature_nullifiers,
+                               sample_marginal, vacuum_variances,
                                witness_from_variances)
 
 
@@ -282,6 +283,21 @@ def test_sample_homodyne_cli(tmp_path):
     assert header == ",".join(f"mode_{k}" for k in range(16))
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape == (500, 16)
+
+
+def test_seeded_sample_csvs_are_byte_identical_and_read_back(tmp_path):
+    # 2500 shots span several of the writer's blocks of rows
+    shots = 2500
+    f_q, _ = lattice_factors(ideal_graph(LatticeConfig(2, 2, 1.0)), 1.0)
+    want = sample_marginal(f_q, shots, 3)
+    paths = [tmp_path / f"q{k}.csv" for k in range(2)]
+    for path in paths:
+        assert main(["sample-homodyne", "--lattice", "2,2", "--setting", "q",
+                     "--phase-delayed", "--shots", str(shots), "--seed", "3",
+                     "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert np.array_equal(np.loadtxt(paths[0], delimiter=",", skiprows=1),
+                          want)
 
 
 def test_phase_delayed_shots_have_the_lattice_marginals(tmp_path):

@@ -1,5 +1,8 @@
 """Nullifier sets, the phase-delay transformation, witnesses and sampling."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -371,12 +374,39 @@ def test_empirical_variances_match_the_row_loop():
     assert np.all(np.abs(got - loop) <= 1e-12 * loop)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1023, 3), (1024, 16),
+                                   (1025, 16), (2049, 16), (3000, 1)])
+def test_csv_writer_matches_savetxt_bytes(tmp_path, shape):
+    # both apply %.17g to the same doubles; the shapes sit on either side of
+    # multiples of the writer's block of rows
+    rng = np.random.default_rng(shape[0])
+    data = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+    special = [-0.0, 5e-324, 1e308, -1e308, -1e-300, np.inf, np.nan]
+    flat = data.reshape(-1)
+    k = min(len(special), flat.size)
+    flat[np.linspace(0, flat.size - 1, k).astype(int)] = special[:k]
+    header = ",".join(f"mode_{j}" for j in range(shape[1]))
+    want, got = tmp_path / "savetxt.csv", tmp_path / "blocks.csv"
+    np.savetxt(want, data, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    nullifiers._write_csv(got, data)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_sample_marginal_needs_a_mode(tmp_path):
+    # a row of no entries has no CSV line to format
+    with pytest.raises(GraphStateError, match="need at least one mode"):
+        nullifiers.sample_marginal(np.zeros((0, 0)), 3,
+                                   path=tmp_path / "none.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ingest_error_paths(tmp_path):
     v = np.diag([1.0, -1.0])
     nulls = quadrature_nullifiers(v)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    with pytest.raises((GraphStateError, ValueError)):
+    with pytest.raises(GraphStateError, match="malformed"):
         ingest_samples(empty, empty, nulls)
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("a,b\n0.0,0.0\n")
@@ -391,3 +421,26 @@ def test_ingest_error_paths(tmp_path):
     ok.write_text("mode_0,mode_1\n" + "0.1,0.2\n" * 200)
     with pytest.raises(GraphStateError, match="quadrature-pure"):
         ingest_samples(ok, ok, mixed)
+    good = "mode_0,mode_1\n" + "0.1,0.2\n" * 150
+    malformed = {
+        "abc.csv": (good + "0.3,abc\n", "could not convert string 'abc'"),
+        "ragged.csv": (good + "0.3\n", "number of columns changed"),
+        "latin1.csv": (good.encode() + b"0.3,\xe90.2\n", "can't decode"),
+        "header-only.csv": ("mode_0,mode_1\n\n", "no shots in"),
+        "nan.csv": (good + "nan,0.2\n" + good[14:],
+                    "non-finite entry .* at shot 150 "),
+        "inf.csv": (good + "0.3,-inf\n", "non-finite entry .* at shot 150 "),
+    }
+    # loadtxt warns before it returns an empty body; no warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        for name, (body, message) in malformed.items():
+            path = tmp_path / name
+            if isinstance(body, bytes):
+                path.write_bytes(body)
+            else:
+                path.write_text(body)
+            with pytest.raises(GraphStateError) as err:
+                ingest_samples(ok, path, nulls)
+            assert str(path) in str(err.value)
+            assert re.search(message, str(err.value)), name
