@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphstate import GraphState, GraphStateError
+from .graphstate import GraphStateError
 from .identities import run_cases, run_suite
 from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
                       edge_summary, ideal_graph, to_dot)
 from .mbqc import run_program
-from .nullifiers import (empirical_variances, exact_nullifiers,
-                         lattice_factors, lattice_variances,
-                         nullifier_variances, quadrature_nullifiers,
+from .nullifiers import (empirical_variances, lattice_factors,
+                         lattice_variances, quadrature_nullifiers,
                          sample_marginal, vacuum_variances,
                          witness_from_variances)
 from .oracle import DEFAULT_L, DEFAULT_P2, GridError, check_points
@@ -138,27 +137,10 @@ def cmd_build_bsl(args) -> int:
 
 
 def cmd_verify_nullifiers(args) -> int:
-    if args.graph is not None:
-        lattice_only = [flag for flag, value in (
-            ("--lattice", args.lattice), ("--squeezing", args.squeezing_list),
-            ("--shots", args.shots), ("--seed", args.seed),
-            ("--threshold-factor", args.threshold_factor),
-            ("--report", args.report))
-            if value is not None]
-        if lattice_only:
-            raise InputError(f"{lattice_only[0]} cannot be used with --graph")
-        state = GraphState.from_dict(_read_json(args.graph, "graph"))
-        nulls = exact_nullifiers(state)
-        variances = nullifier_variances(state, nulls)
-        ok = bool((np.abs(variances) <= 1e-10).all())
-        print(f"exact nullifier variances: max {np.abs(variances).max():.3e} "
-              f"-> {'pass' if ok else 'FAIL'}")
-        return 0 if ok else 1
     if args.seed is not None and args.shots is None:
         raise InputError("--seed cannot be used without --shots")
     seed = 7 if args.seed is None else args.seed
-    factor = 0.5 if args.threshold_factor is None else args.threshold_factor
-    configs = [LatticeConfig(*(args.lattice or (2, 2)), r)
+    configs = [LatticeConfig(*args.lattice, r)
                for r in args.squeezing_list or [1.0]]
     if args.report and len(configs) > 1:
         raise InputError("--report holds one witness report; give one "
@@ -170,7 +152,8 @@ def cmd_verify_nullifiers(args) -> int:
     overall = True
     for config in configs:
         variances = lattice_variances(baselines, config.r)
-        report = witness_from_variances(variances, baselines, factor)
+        report = witness_from_variances(variances, baselines,
+                                        args.threshold_factor)
         overall &= report.passed
         # printed after the draws, so a refused shot count prints nothing
         lines = [f"r = {config.r}: analytic witness "
@@ -181,7 +164,8 @@ def cmd_verify_nullifiers(args) -> int:
             emp = empirical_variances(sample_marginal(f_q, args.shots, seed),
                                       sample_marginal(f_p, args.shots, seed + 1),
                                       nulls)
-            emp_report = witness_from_variances(emp, baselines, factor,
+            emp_report = witness_from_variances(emp, baselines,
+                                                args.threshold_factor,
                                                 args.shots)
             rel = np.abs(emp - variances) / variances
             lines.append(f"        sampled witness "
@@ -226,8 +210,11 @@ def cmd_verify_identities(args) -> int:
         raise InputError(f"--{next(iter(chi_given))} cannot be used "
                          "without --chi")
     if args.seed is not None and (args.chi is not None
-                                  or args.cases is not None):
-        raise InputError("--seed cannot be used with --chi or --cases")
+                                  or args.cases is not None
+                                  or args.suite not in (None, "E", "all")):
+        raise InputError("--seed cannot be used with --chi, --cases or "
+                         "suite M, L or commutation: it seeds only the E "
+                         "battery")
     if args.suite is not None and (args.chi is not None
                                    or args.cases is not None):
         raise InputError(f"suite {args.suite} cannot be used with --chi or "
@@ -282,16 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-nullifiers",
                        help="nullifier variances and the entanglement witness")
-    p.add_argument("--lattice", type=_lattice_arg, metavar="N,M",
-                   help="lattice size (default 2,2)")
+    p.add_argument("--lattice", type=_lattice_arg, default=(2, 2),
+                   metavar="N,M", help="lattice size (default 2,2)")
     p.add_argument("--squeezing", dest="squeezing_list", type=float,
-                   action="append", default=None, metavar="R")
-    p.add_argument("--graph", help="verify a stored graph JSON instead")
+                   action="append", metavar="R")
     p.add_argument("--shots", type=_shots_arg,
                    help="also run the sampled two-setting protocol")
     p.add_argument("--seed", type=_seed_arg,
                    help="sampling seed, with --shots (default 7)")
     p.add_argument("--threshold-factor", type=_threshold_factor_arg,
+                   default=0.5,
                    help="witness threshold per vacuum variance (default 0.5)")
     p.add_argument("--report", help="write the witness report JSON here")
     p.set_defaults(func=cmd_verify_nullifiers)

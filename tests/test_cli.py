@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bslsim import cli, graphstate, lattice, mbqc
 from bslsim.cli import build_parser, main
-from bslsim.graphstate import GraphState, vacuum
+from bslsim.graphstate import GraphState
 from bslsim.identities import run_cases
 from bslsim.lattice import (LatticeConfig, MacronodeLattice, build_bsl,
                             ideal_graph, to_dot)
@@ -130,28 +130,22 @@ def test_verify_nullifiers_passes_on_bsl(capsys):
 
 @pytest.mark.parametrize("r", [1.0, 4.0, 6.0, 8.0])
 def test_verify_nullifiers_passes_on_built_graphs(tmp_path, capsys, r):
-    # up to R_MAX_LATTICE: the exact nullifiers of a written graph read 0
+    # up to R_MAX_LATTICE: the written graph is a valid state, and it is the
+    # i sech(2r) I + tanh(2r) V whose (V, r) the witness reads
     out = tmp_path / "b"
     assert main(["build-bsl", "--lattice", "2,2", "-r", str(r),
                  "--out", str(out)]) == 0
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(
-        json.loads(out.with_suffix(".json").read_text())["graph"]))
+    payload = json.loads(out.with_suffix(".json").read_text())
+    z = GraphState.from_dict(payload["graph"]).z
+    assert len(z) == 4 * np.prod(payload["config"]["lattice"])
+    r = payload["config"]["squeezing"]
+    want = 1j / np.cosh(2 * r) * np.eye(len(z)) \
+        + np.tanh(2 * r) * np.array(payload["ideal_graph"])
+    assert np.abs(z - want).max() <= 1e-15 * np.abs(want).max()
     capsys.readouterr()
-    assert main(["verify-nullifiers", "--graph", str(path)]) == 0
-    assert capsys.readouterr().out == \
-        "exact nullifier variances: max 0.000e+00 -> pass\n"
-
-
-def test_verify_nullifiers_fails_on_vacuum_graph(tmp_path, capsys):
-    # an unentangled graph passes the exact-nullifier check trivially, so
-    # feed the witness path a stored vacuum graph: exact nullifiers hold
-    path = tmp_path / "vac.json"
-    path.write_text(json.dumps(vacuum(4).to_dict()))
-    assert main(["verify-nullifiers", "--graph", str(path)]) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["verify-nullifiers", "--graph", str(bad)]) == 2
+    assert main(["verify-nullifiers", "--lattice", "2,2",
+                 "--squeezing", str(r)]) == 0
+    assert "analytic witness pass" in capsys.readouterr().out
 
 
 def test_run_program_cli(tmp_path, capsys):
@@ -698,40 +692,18 @@ def broken_graphs(draw):
 @given(case=broken_graphs())
 def test_graph_bad_leaves_exit_2_unless_a_number(tmp_path_factory, case):
     graph, refused = case
+    if graph is None:           # a null input is the wire's default input
+        return
     path = tmp_path_factory.mktemp("graph") / "in.json"
-    runs = [(["verify-nullifiers", "--graph", str(path)], graph)]
-    if graph is not None:       # a null input is the wire's default input
-        runs.append((["run-program", str(path), "--out", os.devnull],
-                     {"resource": {"kind": "wire", "input": graph},
-                      "steps": []}))
-    for argv, obj in runs:
-        path.write_text(json.dumps(obj))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code == 2 if refused else code in (0, 2)
-        assert (code == 0) == (err.getvalue() == "")
-        if code:
-            assert err.getvalue().startswith("error:")
-
-
-@pytest.mark.parametrize("flag,value", [("--lattice", "3,3"),
-                                        ("--squeezing", "2"),
-                                        ("--shots", "100"),
-                                        ("--seed", "3"),
-                                        ("--threshold-factor", "0.4"),
-                                        ("--report", "REPORT")])
-def test_verify_nullifiers_graph_refuses_lattice_flags(tmp_path, capsys, flag,
-                                                       value):
-    graph = tmp_path / "vac.json"
-    graph.write_text(json.dumps(vacuum(4).to_dict()))
-    report = tmp_path / "rep.json"
-    value = str(report) if value == "REPORT" else value
-    assert main(["verify-nullifiers", "--graph", str(graph), flag, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {flag} cannot be used with --graph\n"
-    assert not report.exists()
+    path.write_text(json.dumps({"resource": {"kind": "wire", "input": graph},
+                                "steps": []}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run-program", str(path), "--out", os.devnull])
+    assert code == 2 if refused else code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        assert err.getvalue().startswith("error:")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -809,6 +781,22 @@ def test_verify_identities_refuses_unused_flags(tmp_path, capsys, argv, flag):
     assert captured.err.startswith(f"error: {flag} cannot be used")
 
 
+@pytest.mark.parametrize("suite,code", [("M", 2), ("L", 2),
+                                        ("commutation", 2), ("E", 0),
+                                        ("all", 0)])
+def test_verify_identities_seed_only_with_the_e_battery(capsys, suite, code):
+    # run_suite draws from the seed only in the E battery
+    assert main(["verify-identities", suite, "--grid", "12,256",
+                 "--seed", "5"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed cannot be used with")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == "" and "E: fidelity" in captured.out
+
+
 def test_verify_identities_chi_and_cases_are_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-identities", "--chi", "0.1", "--cases",
@@ -884,13 +872,13 @@ def test_case_grid_points_above_the_limit_is_a_case_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["run-program", "FILE"],
-                                  ["verify-nullifiers", "--graph", "FILE"],
                                   ["verify-identities", "--cases", "FILE"]],
-                         ids=["program", "graph", "cases"])
-@pytest.mark.parametrize("content", [b"\xff\xfe[]",
+                         ids=["program", "cases"])
+@pytest.mark.parametrize("content", [b"\xff\xfe[]", b"{not json",
                                      b"[" * 200000 + b"]" * 200000,
                                      b"[" + b"1" * 5000 + b"]"],
-                         ids=["not-utf8", "deep", "5000-digit-int"])
+                         ids=["not-utf8", "not-json", "deep",
+                              "5000-digit-int"])
 def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
     path.write_bytes(content)
@@ -1073,11 +1061,6 @@ def test_graph_json_shapes_and_symmetry_are_checked(tmp_path, capsys, graph,
     # one to be symmetrized, and a bool n, string or bool entries all passed
     if isinstance(graph, dict):
         graph = {"mean": [0.0] * 4, **graph}
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(graph))
-    assert main(["verify-nullifiers", "--graph", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
     program = {"resource": {"kind": "wire", "input": graph}, "steps": []}
     assert _run(tmp_path, program) == 2
     err = capsys.readouterr().err
@@ -1103,10 +1086,8 @@ def test_written_graphs_load_through_the_checked_reader(tmp_path, capsys):
     out = tmp_path / "bsl"
     assert main(["build-bsl", "--lattice", "2,1", "-r", "2.0",
                  "--out", str(out)]) == 0
-    graph = tmp_path / "graph.json"
-    graph.write_text(json.dumps(
-        json.loads(out.with_suffix(".json").read_text())["graph"]))
-    assert main(["verify-nullifiers", "--graph", str(graph)]) == 0
+    graph = json.loads(out.with_suffix(".json").read_text())["graph"]
+    assert GraphState.from_dict(graph).n_modes == 8
     program = {"resource": {"kind": "wire", "macronodes": 3, "r": 3.0},
                "steps": [{"time_index": 0, "detector": "x",
                           "basis": {"theta": 0.4}},
@@ -1114,5 +1095,4 @@ def test_written_graphs_load_through_the_checked_reader(tmp_path, capsys):
                           "basis": {"theta": -1.1}}]}
     assert _run(tmp_path, program) == 0
     final = json.loads((tmp_path / "rec.json").read_text())["final_state"]
-    graph.write_text(json.dumps(final))
-    assert main(["verify-nullifiers", "--graph", str(graph)]) == 0
+    assert GraphState.from_dict(final).n_modes == final["n"]
