@@ -20,7 +20,7 @@ from .nullifiers import (NullifierSet, WitnessReport, empirical_variances,
                          lattice_variances, nullifier_variances,
                          phi_transform, quadrature_nullifiers,
                          sample_homodyne_dataset, sample_marginal,
-                         verify_quarter_delay_transform, witness_from_variances)
+                         witness_from_variances)
 from .oracle import GridError, WaveFunction, fidelity_up_to_phase
 from .identities import (run_suite, verify_teleport_identity, verify_cubic_device,
                          verify_teleport_circuit, verify_commutation)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +38,6 @@ def _read_json(path, what: str):
         return json.loads(Path(path).read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:     # decode errors included
         raise InputError(f"{what} {path} is not readable JSON: {exc}") from exc
-
-
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads every negative number as a value.
-
-    argparse takes a word that starts with "-" for an option unless it looks
-    like a negative number to its own pattern, which knows only digits and a
-    point; so "--chi -inf" failed on the argument count instead of naming
-    the flag and the value.  Subcommand parsers are made of the same class.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$",
-            re.IGNORECASE)
 
 
 def _lattice_arg(text: str):
@@ -98,7 +82,6 @@ _seed_arg = _number_arg("seed must be an integer >= 0", int,
                         lambda v: v >= 0)
 _shots_arg = _number_arg("shots must be an integer >= 1", int,
                          lambda v: v >= 1)
-_finite_arg = _number_arg("expected a finite number", float, np.isfinite)
 _threshold_factor_arg = _number_arg(
     "threshold factor must be finite and in (0, 1]", float,
     lambda v: 0 < v <= 1)
@@ -198,35 +181,21 @@ def cmd_run_program(args) -> int:
     return 0
 
 
-#: parameters of the --chi case when their flags are not given
-CHI_DEFAULTS = {"sigma": 0.3, "r": 4.0, "outcomes": [0.1, -0.2, 0.4]}
-
-
 def cmd_verify_identities(args) -> int:
     half, pts = args.grid
-    chi_given = {k: getattr(args, k) for k in CHI_DEFAULTS
-                 if getattr(args, k) is not None}
-    if chi_given and args.chi is None:
-        raise InputError(f"--{next(iter(chi_given))} cannot be used "
-                         "without --chi")
-    if args.seed is not None and (args.chi is not None
-                                  or args.cases is not None
+    if args.seed is not None and (args.cases is not None
                                   or args.suite not in (None, "E", "all")):
-        raise InputError("--seed cannot be used with --chi, --cases or "
-                         "suite M, L or commutation: it seeds only the E "
-                         "battery")
-    if args.suite is not None and (args.chi is not None
-                                   or args.cases is not None):
-        raise InputError(f"suite {args.suite} cannot be used with --chi or "
-                         "--cases")
+        raise InputError("--seed cannot be used with --cases or suite M, L "
+                         "or commutation: it seeds only the E battery")
+    if args.suite is not None and args.cases is not None:
+        raise InputError(f"suite {args.suite} cannot be used with --cases")
     if args.cases is not None:
         cases = _read_json(args.cases, "cases file")
-        if not isinstance(cases, list) or not all(isinstance(c, dict) for c in cases):
-            raise InputError("--cases must hold a JSON list of case objects")
+        if not (isinstance(cases, list) and cases
+                and all(isinstance(c, dict) for c in cases)):
+            raise InputError(f"--cases file {args.cases} must hold a "
+                             "non-empty JSON list of case objects")
         reports = run_cases(cases, pts, half)
-    elif args.chi is not None:
-        reports = run_cases([{"identity": "L", "chi": args.chi,
-                              **CHI_DEFAULTS, **chi_given}], pts, half)
     else:
         reports = list(run_suite(args.suite or "all", pts, half,
                                  7 if args.seed is None else args.seed))
@@ -256,10 +225,13 @@ def cmd_sample_homodyne(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bslsim",
+    parser = argparse.ArgumentParser(
+        prog="bslsim", allow_abbrev=False,
         description="Simulate and verify bilayer-square-lattice cluster states")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: a word such as --r would name --report
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser,
+                                                     allow_abbrev=False))
 
     p = sub.add_parser("build-bsl", help="build the lattice and export graphs")
     p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
@@ -296,15 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=(DEFAULT_L, DEFAULT_P2),
                    metavar="L,P")
     p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")
-    one = p.add_mutually_exclusive_group()
-    one.add_argument("--chi", type=_finite_arg,
-                     help="run a single cubic-gate case")
-    one.add_argument("--cases", help="JSON file with a list of cases to run")
-    p.add_argument("--sigma", type=_finite_arg,
-                   help="--chi case only (default 0.3)")
-    p.add_argument("--r", type=_finite_arg, help="--chi case only (default 4.0)")
-    p.add_argument("--outcomes", type=_finite_arg, nargs=3,
-                   help="--chi case only (default 0.1 -0.2 0.4)")
+    p.add_argument("--cases", help="JSON file with a list of cases to run")
     p.add_argument("--report", help="write the batch report JSON here")
     p.set_defaults(func=cmd_verify_identities)
 

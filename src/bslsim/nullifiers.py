@@ -17,7 +17,6 @@ import numpy as np
 
 from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
                          covariance)
-from .lattice import _lattice_state
 
 
 @dataclass(frozen=True)
@@ -129,67 +128,6 @@ def vacuum_variances(nulls: NullifierSet) -> np.ndarray:
     a, b = nulls.coeff_q, nulls.coeff_p
     return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1)
             - (a.conj() * b).sum(axis=1).imag)
-
-
-def verify_quarter_delay_transform(v: np.ndarray, r: float, tol: float = 1e-9) -> dict:
-    """Verify the local-nullifier transformation on a self-inverse graph.
-
-    Builds Z = i sech(2r) I + tanh(2r) V, applies the quarter phase delays
-    and asserts the closed form i cosh(2r) I + i sinh(2r) V, plus the uniform
-    reweighting of edges (factor i cosh 2r) and self-loops (factor cosh^2 2r).
-    tol is relative to each quantity's own scale: cosh 2r for the Z
-    deviation and the edge ratios, cosh^2 2r for the self-loop ratios.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    if v.shape != (n, n) or np.abs(v - v.T).max() > 1e-12:
-        raise GraphStateError("graph must be real symmetric")
-    tr = abs(np.trace(v))
-    self_inv = _involution_error(v)
-    if tr > 1e-8 or self_inv > 1e-6:
-        raise GraphStateError(
-            "graph does not meet the transformation preconditions: need a "
-            f"trace-zero, self-inverse graph (|tr| = {tr:.3e}, "
-            f"|V^2 - I| = {self_inv:.3e})")
-    state = _lattice_state(v, r)
-    z_in, z_out = state.z, phi_transform(state).z
-    z_expect = 1j * np.cosh(2 * r) * np.eye(n) + 1j * np.sinh(2 * r) * v
-    dev = np.abs(z_out - z_expect).max()
-
-    off = ~np.eye(n, dtype=bool)
-    edges = np.abs(v[off]) > 1e-8
-    if edges.any():
-        ratios = z_out[off][edges] / z_in[off][edges]
-        edge_factor = complex(ratios.mean())
-        edge_spread = float(np.abs(ratios - edge_factor).max())
-    else:
-        edge_factor, edge_spread = None, 0.0
-    # the self-loop reweighting claim concerns the hollow part of the graph;
-    # positions where V itself has a diagonal entry are not cluster self-loops
-    hollow = np.abs(np.diag(v)) < 1e-8
-    if hollow.any():
-        loop_ratios = np.diag(z_out)[hollow] / np.diag(z_in)[hollow]
-        loop_factor = complex(loop_ratios.mean())
-        loop_spread = float(np.abs(loop_ratios - loop_factor).max())
-    else:
-        loop_factor, loop_spread = None, 0.0
-
-    edge_tol, loop_tol = tol * np.cosh(2 * r), tol * np.cosh(2 * r) ** 2
-    passed = (dev <= edge_tol and edge_spread <= edge_tol
-              and loop_spread <= loop_tol)
-    if edge_factor is not None:
-        passed = passed and abs(edge_factor - 1j * np.cosh(2 * r)) <= edge_tol
-    if loop_factor is not None:
-        passed = passed and abs(loop_factor - np.cosh(2 * r) ** 2) <= loop_tol
-    return {
-        "passed": bool(passed),
-        "max_deviation": float(dev),
-        "edge_factor": edge_factor,
-        "edge_spread": edge_spread,
-        "selfloop_factor": loop_factor,
-        "selfloop_spread": loop_spread,
-        "r": r,
-    }
 
 
 def lattice_factors(v: np.ndarray, r: float, phase_delayed: bool = True):
@@ -330,6 +268,36 @@ def witness_from_variances(variances, baselines: np.ndarray,
                          variances < thresholds, shots, threshold_factor)
 
 
+def _data_lines(fh):
+    """(line number, text) of each row loadtxt reads from fh after its
+    header line 1, skipping blank lines and # comments as loadtxt does."""
+    for number, line in enumerate(iter(fh.readline, ""), 2):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield number, text
+
+
+def _bad_line(path, n_modes: int):
+    """Why the first bad row of a shots CSV is not n_modes finite numbers,
+    named by its line in the file; None if no row is bad."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for number, text in _data_lines(fh):
+            entries = [e.strip() for e in text.split(",")]
+            if len(entries) != n_modes:
+                return (f"line {number}: expected {n_modes} entries, "
+                        f"got {len(entries)}")
+            for entry in entries:
+                try:
+                    # unlike float(), loadtxt reads ASCII digits, without _
+                    if not entry.isascii() or "_" in entry:
+                        raise ValueError
+                    if not np.isfinite(float(entry)):
+                        return f"line {number}: non-finite entry {entry!r}"
+                except ValueError:
+                    return f"line {number}: {entry!r} is not a number"
+
+
 def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
     """The shots of a _write_csv file, header checked, every entry finite."""
     expected = _csv_header(n_modes)
@@ -341,26 +309,23 @@ def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
                                       f"{header!r}, expected {expected!r}")
             # loadtxt warns on a body without data; find its first row here
             body = fh.tell()
-            line = fh.readline()
-            while line and not line.split("#", 1)[0].strip():
-                line = fh.readline()
-            if not line:
+            if next(_data_lines(fh), None) is None:
                 raise GraphStateError(f"no shots in {path}")
             fh.seek(body)
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if data.shape[1] != n_modes or not np.isfinite(data).all():
+                raise ValueError("a row is not finite numbers")
     except GraphStateError:
         raise
-    except ValueError as exc:       # UnicodeDecodeError included
+    except UnicodeDecodeError as exc:
         raise GraphStateError(f"malformed CSV {path}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise GraphStateError(f"non-finite entry in {path} at shot {bad[0]} "
-                              "(counted from 0 after the header)")
+    except ValueError as exc:
+        # loadtxt counts rows in two ways; read the file again to name the line
+        raise GraphStateError(f"malformed CSV {path}: "
+                              f"{_bad_line(path, n_modes) or exc}") from None
     if data.shape[0] < min_shots:
         raise GraphStateError(
             f"insufficient shots in {path}: {data.shape[0]} < {min_shots}")
-    if data.shape[1] != n_modes:
-        raise GraphStateError(f"expected {n_modes} columns in {path}")
     return data
 
 
@@ -390,8 +355,9 @@ def ingest_samples(q_path, p_path, nulls: NullifierSet,
     Returns (empirical covariances dict, WitnessReport); rows built from q
     coefficients use the q-setting file and likewise for p.  A file that is
     not UTF-8, has another header than mode_0,...,mode_{n-1}, holds an entry
-    that is not a number, a ragged row, no row, a non-finite entry or fewer
-    than min_shots rows raises a GraphStateError that names it.
+    that is not a number, a row of another width, no row, a non-finite entry
+    or fewer than min_shots rows raises a GraphStateError that names it; a
+    bad row is named by its line in the file, the header being line 1.
     """
     n = nulls.n_modes
     data_q = _load_csv(q_path, n, min_shots)

@@ -10,12 +10,12 @@ from bslsim.graphstate import GraphState, apply, covariance
 from bslsim.identities import (default_input, verify_commutation,
                                verify_teleport_identity, verify_cubic_device,
                                verify_teleport_circuit)
-from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph
+from bslsim.lattice import (LatticeConfig, _lattice_state, build_bsl,
+                            ideal_graph)
 from bslsim.mbqc import run_program, simulate_single_mode_gate, two_mode_gate, \
     cz_gate_angles, v_gate
 from bslsim.nullifiers import (nullifier_variances, phi_transform,
-                               quadrature_nullifiers, sample_homodyne_dataset,
-                               verify_quarter_delay_transform)
+                               quadrature_nullifiers, sample_homodyne_dataset)
 from bslsim.oracle import WaveFunction
 
 
@@ -43,9 +43,12 @@ def test_criterion_02_local_nullifier_transformation():
         l, _ = np.linalg.qr(a)
         v = l @ np.diag([1.0] * n + [-1.0] * n) @ l.T
         for r in (0.5, 1.0):
-            rep = verify_quarter_delay_transform(v, r, tol=1e-9)
-            assert rep["passed"]
-            worst = max(worst, rep["max_deviation"])
+            z = phi_transform(_lattice_state(v, r)).z
+            expect = (1j * np.cosh(2 * r) * np.eye(2 * n)
+                      + 1j * np.sinh(2 * r) * v)
+            dev = np.abs(z - expect).max()
+            assert dev <= 1e-9 * np.cosh(2 * r)
+            worst = max(worst, dev)
         count += 1
     _verdict(2, worst <= 1e-9, f"20 random graphs, max deviation {worst:.2e}")
 

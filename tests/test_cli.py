@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bslsim import cli, graphstate, lattice, mbqc
-from bslsim.cli import build_parser, main
+from bslsim.cli import main
 from bslsim.graphstate import GraphState
 from bslsim.identities import run_cases
 from bslsim.lattice import (LatticeConfig, MacronodeLattice, build_bsl,
@@ -201,8 +201,17 @@ def test_run_program_rejects_bad_schema(tmp_path):
     assert main(["run-program", str(ppath)]) == 2
 
 
-def test_verify_identities_single_case_out_of_range(capsys):
-    code = main(["verify-identities", "--chi", "5.0"])
+def _one_l_case(tmp_path, chi):
+    """A --cases file holding one L case at chi, sigma 0.3, outcomes
+    (0.1, -0.2, 0.4) and r 4."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps([{"identity": "L", "chi": chi, "sigma": 0.3,
+                                 "outcomes": [0.1, -0.2, 0.4], "r": 4.0}]))
+    return str(path)
+
+
+def test_verify_identities_single_case_out_of_range(tmp_path, capsys):
+    code = main(["verify-identities", "--cases", _one_l_case(tmp_path, 5.0)])
     out = capsys.readouterr().out
     assert code == 1
     assert "error" in out
@@ -233,13 +242,16 @@ def test_verify_identities_case_file(tmp_path, capsys):
     assert "error" in reports[2]
 
 
-@pytest.mark.parametrize("cases", [[1], {"identity": "L"}])
+@pytest.mark.parametrize("cases", [[1], {"identity": "L"}, []])
 def test_verify_identities_cases_must_be_list_of_objects(tmp_path, capsys, cases):
     cpath = tmp_path / "cases.json"
     cpath.write_text(json.dumps(cases))
-    assert main(["verify-identities", "--cases", str(cpath)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--cases" in err
+    rpath = tmp_path / "report.json"
+    assert main(["verify-identities", "--cases", str(cpath),
+                 "--report", str(rpath)]) == 2
+    assert not rpath.exists()
+    assert capsys.readouterr().err == (f"error: --cases file {cpath} must hold "
+                                       "a non-empty JSON list of case objects\n")
 
 
 def test_verify_identities_bad_outcomes_type_is_a_case_error(tmp_path, capsys):
@@ -511,8 +523,10 @@ def test_verify_nullifiers_computes_one_vacuum_baseline(monkeypatch, capsys):
     ("5.0", 1, "L: error: parameters outside the validated grid-resident "
                "range: chi must be in [-0.3, 0.3], got 5.0"),
 ])
-def test_verify_identities_chi_runs_one_case(capsys, chi, code, line):
-    assert main(["verify-identities", "--chi", chi, "--grid", "12,256"]) == code
+def test_verify_identities_chi_runs_one_case(tmp_path, capsys, chi, code,
+                                             line):
+    assert main(["verify-identities", "--cases",
+                 _one_l_case(tmp_path, float(chi)), "--grid", "12,256"]) == code
     assert capsys.readouterr().out == line + "\n"
 
 
@@ -536,14 +550,6 @@ def test_device_parameters_outside_their_range_are_case_errors(
     assert capsys.readouterr().out.startswith(
         f"{case['identity']}: error: parameters outside the validated "
         f"grid-resident range: {field} must be in [-")
-
-
-def test_chi_case_sigma_outside_its_range_is_a_case_error(capsys):
-    assert main(["verify-identities", "--grid", "12,256", "--chi", "0.1",
-                 "--sigma", "1e300"]) == 1
-    assert capsys.readouterr().out.startswith(
-        "L: error: parameters outside the validated grid-resident range: "
-        "sigma must be in [-2.0, 2.0], got 1e+300")
 
 
 def _run(tmp_path, prog):
@@ -763,12 +769,7 @@ def test_verify_nullifiers_threshold_factor_range(capsys, factor):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["M", "--sigma", "99"], "--sigma"),
-    (["M", "--r", "0.001"], "--r"),
-    (["M", "--outcomes", "1", "2", "3"], "--outcomes"),
-    (["--chi", "0.1", "--seed", "3"], "--seed"),
     (["--cases", "CASES", "--seed", "3"], "--seed"),
-    (["M", "--chi", "0.1"], "suite M"),
     (["all", "--cases", "CASES"], "suite all"),
 ])
 def test_verify_identities_refuses_unused_flags(tmp_path, capsys, argv, flag):
@@ -795,14 +796,6 @@ def test_verify_identities_seed_only_with_the_e_battery(capsys, suite, code):
         assert captured.err.count("\n") == 1
     else:
         assert captured.err == "" and "E: fidelity" in captured.out
-
-
-def test_verify_identities_chi_and_cases_are_exclusive(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-identities", "--chi", "0.1", "--cases",
-              str(tmp_path / "cases.json")])
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,resource", [
@@ -889,45 +882,36 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["--chi", "nan"], "--chi"),
-    (["--chi", "0.1", "--r", "inf"], "--r"),
-    (["--chi", "0.1", "--sigma", "nan"], "--sigma"),
-    (["--chi", "0.1", "--outcomes", "0.1", "inf", "0.2"], "--outcomes"),
-])
-def test_verify_identities_refuses_non_finite_parameters(capsys, argv, flag):
+@pytest.mark.parametrize("argv,message", [
+    (["verify-identities", "M", "--chi", "0.1"],
+     "unrecognized arguments: --chi 0.1"),
+    (["verify-identities", "M", "--sigma", "0.3"],
+     "unrecognized arguments: --sigma 0.3"),
+    (["verify-identities", "M", "--r", "4.0"],
+     "unrecognized arguments: --r 4.0"),
+    (["verify-identities", "M", "--outcomes", "0.1", "-0.2", "0.4"],
+     "unrecognized arguments: --outcomes 0.1 -0.2 0.4"),
+    (["build-bsl", "-r", "-1e-3"], "argument -r/--squeezing: "),
+    (["build-bsl", "--squeezing", "-inf"], "argument -r/--squeezing: "),
+    (["verify-nullifiers", "--threshold-factor", "-0.5"],
+     "argument --threshold-factor: "),
+    (["verify-nullifiers", "--shots", "100", "--seed", "-1"],
+     "argument --seed: "),
+    (["verify-nullifiers", "--shots", "-3"], "argument --shots: "),
+], ids=["chi", "sigma", "r", "outcomes", "r-negative", "squeezing-inf",
+        "threshold-factor-negative", "seed-negative", "shots-negative"])
+def test_retired_flags_and_negative_values_exit_2(tmp_path, monkeypatch,
+                                                  capsys, argv, message):
+    # --chi, --sigma, --r and --outcomes ran one L case; a --cases file
+    # does that now, and --r is no abbreviation of --report.  A negative
+    # value is read as a value, or the message names the flag it follows
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["verify-identities", *argv])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {flag}: expected a finite number" in captured.err
-
-
-@pytest.mark.parametrize("argv,flag,value", [
-    (["--chi", "-inf"], "--chi", "-inf"),
-    (["--chi", "-nan"], "--chi", "-nan"),
-    (["--chi", "0.1", "--outcomes", "0.1", "-inf", "0.2"], "--outcomes", "-inf"),
-    (["--chi", "0.1", "--r", "-Infinity"], "--r", "-Infinity"),
-    (["--chi", "0.1", "--sigma", "-NaN"], "--sigma", "-NaN"),
-])
-def test_negative_non_finite_values_name_flag_and_value(capsys, argv, flag,
-                                                        value):
-    # argparse's own pattern took "-inf" for an option and failed on the
-    # argument count
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-identities", *argv])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert (f"argument {flag}: expected a finite number, got {value!r}"
-            in err)
-
-
-def test_negative_numbers_parse_as_values():
-    args = build_parser().parse_args(
-        ["verify-identities", "--chi", "-1e-3", "--r", "-.5",
-         "--outcomes", "-1E-1", "-2", "-0.3"])
-    assert (args.chi, args.r, args.outcomes) == (-1e-3, -0.5, [-0.1, -2.0, -0.3])
+    assert captured.out == "" and message in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
