@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,42 @@ def _read_json(path, what: str):
         return json.loads(Path(path).read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:     # decode errors included
         raise InputError(f"{what} {path} is not readable JSON: {exc}") from exc
+
+
+# exact types: a numpy scalar or other object is left to default=float
+_SCALAR = {str, int, float, bool, type(None)}
+
+
+def _c_json(obj, pad: str) -> str:
+    """obj in one C-encoder call, with item separator "," + pad; any
+    indent= would run json's pure-Python encoder instead."""
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode(obj)
+
+
+def _to_json(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=1, default=float), byte for byte, as written
+    at nesting depth.  A list or str-keyed dict of scalars, and a list of
+    nonempty lists of scalars, take one C-encoder call each.  That is exact
+    because an encoded string holds no raw newline: each separator of the C
+    text is an item boundary, and each "]" + separator + "[" a row's end."""
+    pad = "\n" + " " * (depth + 1)
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        if set(map(type, obj.values())) <= _SCALAR:
+            return "{" + pad + _c_json(obj, pad)[1:-1] + pad[:-1] + "}"
+        items = (f"{encode_basestring_ascii(k)}: {_to_json(v, depth + 1)}"
+                 for k, v in obj.items())
+        return "{" + pad + ("," + pad).join(items) + pad[:-1] + "}"
+    if type(obj) is list and obj:
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR:
+            return "[" + pad + _c_json(obj, pad)[1:-1] + pad[:-1] + "]"
+        if (kinds == {list} and all(obj) and set(
+                chain.from_iterable(map(partial(map, type), obj))) <= _SCALAR):
+            row = pad + " "
+            text = _c_json(obj, row)[2:-2].replace(
+                "]," + row + "[", pad + "]," + pad + "[" + row)
+            return "[" + pad + "[" + row + text + pad + "]" + pad[:-1] + "]"
+    return json.dumps(obj, indent=1, default=float).replace("\n", pad[:-1])
 
 
 def _lattice_arg(text: str):
@@ -78,6 +116,8 @@ def _number_arg(rule: str, cast, ok):
     return parse
 
 
+SUITES = ("E", "M", "L", "commutation", "all")
+
 _seed_arg = _number_arg("seed must be an integer >= 0", int,
                         lambda v: v >= 0)
 _shots_arg = _number_arg("shots must be an integer >= 1", int,
@@ -105,7 +145,7 @@ def cmd_build_bsl(args) -> int:
         "lattice": {f"{t},{d}": mode for (t, d), mode in lattice.coords.items()},
         "summary": summary,
     }
-    out.with_suffix(".json").write_text(json.dumps(payload, indent=1))
+    out.with_suffix(".json").write_text(_to_json(payload))
     out.with_suffix(".dot").write_text(to_dot(state, config))
     print(f"{config.n_modes}-mode lattice written to {out.with_suffix('.json')} "
           f"and {out.with_suffix('.dot')}")
@@ -172,7 +212,7 @@ def cmd_run_program(args) -> int:
         "outcome_jacobian": result.outcome_jacobian.T.tolist(),
         "mode_index": result.mode_index,
     }
-    text = json.dumps(payload, indent=1)
+    text = _to_json(payload)
     if args.out:
         Path(args.out).write_text(text)
         print(f"record written to {args.out}")
@@ -182,6 +222,9 @@ def cmd_run_program(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    if args.suite not in (None, *SUITES):
+        raise InputError(f"unknown suite {args.suite!r}: choose from "
+                         f"{', '.join(SUITES)}")
     half, pts = args.grid
     if args.seed is not None and (args.cases is not None
                                   or args.suite not in (None, "E", "all")):
@@ -210,7 +253,7 @@ def cmd_verify_identities(args) -> int:
               f"params {json.dumps(rep['params'])}")
         ok &= rep["pass"]
     if args.report:
-        Path(args.report).write_text(json.dumps(reports, indent=1, default=float))
+        Path(args.report).write_text(_to_json(reports))
     return 0 if ok else 1
 
 
@@ -263,8 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities",
                        help="grid verification of the teleportation identities")
-    p.add_argument("suite", choices=("E", "M", "L", "commutation", "all"),
-                   nargs="?", help="suite to run (default all)")
+    # checked by cmd_verify_identities, not by choices=: the loose value of
+    # an unknown flag would fill the suite, and argparse would report the
+    # value as a bad suite before it reports the flag
+    p.add_argument("suite", nargs="?", metavar="{" + ",".join(SUITES) + "}",
+                   help="suite to run (default all)")
     p.add_argument("--grid", type=_grid_arg, default=(DEFAULT_L, DEFAULT_P2),
                    metavar="L,P")
     p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")

@@ -298,6 +298,19 @@ def _bad_line(path, n_modes: int):
                     return f"line {number}: {entry!r} is not a number"
 
 
+def _bad_byte(path):
+    """The file line of the first byte that is not UTF-8; None if there is
+    none.  surrogateescape reads such a byte b as the lone surrogate
+    U+DC00 + b, which no UTF-8 text decodes to."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xdc00
+                return f"line {number}: can't decode byte 0x{byte:02x} as UTF-8"
+
+
 def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
     """The shots of a _write_csv file, header checked, every entry finite."""
     expected = _csv_header(n_modes)
@@ -318,7 +331,9 @@ def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
     except GraphStateError:
         raise
     except UnicodeDecodeError as exc:
-        raise GraphStateError(f"malformed CSV {path}: {exc}") from None
+        # the decoder counts from its chunk; read the file again for the line
+        raise GraphStateError(f"malformed CSV {path}: "
+                              f"{_bad_byte(path) or exc}") from None
     except ValueError as exc:
         # loadtxt counts rows in two ways; read the file again to name the line
         raise GraphStateError(f"malformed CSV {path}: "
@@ -357,7 +372,8 @@ def ingest_samples(q_path, p_path, nulls: NullifierSet,
     not UTF-8, has another header than mode_0,...,mode_{n-1}, holds an entry
     that is not a number, a row of another width, no row, a non-finite entry
     or fewer than min_shots rows raises a GraphStateError that names it; a
-    bad row is named by its line in the file, the header being line 1.
+    bad row, or a byte that is not UTF-8, is named by its line in the file,
+    the header being line 1.
     """
     n = nulls.n_modes
     data_q = _load_csv(q_path, n, min_shots)

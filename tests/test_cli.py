@@ -782,6 +782,20 @@ def test_verify_identities_refuses_unused_flags(tmp_path, capsys, argv, flag):
     assert captured.err.startswith(f"error: {flag} cannot be used")
 
 
+@pytest.mark.parametrize("argv", [["X"], ["X", "--seed", "3"],
+                                  ["0.1", "--cases", "CASES"]],
+                         ids=["suite", "with-seed", "with-cases"])
+def test_verify_identities_unknown_suite_is_named(tmp_path, capsys, argv):
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps([{"identity": "L", "chi": 0.1}]))
+    argv = [str(cases) if a == "CASES" else a for a in argv]
+    assert main(["verify-identities", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown suite {argv[0]!r}: choose from "
+                            "E, M, L, commutation, all\n")
+
+
 @pytest.mark.parametrize("suite,code", [("M", 2), ("L", 2),
                                         ("commutation", 2), ("E", 0),
                                         ("all", 0)])
@@ -891,6 +905,8 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
      "unrecognized arguments: --r 4.0"),
     (["verify-identities", "M", "--outcomes", "0.1", "-0.2", "0.4"],
      "unrecognized arguments: --outcomes 0.1 -0.2 0.4"),
+    # without a suite the flag's value fills it; the flag is still named
+    (["verify-identities", "--chi", "0.1"], "unrecognized arguments: --chi"),
     (["build-bsl", "-r", "-1e-3"], "argument -r/--squeezing: "),
     (["build-bsl", "--squeezing", "-inf"], "argument -r/--squeezing: "),
     (["verify-nullifiers", "--threshold-factor", "-0.5"],
@@ -898,7 +914,8 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     (["verify-nullifiers", "--shots", "100", "--seed", "-1"],
      "argument --seed: "),
     (["verify-nullifiers", "--shots", "-3"], "argument --shots: "),
-], ids=["chi", "sigma", "r", "outcomes", "r-negative", "squeezing-inf",
+], ids=["chi", "sigma", "r", "outcomes", "chi-no-suite", "r-negative",
+        "squeezing-inf",
         "threshold-factor-negative", "seed-negative", "shots-negative"])
 def test_retired_flags_and_negative_values_exit_2(tmp_path, monkeypatch,
                                                   capsys, argv, message):
@@ -1080,3 +1097,72 @@ def test_written_graphs_load_through_the_checked_reader(tmp_path, capsys):
     assert _run(tmp_path, program) == 0
     final = json.loads((tmp_path / "rec.json").read_text())["final_state"]
     assert GraphState.from_dict(final).n_modes == final["n"]
+
+
+def test_verify_identities_help_lists_the_suites(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--help"])
+    assert exc.value.code == 0
+    assert "[{E,M,L,commutation,all}]" in capsys.readouterr().out
+
+
+_SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                            5e-324])
+_NUMBER = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), _SPECIAL)
+_LEAF = st.one_of(_NUMBER, st.booleans(), st.none(), st.text(max_size=6),
+                  st.sampled_from(["\n", "\"],\n [", "é☃", "\\"]),
+                  st.builds(np.float64, st.floats()),
+                  st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)))
+_ROW = st.lists(_LEAF, max_size=4)
+_JSONISH = st.recursive(
+    st.one_of(_LEAF, _ROW, st.lists(_ROW, max_size=4),
+              st.lists(st.lists(_NUMBER, min_size=1, max_size=3),
+                       max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner,
+                        max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSONISH)
+def test_record_writer_is_indent_1_json(obj):
+    assert cli._to_json(obj) == json.dumps(obj, indent=1, default=float)
+
+
+def test_written_records_are_their_payloads_at_indent_1(tmp_path,
+                                                        monkeypatch, capsys):
+    # the build-bsl file, the run-program record (file and stdout) and the
+    # verify-identities report, each compared with its own payload
+    payloads = []
+    writer = cli._to_json
+
+    def spy(obj, depth=0):
+        if depth == 0:
+            payloads.append(obj)
+        return writer(obj, depth)
+
+    monkeypatch.setattr(cli, "_to_json", spy)
+    monkeypatch.chdir(tmp_path)
+    program = tmp_path / "prog.json"
+    program.write_text(json.dumps(_bsl_program(2, 3, 1.0)))
+    cases = tmp_path / "cases.json"
+    cases.write_text('[{"identity": "L", "chi": 0.2, "sigma": 0.3}, '
+                     '{"identity": "M", "theta": NaN}, '
+                     '{"identity": "L", "chii": 0.25}]')
+    assert main(["build-bsl", "--lattice", "3,3", "--out", "bsl"]) == 0
+    assert main(["run-program", str(program), "--seed", "5",
+                 "--out", "rec.json"]) == 0
+    capsys.readouterr()
+    assert main(["run-program", str(program), "--seed", "5"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["verify-identities", "--grid", "12,256", "--cases",
+                 str(cases), "--report", "report.json"]) == 1
+    texts = [(tmp_path / "bsl.json").read_text(),
+             (tmp_path / "rec.json").read_text(), stdout[:-1],
+             (tmp_path / "report.json").read_text()]
+    assert len(payloads) == 4
+    for payload, text in zip(payloads, texts):
+        assert text == json.dumps(payload, indent=1, default=float)

@@ -423,7 +423,12 @@ def test_ingest_error_paths(tmp_path):
         "ragged.csv": (good + "0.3\n", "line 152: expected 2 entries, got 1"),
         "extra-column.csv": (good + "0.3,0.2,0.1\n",
                              "line 152: expected 2 entries, got 3"),
-        "latin1.csv": (good.encode() + b"0.3,\xe90.2\n", "can't decode"),
+        "latin1.csv": (good.encode() + b"0.3,\xe90.2\n",
+                       "line 152: can't decode byte 0xe9 as UTF-8"),
+        # past the text decoder's first 8 KiB chunk
+        "latin1-late.csv": (good.encode() + b"0.1,0.2\n" * 2850
+                            + b"0.3,\xe90.2\n",
+                            "line 3002: can't decode byte 0xe9 as UTF-8"),
         "header-only.csv": ("mode_0,mode_1\n\n", "no shots in"),
         "nan.csv": (good + "nan,0.2\n" + good[14:],
                     "line 152: non-finite entry 'nan'"),
