@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -127,11 +127,6 @@ _threshold_factor_arg = _number_arg(
     lambda v: 0 < v <= 1)
 
 
-def _echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def cmd_build_bsl(args) -> int:
     config = LatticeConfig(args.lattice[0], args.lattice[1], args.squeezing)
     v = ideal_graph(config)
@@ -139,7 +134,7 @@ def cmd_build_bsl(args) -> int:
     summary = edge_summary(state, config)
     out = Path(args.out)
     payload = {
-        "config": _echo(args),
+        "config": vars(args),
         "graph": state.to_dict(),
         "ideal_graph": v.tolist(),
         "lattice": {f"{t},{d}": mode for (t, d), mode in lattice.coords.items()},
@@ -162,6 +157,9 @@ def cmd_build_bsl(args) -> int:
 def cmd_verify_nullifiers(args) -> int:
     if args.seed is not None and args.shots is None:
         raise InputError("--seed cannot be used without --shots")
+    if args.shots == 1:
+        raise InputError("--shots must be at least 2: the sampled witness "
+                         "takes a sample variance")
     seed = 7 if args.seed is None else args.seed
     configs = [LatticeConfig(*args.lattice, r)
                for r in args.squeezing_list or [1.0]]
@@ -267,7 +265,10 @@ def cmd_sample_homodyne(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; main runs the cmd_* function
+    that the subcommand names, looked up at each call."""
     parser = argparse.ArgumentParser(
         prog="bslsim", allow_abbrev=False,
         description="Simulate and verify bilayer-square-lattice cluster states")
@@ -280,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
     p.add_argument("--out", default="bsl", help="output path prefix")
-    p.set_defaults(func=cmd_build_bsl)
 
     p = sub.add_parser("verify-nullifiers",
                        help="nullifier variances and the entanglement witness")
@@ -289,20 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--squeezing", dest="squeezing_list", type=float,
                    action="append", metavar="R")
     p.add_argument("--shots", type=_shots_arg,
-                   help="also run the sampled two-setting protocol")
+                   help="also run the sampled two-setting protocol, with "
+                   "at least 2 shots")
     p.add_argument("--seed", type=_seed_arg,
                    help="sampling seed, with --shots (default 7)")
     p.add_argument("--threshold-factor", type=_threshold_factor_arg,
                    default=0.5,
                    help="witness threshold per vacuum variance (default 0.5)")
     p.add_argument("--report", help="write the witness report JSON here")
-    p.set_defaults(func=cmd_verify_nullifiers)
 
     p = sub.add_parser("run-program", help="execute a measurement program")
     p.add_argument("program", help="program JSON path")
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", help="write the record JSON here")
-    p.set_defaults(func=cmd_run_program)
 
     p = sub.add_parser("verify-identities",
                        help="grid verification of the teleportation identities")
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")
     p.add_argument("--cases", help="JSON file with a list of cases to run")
     p.add_argument("--report", help="write the batch report JSON here")
-    p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("sample-homodyne", help="export homodyne sample CSVs")
     p.add_argument("--lattice", type=_lattice_arg, default=(2, 2), metavar="N,M")
@@ -327,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--phase-delayed", action="store_true",
                    help="sample the quarter-rotated state instead")
-    p.set_defaults(func=cmd_sample_homodyne)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (GraphStateError, GridError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

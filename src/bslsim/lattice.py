@@ -213,19 +213,46 @@ def build_bsl(config: LatticeConfig):
     return state, MacronodeLattice(config)
 
 
+def _givens_rows(pairs, n: int):
+    """The rows of G^T, G the layer of 50:50 Givens rotations on disjoint
+    mode pairs (a, b) that `balanced_mix` applies, as two (column, value)
+    entries per row: (a, c), (b, s) in row a, (a, -s), (b, c) in row b and
+    (i, 1), (i, 0) in a row i off the layer."""
+    cols = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    vals = np.zeros((n, 2))
+    vals[:, 0] = 1.0
+    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    cols[a, 1], cols[b, 1] = b, a
+    vals[a] = c, s
+    vals[b] = c, -s
+    return cols, vals
+
+
 def ideal_graph(config: LatticeConfig) -> np.ndarray:
     """The r-independent graph V of Z(r) = i sech(2r) I + tanh(2r) V.
 
-    Built exactly in real arithmetic: each joining beamsplitter, a real
-    orthogonal O acting alike on q and p, maps the pair graph V0 to
-    O V0 O^T in turn.  O is a Givens rotation on modes (a, b), applied in
-    place to rows a and b and then to columns a and b, in O(n) per gate.
+    Built exactly in real arithmetic: the joining beamsplitters, each a real
+    orthogonal Givens rotation acting alike on q and p, map the pair graph
+    V0 = P (the swap k <-> k^1) to V = O P O^T.  They form two layers of
+    disjoint pairs, the in-bin joins (first mode on rail 0) and then the
+    delay-line joins (first mode the delayed rail 1 or 3), so O = O_delay
+    O_inbin has at most 4 entries per row and column.  V is the sum over k
+    of the outer products of columns k^1 and k of O, scattered in O(n) work
+    into an n x n array: each entry gets one product, the one the gate-by-gate
+    congruence computes.
     """
-    v = _pairs(config.n_modes)
-    for a, b in _joins(config):
-        balanced_mix(v, a, b)
-        balanced_mix(v.T, a, b)
-    return (v + v.T) / 2
+    n = config.n_modes
+    joins = _joins(config)
+    # row k of O^T = O_inbin^T O_delay^T is column k of O
+    c1, v1 = _givens_rows([p for p in joins if p[0] % 2 == 0], n)
+    c2, v2 = _givens_rows([p for p in joins if p[0] % 2], n)
+    cols = c2[c1].reshape(n, 4)
+    vals = (v1[:, :, None] * v2[c1]).reshape(n, 4)
+    swap = np.arange(n) ^ 1
+    flat = cols[swap][:, :, None] * n + cols[:, None, :]
+    w = vals[swap][:, :, None] * vals[:, None, :]
+    return np.bincount(flat.ravel(), w.ravel(), minlength=n * n).reshape(n, n)
 
 
 def bulk_modes(config: LatticeConfig):

@@ -350,8 +350,12 @@ def empirical_variances(data_q: np.ndarray, data_p: np.ndarray,
 
     data_q and data_p hold q- and p-setting shots (rows are shots, columns
     are modes); a row with p coefficients is evaluated on the p data, any
-    other row on the q data.
+    other row on the q data.  Each setting needs at least 2 shots.
     """
+    if min(len(data_q), len(data_p)) < 2:
+        raise GraphStateError(
+            f"a sample variance needs at least 2 shots in each setting, got "
+            f"{len(data_q)} q and {len(data_p)} p shots")
     if not nulls.quadrature_pure():
         raise GraphStateError(
             "the two settings can only evaluate quadrature-pure nullifiers")

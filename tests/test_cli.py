@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,62 @@ def test_build_bsl_repeatable(tmp_path):
     ja = a.with_suffix(".json").read_text().replace(str(a), "OUT")
     jb = b.with_suffix(".json").read_text().replace(str(b), "OUT")
     assert ja == jb
+
+
+def _bsl_outputs(out, capsys):
+    return (capsys.readouterr().out, out.with_suffix(".json").read_bytes(),
+            out.with_suffix(".dot").read_bytes())
+
+
+def test_usage_error_leaves_nothing_in_the_parser(tmp_path, capsys):
+    # main builds its parser once per process and reuses it on every call
+    cli.build_parser.cache_clear()
+    out = tmp_path / "bsl"
+    argv = ["build-bsl", "--lattice", "2,2", "-r", "0.7", "--out", str(out)]
+    assert main(argv) == 0
+    first = _bsl_outputs(out, capsys)
+    assert json.loads(first[1])["config"] == {
+        "command": "build-bsl", "lattice": [2, 2], "squeezing": 0.7,
+        "out": str(out)}
+    # -r is read before --lattice fails
+    with pytest.raises(SystemExit) as exc:
+        main(["build-bsl", "-r", "3", "--lattice", "x", "--out",
+              str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert _bsl_outputs(out, capsys) == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bsl.dot",
+                                                          "bsl.json"]
+
+
+def test_appended_squeezings_do_not_carry_over_to_the_next_call(capsys):
+    assert main(["verify-nullifiers", "--squeezing", "1",
+                 "--squeezing", "2"]) == 0
+    assert capsys.readouterr().out.count("r = ") == 2
+    assert main(["verify-nullifiers", "--squeezing", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("r = ") == 1 and out.startswith("r = 3.0: ")
+
+
+def test_main_runs_the_cmd_function_the_module_holds_at_call_time(
+        tmp_path, monkeypatch, capsys):
+    # a tracer wraps cmd_* on the module after the parser may be built
+    assert main(["verify-nullifiers", "--lattice", "2,2"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def spy(args):
+        calls.append(args.command)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_build_bsl", spy)
+    monkeypatch.setattr(cli, "cmd_verify_nullifiers", spy)
+    assert main(["build-bsl", "--out", str(tmp_path / "bsl")]) == 7
+    assert main(["verify-nullifiers", "--lattice", "2,2"]) == 7
+    assert calls == ["build-bsl", "verify-nullifiers"]
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def _bsl_program(n_rows, m_cols, r):
@@ -756,6 +813,27 @@ def test_shots_below_one_exit_2(tmp_path, capsys, argv, shots):
     assert (f"argument --shots: shots must be an integer >= 1, got '{shots}'"
             in captured.err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_nullifiers_refuses_one_shot(tmp_path, capsys):
+    # a sample variance of one shot is undefined: a usage error, not a FAIL
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-nullifiers", "--shots", "1",
+                     "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --shots must be at least 2: the sampled "
+                            "witness takes a sample variance\n")
+    assert not report.exists()
+
+
+def test_sample_homodyne_takes_one_shot(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert main(["sample-homodyne", "--setting", "q", "--shots", "1",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2   # header and one shot
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf", "5", "0", "-0.5", "half"])

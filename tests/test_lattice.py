@@ -46,6 +46,23 @@ def test_schedule_counts_and_reproducibility():
     assert [g.modes for g in gates] == [g.modes for g in schedule(config)]
 
 
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2), (3, 3), (5, 4)])
+def test_joins_are_two_layers_of_disjoint_pairs(n, m):
+    # ideal_graph builds V as O_delay O_inbin P O_inbin^T O_delay^T
+    joins = _joins(LatticeConfig(n, m, 1.0))
+    inbin = [p for p in joins if p[0] % 2 == 0]
+    delay = [p for p in joins if p[0] % 2]
+    assert inbin == [(4 * t, 4 * t + 2) for t in range(n * m)]
+    assert all(a % 4 in (1, 3) and b % 4 in (0, 2) for a, b in delay)
+    for layer in (inbin, delay):
+        modes = [k for pair in layer for k in pair]
+        assert len(modes) == len(set(modes))
+    # a delay-line join meets rail 0 or 2 of bin t after bin t's in-bin join
+    for k, (a, b) in enumerate(joins):
+        if a % 2:
+            assert joins.index((b - b % 4, b - b % 4 + 2)) < k
+
+
 def test_schedule_degenerate_single_column():
     config = LatticeConfig(2, 1, 1.0)
     long_delay = [g.modes for g in schedule(config)

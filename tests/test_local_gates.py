@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from bslsim import lattice as lat
 from bslsim.graphstate import (GraphState, GraphStateError, SymplecticGate,
-                               apply, covariance, gate_beamsplitter, gate_cz,
-                               gate_displacement, gate_rotation, gate_shear,
-                               gate_squeeze, omega, squeezed_vacua)
+                               apply, balanced_mix, covariance,
+                               gate_beamsplitter, gate_cz, gate_displacement,
+                               gate_rotation, gate_shear, gate_squeeze, omega,
+                               squeezed_vacua)
 from bslsim import mbqc
 from bslsim.cli import main
 from bslsim.mbqc import (decouple_wires, measure_with_response, run_program,
@@ -287,6 +288,25 @@ def test_ideal_graph_givens_matches_local_update(size):
     v = lat.ideal_graph(config)
     assert np.array_equal(v, v.T)
     assert np.abs(v - ideal_graph_reference(config)).max() <= 1e-15
+
+
+def ideal_graph_gate_loop(config):
+    """V0 through each joining beamsplitter in schedule order, its Givens
+    rotation applied in place to two rows and then two columns of V."""
+    v = lat._pairs(config.n_modes)
+    for a, b in lat._joins(config):
+        balanced_mix(v, a, b)
+        balanced_mix(v.T, a, b)
+    return (v + v.T) / 2
+
+
+@pytest.mark.parametrize("size", LATTICE_SIZES + [(8, 8), (16, 16)])
+def test_two_layer_ideal_graph_is_the_gate_loop_bit_for_bit(size):
+    config = lat.LatticeConfig(*size, 1.0)
+    v, ref = lat.ideal_graph(config), ideal_graph_gate_loop(config)
+    assert np.array_equal(v, ref)
+    # zeros of one sign too, so that the written files keep their bytes
+    assert np.array_equal(np.signbit(v), np.signbit(ref))
 
 
 def test_measurement_response_matches_finite_differences():

@@ -366,6 +366,15 @@ def test_empirical_variances_match_the_row_loop():
     assert np.all(np.abs(got - loop) <= 1e-12 * loop)
 
 
+@pytest.mark.parametrize("n_q,n_p", [(1, 50), (50, 1), (1, 1), (0, 50)])
+def test_empirical_variances_need_two_shots_per_setting(n_q, n_p):
+    nulls = quadrature_nullifiers(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    data_q, data_p = np.ones((n_q, 2)), np.ones((n_p, 2))
+    with pytest.raises(GraphStateError, match="at least 2 shots in each "
+                       f"setting, got {n_q} q and {n_p} p shots"):
+        empirical_variances(data_q, data_p, nulls)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1023, 3), (1024, 16),
                                    (1025, 16), (2049, 16), (3000, 1)])
 def test_csv_writer_matches_savetxt_bytes(tmp_path, shape):
