@@ -6,11 +6,13 @@ closed-form operator products, then reports a fidelity computed up to global
 phase.  Ancilla states at finite squeezing r carry their physical Gaussian
 envelopes, so the fidelity deficit eps(r) shrinks as r grows.
 
-The circuit steps end in a q-slice that reads 4 grid lines of a two-mode
-state, so ``teleport_step`` and ``mb_teleport_circuit`` compute only those
-lines, through ``WaveFunction.beamsplitter_slice`` and ``project_p_theta``;
-the same circuits built from the full-grid ``beamsplitter``, ``rotate`` and
-``project_q`` are their test reference.
+The circuit steps end in a slice that reads 4 grid lines of a two-mode
+state.  ``teleport_step`` computes only those lines, through
+``WaveFunction.beamsplitter_slice``; ``mb_teleport_circuit`` computes them
+without the two-mode grid, as four length-P chirp-z transforms of psi,
+through ``WaveFunction.cz_slice``.  The same circuits built from the
+full-grid ``beamsplitter``, ``cz``, ``rotate`` and ``project_q`` are their
+test reference.
 """
 
 from __future__ import annotations
@@ -76,14 +78,9 @@ def mb_teleport_gate(psi: WaveFunction, theta: float, m: float) -> WaveFunction:
 
 def mb_teleport_circuit(psi: WaveFunction, r: float, theta: float,
                         m: float) -> WaveFunction:
-    """Circuit side: p-squeezed ancilla, C_Z(-tanh(2r)/2), p(theta) slice.
-
-    psi is taken as mode 1 (C_Z is symmetric in its modes), so the FFTs of
-    the slice's rotation run along the contiguous axis.
-    """
+    """Circuit side: p-squeezed ancilla, C_Z(-tanh(2r)/2), p(theta) slice."""
     anc = WaveFunction.squeezed(r, psi.half_extent, psi.psi.shape[0])
-    big = anc.product(psi).cz(-np.tanh(2 * r) / 2)
-    return big.project_p_theta(1, theta, m)
+    return anc.cz_slice(psi, -np.tanh(2 * r) / 2, theta, m)
 
 
 def verify_teleport_identity(phi, psi: WaveFunction, m: float) -> dict:

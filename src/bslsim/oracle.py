@@ -20,19 +20,23 @@ beamsplitter shears, the p field of ``moments``) is one FFT, one in-place
 phase multiply in FFT order and one in-place inverse FFT (``_p_diag``).  The
 centring signs and scale factors of ``_to_p``/``_from_p`` cancel exactly
 around a diagonal multiply, so only ``squeeze`` keeps the centred spectrum.
-The two-mode phase tables exp(i lam p (x) q) and exp(i g q (x) q) never
-change for a given gain and grid, so the last 8 are cached read-only
-(``_two_mode_phase``): at most 8 MB on 256^2 grids and 32 MB on 512^2.
+The beamsplitter's shear tables exp(i lam p (x) q) never change for a given
+gain and grid, so the last 8 are cached read-only (``_two_mode_phase``): at
+most 8 MB on 256^2 grids and 32 MB on 512^2.
 
-A slice reads only 4 grid lines of a two-mode state, so the two steps that
-end in one compute only those lines: ``project_p_theta`` (rotate, then
-slice) and ``beamsplitter_slice`` (attach a mode, beamsplitter, then slice;
-the teleportation step of ``identities``).  The full-grid gates
-``rotate``/``beamsplitter`` followed by ``project_q`` are their test
-reference.  Both sides share the angle reduction and shear parameters
-(``rotation_plan``, ``beamsplitter_plan``) and the slice's window check and
-cubic weights (``slice_window``, ``interpolate_lines``); ``idft_columns``
-evaluates an inverse DFT at a few columns.
+A slice reads only 4 grid lines of a two-mode state, so the steps that end
+in one compute only those lines: ``project_p_theta`` (rotate, then slice)
+and ``beamsplitter_slice`` (attach a mode, beamsplitter, then slice; the
+teleportation step of ``identities``).  ``cz_slice`` (attach a mode, C_Z,
+then the p(theta) slice of the attached mode; the shear step of
+``identities``) forms no two-mode grid at all: each of the 4 lines is one
+length-P chirp-z transform of the attached mode (``_bluestein``), the zoom
+FFT of ``squeeze``.  The full-grid gates ``rotate``/``beamsplitter``/``cz``
+followed by ``project_q`` are their test reference.  Both sides share the
+angle reduction and shear parameters (``rotation_plan``,
+``beamsplitter_plan``) and the slice's window check and cubic weights
+(``slice_window``, ``interpolate_lines``); ``idft_columns`` evaluates an
+inverse DFT at a few columns.
 
 Grid: P points per mode at spacing 2L/P, q_n = (n - P/2) * 2L/P.
 """
@@ -52,6 +56,10 @@ DEFAULT_P1 = 1024
 DEFAULT_P2 = 512
 #: most points per mode: a two-mode grid of 4096^2 complex values takes 256 MiB
 MAX_POINTS = 4096
+#: largest half extent L: the largest phase the verifiers form is the cubic
+#: gate's chi q^3 / 3 at the grid's edge |q| = L, and q^3 overflows from
+#: L = 5.6e102, so every phase stays finite up to here on any grid
+MAX_HALF_EXTENT = 1e100
 
 
 class GridError(ValueError):
@@ -96,15 +104,14 @@ def _p_diag(psi: np.ndarray, ax: int, phase: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _two_mode_phase(g: float, half_extent: float, shape: tuple,
-                    p_ax: int | None) -> np.ndarray:
+                    p_ax: int) -> np.ndarray:
     """Read-only exp(i g x_0 (x) x_1) on a 2-mode grid of this shape.
 
-    x is q on each axis, except on axis `p_ax` (None for none), where it is
-    p in FFT order.  Cached: gates only read the table.
+    x is q on each axis, except on axis `p_ax`, where it is p in FFT order.
+    Cached: the beamsplitter shears only read the table.
     """
     x = [q_axis(half_extent, points) for points in shape]
-    if p_ax is not None:
-        x[p_ax] = _p_fft(half_extent, shape[p_ax])
+    x[p_ax] = _p_fft(half_extent, shape[p_ax])
     table = np.exp(1j * g * x[0][:, None] * x[1][None, :])
     table.flags.writeable = False
     return table
@@ -427,11 +434,52 @@ class WaveFunction:
         lines = _p_diag(work @ idft_columns(len(b), at), 0, shear_a[:, at])
         return WaveFunction(interpolate_lines(lines.T, weights), half)
 
+    def cz_slice(self, other: "WaveFunction", g: float, theta: float,
+                 m: float) -> "WaveFunction":
+        """self (x) other through C_Z(g), then the p(theta) = m slice of other.
+
+        Returns the self mode without forming the two-mode grid.  The slice
+        is project_p_theta's: rotate other by theta - pi/2 (shears t, s and
+        phase phi of rotation_plan) and read 4 q lines.  The rotation is
+        linear in other, so read line k, at self's q_i, is self_i
+        e^{i t q_k^2/2 - i phi/2} sum_j o_j e^{i t q_j^2/2} H_jk
+        e^{i g q_i q_j} for o = other.psi, where column k of
+        H = fft(e^{-i s p^2/2} K) carries the momentum shear to line k (K the
+        P x 4 inverse-DFT kernel; with no shear, t = s = phi = 0 and H is
+        the unit columns).  A parity permutes H's rows instead of the state.  The sum
+        over j is a chirp-z transform in q_i (``_bluestein``), one of
+        length P per read line.  The full-grid
+        self.product(other).cz(g).project_p_theta(1, theta, m) is the test
+        reference.
+        """
+        if self.n_modes != 1 or other.n_modes != 1:
+            raise GridError("cz_slice takes two 1-mode states")
+        if self.half_extent != other.half_extent:
+            raise GridError("grids must share the half extent")
+        if self.psi.shape != other.psi.shape:
+            raise GridError("cz_slice needs a square grid")
+        half, points = self.half_extent, len(other.psi)
+        i0, weights = slice_window(points, half, m)
+        at = np.arange(i0 - 1, i0 + 3)
+        parity, shears = rotation_plan(theta - np.pi / 2)
+        t, s, phi = shears or (0.0, 0.0, 0.0)
+        q, p = q_axis(half, points), _p_fft(half, points)
+        kern = np.fft.fft(np.exp(-0.5j * s * p * p)[:, None]
+                          * idft_columns(points, at), axis=0)
+        if parity:
+            kern = kern[(points - np.arange(points)) % points]
+        chirped = other.psi * np.exp(0.5j * t * q * q)
+        lines = _bluestein(chirped[None, :] * kern.T, g * self.dq ** 2)
+        lines *= self.psi
+        lines *= (np.exp(0.5j * t * q[at] ** 2) * np.exp(-0.5j * phi))[:, None]
+        return WaveFunction(interpolate_lines(lines, weights), half)
+
     def cz(self, g: float) -> "WaveFunction":
-        """C_Z(g) = exp(i g q_1 q_2)."""
+        """C_Z(g) = exp(i g q_1 q_2) on the full grid; cz_slice's reference."""
         if self.n_modes != 2:
             raise GridError("cz needs a 2-mode state")
-        table = _two_mode_phase(g, self.half_extent, self.psi.shape, None)
+        q0, q1 = self.q(0), self.q(1)
+        table = np.exp(1j * g * q0[:, None] * q1[None, :])
         return WaveFunction(self.psi * table, self.half_extent)
 
     # -- measurement ---------------------------------------------------------
@@ -453,6 +501,8 @@ class WaveFunction:
         the trailing q-shear and the global phase act on them only.  The
         full-grid rotate(theta - pi/2, mode).project_q(mode, m) is the test
         reference; the FFTs run along the contiguous axis when mode is 1.
+        With cz, it is cz_slice's two-mode reference; no product path calls
+        either.
         """
         if self.n_modes != 2:
             raise GridError("project_p_theta needs a 2-mode state")

@@ -337,6 +337,27 @@ def test_verify_identities_rejects_bad_grid(capsys, grid, field):
     assert "error: argument --grid" in err and field in err
 
 
+@pytest.mark.parametrize("half", ["1e300", "1.0000001e100", "inf"])
+def test_half_extent_above_the_bound_is_a_usage_error(capsys, half):
+    # at L = 1e300 the cubic phases overflowed: numpy warned and every case
+    # read fidelity 0 FAIL
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "M", "--grid", f"{half},64"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --grid: half extent L must be in (0, 1e+100], "
+            f"got {float(half)}") in err
+
+
+@pytest.mark.parametrize("suite", ["M", "L"])
+def test_half_extent_at_the_bound_forms_only_finite_phases(capsys, suite):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify-identities", suite, "--grid", "1e100,64"])
+    assert code in (0, 1)
+    assert "error" not in capsys.readouterr().out
+
+
 def test_sample_homodyne_cli(tmp_path):
     out = tmp_path / "shots.csv"
     code = main(["sample-homodyne", "--lattice", "2,2", "--setting", "q",

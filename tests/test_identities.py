@@ -1,18 +1,22 @@
 """Line-restricted teleportation steps against their full-grid references.
 
-teleport_step and mb_teleport_circuit compute only the 4 grid lines their
-final q-slice reads, through WaveFunction.beamsplitter_slice and
-project_p_theta.  The full-grid circuits below, built from the oracle's
-beamsplitter, cz, rotate and project_q, are the references they must
-reproduce.
+teleport_step computes only the 4 grid lines its final q-slice reads,
+through WaveFunction.beamsplitter_slice; mb_teleport_circuit never forms the
+two-mode grid, through WaveFunction.cz_slice.  The full-grid circuits below,
+built from the oracle's beamsplitter, cz, rotate and project_q, are the
+references they must reproduce.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bslsim.identities import default_input, mb_teleport_circuit, teleport_step
+from bslsim import identities
+from bslsim.identities import (default_input, mb_teleport_circuit, run_cases,
+                               run_suite, teleport_step)
 from bslsim.oracle import (GridError, WaveFunction, _p_diag, _two_mode_phase,
                            beamsplitter_plan, idft_columns, q_axis,
                            slice_window)
@@ -108,6 +112,90 @@ def test_mb_teleport_circuit_matches_full_grid(case):
     anc = WaveFunction.squeezed(r, HALF, psi.psi.shape[0])
     assert close(mb_teleport_circuit(psi, r, theta, m),
                  mb_teleport_circuit_reference(psi, r, theta, m), psi, anc)
+
+
+@pytest.mark.parametrize("points", [64, 256])
+@pytest.mark.parametrize("theta", [0.4, -2.0, np.pi / 2, -np.pi / 2,
+                                   3 * np.pi / 2, np.pi])
+def test_cz_slice_matches_full_grid_on_random_vectors(points, theta):
+    rng = np.random.default_rng(points)
+    a, b = (WaveFunction(rng.normal(size=points) + 1j * rng.normal(size=points),
+                         HALF) for _ in range(2))
+    for g in (0.9, -0.35):
+        for m in (*edge_values(points), 0.3):
+            want = a.product(b).cz(g).project_p_theta(1, theta, m)
+            assert close(a.cz_slice(b, g, theta, m), want, a, b)
+
+
+def test_cz_slice_keeps_the_grid_errors():
+    psi = default_input(64)
+    with pytest.raises(GridError, match="1-mode"):
+        psi.cz_slice(psi.product(psi), 0.5, 0.3, 0.0)
+    with pytest.raises(GridError, match="half extent"):
+        psi.cz_slice(default_input(64, half_extent=10.0), 0.5, 0.3, 0.0)
+    with pytest.raises(GridError, match="square grid"):
+        psi.cz_slice(default_input(128), 0.5, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, np.arctan(-0.3), np.arctan(0.3)])
+def test_mb_teleport_circuit_matches_full_grid_at_2048_points(theta):
+    points, r = 2048, 4.0
+    psi = WaveFunction.cubic_phase(0.2, 1.5, HALF, points).x_shift(0.4)
+    anc = WaveFunction.squeezed(r, HALF, points)
+    rotated = psi.product(anc).cz(-np.tanh(2 * r) / 2).rotate(theta - np.pi / 2, 0)
+    for m in (*edge_values(points), 0.3):
+        assert close(mb_teleport_circuit(psi, r, theta, m),
+                     rotated.project_q(0, m), psi, anc)
+
+
+def test_mb_teleport_circuit_memory_is_linear_in_the_grid():
+    # the two-mode grid of 4096^2 complex values alone takes 256 MiB
+    psi = default_input(4096)
+    tracemalloc.start()
+    try:
+        mb_teleport_circuit(psi, 4.0, np.pi / 6, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+#: a batch through every branch of the slice's angle reduction: no shear,
+#: parity without and with shears, and the suites' own angles
+ROUTE_CASES = [
+    {"identity": "M", "theta": np.pi / 6, "m": 0.5, "r": 3.0},
+    {"identity": "M", "theta": -2.0, "m": -0.4, "r": 4.0},
+    {"identity": "M", "theta": np.arctan(-0.3), "m": 1.0, "r": 2.5},
+    {"identity": "M", "theta": 2.5, "m": 0.2, "r": 4.0},
+    {"identity": "L", "chi": 0.1, "sigma": 0.0, "outcomes": (0.2, 0.0, -0.1),
+     "r": 4.0},
+    {"identity": "L", "chi": -0.2, "sigma": -0.4, "outcomes": (0.3, -0.5, 0.1),
+     "r": 3.0},
+    {"identity": "L", "chi": 0.25, "sigma": 1.5, "outcomes": (-0.1, 0.4, 0.2),
+     "r": 4.0},
+    {"identity": "commutation", "s": -0.2, "t": 0.3, "chi": 0.1,
+     "sigma": -0.3, "outcomes": (0.0, 0.2, -0.2), "r": 4.0},
+]
+
+
+def _route_reports():
+    reports = [rep for suite in ("M", "L", "commutation")
+               for rep in run_suite(suite, 256)]
+    return reports + run_cases(ROUTE_CASES, 256)
+
+
+def test_suites_and_batches_read_the_same_through_the_full_grid_step(monkeypatch):
+    got = _route_reports()
+    monkeypatch.setattr(identities, "mb_teleport_circuit",
+                        mb_teleport_circuit_reference)
+    want = _route_reports()
+    assert len(got) == len(want) == 7 + len(ROUTE_CASES)
+    for a, b in zip(got, want):
+        assert "error" not in a and "error" not in b
+        assert a["pass"] == b["pass"]
+        assert abs(a["fidelity"] - b["fidelity"]) <= 1e-12
+        for key, fid in b.get("fidelities", {}).items():
+            assert abs(a["fidelities"][key] - fid) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", [0, 1])

@@ -194,7 +194,7 @@ def test_cz_matches_direct_phase_on_non_square_grid():
 
 
 def test_two_mode_tables_are_cached_read_only():
-    for p_ax in (0, 1, None):
+    for p_ax in (0, 1):
         table = _two_mode_phase(0.37, L, (64, 32), p_ax)
         assert _two_mode_phase(0.37, L, (64, 32), p_ax) is table
         assert not table.flags.writeable
