@@ -25,8 +25,8 @@ from .nullifiers import (empirical_variances, lattice_factors,
                          lattice_variances, quadrature_nullifiers,
                          sample_marginal, vacuum_variances,
                          witness_from_variances)
-from .oracle import (DEFAULT_L, DEFAULT_P2, MAX_HALF_EXTENT, GridError,
-                     check_points)
+from .oracle import (DEFAULT_L, DEFAULT_P2, MAX_HALF_EXTENT, MIN_HALF_EXTENT,
+                     GridError, check_points)
 
 
 class InputError(ValueError):
@@ -93,9 +93,10 @@ def _grid_arg(text: str):
         half, pts = float(half), int(pts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected L,P") from exc
-    if not 0 < half <= MAX_HALF_EXTENT:
+    if not MIN_HALF_EXTENT <= half <= MAX_HALF_EXTENT:
         raise argparse.ArgumentTypeError(
-            f"half extent L must be in (0, {MAX_HALF_EXTENT:g}], got {half}")
+            f"half extent L must be in [{MIN_HALF_EXTENT:g}, "
+            f"{MAX_HALF_EXTENT:g}], got {half}")
     try:
         check_points(pts)
     except GridError as exc:

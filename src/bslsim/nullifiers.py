@@ -203,10 +203,10 @@ def sample_marginal(factor: np.ndarray, shots: int, seed=None, path=None,
     return data
 
 
-#: rows formatted by one % and written by one call in _write_csv; a block
-#: holds about 60 bytes an entry while it is written, and larger blocks
-#: write at most 3% faster
-_CSV_BLOCK = 64
+#: entries formatted together by _write_csv: a block's buffers take about
+#: 210 bytes an entry, and of blocks of 2**12 to 2**15 entries this one
+#: wrote 10000 x 16 shots fastest on a 2-core host (23 against 24-31 ms)
+_CSV_BLOCK_ENTRIES = 2 ** 13
 
 
 def _csv_header(n_modes: int) -> str:
@@ -218,16 +218,155 @@ def _write_csv(path, data: np.ndarray) -> None:
 
     The bytes are np.savetxt(path, data, fmt="%.17g", delimiter=",",
     header=..., comments=""), and 17 significant digits round-trip every
-    double.  savetxt boxes and formats each row by itself; here one % and
-    one write serve a block of _CSV_BLOCK rows, so memory stays O(block).
+    double.  savetxt formats each entry through Python's %; here
+    _format_rows formats a block of whole rows, about _CSV_BLOCK_ENTRIES
+    entries, at once and one write takes it, so memory stays O(block).
     """
     rows, n = data.shape
-    line = "%.17g," * (n - 1) + "%.17g\n"
-    with open(path, "w") as fh:
-        fh.write(_csv_header(n) + "\n")
-        for start in range(0, rows, _CSV_BLOCK):
-            block = data[start:start + _CSV_BLOCK]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    per_block = max(1, _CSV_BLOCK_ENTRIES // n)
+    with open(path, "wb") as fh:
+        fh.write(_csv_header(n).encode() + b"\n")
+        for start in range(0, rows, per_block):
+            block = np.ascontiguousarray(data[start:start + per_block],
+                                         dtype=np.float64)
+            fh.write(_format_rows(block))
+
+
+# _format_rows writes |x| in [1e-4, 1e16), where %.17g uses fixed notation,
+# from its 17 significant digits D = round(|x| 10^s), s = 16 - floor(log10|x|)
+# with ties to even as %.17g rounds.  10^s (s <= 22) is an exact double, and
+# Dekker's two-product (Numer. Math. 18, 224 (1971); Veltkamp's split, no
+# FMA) gives |x| 10^s = hi + lo exactly; hi >= 1e16 > 2^53 is an even
+# integer, so D = hi + rint(lo).  Each entry fills a 40-byte row of five
+# words with nul bytes where nothing is written: byte 0 the sign, 1-5 the
+# "0.000" of |x| < 1, digit i (0..16) at byte 6 + 2i and the point after it
+# at 7 + 2i, the separator at byte 39.  Deleting the nuls leaves the text.
+# Every other entry (0, subnormals, |x| < 1e-4 or >= 1e16, inf, nan) takes
+# "%.17g" % x itself; Gaussian shots hold about one in 10^4.
+
+_SPLITTER = 2.0 ** 27 + 1.0
+_POW10 = np.array([10.0 ** s for s in range(23)])
+
+
+def _words(rows) -> np.ndarray:
+    """Equal-length byte strings as rows of native uint64 words."""
+    return np.frombuffer(b"".join(rows), np.uint64).reshape(len(rows), -1)
+
+
+def _head(negative: bool, lead: int, k: int) -> bytes:
+    """Bytes 0-7 of a row: sign, the 0.000 prefix or the point, digit 0."""
+    row = bytearray([45 * negative, 0, 0, 0, 0, 0, 48 + lead, 0])
+    if k < 0:
+        row[5 + k:6] = b"0." + b"0" * (-k - 1)
+    elif k == 0:
+        row[7] = 46
+    return bytes(row)
+
+
+def _quad_words() -> np.ndarray:
+    """The digits of 0000..9999 at the even bytes of a word."""
+    digits = np.arange(48, 58, dtype=np.uint8)
+    text = np.zeros((10000, 8), np.uint8)
+    for place in range(4):
+        text[:, 2 * place] = np.tile(np.repeat(digits, 10 ** (3 - place)),
+                                     10 ** place)
+    return text.view(np.uint64)[:, 0]
+
+
+def _last_digits() -> np.ndarray:
+    """[j, q]: the index (1..16) of the last nonzero digit in quad j holding
+    q; 0 if q is 0."""
+    q = np.arange(10000, dtype=np.int16)
+    zeros = (q % 10 == 0).view(np.int8) + (q % 100 == 0) + (q % 1000 == 0)
+    last = np.arange(4, 20, 4, dtype=np.int8)[:, None] - zeros
+    return np.where(q > 0, last, np.int8(0))
+
+
+#: the head word of (sign, first digit, decimal exponent k + 4)
+_HEADS = _words([_head(neg, lead, k) for neg in (0, 1) for lead in range(10)
+                 for k in range(-4, 16)])[:, 0]
+_QUADS = _quad_words()
+_LAST_DIGIT = _last_digits()
+#: the point after digit k = 1..15 (byte 7 + 2k), in the word that holds it
+_POINTS = _words([bytes(8)] + [bytes((2 * k - 1) % 8) + b"."
+                               + bytes(7 - (2 * k - 1) % 8)
+                               for k in range(1, 16)])[:, 0]
+#: keep bytes 0 .. 6 + 2 keep of a row: digits after digit keep and the
+#: point after it go
+_KEEP = _words([b"\xff" * (7 + 2 * keep) + bytes(33 - 2 * keep)
+                for keep in range(17)])
+_COMMA, _NEWLINE = _words([bytes(7) + b",", bytes(7) + b"\n"])[:, 0]
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """hi, lo with hi + lo = a 10^(16 - k) exactly (Dekker)."""
+    b = _POW10[16 - k]
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
+    hi = a * b
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi, lo
+
+
+def _decade_step(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 as hi + lo is below, in or above [1e16, 1e17)."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.intp) - below
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The %.17g text of a float64 block: "," between entries, "\\n" after
+    each row."""
+    x = block.reshape(-1)
+    ax = np.abs(x)
+    fixed = (ax >= 1e-4) & (ax < 1e16)
+    a = np.where(fixed, ax, 1.0)
+    # the decimal exponent; where log10 rounds across a power of ten, step it
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, k)
+    step = _decade_step(hi, lo)
+    off = np.flatnonzero(step)
+    while off.size:
+        k[off] += step[off]
+        hi[off], lo[off] = _scaled(a[off], k[off])
+        step[off] = _decade_step(hi[off], lo[off])
+        off = off[step[off] != 0]
+    # no double in [1e-4, 1e16) lies within 5e-18 (relative) below a power
+    # of ten, so none rounds up to 10^17 here
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = digits // 10 ** 8
+    lead = top // 10 ** 8
+    top = (top - lead * 10 ** 8).astype(np.uint32)
+    bottom = (digits % 10 ** 8).astype(np.uint32)
+    quads = np.empty((x.size, 4), np.uint32)
+    np.floor_divide(top, 10 ** 4, out=quads[:, 0])
+    np.subtract(top, quads[:, 0] * 10 ** 4, out=quads[:, 1])
+    np.floor_divide(bottom, 10 ** 4, out=quads[:, 2])
+    np.subtract(bottom, quads[:, 2] * 10 ** 4, out=quads[:, 3])
+    rows = np.empty((x.size, 5), np.uint64)
+    rows[:, 0] = _HEADS[(np.signbit(x) * 10 + lead) * 20 + k + 4]
+    rows[:, 1:] = _QUADS[quads]
+    point = np.flatnonzero(k > 0)
+    rows.reshape(-1)[point * 5 + (k[point] + 3) // 4] |= _POINTS[k[point]]
+    # where digit 16 is a 0, the fraction's trailing zeros go, and the point
+    # if nothing follows it
+    zero = np.flatnonzero(quads[:, 3] % 10 == 0)
+    last = _LAST_DIGIT[np.arange(4), quads[zero]].max(axis=1)
+    rows[zero] &= _KEEP[np.maximum(last, k[zero])]
+    # the other entries take % itself, nul-padded to four words
+    other = np.flatnonzero(~fixed)
+    text = np.array([b"%.17g" % v for v in x[other].tolist()], dtype="S32")
+    rows[other, :4] = text.view(np.uint64).reshape(-1, 4)
+    rows[other, 4] = 0
+    ends = rows.reshape(len(block), -1, 5)
+    ends[:, :-1, 4] |= _COMMA
+    ends[:, -1, 4] |= _NEWLINE
+    return rows.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True)

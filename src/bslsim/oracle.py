@@ -60,6 +60,11 @@ MAX_POINTS = 4096
 #: gate's chi q^3 / 3 at the grid's edge |q| = L, and q^3 overflows from
 #: L = 5.6e102, so every phase stays finite up to here on any grid
 MAX_HALF_EXTENT = 1e100
+#: smallest half extent L: the momenta reach pi P / (2 L), and a scan of the
+#: suites and the device-range extremes on every allowed P first warned at
+#: L = 3.9e-150 (a wave function whose norm underflowed to 0 is divided by
+#: it); the floor leaves 50 decades for parameters the scan did not try
+MIN_HALF_EXTENT = 1e-100
 
 
 class GridError(ValueError):

@@ -345,7 +345,19 @@ def test_half_extent_above_the_bound_is_a_usage_error(capsys, half):
         main(["verify-identities", "M", "--grid", f"{half},64"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert (f"argument --grid: half extent L must be in (0, 1e+100], "
+    assert (f"argument --grid: half extent L must be in [1e-100, 1e+100], "
+            f"got {float(half)}") in err
+
+
+@pytest.mark.parametrize("half", ["1e-300", "1e-150", "9.9999e-101", "0"])
+def test_half_extent_below_the_floor_is_a_usage_error(capsys, half):
+    # at L = 1e-300 the p-shear phases overflowed and numpy warned; from
+    # L = 3.9e-150 down a norm underflowed to 0 and was divided by
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "commutation", "--grid", f"{half},64"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --grid: half extent L must be in [1e-100, 1e+100], "
             f"got {float(half)}") in err
 
 
@@ -356,6 +368,18 @@ def test_half_extent_at_the_bound_forms_only_finite_phases(capsys, suite):
         code = main(["verify-identities", suite, "--grid", "1e100,64"])
     assert code in (0, 1)
     assert "error" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", [4, 64, 4096])
+def test_half_extent_at_the_floor_runs_without_warnings(capsys, points):
+    # a grid this small holds no state, so the cases FAIL, but every phase
+    # and norm stays finite and nonzero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify-identities", "commutation", "--grid",
+                     f"1e-100,{points}"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_sample_homodyne_cli(tmp_path):

@@ -1,5 +1,6 @@
 """Nullifier sets, the phase-delay transformation, witnesses and sampling."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,23 +376,92 @@ def test_empirical_variances_need_two_shots_per_setting(n_q, n_p):
         empirical_variances(data_q, data_p, nulls)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1023, 3), (1024, 16),
-                                   (1025, 16), (2049, 16), (3000, 1)])
+def _savetxt_bytes(path, data):
+    header = ",".join(f"mode_{j}" for j in range(data.shape[1]))
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    return path.read_bytes()
+
+
+def _block_shapes():
+    """Shapes on either side of one and two blocks of whole rows."""
+    shapes = []
+    for n in (1, 3, 16, 17):
+        rows = max(1, nullifiers._CSV_BLOCK_ENTRIES // n)
+        shapes += [(rows - 1, n), (rows, n), (rows + 1, n), (2 * rows + 1, n)]
+    return shapes
+
+
+#: every power of ten from 1e-5 to 1e17 with the doubles either side (the
+#: fixed-notation range of the writer's kernel is [1e-4, 1e16)), and four
+#: exact ties that %.17g rounds to even
+_DECADE_EDGES = np.concatenate([
+    [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    for p in (float(f"1e{e}") for e in range(-5, 18))]
+    + [[1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+        100000000000000.375]])
+
+
+@pytest.mark.parametrize("shape", list(dict.fromkeys(
+    [(1, 1), (1023, 3), (1024, 16), (1025, 16), (2049, 16), (3000, 1)]
+    + _block_shapes())))
 def test_csv_writer_matches_savetxt_bytes(tmp_path, shape):
-    # both apply %.17g to the same doubles; the shapes sit on either side of
-    # multiples of the writer's block of rows
+    # both write %.17g of the same doubles; the shapes sit on either side of
+    # multiples of the writer's block, and the values cross both ends of its
+    # fixed-notation range
     rng = np.random.default_rng(shape[0])
     data = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
     special = [-0.0, 5e-324, 1e308, -1e308, -1e-300, np.inf, np.nan]
     flat = data.reshape(-1)
     k = min(len(special), flat.size)
     flat[np.linspace(0, flat.size - 1, k).astype(int)] = special[:k]
-    header = ",".join(f"mode_{j}" for j in range(shape[1]))
-    want, got = tmp_path / "savetxt.csv", tmp_path / "blocks.csv"
-    np.savetxt(want, data, fmt="%.17g", delimiter=",", header=header,
-               comments="")
-    nullifiers._write_csv(got, data)
-    assert got.read_bytes() == want.read_bytes()
+    edges = rng.choice([-1.0, 1.0], _DECADE_EDGES.size) * _DECADE_EDGES
+    at = rng.choice(flat.size, min(flat.size, edges.size), replace=False)
+    flat[at] = edges[:at.size]
+    nullifiers._write_csv(tmp_path / "blocks.csv", data)
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == _savetxt_bytes(tmp_path / "savetxt.csv", data))
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 17])
+def test_csv_writer_matches_savetxt_at_decade_edges_and_ties(tmp_path, n):
+    # each edge value with either sign, in every column
+    values = np.concatenate([_DECADE_EDGES, -_DECADE_EDGES])
+    data = np.resize(values, (values.size // n + n, n))
+    nullifiers._write_csv(tmp_path / "edges.csv", data)
+    text = (tmp_path / "edges.csv").read_bytes()
+    assert text == _savetxt_bytes(tmp_path / "savetxt.csv", data)
+    for tie in (b"1000000000000000.2", b"1000000000000000.8",
+                b"100000000000000.12", b"100000000000000.38"):
+        assert tie in text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.data())
+def test_csv_writer_matches_savetxt_on_any_doubles(tmp_path_factory, rows, n,
+                                                    data):
+    values = data.draw(st.lists(st.floats(width=64), min_size=rows * n,
+                                max_size=rows * n))
+    array = np.array(values, dtype=np.float64).reshape(rows, n)
+    path = tmp_path_factory.mktemp("csv")
+    nullifiers._write_csv(path / "blocks.csv", array)
+    assert ((path / "blocks.csv").read_bytes()
+            == _savetxt_bytes(path / "savetxt.csv", array))
+
+
+def test_csv_writer_memory_is_one_block(tmp_path):
+    # 200000 x 16 shots are 24 MiB as doubles and 62 MiB as text; writing
+    # them holds one block of 2**13 entries, about 1.7 MiB
+    data = np.random.default_rng(3).normal(size=(200000, 16))
+    tracemalloc.start()
+    try:
+        nullifiers._write_csv(tmp_path / "big.csv", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    with open(tmp_path / "big.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 200001
 
 
 def test_sample_marginal_needs_a_mode(tmp_path):
