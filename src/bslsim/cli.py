@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphstate import GraphStateError
-from .identities import run_cases, run_suite
+from .identities import SUITES, run_cases, run_suite
 from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
                       edge_summary, ideal_graph, to_dot)
 from .mbqc import run_program
@@ -25,8 +25,8 @@ from .nullifiers import (empirical_variances, lattice_factors,
                          lattice_variances, quadrature_nullifiers,
                          sample_marginal, vacuum_variances,
                          witness_from_variances)
-from .oracle import (DEFAULT_L, DEFAULT_P2, MAX_HALF_EXTENT, MIN_HALF_EXTENT,
-                     GridError, check_points)
+from .oracle import (DEFAULT_L, DEFAULT_P2, GridError, check_half_extent,
+                     check_points)
 
 
 class InputError(ValueError):
@@ -93,14 +93,12 @@ def _grid_arg(text: str):
         half, pts = float(half), int(pts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected L,P") from exc
-    if not MIN_HALF_EXTENT <= half <= MAX_HALF_EXTENT:
-        raise argparse.ArgumentTypeError(
-            f"half extent L must be in [{MIN_HALF_EXTENT:g}, "
-            f"{MAX_HALF_EXTENT:g}], got {half}")
-    try:
-        check_points(pts)
-    except GridError as exc:
-        raise argparse.ArgumentTypeError(f"points P: {exc}") from exc
+    for check, value, label in ((check_half_extent, half, ""),
+                                (check_points, pts, "points P: ")):
+        try:
+            check(value)
+        except GridError as exc:
+            raise argparse.ArgumentTypeError(label + str(exc)) from exc
     return half, pts
 
 
@@ -117,8 +115,6 @@ def _number_arg(rule: str, cast, ok):
         raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
     return parse
 
-
-SUITES = ("E", "M", "L", "commutation", "all")
 
 _seed_arg = _number_arg("seed must be an integer >= 0", int,
                         lambda v: v >= 0)

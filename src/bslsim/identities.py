@@ -24,7 +24,8 @@ import numpy as np
 from .graphstate import ProgramError, _fields, _number, _three_numbers
 from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
-                     check_points, cubic_weights, fidelity_up_to_phase, q_axis)
+                     check_half_extent, check_points, cubic_weights,
+                     fidelity_up_to_phase, q_axis)
 
 #: normalization of the ancilla-consuming map relative to its three-factor
 #: closed form: the projection kernel contributes an extra 2**(1/4).
@@ -321,12 +322,17 @@ SUITE_CASES = {
                      "r": 4.0}],
 }
 
+#: the suites run_suite runs: E, each battery of SUITE_CASES, and all
+SUITES = ("E", *SUITE_CASES, "all")
+
 
 def _case_report(case: dict, points: int, half_extent: float) -> dict:
-    """Run one case, read by _fields against its kind's CASE_FIELDS; a key
-    the kind does not read, a malformed value, an r or r_env outside
-    (0, R_MAX_IDENTITY], or a device parameter outside DEVICE_RANGE (checked
-    by its verifier) raises, naming the key."""
+    """Run one case, read by _fields against its kind's CASE_FIELDS; a grid
+    outside the oracle's bounds, a key the kind does not read, a malformed
+    value, an r or r_env outside (0, R_MAX_IDENTITY], or a device parameter
+    outside DEVICE_RANGE (checked by its verifier) raises, naming the key."""
+    check_half_extent(half_extent)
+    check_points(points)
     if not isinstance(case, dict):
         raise ProgramError(f"case must be an object, got {case!r}")
     kind = case.get("identity")
@@ -383,8 +389,10 @@ def run_suite(which: str = "all", points: int = DEFAULT_P2,
 
     E draws seeded ancillas, which a case cannot express; the M, L and
     commutation batteries are SUITE_CASES, run serially by _case_report."""
-    if which not in ("E", "all", *SUITE_CASES):
+    if which not in SUITES:
         raise ValueError(f"unknown identity suite {which!r}")
+    check_half_extent(half_extent)
+    check_points(points)
     reports = []
     if which in ("E", "all"):
         rng = np.random.default_rng(seed)

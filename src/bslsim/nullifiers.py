@@ -417,11 +417,22 @@ def _data_lines(fh):
 
 
 def _bad_line(path, n_modes: int):
-    """Why the first bad row of a shots CSV is not n_modes finite numbers,
-    named by its line in the file; None if no row is bad."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for number, text in _data_lines(fh):
+    """Why the first faulty line of a shots CSV is refused, named by its
+    line in the file: a byte that is not UTF-8, or a row after the header
+    that is not n_modes finite numbers; None if no line is faulty.
+    surrogateescape reads a bad byte b as the lone surrogate U+DC00 + b,
+    which no UTF-8 text decodes to."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xdc00
+                return f"line {number}: can't decode byte 0x{byte:02x} as UTF-8"
+            # blank lines and # comments are skipped, as loadtxt does
+            text = line.split("#", 1)[0].strip()
+            if number == 1 or not text:
+                continue
             entries = [e.strip() for e in text.split(",")]
             if len(entries) != n_modes:
                 return (f"line {number}: expected {n_modes} entries, "
@@ -435,19 +446,6 @@ def _bad_line(path, n_modes: int):
                         return f"line {number}: non-finite entry {entry!r}"
                 except ValueError:
                     return f"line {number}: {entry!r} is not a number"
-
-
-def _bad_byte(path):
-    """The file line of the first byte that is not UTF-8; None if there is
-    none.  surrogateescape reads such a byte b as the lone surrogate
-    U+DC00 + b, which no UTF-8 text decodes to."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xdc00
-                return f"line {number}: can't decode byte 0x{byte:02x} as UTF-8"
 
 
 def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
@@ -469,12 +467,9 @@ def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
                 raise ValueError("a row is not finite numbers")
     except GraphStateError:
         raise
-    except UnicodeDecodeError as exc:
-        # the decoder counts from its chunk; read the file again for the line
-        raise GraphStateError(f"malformed CSV {path}: "
-                              f"{_bad_byte(path) or exc}") from None
     except ValueError as exc:
-        # loadtxt counts rows in two ways; read the file again to name the line
+        # a UnicodeDecodeError counts from its chunk and loadtxt counts rows
+        # in two ways; read the file again to name the first faulty line
         raise GraphStateError(f"malformed CSV {path}: "
                               f"{_bad_line(path, n_modes) or exc}") from None
     if data.shape[0] < min_shots:

@@ -21,22 +21,22 @@ phase multiply in FFT order and one in-place inverse FFT (``_p_diag``).  The
 centring signs and scale factors of ``_to_p``/``_from_p`` cancel exactly
 around a diagonal multiply, so only ``squeeze`` keeps the centred spectrum.
 The beamsplitter's shear tables exp(i lam p (x) q) never change for a given
-gain and grid, so the last 8 are cached read-only (``_two_mode_phase``): at
-most 8 MB on 256^2 grids and 32 MB on 512^2.
+gain and grid, so the last 8 are cached read-only (``_two_mode_phase``); a
+table of P^2 complex values takes 1 MiB at P = 256 and 256 MiB at 4096.
 
-A slice reads only 4 grid lines of a two-mode state, so the steps that end
-in one compute only those lines: ``project_p_theta`` (rotate, then slice)
-and ``beamsplitter_slice`` (attach a mode, beamsplitter, then slice; the
-teleportation step of ``identities``).  ``cz_slice`` (attach a mode, C_Z,
-then the p(theta) slice of the attached mode; the shear step of
-``identities``) forms no two-mode grid at all: each of the 4 lines is one
-length-P chirp-z transform of the attached mode (``_bluestein``), the zoom
-FFT of ``squeeze``.  The full-grid gates ``rotate``/``beamsplitter``/``cz``
-followed by ``project_q`` are their test reference.  Both sides share the
-angle reduction and shear parameters (``rotation_plan``,
-``beamsplitter_plan``) and the slice's window check and cubic weights
-(``slice_window``, ``interpolate_lines``); ``idft_columns`` evaluates an
-inverse DFT at a few columns.
+A slice reads only 4 grid lines of a two-mode state, so the steps of
+``identities`` that end in one compute only those lines.
+``beamsplitter_slice`` (attach a mode, beamsplitter, then slice; the
+teleportation step) computes 4 q_1 columns.  ``cz_slice`` (attach a mode,
+C_Z, then the p(theta) slice of the attached mode; the shear step) forms no
+two-mode grid at all: each of the 4 lines is one length-P chirp-z transform
+of the attached mode (``_bluestein``), the zoom FFT of ``squeeze``.  The
+full-grid gates ``rotate``/``beamsplitter``/``cz`` followed by
+``project_q`` are their test reference, and ``project_p_theta`` is rotate,
+then ``project_q``.  Both sides share the angle reduction and shear
+parameters (``rotation_plan``, ``beamsplitter_plan``) and the slice's window
+check and cubic weights (``slice_window``, ``interpolate_lines``);
+``idft_columns`` evaluates an inverse DFT at a few columns.
 
 Grid: P points per mode at spacing 2L/P, q_n = (n - P/2) * 2L/P.
 """
@@ -80,6 +80,17 @@ def check_points(points: int) -> int:
         raise GridError(f"grid points per mode must be a power of two in "
                         f"[4, {MAX_POINTS}], got {points}")
     return points
+
+
+def check_half_extent(half_extent: float):
+    """A GridError unless half_extent is in [MIN_HALF_EXTENT,
+    MAX_HALF_EXTENT]; a NaN is refused too.
+
+    Called where a grid enters, before anything is allocated on it.
+    """
+    if not MIN_HALF_EXTENT <= half_extent <= MAX_HALF_EXTENT:
+        raise GridError(f"half extent L must be in [{MIN_HALF_EXTENT:g}, "
+                        f"{MAX_HALF_EXTENT:g}], got {half_extent}")
 
 
 def q_axis(half_extent: float, points: int) -> np.ndarray:
@@ -256,6 +267,7 @@ class WaveFunction:
         psi = np.asarray(self.psi, dtype=complex)
         if psi.ndim not in (1, 2):
             raise GridError("only 1- or 2-mode wavefunctions are supported")
+        check_half_extent(self.half_extent)
         for points in psi.shape:
             check_points(points)
         object.__setattr__(self, "psi", psi)
@@ -278,7 +290,10 @@ class WaveFunction:
                              * self.dq ** self.n_modes))
 
     def normalized(self) -> "WaveFunction":
-        return WaveFunction(self.psi / self.norm(), self.half_extent)
+        norm = self.norm()
+        if not norm > 0:
+            raise GridError("cannot normalize a state of zero norm")
+        return WaveFunction(self.psi / norm, self.half_extent)
 
     def boundary_mass(self, frac: float = 0.9) -> float:
         """Probability mass outside |q| > frac * L on any axis."""
@@ -403,6 +418,17 @@ class WaveFunction:
             out = out._shear_between(a, 0)
         return out
 
+    def _check_factors(self, other: "WaveFunction", name: str,
+                       square: bool = False):
+        """Refuse factors of self (x) other that are not two 1-mode states
+        on grids of one half extent, and, if square, of one size."""
+        if self.n_modes != 1 or other.n_modes != 1:
+            raise GridError(f"{name} takes two 1-mode states")
+        if self.half_extent != other.half_extent:
+            raise GridError("grids must share the half extent")
+        if square and self.psi.shape != other.psi.shape:
+            raise GridError(f"{name} needs a square grid")
+
     def beamsplitter_slice(self, other: "WaveFunction", m: float,
                            theta: float = np.pi / 4) -> "WaveFunction":
         """self (x) other through B_01(theta), then the slice q_1 = m.
@@ -416,10 +442,7 @@ class WaveFunction:
         self.product(other).beamsplitter(theta).project_q(1, m) is the test
         reference.
         """
-        if self.n_modes != 1 or other.n_modes != 1:
-            raise GridError("beamsplitter_slice takes two 1-mode states")
-        if self.half_extent != other.half_extent:
-            raise GridError("grids must share the half extent")
+        self._check_factors(other, "beamsplitter_slice")
         half, a, b = self.half_extent, self.psi, other.psi
         k, gains = beamsplitter_plan((len(a), len(b)), theta)
         i0, weights = slice_window(len(b), half, m)
@@ -457,12 +480,7 @@ class WaveFunction:
         self.product(other).cz(g).project_p_theta(1, theta, m) is the test
         reference.
         """
-        if self.n_modes != 1 or other.n_modes != 1:
-            raise GridError("cz_slice takes two 1-mode states")
-        if self.half_extent != other.half_extent:
-            raise GridError("grids must share the half extent")
-        if self.psi.shape != other.psi.shape:
-            raise GridError("cz_slice needs a square grid")
+        self._check_factors(other, "cz_slice", square=True)
         half, points = self.half_extent, len(other.psi)
         i0, weights = slice_window(points, half, m)
         at = np.arange(i0 - 1, i0 + 3)
@@ -500,32 +518,12 @@ class WaveFunction:
     def project_p_theta(self, mode: int, theta: float, m: float) -> "WaveFunction":
         """Project onto the p(theta) = m eigenstate of one mode.
 
-        Uses p(theta) = q(theta - pi/2): rotate, then slice.  The slice reads
-        4 q lines of the rotated mode, so the rotation's momentum shear is
-        inverted at those lines alone, through a P x 4 inverse-DFT kernel, and
-        the trailing q-shear and the global phase act on them only.  The
-        full-grid rotate(theta - pi/2, mode).project_q(mode, m) is the test
-        reference; the FFTs run along the contiguous axis when mode is 1.
-        With cz, it is cz_slice's two-mode reference; no product path calls
-        either.
+        Uses p(theta) = q(theta - pi/2): rotate on the full grid, then
+        slice.  With cz, it is cz_slice's two-mode reference.
         """
         if self.n_modes != 2:
             raise GridError("project_p_theta needs a 2-mode state")
-        half, points = self.half_extent, self.psi.shape[mode]
-        i0, weights = slice_window(points, half, m)
-        at = np.arange(i0 - 1, i0 + 3)
-        parity, shears = rotation_plan(theta - np.pi / 2)
-        work = np.moveaxis((self._parity(mode) if parity else self).psi, mode, -1)
-        if shears is None:
-            return WaveFunction(interpolate_lines(work[:, at].T, weights), half)
-        t, s, phi = shears
-        q, p = q_axis(half, points), _p_fft(half, points)
-        work = work * np.exp(0.5j * t * q * q)
-        np.fft.fft(work, axis=-1, out=work)
-        work *= np.exp(-0.5j * s * p * p)
-        lines = (work @ idft_columns(points, at)).T
-        lines *= (np.exp(0.5j * t * q[at] ** 2) * np.exp(-0.5j * phi))[:, None]
-        return WaveFunction(interpolate_lines(lines, weights), half)
+        return self.rotate(theta - np.pi / 2, mode).project_q(mode, m)
 
     # -- moments -------------------------------------------------------------
 
@@ -538,6 +536,8 @@ class WaveFunction:
         n = self.n_modes
         rho = (self.psi.conj() * self.psi).real
         total = rho.sum()
+        if not total > 0:
+            raise GridError("a state of zero norm has no moments")
         marg = [rho] if n == 1 else [rho.sum(axis=1), rho.sum(axis=0)]
         mean = np.zeros(2 * n)
         pfield = []
@@ -606,10 +606,7 @@ class WaveFunction:
 
     def product(self, other: "WaveFunction") -> "WaveFunction":
         """Two-mode product state self (x) other."""
-        if self.n_modes != 1 or other.n_modes != 1:
-            raise GridError("product takes two 1-mode states")
-        if self.half_extent != other.half_extent:
-            raise GridError("grids must share the half extent")
+        self._check_factors(other, "product")
         return WaveFunction(np.outer(self.psi, other.psi), self.half_extent)
 
 

@@ -7,7 +7,9 @@ built from the oracle's beamsplitter, cz, rotate and project_q, are the
 references they must reproduce.
 """
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,16 +32,11 @@ def teleport_step_reference(psi, phi, m):
     return psi.product(phi).beamsplitter(np.pi / 4).project_q(1, m)
 
 
-def project_p_theta_reference(big, mode, theta, m):
-    """p(theta) = q(theta - pi/2): full-grid rotation, then the q-slice."""
-    return big.rotate(theta - np.pi / 2, mode).project_q(mode, m)
-
-
 def mb_teleport_circuit_reference(psi, r, theta, m):
     """p-squeezed ancilla, C_Z(-tanh(2r)/2) and p(theta) slice, full grid."""
     anc = WaveFunction.squeezed(r, psi.half_extent, psi.psi.shape[0])
     big = psi.product(anc).cz(-np.tanh(2 * r) / 2)
-    return project_p_theta_reference(big, 0, theta, m)
+    return big.project_p_theta(0, theta, m)
 
 
 def edge_values(points):
@@ -198,17 +195,6 @@ def test_suites_and_batches_read_the_same_through_the_full_grid_step(monkeypatch
             assert abs(a["fidelities"][key] - fid) <= 1e-12
 
 
-@pytest.mark.parametrize("mode", [0, 1])
-@pytest.mark.parametrize("theta", [0.4, -2.0, np.pi / 2, 3 * np.pi / 2])
-def test_project_p_theta_matches_full_grid_on_either_mode(mode, theta):
-    rng = np.random.default_rng(3)
-    big = WaveFunction(rng.normal(size=(64, 32)) + 1j * rng.normal(size=(64, 32)),
-                       HALF)
-    m = 0.7 * edge_values(big.psi.shape[mode])[0]
-    assert close(big.project_p_theta(mode, theta, m),
-                 project_p_theta_reference(big, mode, theta, m), big)
-
-
 def test_project_p_theta_needs_two_modes():
     with pytest.raises(GridError, match="2-mode"):
         default_input(64).project_p_theta(0, 0.3, 0.0)
@@ -280,3 +266,34 @@ def test_teleport_step_keeps_the_grid_errors():
         teleport_step(psi, default_input(64, half_extent=10.0), 0.0)
     with pytest.raises(GridError, match="1-mode"):
         teleport_step(psi.product(psi), psi, 0.0)
+
+
+#: one case of each kind; the E case runs at its own points
+GRID_CASES = [{"identity": "E", "points": 64}, {"identity": "M"},
+              {"identity": "L"}, {"identity": "commutation"}]
+
+
+@pytest.mark.parametrize("half", [0.0, -1.0, np.nan, np.inf, 3e-150, 1e300])
+def test_every_grid_entry_refuses_a_half_extent_out_of_bounds(half):
+    # unchecked, L = 0 aborted a batch with a ZeroDivisionError, and L = -1
+    # and 1e300 made numpy warn
+    bound = "half extent L must be in [1e-100, 1e+100]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = run_cases(GRID_CASES, 64, half)
+        assert len(reports) == len(GRID_CASES)
+        for rep in reports:
+            assert bound in rep["error"] and rep["pass"] is False
+        with pytest.raises(GridError, match=re.escape(bound)):
+            run_suite("all", 64, half)
+        with pytest.raises(GridError, match=re.escape(bound)):
+            WaveFunction(np.ones(64), half)
+
+
+def test_every_grid_entry_refuses_points_out_of_bounds():
+    # the batch's points bind its E cases too, which run at their own points
+    message = "grid points per mode must be a power of two in [4, 4096], got 100"
+    reports = run_cases(GRID_CASES, 100)
+    assert [rep["error"] for rep in reports] == [message] * len(GRID_CASES)
+    with pytest.raises(GridError, match=re.escape(message)):
+        run_suite("E", 100)

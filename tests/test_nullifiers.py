@@ -1,5 +1,6 @@
 """Nullifier sets, the phase-delay transformation, witnesses and sampling."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -527,3 +528,21 @@ def test_ingest_error_paths(tmp_path):
             assert str(path) in str(err.value)
             assert message in str(err.value), name
             assert "usecols" not in str(err.value), name
+
+
+def test_ingest_names_the_first_faulty_line_in_file_order(tmp_path):
+    # each file fits the text decoder's first 8 KiB chunk, so its bad byte
+    # fails to decode before loadtxt parses the bad row
+    nulls = quadrature_nullifiers(np.diag([1.0, -1.0]))
+    ok = tmp_path / "ok.csv"
+    ok.write_text("mode_0,mode_1\n" + "0.1,0.2\n" * 200)
+    good = b"0.1,0.2\n" * 150
+    row, byte = b"0.3,abc\n", b"0.3,\xe90.2\n"
+    for name, body, message in (
+            ("row-first.csv", row + good + byte, "line 2: 'abc' is not a number"),
+            ("byte-first.csv", byte + good + row,
+             "line 2: can't decode byte 0xe9 as UTF-8")):
+        path = tmp_path / name
+        path.write_bytes(b"mode_0,mode_1\n" + body)
+        with pytest.raises(GraphStateError, match=re.escape(message)):
+            ingest_samples(ok, path, nulls)

@@ -387,6 +387,14 @@ def test_fidelity_up_to_phase_of_tiny_vectors_does_not_underflow():
     assert fidelity_up_to_phase(zero, a) == fidelity_up_to_phase(a, zero) == 0.0
 
 
+def test_zero_norm_state_has_no_normalization_or_moments():
+    zero = WaveFunction(np.zeros(64), L)
+    with pytest.raises(GridError, match="zero norm"):
+        zero.normalized()
+    with pytest.raises(GridError, match="zero norm"):
+        zero.moments()
+
+
 def test_boundary_mass_checks():
     ok = WaveFunction.vacuum(L, P1)
     ok.require_resident()
