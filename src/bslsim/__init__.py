@@ -8,9 +8,8 @@ from .graphstate import (GraphState, GraphStateError, SymplecticGate, apply,
                          gate_displacement, gate_identity, gate_rotation,
                          gate_shear, gate_squeeze, omega, squeezed_vacua,
                          vacuum)
-from .lattice import (LatticeConfig, MacronodeLattice, build_bsl,
-                      canonical_wire, edge_summary, ideal_graph, schedule,
-                      to_dot)
+from .lattice import (LatticeConfig, build_bsl, canonical_wire, edge_summary,
+                      ideal_graph, schedule, to_dot)
 from .mbqc import (MeasurementRecord, ProgramError, cz_gate_angles,
                    decouple_wires, feedforward, run_program,
                    simulate_single_mode_gate, two_mode_gate, v_gate,

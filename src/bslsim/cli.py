@@ -18,8 +18,8 @@ import numpy as np
 
 from .graphstate import GraphStateError
 from .identities import SUITES, run_cases, run_suite
-from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
-                      edge_summary, ideal_graph, to_dot)
+from .lattice import (LatticeConfig, _lattice_state, edge_summary,
+                      ideal_graph, to_dot)
 from .mbqc import run_program
 from .nullifiers import (empirical_variances, lattice_factors,
                          lattice_variances, quadrature_nullifiers,
@@ -128,14 +128,14 @@ _threshold_factor_arg = _number_arg(
 def cmd_build_bsl(args) -> int:
     config = LatticeConfig(args.lattice[0], args.lattice[1], args.squeezing)
     v = ideal_graph(config)
-    state, lattice = _lattice_state(v, config.r), MacronodeLattice(config)
+    state = _lattice_state(v, config.r)
     summary = edge_summary(state, config)
     out = Path(args.out)
     payload = {
         "config": vars(args),
         "graph": state.to_dict(),
         "ideal_graph": v.tolist(),
-        "lattice": {f"{t},{d}": mode for (t, d), mode in lattice.coords.items()},
+        "lattice": {f"{t},{d}": mode for (t, d), mode in config.coords.items()},
         "summary": summary,
     }
     out.with_suffix(".json").write_text(_to_json(payload))

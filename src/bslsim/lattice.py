@@ -62,9 +62,19 @@ def _check_modes(n_modes: int, what: str):
             f"{what} is above the limit of {MAX_MODES} modes")
 
 
+class LatticeCoord(NamedTuple):
+    row: int
+    col: int
+    site: str      # "xa" | "bc"
+    member: str    # "alpha" | "beta"
+    mode: int
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Lattice size and squeezing: N rows (long-delay length), M columns."""
+    """Lattice size and squeezing, N rows (long-delay length) and M columns,
+    and the bijection between temporal modes, detectors and lattice
+    coordinates that the rail table defines."""
 
     n_rows: int
     m_cols: int
@@ -94,76 +104,59 @@ class LatticeConfig:
         one-bin loop and rail 3 the N-bin loop."""
         return (("b", 0), ("c", 1), ("x", 0), ("a", self.n_rows))
 
-
-class LatticeCoord(NamedTuple):
-    row: int
-    col: int
-    site: str      # "xa" | "bc"
-    member: str    # "alpha" | "beta"
-    mode: int
-
-
-@dataclass(frozen=True)
-class MacronodeLattice:
-    """Bijection between temporal modes, detectors and lattice coordinates."""
-
-    config: LatticeConfig
-
     def mode_at(self, time_index: int, detector: str):
         """Mode measured at (time_index, detector), or None where none is; in
         O(1), so checking a program costs O(steps) whatever the lattice."""
-        for rail, (det, delay) in enumerate(self.config.rails):
+        for rail, (det, delay) in enumerate(self.rails):
             if det == detector:
                 t = time_index - delay
-                return 4 * t + rail if 0 <= t < self.config.bins else None
+                return 4 * t + rail if 0 <= t < self.bins else None
         return None
 
     def lookup(self, time_index: int, detector: str) -> LatticeCoord:
         """Lattice coordinate of the mode measured at (time_index, detector)."""
-        rails = self.config.rails
         mode = self.mode_at(time_index, detector)
         if mode is None:
-            if all(det != detector for det, _ in rails):
+            if all(det != detector for det, _ in self.rails):
                 raise KeyError(f"unknown detector {detector!r}")
             raise KeyError(f"no mode is measured at bin {time_index}, "
                            f"detector {detector!r}")
         rail = mode % 4
         first = rail - rail % 2     # the macronode's rails (first, first+1)
-        site = rails[first][0] + rails[first + 1][0]
+        site = self.rails[first][0] + self.rails[first + 1][0]
         member = ("alpha", "beta")[rail % 2]
-        n = self.config.n_rows
+        n = self.n_rows
         return LatticeCoord(time_index % n, time_index // n, site, member, mode)
 
     @property
     def coords(self) -> dict:
         """(measured bin, detector) -> mode, bin by bin; a bin's rails in the
         order they reach their detectors."""
-        arrival = sorted(enumerate(self.config.rails), key=lambda x: x[1][1])
-        return {(t + delay, det): 4 * t + rail for t in range(self.config.bins)
+        arrival = sorted(enumerate(self.rails), key=lambda x: x[1][1])
+        return {(t + delay, det): 4 * t + rail for t in range(self.bins)
                 for rail, (det, delay) in arrival}
+
+    def measured_bin(self, mode):
+        """Bin at which a mode (int or array) reaches its detector."""
+        t, rail = np.divmod(mode, 4)
+        return t + np.array([delay for _, delay in self.rails])[rail]
 
     def bc_sites(self):
         """Measured bins holding a complete deletion (bc) macronode: every
         bin from the first that the delayed c mode reaches."""
-        return list(range(dict(self.config.rails)["c"], self.config.bins))
+        return list(range(dict(self.rails)["c"], self.bins))
 
     def xa_sites(self):
-        return list(range(dict(self.config.rails)["a"], self.config.bins))
+        return list(range(dict(self.rails)["a"], self.bins))
 
     def wire_sites(self, row: int):
         """Complete xa macronodes of one wire row, in propagation order."""
-        return [t for t in self.xa_sites() if t % self.config.n_rows == row]
+        return [t for t in self.xa_sites() if t % self.n_rows == row]
 
     def deletion_angle(self, time_index: int) -> float:
         """Quadrature angle (-1)^tau pi/4 deleting the bc macronode at bin
         tau: consecutive bins alternate, also across the wrap of odd N."""
         return ((-1) ** time_index) * np.pi / 4
-
-
-def _measured_bin(mode, config: LatticeConfig):
-    """Bin at which a mode (int or array) reaches its detector."""
-    t, rail = np.divmod(mode, 4)
-    return t + np.array([delay for _, delay in config.rails])[rail]
 
 
 def _pairs(n: int) -> np.ndarray:
@@ -187,11 +180,11 @@ def _joins(config: LatticeConfig) -> list:
     beamsplitter of each complete macronode measured at bin t, delayed mode
     first: (c, b), then (a, x).
     """
-    lattice, pairs = MacronodeLattice(config), []
+    pairs = []
     for t in range(config.bins):
         pairs.append((4 * t, 4 * t + 2))
         for alpha, beta in ("bc", "xa"):
-            pair = (lattice.mode_at(t, beta), lattice.mode_at(t, alpha))
+            pair = (config.mode_at(t, beta), config.mode_at(t, alpha))
             if None not in pair:
                 pairs.append(pair)
     return pairs
@@ -205,12 +198,12 @@ def schedule(config: LatticeConfig) -> list:
 
 def build_bsl(config: LatticeConfig):
     """The dense reference: join the cluster pairs with `apply`, O(n^4) in
-    all; returns (GraphState, MacronodeLattice).  Each gate is an
+    all; returns (GraphState, LatticeConfig).  Each gate is an
     interferometer, so Z = i sech(2r) I + tanh(2r) V holds throughout."""
     state = _lattice_state(_pairs(config.n_modes), config.r)
     for gate in schedule(config):
         state = apply(state, gate)
-    return state, MacronodeLattice(config)
+    return state, config
 
 
 def _givens_rows(pairs, n: int):
@@ -258,9 +251,8 @@ def ideal_graph(config: LatticeConfig) -> np.ndarray:
 def bulk_modes(config: LatticeConfig):
     """Modes of the complete macronodes: their delay-line beamsplitter was
     not skipped at a boundary."""
-    lattice = MacronodeLattice(config)
-    sites = {"bc": lattice.bc_sites(), "xa": lattice.xa_sites()}
-    return sorted(lattice.mode_at(t, det) for site, bins in sites.items()
+    sites = {"bc": config.bc_sites(), "xa": config.xa_sites()}
+    return sorted(config.mode_at(t, det) for site, bins in sites.items()
                   for t in bins for det in site)
 
 
@@ -285,7 +277,7 @@ def edge_summary(state: GraphState, config: LatticeConfig) -> dict:
     bulk = np.zeros(state.n_modes, dtype=bool)
     bulk[bulk_modes(config)] = True
     bulk_mags = all_mags[bulk[a] & bulk[b]]
-    dt = np.abs(_measured_bin(a, config) - _measured_bin(b, config))
+    dt = np.abs(config.measured_bin(a) - config.measured_bin(b))
     local = np.isin(dt, [delay for _, delay in config.rails])
     return {
         "selfloop": sech,
@@ -303,7 +295,7 @@ def edge_summary(state: GraphState, config: LatticeConfig) -> dict:
 def to_dot(state: GraphState, config: LatticeConfig) -> str:
     """Graphviz rendering of the rounded adjacency, edges colored by sign."""
     modes = np.arange(state.n_modes)
-    tau = _measured_bin(modes, config)
+    tau = config.measured_bin(modes)
     lines = ["graph bsl {", "  node [shape=circle fontsize=10];"]
     lines += [f'  m{m} [label="{m}\\nt{tau[m]} r{m % 4}"];' for m in modes]
     lines += [f'  m{a} -- m{b} [color={"blue" if w.real >= 0 else "orange"} '

@@ -27,8 +27,8 @@ from .graphstate import (COND_LIMIT, GraphState, GraphStateError,
                          ProgramError, SymplecticGate, _check_cond, _fields,
                          _number, _three_numbers, balanced_mix,
                          gate_beamsplitter)
-from .lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
-                      canonical_wire, ideal_graph)
+from .lattice import (LatticeConfig, _lattice_state, canonical_wire,
+                      ideal_graph)
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,15 @@ def measure_with_response(state: GraphState, mode: int, theta: float,
 # -- wire decoupling -------------------------------------------------------------
 
 
-def decouple_wires(state: GraphState, lattice: MacronodeLattice,
+def decouple_wires(state: GraphState, config: LatticeConfig,
                    rng=None) -> ProgramResult:
     """Measure bc macronodes at q((-1)^tau pi/4) to sever the wire rows.
 
     Deleting every complete bc site severs all rows: one run of _run_steps,
     b then c at each site.
     """
-    steps = [(lattice.mode_at(tau, det), lattice.deletion_angle(tau), None)
-             for tau in lattice.bc_sites() for det in ("b", "c")]
+    steps = [(config.mode_at(tau, det), config.deletion_angle(tau), None)
+             for tau in config.bc_sites() for det in ("b", "c")]
     return _run_steps(state, steps, None, rng)
 
 
@@ -389,7 +389,7 @@ def _parse_resource(desc):
                                _number(m, "resource.M", int),
                                _number(r, "resource.r"))
         return (lambda: _lattice_state(ideal_graph(config), config.r),
-                config.r, MacronodeLattice(config).mode_at)
+                config.r, config.mode_at)
     if not isinstance(desc, dict) or "kind" not in desc:
         _fields(desc, "resource", ("kind",))    # raises, naming the fault
     raise ProgramError(f"unknown resource kind {kind!r}")

@@ -448,7 +448,11 @@ def _bad_line(path, n_modes: int):
                     return f"line {number}: {entry!r} is not a number"
 
 
-def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
+#: fewest shots per setting that ingest_samples accepts from a file
+MIN_SHOTS = 100
+
+
+def _load_csv(path, n_modes: int) -> np.ndarray:
     """The shots of a _write_csv file, header checked, every entry finite."""
     expected = _csv_header(n_modes)
     try:
@@ -472,9 +476,9 @@ def _load_csv(path, n_modes: int, min_shots: int) -> np.ndarray:
         # in two ways; read the file again to name the first faulty line
         raise GraphStateError(f"malformed CSV {path}: "
                               f"{_bad_line(path, n_modes) or exc}") from None
-    if data.shape[0] < min_shots:
+    if data.shape[0] < MIN_SHOTS:
         raise GraphStateError(
-            f"insufficient shots in {path}: {data.shape[0]} < {min_shots}")
+            f"insufficient shots in {path}: {data.shape[0]} < {MIN_SHOTS}")
     return data
 
 
@@ -500,25 +504,23 @@ def empirical_variances(data_q: np.ndarray, data_p: np.ndarray,
     return variances
 
 
-def ingest_samples(q_path, p_path, nulls: NullifierSet,
-                   threshold_factor: float = 0.5,
-                   min_shots: int = 100):
+def ingest_samples(q_path, p_path, nulls: NullifierSet):
     """Estimate quadrature-pure nullifier variances from two-setting data.
 
     Returns (empirical covariances dict, WitnessReport); rows built from q
     coefficients use the q-setting file and likewise for p.  A file that is
     not UTF-8, has another header than mode_0,...,mode_{n-1}, holds an entry
     that is not a number, a row of another width, no row, a non-finite entry
-    or fewer than min_shots rows raises a GraphStateError that names it; a
+    or fewer than MIN_SHOTS rows raises a GraphStateError that names it; a
     bad row, or a byte that is not UTF-8, is named by its line in the file,
     the header being line 1.
     """
     n = nulls.n_modes
-    data_q = _load_csv(q_path, n, min_shots)
-    data_p = _load_csv(p_path, n, min_shots)
+    data_q = _load_csv(q_path, n)
+    data_p = _load_csv(p_path, n)
     variances = empirical_variances(data_q, data_p, nulls)
     shots = min(data_q.shape[0], data_p.shape[0])
     report = witness_from_variances(variances, vacuum_variances(nulls),
-                                    threshold_factor, shots)
+                                    shots=shots)
     cov = {"q": np.cov(data_q.T), "p": np.cov(data_p.T)}
     return cov, report

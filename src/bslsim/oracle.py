@@ -18,11 +18,12 @@ primitives:
 Every p-diagonal operator (X shifts, the p-quadratic step of rotations,
 beamsplitter shears, the p field of ``moments``) is one FFT, one in-place
 phase multiply in FFT order and one in-place inverse FFT (``_p_diag``).  The
-centring signs and scale factors of ``_to_p``/``_from_p`` cancel exactly
-around a diagonal multiply, so only ``squeeze`` keeps the centred spectrum.
-The beamsplitter's shear tables exp(i lam p (x) q) never change for a given
-gain and grid, so the last 8 are cached read-only (``_two_mode_phase``); a
-table of P^2 complex values takes 1 MiB at P = 256 and 256 MiB at 4096.
+centring signs and scale factors of ``_centred_fft`` cancel exactly around a
+diagonal multiply, so only ``squeeze`` keeps the centred spectrum.  The
+beamsplitter's shear tables exp(i lam p (x) q) never change for a given gain
+and grid, so the last 8 are cached read-only (``_two_mode_phase``), each
+built once per process even when pool threads miss it together; a table of
+P^2 complex values takes 1 MiB at P = 256 and 256 MiB at 4096.
 
 A slice reads only 4 grid lines of a two-mode state, so the steps of
 ``identities`` that end in one compute only those lines.
@@ -44,6 +45,7 @@ Grid: P points per mode at spacing 2L/P, q_n = (n - P/2) * 2L/P.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +112,9 @@ def _p_fft(half_extent: float, points: int) -> np.ndarray:
 def _p_diag(psi: np.ndarray, ax: int, phase: np.ndarray) -> np.ndarray:
     """Apply the p-diagonal operator `phase`, given in FFT order, along `ax`.
 
-    Equals _from_p(_to_p(psi) * D) for D the same function on the centred p
-    axis: the centring signs square to 1 and the scale factors multiply to 1.
+    Equals the inverse _centred_fft of _centred_fft(psi) * D for D the same
+    function on the centred p axis: the centring signs square to 1 and the
+    scale factors multiply to 1.
     """
     work = np.fft.fft(psi, axis=ax)
     work *= phase
@@ -119,13 +122,8 @@ def _p_diag(psi: np.ndarray, ax: int, phase: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _two_mode_phase(g: float, half_extent: float, shape: tuple,
-                    p_ax: int) -> np.ndarray:
-    """Read-only exp(i g x_0 (x) x_1) on a 2-mode grid of this shape.
-
-    x is q on each axis, except on axis `p_ax`, where it is p in FFT order.
-    Cached: the beamsplitter shears only read the table.
-    """
+def _shear_table(g: float, half_extent: float, shape: tuple,
+                 p_ax: int) -> np.ndarray:
     x = [q_axis(half_extent, points) for points in shape]
     x[p_ax] = _p_fft(half_extent, shape[p_ax])
     table = np.exp(1j * g * x[0][:, None] * x[1][None, :])
@@ -133,28 +131,36 @@ def _two_mode_phase(g: float, half_extent: float, shape: tuple,
     return table
 
 
-def _to_p(psi: np.ndarray, half_extent: float, ax: int) -> np.ndarray:
-    """Centered transform to psi~(p) = (2pi)^{-1/2} int psi(q) e^{-ipq} dq."""
+_SHEAR_TABLE_LOCK = threading.Lock()
+
+
+def _two_mode_phase(g: float, half_extent: float, shape: tuple,
+                    p_ax: int) -> np.ndarray:
+    """Read-only exp(i g x_0 (x) x_1) on a 2-mode grid of this shape.
+
+    x is q on each axis, except on axis `p_ax`, where it is p in FFT order.
+    Cached (``_shear_table``): the beamsplitter shears only read the table.
+    The lock makes threads that miss one key together wait for a single
+    build instead of each building a P x P copy.
+    """
+    with _SHEAR_TABLE_LOCK:
+        return _shear_table(g, half_extent, shape, p_ax)
+
+
+def _centred_fft(psi: np.ndarray, half_extent: float, ax: int,
+                 inverse: bool = False) -> np.ndarray:
+    """Centred transform along ax to psi~(p) = (2pi)^{-1/2} int psi(q)
+    e^{-ipq} dq, or, if inverse, from psi~(p) back to psi(q)."""
     points = psi.shape[ax]
     dq = 2 * half_extent / points
-    sign = (-1.0) ** np.arange(points)
     shape = [1] * psi.ndim
     shape[ax] = points
-    sg = sign.reshape(shape)
+    sg = ((-1.0) ** np.arange(points)).reshape(shape)
     ph = (-1.0) ** (points // 2)
+    if inverse:
+        dp = 2 * np.pi / (points * dq)
+        return np.fft.ifft(psi * sg, axis=ax) * sg * (dp * points / SQ2PI) * ph
     return np.fft.fft(psi * sg, axis=ax) * sg * (dq / SQ2PI) * ph
-
-
-def _from_p(psip: np.ndarray, half_extent: float, ax: int) -> np.ndarray:
-    points = psip.shape[ax]
-    dq = 2 * half_extent / points
-    dp = 2 * np.pi / (points * dq)
-    sign = (-1.0) ** np.arange(points)
-    shape = [1] * psip.ndim
-    shape[ax] = points
-    sg = sign.reshape(shape)
-    ph = (-1.0) ** (points // 2)
-    return np.fft.ifft(psip * sg, axis=ax) * sg * (dp * points / SQ2PI) * ph
 
 
 def cubic_weights(w):
@@ -199,19 +205,18 @@ def idft_columns(points: int, at: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi / points * kl) / points
 
 
-def beamsplitter_plan(shape: tuple, theta: float, i: int = 0, j: int = 1):
-    """(quarter turns, shear gains) of B_ij(theta) on a grid of this shape.
+def beamsplitter_plan(shape: tuple, theta: float):
+    """(quarter turns, shear gains) of B_01(theta) on a grid of this shape.
 
     The angle is reduced by exact quarter turns to |phi| <= pi/4; the rest
     is the shears (a, axis 0), (b, axis 1), (a, axis 0) with gains (a, b),
     or None when phi is 0.  Raises the beamsplitter's GridErrors.
     """
-    if len(shape) != 2 or {i, j} != {0, 1}:
-        raise GridError("beamsplitter needs a 2-mode state and modes {0, 1}")
+    if len(shape) != 2:
+        raise GridError("beamsplitter needs a 2-mode state")
     if shape[0] != shape[1]:
         raise GridError("beamsplitter needs a square grid")
-    t = -theta if (i, j) == (0, 1) else theta
-    t = float(np.mod(t, 2 * np.pi))
+    t = float(np.mod(-theta, 2 * np.pi))
     k = int(np.round(t / (np.pi / 2))) % 4
     phi = t - np.round(t / (np.pi / 2)) * (np.pi / 2)
     if abs(phi) <= 1e-13:
@@ -299,22 +304,11 @@ class WaveFunction:
         """Probability mass outside |q| > frac * L on any axis."""
         rho = (self.psi.conj() * self.psi).real
         total = rho.sum()
-        if total == 0:
-            return 0.0
-        inside = rho
-        for ax in range(self.n_modes):
-            qv = q_axis(self.half_extent, self.psi.shape[ax])
-            mask = np.abs(qv) <= frac * self.half_extent
-            sl = [slice(None)] * self.n_modes
-            sl[ax] = mask
-            inside = inside[tuple(sl)]
-        return float(1.0 - inside.sum() / total)
-
-    def require_resident(self, limit: float = 1e-8, frac: float = 0.9):
-        mass = self.boundary_mass(frac)
-        if mass > limit:
-            raise GridError(
-                f"state leaks off the grid (boundary mass {mass:.3e} > {limit:.0e})")
+        if not total > 0:
+            raise GridError("a state of zero norm has no boundary mass")
+        inside = [np.abs(self.q(ax)) <= frac * self.half_extent
+                  for ax in range(self.n_modes)]
+        return float(1.0 - rho[np.ix_(*inside)].sum() / total)
 
     # -- single-mode gates ---------------------------------------------------
 
@@ -378,7 +372,8 @@ class WaveFunction:
         dq = 2 * self.half_extent / points
         dp = 2 * np.pi / (points * dq)
         if r >= 0:
-            moved = np.moveaxis(_to_p(self.psi, self.half_extent, mode), mode, -1)
+            moved = np.moveaxis(_centred_fft(self.psi, self.half_extent, mode),
+                                mode, -1)
             zoom = _bluestein(moved, dp * dq * np.exp(-r))
             out = np.moveaxis(zoom, -1, mode) * (dp / SQ2PI) * np.exp(-r / 2)
             return WaveFunction(out, self.half_extent)
@@ -386,7 +381,8 @@ class WaveFunction:
         moved = np.moveaxis(self.psi, mode, -1)
         zoom = _bluestein(moved, -dp * dq * np.exp(r))
         pp = np.moveaxis(zoom, -1, mode) * (dq / SQ2PI) * np.exp(r / 2)
-        return WaveFunction(_from_p(pp, self.half_extent, mode), self.half_extent)
+        return WaveFunction(_centred_fft(pp, self.half_extent, mode, True),
+                            self.half_extent)
 
     # -- two-mode gates ------------------------------------------------------
 
@@ -401,13 +397,13 @@ class WaveFunction:
         idx = (points - np.arange(points)) % points
         return WaveFunction(self.psi[idx, :].T, self.half_extent)
 
-    def beamsplitter(self, theta: float = np.pi / 4, i: int = 0, j: int = 1) -> "WaveFunction":
-        """B_ij(theta): coordinate rotation psi(q) -> psi(B^T q).
+    def beamsplitter(self, theta: float = np.pi / 4) -> "WaveFunction":
+        """B_01(theta): coordinate rotation psi(q) -> psi(B^T q).
 
         Exact quarter turns reduce the angle to |phi| <= pi/4, the rest is
         three FFT shears; exactly unitary on the torus for any theta.
         """
-        k, gains = beamsplitter_plan(self.psi.shape, theta, i, j)
+        k, gains = beamsplitter_plan(self.psi.shape, theta)
         out = self
         for _ in range(k):
             out = out._quarter_turn()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bslsim import mbqc
 from bslsim.cli import main
 from bslsim.graphstate import COND_LIMIT, GraphState, GraphStateError
-from bslsim.lattice import LatticeConfig, MacronodeLattice
+from bslsim.lattice import LatticeConfig
 from bslsim.mbqc import measure_with_response, run_program
 from step_reference import rotation_cond, run_steps_reference
 
@@ -36,7 +36,7 @@ def programs(draw, all_forced=False):
         n, m = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (2, 3)]))
         resource = {"kind": "bsl", "N": n, "M": m,
                     "r": draw(st.floats(0.3, 2.0))}
-        slots = list(MacronodeLattice(LatticeConfig(n, m, 1.0)).coords)
+        slots = list(LatticeConfig(n, m, 1.0).coords)
     order = draw(st.permutations(slots))
     order = order[:draw(st.integers(0, len(order)))]
     consumed, steps = set(), []

@@ -17,8 +17,7 @@ from bslsim import cli, graphstate, lattice, mbqc
 from bslsim.cli import main
 from bslsim.graphstate import GraphState
 from bslsim.identities import run_cases
-from bslsim.lattice import (LatticeConfig, MacronodeLattice, build_bsl,
-                            ideal_graph, to_dot)
+from bslsim.lattice import LatticeConfig, build_bsl, ideal_graph, to_dot
 from bslsim.nullifiers import (lattice_factors, quadrature_nullifiers,
                                sample_marginal, vacuum_variances,
                                witness_from_variances)
@@ -111,7 +110,7 @@ def test_main_runs_the_cmd_function_the_module_holds_at_call_time(
 def _bsl_program(n_rows, m_cols, r):
     """Every bc deletion, then a chi = 0 cubic step on the first xa site and
     a q(theta) step on the last, where the lattice has them."""
-    lat = MacronodeLattice(LatticeConfig(n_rows, m_cols, r))
+    lat = LatticeConfig(n_rows, m_cols, r)
     steps = [{"time_index": t, "detector": d,
               "basis": {"theta": lat.deletion_angle(t)}}
              for t in lat.bc_sites() for d in "bc"]
@@ -328,7 +327,9 @@ def test_verify_identities_bad_outcomes_type_is_a_case_error(tmp_path, capsys):
 @pytest.mark.parametrize("grid,field", [("0,64", "half extent L"),
                                         ("nan,64", "half extent L"),
                                         ("12,0", "points P"),
-                                        ("12,100", "points P")])
+                                        ("12,100", "points P"),
+                                        ("12", "expected L,P"),
+                                        ("a,b", "expected L,P")])
 def test_verify_identities_rejects_bad_grid(capsys, grid, field):
     with pytest.raises(SystemExit) as exc:
         main(["verify-identities", "L", "--grid", grid])

@@ -241,6 +241,21 @@ def test_invalid_inputs_raise():
         apply(vacuum(2), gate_rotation(0.1, 0, 1))
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: SymplecticGate(np.eye(3)), "2n x 2n"),
+    (lambda: SymplecticGate(np.eye(2, 4)), "2n x 2n"),
+    (lambda: SymplecticGate(np.eye(4), modes=(0,)), "acts on 2 modes, got 1"),
+    (lambda: SymplecticGate(np.eye(2), disp=np.zeros(3)),
+     "displacement must have length 2"),
+    (lambda: vacuum(0), "at least one mode"),
+    (lambda: squeezed_vacua([0.5, np.nan]), "must be finite"),
+    (lambda: squeezed_vacua([np.inf]), "must be finite"),
+])
+def test_constructors_refuse_malformed_input(make, message):
+    with pytest.raises(GraphStateError, match=message):
+        make()
+
+
 def test_definiteness_threshold_and_message():
     # smallest eigenvalue of Im Z in (0, 1e-14]: positive, still rejected
     q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))

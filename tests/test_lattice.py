@@ -5,7 +5,7 @@ import pytest
 
 from bslsim.graphstate import (GraphState, GraphStateError, apply,
                                covariance, gate_beamsplitter, omega)
-from bslsim.lattice import (MAX_MODES, LatticeConfig, MacronodeLattice, _joins,
+from bslsim.lattice import (MAX_MODES, LatticeConfig, _joins,
                             _lattice_state, _pairs, build_bsl, bulk_modes,
                             canonical_wire, edge_summary, ideal_graph,
                             schedule, to_dot)
@@ -423,29 +423,28 @@ def _reference_bulk_modes(config):
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2), (4, 4), (5, 3)])
 def test_mode_at_inverts_the_coordinate_table(n, m):
     config = LatticeConfig(n, m, 1.0)
-    lattice = MacronodeLattice(config)
     coords = _reference_coords(config)
-    assert list(lattice.coords.items()) == list(coords.items())
+    assert list(config.coords.items()) == list(coords.items())
     for t in range(-2, config.bins + n + 2):
         for d in ("a", "b", "c", "x", "", "ab", "y"):
             mode = _reference_mode_at(config, t, d)
             assert mode == coords.get((t, d))
-            assert lattice.mode_at(t, d) == mode
+            assert config.mode_at(t, d) == mode
             if mode is None:
                 with pytest.raises(KeyError):
-                    lattice.lookup(t, d)
+                    config.lookup(t, d)
             else:
                 site = "xa" if d in ("x", "a") else "bc"
                 member = "alpha" if d in ("x", "b") else "beta"
-                assert lattice.lookup(t, d) == (t % n, t // n, site, member,
-                                                mode)
+                assert config.lookup(t, d) == (t % n, t // n, site, member,
+                                               mode)
     complete = {s: [t for t in range(config.bins)
                     if (t, s[0]) in coords and (t, s[1]) in coords]
                 for s in ("bc", "xa")}
-    assert lattice.bc_sites() == complete["bc"]
-    assert lattice.xa_sites() == complete["xa"]
+    assert config.bc_sites() == complete["bc"]
+    assert config.xa_sites() == complete["xa"]
     for row in range(n):
-        assert lattice.wire_sites(row) == [t for t in complete["xa"]
-                                           if t % n == row]
+        assert config.wire_sites(row) == [t for t in complete["xa"]
+                                          if t % n == row]
     assert _joins(config) == _reference_joins(config)
     assert bulk_modes(config) == _reference_bulk_modes(config)

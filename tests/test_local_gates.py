@@ -548,11 +548,10 @@ def carry_programs():
                 {"time_index": 2, "detector": "x", "basis": {"theta": 0.0}},
             ]}
     config = lat.LatticeConfig(2, 3, 1.0)
-    lattice = lat.MacronodeLattice(config)
     steps = [{"time_index": tau, "detector": d,
-              "basis": {"theta": lattice.deletion_angle(tau)}}
-             for tau in lattice.bc_sites() for d in "bc"]
-    site, other = lattice.wire_sites(0)[:2]
+              "basis": {"theta": config.deletion_angle(tau)}}
+             for tau in config.bc_sites() for d in "bc"]
+    site, other = config.wire_sites(0)[:2]
     steps += [{"time_index": site, "detector": "x",
                "basis": {"cubic": {"chi": 0.0, "sigma": 0.25}}},
               {"time_index": other, "detector": "x", "basis": {"theta": 0.6}},

@@ -12,8 +12,8 @@ from bslsim.graphstate import (GraphState, GraphStateError, apply, covariance,
                                gate_rotation, gate_shear, gate_squeeze, omega,
                                squeezed_vacua, vacuum)
 from bslsim import mbqc
-from bslsim.lattice import (LatticeConfig, MacronodeLattice, _lattice_state,
-                            build_bsl, ideal_graph)
+from bslsim.lattice import (LatticeConfig, _lattice_state, build_bsl,
+                            ideal_graph)
 from bslsim.mbqc import (MeasurementEvent, MeasurementRecord, ProgramError,
                          adapted_sigma, commutation_kick, cubic_kick,
                          cubic_shear,
@@ -152,16 +152,15 @@ def test_every_row_stays_one_chain_after_deletion(n_rows):
     # N keeps its last row: every pair of consecutive sites of a row stays
     # joined, at |Z| = 0.4714 here, and no two rows are joined
     config = LatticeConfig(n_rows, 4, 6.0)
-    lattice = MacronodeLattice(config)
-    res = decouple_wires(_lattice_state(ideal_graph(config), 6.0), lattice,
+    res = decouple_wires(_lattice_state(ideal_graph(config), 6.0), config,
                          rng=0)
 
     def block(taus_a, taus_b):
-        idx = [[res.mode_index[lattice.mode_at(t, d)] for t in taus
+        idx = [[res.mode_index[config.mode_at(t, d)] for t in taus
                 for d in "xa"] for taus in (taus_a, taus_b)]
         return np.abs(res.state.z[np.ix_(*idx)])
 
-    rows = [lattice.wire_sites(row) for row in range(n_rows)]
+    rows = [config.wire_sites(row) for row in range(n_rows)]
     for taus in rows:
         assert len(taus) >= 3
         for t0, t1 in zip(taus, taus[1:]):
@@ -171,7 +170,7 @@ def test_every_row_stays_one_chain_after_deletion(n_rows):
 
 
 def test_decouple_wrong_angle_fails():
-    lattice = MacronodeLattice(LatticeConfig(3, 4, 6.0))
+    config = LatticeConfig(3, 4, 6.0)
 
     def delete_bc_at(theta):
         # decouple_wires' measurements, every one at the same angle
@@ -179,16 +178,16 @@ def test_decouple_wrong_angle_fails():
             {"resource": {"kind": "bsl", "N": 3, "M": 4, "r": 6.0},
              "steps": [{"time_index": tau, "detector": d,
                         "basis": {"theta": theta}}
-                       for tau in lattice.bc_sites() for d in "bc"]}, 0)
+                       for tau in config.bc_sites() for d in "bc"]}, 0)
 
     # constant-sign deletion destroys the wire chain entirely
     res = delete_bc_at(np.pi / 4)
-    edges, _ = _wire_pair_edges(res, lattice, 6.0)
+    edges, _ = _wire_pair_edges(res, config, 6.0)
     # chain destroyed: edges collapse from ~0.94 to O(e^{-2r})
     assert np.abs(edges).max() < 1e-3
     # and a plain q-basis deletion leaves a non-self-inverse wire
     res_q = delete_bc_at(0.0)
-    edges_q, st_q = _wire_pair_edges(res_q, lattice, 6.0)
+    edges_q, st_q = _wire_pair_edges(res_q, config, 6.0)
     v = st_q.z.real / np.tanh(12.0)
     pair = v[np.ix_([2, 5], [2, 5])].real
     assert np.abs(pair @ pair - np.eye(2)).max() > 0.3
@@ -199,14 +198,13 @@ def test_decouple_wrong_angle_fails():
 def test_decouple_wires_is_the_bsl_deletion_program(size, seed):
     # the state a "bsl" program runs on, so the two runs agree bit for bit
     config = LatticeConfig(*size, 1.0)
-    lattice = MacronodeLattice(config)
-    res = decouple_wires(_lattice_state(ideal_graph(config), 1.0), lattice,
+    res = decouple_wires(_lattice_state(ideal_graph(config), 1.0), config,
                          rng=seed)
     program = {"resource": {"kind": "bsl", "N": size[0], "M": size[1],
                             "r": 1.0},
                "steps": [{"time_index": tau, "detector": d,
-                          "basis": {"theta": lattice.deletion_angle(tau)}}
-                         for tau in lattice.bc_sites() for d in "bc"]}
+                          "basis": {"theta": config.deletion_angle(tau)}}
+                         for tau in config.bc_sites() for d in "bc"]}
     ref = run_program(program, seed)
     assert res.record.events == ref.record.events
     assert np.array_equal(res.state.z, ref.state.z)
@@ -678,3 +676,11 @@ def test_cubic_step_needs_its_partner_unconsumed():
     with pytest.raises(ProgramError, match="basis.cubic is missing"):
         run_program({"resource": base, "steps": [
             {**cubic, "basis": {"cubic": {"chi": 0.0}}}]})
+    with pytest.raises(ProgramError, match="cubic steps consume the x"):
+        run_program({"resource": base, "steps": [{**cubic, "detector": "a"}]})
+
+
+@pytest.mark.parametrize("mode", [-1, 3, 7])
+def test_measure_with_response_refuses_a_mode_out_of_range(mode):
+    with pytest.raises(GraphStateError, match=f"mode {mode} out of range"):
+        measure_with_response(vacuum(3), mode, 0.0, 0.0)

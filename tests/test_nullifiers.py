@@ -473,6 +473,20 @@ def test_sample_marginal_needs_a_mode(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_marginal_needs_a_shot(tmp_path):
+    with pytest.raises(GraphStateError, match="need at least one shot"):
+        nullifiers.sample_marginal(np.eye(2), 0, path=tmp_path / "none.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cq,cp", [(np.eye(2), np.eye(3)),
+                                   (np.ones(2), np.ones(2)),
+                                   (np.eye(2), np.ones((2, 2, 1)))])
+def test_nullifier_set_refuses_blocks_of_another_shape(cq, cp):
+    with pytest.raises(GraphStateError, match=re.escape("(rows, n) shape")):
+        NullifierSet(cq, cp)
+
+
 def test_ingest_error_paths(tmp_path):
     v = np.diag([1.0, -1.0])
     nulls = quadrature_nullifiers(v)

@@ -1,5 +1,8 @@
 """Grid wavefunction engine: gate unitarity, cross-engine moments, identities."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +15,9 @@ from bslsim.identities import (default_input, run_suite, verify_commutation,
                                verify_teleport_identity, verify_cubic_device,
                                verify_teleport_circuit)
 from bslsim.mbqc import measure_with_response
-from bslsim.oracle import (GridError, WaveFunction, _bluestein, _from_p,
-                           _p_diag, _to_p, _two_mode_phase, cubic_weights,
-                           fidelity_up_to_phase, p_axis, q_axis)
+from bslsim.oracle import (GridError, WaveFunction, _bluestein, _centred_fft,
+                           _p_diag, _shear_table, _two_mode_phase,
+                           cubic_weights, fidelity_up_to_phase, p_axis, q_axis)
 
 L, P1, P2 = 12.0, 1024, 512
 
@@ -69,8 +72,9 @@ def _along(v, ax, ndim):
 
 
 def _centred(psi, ax, d):
-    """Reference p-diagonal operator: _from_p(_to_p(psi) * d), d on the centred p axis."""
-    return _from_p(_to_p(psi, L, ax) * d, L, ax)
+    """Reference p-diagonal operator: the centred transform of psi times d,
+    d on the centred p axis, transformed back."""
+    return _centred_fft(_centred_fft(psi, L, ax) * d, L, ax, inverse=True)
 
 
 def _reference_moments(wf):
@@ -200,6 +204,23 @@ def test_two_mode_tables_are_cached_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+
+def test_threads_that_miss_one_shear_table_build_it_once():
+    # the run_cases pool: unlocked, each of 4 threads that miss together
+    # builds its own P x P table
+    key = (0.123, L, (512, 512), 1)
+    barrier = threading.Barrier(4, timeout=60)
+    builds = _shear_table.cache_info().misses
+
+    def fetch(_):
+        barrier.wait()
+        return _two_mode_phase(*key)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        tables = list(pool.map(fetch, range(4)))
+    assert _shear_table.cache_info().misses == builds + 1
+    assert all(table is tables[0] for table in tables)
 
 
 # -- unitarity on arbitrary grid vectors ---------------------------------------
@@ -387,6 +408,20 @@ def test_fidelity_up_to_phase_of_tiny_vectors_does_not_underflow():
     assert fidelity_up_to_phase(zero, a) == fidelity_up_to_phase(a, zero) == 0.0
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: WaveFunction(np.ones((4, 4, 4)), L), "only 1- or 2-mode"),
+    (lambda: fidelity_up_to_phase(WaveFunction.vacuum(L, 64),
+                                  WaveFunction.vacuum(L, 128)),
+     "different grids"),
+    (lambda: fidelity_up_to_phase(WaveFunction.vacuum(L, 64),
+                                  WaveFunction.vacuum(10.0, 64)),
+     "different grids"),
+])
+def test_grid_refusals(make, message):
+    with pytest.raises(GridError, match=message):
+        make()
+
+
 def test_zero_norm_state_has_no_normalization_or_moments():
     zero = WaveFunction(np.zeros(64), L)
     with pytest.raises(GridError, match="zero norm"):
@@ -396,11 +431,14 @@ def test_zero_norm_state_has_no_normalization_or_moments():
 
 
 def test_boundary_mass_checks():
-    ok = WaveFunction.vacuum(L, P1)
-    ok.require_resident()
-    wide = WaveFunction.squeezed(3.0, L, P1)
-    with pytest.raises(GridError, match="boundary mass"):
-        wide.require_resident()
+    ok, wide = WaveFunction.vacuum(L, P1), WaveFunction.squeezed(3.0, L, P1)
+    assert ok.boundary_mass() < 1e-8 < wide.boundary_mass()
+    # the mass inside a product state's window is the product of its factors'
+    inside = (1 - ok.boundary_mass()) * (1 - wide.boundary_mass())
+    assert abs(1 - ok.product(wide).boundary_mass() - inside) < 1e-12
+    # an underflowed state is not "fully on the grid"
+    with pytest.raises(GridError, match="zero norm"):
+        WaveFunction(np.zeros((64, 64)), L).boundary_mass()
     with pytest.raises(GridError, match="outside the grid"):
         WaveFunction.vacuum(L, P2).product(WaveFunction.vacuum(L, P2)).project_q(0, 20.0)
 
