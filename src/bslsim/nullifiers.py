@@ -452,8 +452,275 @@ def _bad_line(path, n_modes: int):
 MIN_SHOTS = 100
 
 
+# _read_rows parses a body as the inverse of _format_rows, in blocks of
+# whole lines, with no Python per entry.  Each entry is [-] digits [. digits]
+# [e [+-] 1-3 digits]; its digits give the integer D and the value is
+# D 10^-s.  Its 8-byte words are gathered at any byte offset from two
+# aligned loads, and each word of 8 ASCII digits becomes its value by three
+# masked multiplies (Lemire, Softw. Pract. Exp. 51 (2021)).  The double is
+# then the one strtod, and so np.loadtxt, returns:
+# - D < 2^53 and 0 <= s <= 22: D and 10^s are exact, and one IEEE division
+#   rounds their quotient correctly (Clinger, PLDI 1990);
+# - 2^53 <= D < 10^17, 17 digits once a stripped trailing zero is put back,
+#   as %.17g writes: c = D / 10^s or one of its neighbours, taken only if
+#   _format_rows' own digits of c at that decade (_scaled, _decade_step)
+#   are D.  Then "%.17g" % c is the text, and strtod of it is c;
+# - any other entry, and one with no such c: float() of its bytes, which
+#   parses what strtod does, as the bytes hold no space or _.
+# A body that holds another byte than 0-9 , \n - + . e, a sign elsewhere
+# than at an entry's start or after its e, a blank line, a ragged row, no
+# final newline or a non-finite entry is declined: _load_csv then reads
+# the file again with np.loadtxt, which accepts or refuses it as before.
+# So is a block where more than a quarter of the entries would take
+# float(): past that share the kernel reads slower than np.loadtxt.
+
+#: bytes read at a time: a %.17g entry and its separator take 16 to 24
+#: bytes, so a block holds about _CSV_BLOCK_ENTRIES of them.  Reading
+#: 200000 x 16 shots peaks 2.2 MiB above its output (traced); of blocks of
+#: 2**15 to 2**18 bytes this one read 10000 x 16 shots fastest on a 2-core
+#: host
+_CSV_BLOCK_BYTES = 16 * _CSV_BLOCK_ENTRIES
+#: the word gathers reach 24 bytes before a block's first entry and 8
+#: after its last
+_CSV_PAD = 24
+
+#: the kind of each byte that is not a digit; 0 is not in a _write_csv body
+_SEP, _MINUS, _PLUS, _POINT, _E = 1, 2, 3, 4, 5
+_BYTE_KIND = np.zeros(256, np.uint8)
+_BYTE_KIND[list(b",\n-+.e")] = [_SEP, _SEP, _MINUS, _PLUS, _POINT, _E]
+_U64_POW10 = np.array([10 ** s for s in range(20)], np.uint64)
+_SIGN = np.array([1.0, -1.0])
+#: int 10^n_frac < 10^17 for an integer part below _INT_BOUND[n_frac]
+_INT_BOUND = np.array([10 ** max(17 - j, 0) for j in range(25)], np.uint64)
+#: word j of a digit run ends 8 j bytes before its end; of a run of count
+#: digits, it keeps its high min(max(count - 8 j, 0), 8) bytes
+_WORD_ENDS = np.array([[8], [16], [24]], np.intp)
+_WORD_KEEP = np.array([[~(2 ** (64 - 8 * min(max(c - 8 * j, 0), 8)) - 1)
+                        % 2 ** 64 for c in range(25)] for j in range(3)],
+                      np.uint64)
+
+
+def _swar8(v: np.ndarray) -> np.ndarray:
+    """Values of words of 8 digits, one in each byte's low nibble, the
+    first in the lowest byte."""
+    u = np.uint64
+    v = ((v & u(0x0F0F0F0F0F0F0F0F)) * u(10 * 256 + 1)) >> u(8)
+    v = ((v & u(0x00FF00FF00FF00FF)) * u(100 * 2 ** 16 + 1)) >> u(16)
+    return ((v & u(0x0000FFFF0000FFFF)) * u(10000 * 2 ** 32 + 1)) >> u(32)
+
+
+def _digit_words(words: np.ndarray, end: np.ndarray, count: np.ndarray,
+                 k: int) -> np.ndarray:
+    """(k, F): word j holds the 8 bytes that end 8 j bytes before end, read
+    from the aligned words of the buffer, with the bytes that precede the
+    last count bytes before end zeroed."""
+    first = end - _WORD_ENDS[:k]
+    shift = ((first & 7) << 3).view(np.uint64)
+    first >>= 3
+    w = words.take(first) >> shift
+    first += 1
+    # a shift by 64 gives 0 in numpy
+    w |= words.take(first) << (np.uint64(64) - shift)
+    w &= _WORD_KEEP[:k].take(count, axis=1)
+    return w
+
+
+def _parse_block(buf: np.ndarray, start: int, stop: int, n: int,
+                 out: np.ndarray) -> int:
+    """Parse the whole lines buf[start:stop] of n entries each into the
+    start of out; the number of entries, or 0 where the block is
+    declined."""
+    body = buf[start:stop]
+    punct = np.flatnonzero((body - np.uint8(48)) > 9)
+    kind = _BYTE_KIND.take(body.take(punct))
+    punct += start
+    if not kind.all():
+        return 0
+    is_sep = kind == _SEP
+    ends = punct.take(np.flatnonzero(is_sep))
+    f = ends.size
+    if (f > out.size or not (buf.take(ends[n - 1::n]) == 10).all()
+            or np.count_nonzero(buf.take(ends) == 10) * n != f):
+        return 0
+    out = out[:f]
+    words = buf.view(np.uint64)
+    starts = np.empty(f, np.intp)
+    starts[0] = start
+    np.add(ends[:-1], 1, out=starts[1:])
+    neg = buf.take(starts) == 45
+    # the other punctuation: as many separators precede each as its index
+    # among all punctuation less its index among the rest
+    inner = np.flatnonzero(~is_sep)
+    field = inner - np.arange(inner.size)
+    pos = punct.take(inner)
+    kind = kind.take(inner)
+    slow = np.zeros(f, bool)
+    mant_end, exp, signs = ends, 0, np.count_nonzero(neg)
+    e = np.flatnonzero(kind == _E)
+    if e.size:
+        epos, ef = pos.take(e), field.take(e)
+        if not (np.diff(ef) > 0).all():
+            return 0
+        mant_end = ends.copy()
+        mant_end[ef] = epos
+        esign = buf.take(epos + 1)
+        signed = (esign == 45) | (esign == 43)
+        signs += np.count_nonzero(signed)
+        e_end = ends.take(ef)
+        digits = e_end - epos - 1 - signed
+        slow[ef] = (digits < 1) | (digits > 3)
+        value = _swar8(_digit_words(words, e_end, np.clip(digits, 0, 3),
+                                    1)[0]).view(np.int64)
+        exp = np.zeros(f, np.int64)
+        exp[ef] = np.where(esign == 45, -value, value)
+    # every sign opens its entry or follows its e
+    if np.count_nonzero((kind == _MINUS) | (kind == _PLUS)) != signs:
+        return 0
+    p = np.flatnonzero(kind == _POINT)
+    pf = field.take(p)
+    if not (np.diff(pf) > 0).all():
+        return 0
+    if p.size == f and mant_end is ends:
+        # one point in each entry, and no e
+        point = pos.take(p)
+        n_frac = ends - point
+        n_frac -= 1
+    else:
+        point = mant_end.copy()
+        point[pf] = pos.take(p)
+        n_frac = mant_end - point
+        n_frac[pf] -= 1
+    n_int = point - starts
+    n_int -= neg
+    s = n_frac - exp
+    # a point after the e leaves n_frac < 0; D 10^1 of a 16-digit D takes
+    # s = -1 to 0
+    slow |= ((n_int > 16) | (n_frac < 0) | (n_frac > 24)
+             | (n_int + n_frac < 1) | (s < -1) | (s > 22))
+    if np.count_nonzero(slow) * 4 > f:
+        return 0
+    np.clip(n_int, 0, 16, out=n_int)
+    np.clip(n_frac, 0, 24, out=n_frac)
+    wide = n_int.max() > 8
+    c = np.empty((5 if wide else 4, f), np.uint64)
+    c[:3] = _digit_words(words, mant_end, n_frac, 3)
+    c[3:] = _digit_words(words, point, n_int, 2 if wide else 1)
+    c = _swar8(c)
+    int_val = c[3] + c[4] * np.uint64(10 ** 8) if wide else c[3]
+    # D = int 10^n_frac + frac, exact where both terms are below 10^17
+    slow |= (c[2] >= 10) | (int_val >= _INT_BOUND.take(n_frac))
+    d = int_val * _U64_POW10.take(np.minimum(n_frac, 19))
+    d += c[2] * np.uint64(10 ** 16)
+    d += c[1] * np.uint64(10 ** 8)
+    d += c[0]
+    np.divide(d, _POW10.take(np.clip(s, 0, 22)), out=out)
+    big = d >= 2 ** 53
+    slow |= ~big & (s < 0)
+    big = np.flatnonzero(big & ~slow)
+    if big.size:
+        d = d.take(big)
+        lift = d < 10 ** 16
+        d *= _U64_POW10.take(lift.view(np.uint8))
+        s = s.take(big) + lift
+        # D < 10^17 here: its frac part has n_frac digits
+        fits = (s >= 0) & (s <= 22)
+        if not fits.all():
+            slow[big[~fits]] = True
+            big, d, s = big[fits], d[fits], s[fits]
+        at, d = big, d.view(np.int64)
+        cand = d.astype(np.float64) / _POW10.take(s)
+        k = 16 - s
+        for _ in range(2):
+            hi, lo = _scaled(cand, k)
+            got = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+            out.put(at, cand)
+            bad = got != d
+            # D >= 10^16, so a candidate off the decade can match only
+            # D = 10^16, from below; the writer's decade check refuses it
+            edge = np.flatnonzero(d == 10 ** 16)
+            bad[edge] |= _decade_step(hi.take(edge), lo.take(edge)) != 0
+            bad = np.flatnonzero(bad)
+            at, d, k, cand, got = (at.take(bad), d.take(bad), k.take(bad),
+                                   cand.take(bad), got.take(bad))
+            # the neighbour towards the text's digits: cand is positive
+            cand = (cand.view(np.int64)
+                    + np.where(got > d, -1, 1)).view(np.float64)
+        slow[at] = True
+    out *= _SIGN.take(neg.view(np.uint8))
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = buf[:stop].tobytes()
+        try:
+            out[slow] = [float(text[a:b]) for a, b in
+                         zip(starts.take(slow).tolist(),
+                             ends.take(slow).tolist())]
+        except ValueError:
+            return 0
+        if not np.isfinite(out.take(slow)).all():
+            return 0
+    return f
+
+
+def _read_rows(path, n_modes: int):
+    """The shots of a _write_csv file as float64 rows, bit for bit what
+    np.loadtxt reads, or None where the kernel declines the file."""
+    header = _csv_header(n_modes).encode() + b"\n"
+    size = _CSV_BLOCK_BYTES
+    buf = np.zeros(_CSV_PAD + 2 * size + 8, np.uint8)
+    with open(path, "rb") as fh:
+        if fh.readline() != header:
+            return None
+        body = fh.tell()
+        rows = 0
+        while got := fh.readinto(memoryview(buf)[:size]):
+            rows += np.count_nonzero(buf[:got] == 10)
+        fh.seek(body)
+        if not rows or n_modes < 1:
+            return None
+        out = np.empty((rows, n_modes))
+        flat = out.reshape(-1)
+        done = carry = 0
+        while True:
+            # carry: bytes of a line that the last block did not end
+            if _CSV_PAD + carry + size + 8 > buf.size:
+                buf = np.concatenate([buf, np.zeros(buf.size, np.uint8)])
+            got = fh.readinto(memoryview(buf)[_CSV_PAD + carry:
+                                              _CSV_PAD + carry + size])
+            if not got:
+                break
+            end = _CSV_PAD + carry + got
+            stop = _CSV_PAD + 1 + bytes(buf[_CSV_PAD:end]).rfind(b"\n")
+            if stop == _CSV_PAD:
+                carry += got
+                continue
+            count = _parse_block(buf, _CSV_PAD, stop, n_modes, flat[done:])
+            if not count:
+                return None
+            done += count
+            carry = end - stop
+            buf[_CSV_PAD:_CSV_PAD + carry] = buf[stop:end]
+        if carry or done != flat.size:
+            return None
+    return out
+
+
 def _load_csv(path, n_modes: int) -> np.ndarray:
-    """The shots of a _write_csv file, header checked, every entry finite."""
+    """The shots of a _write_csv file, header checked, every entry finite.
+
+    _read_rows reads them; a file that it declines is read by np.loadtxt,
+    and a faulty one is refused with the first faulty line it names."""
+    data = _read_rows(path, n_modes)
+    if data is None:
+        data = _loadtxt_rows(path, n_modes)
+    if data.shape[0] < MIN_SHOTS:
+        raise GraphStateError(
+            f"insufficient shots in {path}: {data.shape[0]} < {MIN_SHOTS}")
+    return data
+
+
+def _loadtxt_rows(path, n_modes: int) -> np.ndarray:
+    """The rows np.loadtxt reads from a shots CSV after its header; a
+    GraphStateError that names the file where it is faulty."""
     expected = _csv_header(n_modes)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -476,9 +743,6 @@ def _load_csv(path, n_modes: int) -> np.ndarray:
         # in two ways; read the file again to name the first faulty line
         raise GraphStateError(f"malformed CSV {path}: "
                               f"{_bad_line(path, n_modes) or exc}") from None
-    if data.shape[0] < MIN_SHOTS:
-        raise GraphStateError(
-            f"insufficient shots in {path}: {data.shape[0]} < {MIN_SHOTS}")
     return data
 
 

@@ -560,3 +560,176 @@ def test_ingest_names_the_first_faulty_line_in_file_order(tmp_path):
         path.write_bytes(b"mode_0,mode_1\n" + body)
         with pytest.raises(GraphStateError, match=re.escape(message)):
             ingest_samples(ok, path, nulls)
+
+
+# -- the blocked CSV reader ----------------------------------------------------
+
+def _loadtxt_bits(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).view(np.int64)
+
+
+def _reader_edges(rng):
+    """Values at the edges of the reader's cases: each power of ten from
+    1e-5 to 1e17 with its neighbours (1e-4 and 1e16 among them) and four
+    %.17g ties, doubles next to 2^53 scaled down by powers of ten, doubles
+    whose %.17g drops a trailing zero, +-0 and subnormals."""
+    near = np.array([2.0 ** 53 + j for j in range(-4, 5)])
+    scaled = np.concatenate([near / 10.0 ** k for k in range(0, 20, 3)])
+    draws = rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(-4, 12, 4000)
+    stripped = [x for x in draws.tolist()
+                if len(("%.17g" % x).replace(".", "").lstrip("0")) == 16][:40]
+    tiny = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    return np.concatenate([_DECADE_EDGES, scaled, stripped, tiny])
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 33])
+def test_reader_matches_loadtxt_across_blocks(tmp_path, n):
+    # shots of mixed scales with every edge value, in a body of about three
+    # blocks, so rows straddle block boundaries; the kernel reads the file
+    # itself, bit for bit as np.loadtxt
+    rng = np.random.default_rng(n)
+    rows = 3 * nullifiers._CSV_BLOCK_BYTES // (20 * n)
+    data = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+    edges = _reader_edges(rng)
+    flat = data.reshape(-1)
+    flat[rng.choice(flat.size, edges.size, replace=False)] = (
+        rng.choice([-1.0, 1.0], edges.size) * edges)
+    path = tmp_path / "shots.csv"
+    nullifiers._write_csv(path, data)
+    rows_read = nullifiers._read_rows(path, n)
+    assert rows_read is not None
+    assert np.array_equal(rows_read.view(np.int64), _loadtxt_bits(path))
+    assert np.array_equal(rows_read.view(np.int64), data.view(np.int64))
+    assert np.array_equal(nullifiers._load_csv(path, n).view(np.int64),
+                          data.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 16, 33]),
+       st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e-7, 1e17)),
+                min_size=1, max_size=60))
+def test_reader_matches_loadtxt_on_drawn_doubles(tmp_path_factory, n, values):
+    # drawn doubles, either sign, among MIN_SHOTS rows of shots
+    rng = np.random.default_rng(len(values))
+    data = rng.normal(size=(nullifiers.MIN_SHOTS, n))
+    flat = data.reshape(-1)
+    k = min(len(values), flat.size)
+    flat[:k] = np.array(values[:k]) * rng.choice([-1.0, 1.0], k)
+    path = tmp_path_factory.mktemp("csv") / "drawn.csv"
+    nullifiers._write_csv(path, data)
+    got = nullifiers._load_csv(path, n)
+    assert np.array_equal(got.view(np.int64), _loadtxt_bits(path))
+    assert np.array_equal(got.view(np.int64), data.view(np.int64))
+
+
+def test_reader_rounds_hand_written_entries_as_loadtxt(tmp_path):
+    # texts the writer does not make, at the edges of the kernel's cases:
+    # D = 10^16 at three scales, 16 digits about 2^53, 18 digits, scales
+    # past 10^22, long exponents, and entries without a point or digits on
+    # one side of it
+    texts = ["10000000000000000", "1.0000000000000000",
+             "0.10000000000000000", "9007199254740991", "9007199254740992",
+             "9007199254740993", "900719925474099.3", "0.12345678901234567",
+             "123456789012345678", "12345678901234567e-30", "1.5e+16",
+             "2.5e-07", "1e0001", "-0", "0.0", "-0.000", ".5", "5.", "-.5",
+             "-1.7976931348623157e308", "4.9406564584124654e-324",
+             "7e22", "7e-22", "0.00012345678901234567"]
+    # beside a shot in each row, so that fewer than a quarter of the
+    # entries take float()
+    rows = [f"{text},0.25" for text in texts] * 5
+    path = tmp_path / "hand.csv"
+    path.write_text("mode_0,mode_1\n" + "\n".join(rows) + "\n")
+    got = nullifiers._read_rows(path, 2)
+    assert got is not None
+    assert np.array_equal(got.view(np.int64), _loadtxt_bits(path))
+
+
+def test_reader_declines_and_loadtxt_reads_as_before(tmp_path):
+    # bytes a _write_csv file never holds: the kernel declines, and the file
+    # reads as np.loadtxt read it
+    data = np.random.default_rng(5).normal(size=(150, 2))
+    data[0, 0] = 0.5
+    plain = tmp_path / "plain.csv"
+    nullifiers._write_csv(plain, data)
+    text = plain.read_bytes()
+    head, body = text.split(b"\n", 1)
+    accepted = {
+        "crlf": text.replace(b"\n", b"\r\n"),
+        "cr": text.replace(b"\n", b"\r"),
+        "no-final-newline": text[:-1],
+        "spaces": head + b"\n" + body.replace(b",", b" , "),
+        "plus": head + b"\n+" + body,
+        "comment": head + b"\n" + body.replace(b"\n", b"\n# a note\n", 1),
+    }
+    for name, raw in accepted.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(raw)
+        assert nullifiers._read_rows(path, 2) is None, name
+        got = nullifiers._load_csv(path, 2)
+        assert np.array_equal(got.view(np.int64), data.view(np.int64)), name
+    good = "mode_0,mode_1\n" + "0.1,0.2\n" * 150
+    refused = {
+        "bom": ("﻿" + good, "header '\\ufeffmode_0,mode_1', expected "
+                                 "'mode_0,mode_1'"),
+        "empty-field": (good + "0.3,\n", "line 152: '' is not a number"),
+        "quoted": (good + '0.3,"0.2"\n', "line 152: '\"0.2\"' is not a number"),
+        "hex": (good + "0.3,0x1p-3\n", "line 152: '0x1p-3' is not a number"),
+        "arabic-digit": (good + "0.3,١\n",
+                         "line 152: '١' is not a number"),
+        "huge": (good + "0.3,1e999\n", "line 152: non-finite entry '1e999'"),
+    }
+    for name, (body, message) in refused.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(GraphStateError) as err:
+            nullifiers._load_csv(path, 2)
+        assert str(err.value) == f"malformed CSV {path}: {message}", name
+
+
+def test_reader_declines_past_its_first_block(tmp_path):
+    # the first unusual byte lies blocks into the file: the whole file is
+    # read again from the top, and a faulty line keeps its number
+    data = np.random.default_rng(6).normal(size=(20000, 2))
+    path = tmp_path / "shots.csv"
+    nullifiers._write_csv(path, data)
+    text = path.read_bytes()
+    assert len(text) > 4 * nullifiers._CSV_BLOCK_BYTES
+    late = tmp_path / "late-crlf.csv"
+    late.write_bytes(text[:-1] + b"\r\n")
+    assert nullifiers._read_rows(late, 2) is None
+    got = nullifiers._load_csv(late, 2)
+    assert np.array_equal(got.view(np.int64), data.view(np.int64))
+    bad = tmp_path / "late-abc.csv"
+    bad.write_bytes(text + b"0.3,abc\n")
+    with pytest.raises(GraphStateError,
+                       match="line 20002: 'abc' is not a number"):
+        nullifiers._load_csv(bad, 2)
+
+
+def test_reader_leaves_files_of_tiny_shots_to_loadtxt(tmp_path):
+    # below 1e-6 an entry's scale 10^s passes 10^22 and it takes float();
+    # a block where more than a quarter do is declined, as np.loadtxt reads
+    # such entries faster
+    data = np.random.default_rng(7).normal(size=(2000, 16)) * 1e-6
+    path = tmp_path / "tiny.csv"
+    nullifiers._write_csv(path, data)
+    assert nullifiers._read_rows(path, 16) is None
+    got = nullifiers._load_csv(path, 16)
+    assert np.array_equal(got.view(np.int64), data.view(np.int64))
+
+
+def test_reader_memory_is_its_output_and_one_block(tmp_path):
+    # 200000 x 16 shots are 25.6 MB as doubles and 62 MiB as text; reading
+    # them holds the output and one block's arrays
+    data = np.random.default_rng(3).normal(size=(200000, 16))
+    path = tmp_path / "big.csv"
+    nullifiers._write_csv(path, data)
+    tracemalloc.start()
+    try:
+        got = nullifiers._load_csv(path, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + 4 * 2 ** 20
+    assert np.array_equal(got.view(np.int64), data.view(np.int64))
