@@ -102,8 +102,8 @@ def _grid_arg(text: str):
     return half, pts
 
 
-def _number_arg(rule: str, cast, ok):
-    """The argparse type of a number flag: the text read by cast and kept
+def _checked_arg(rule: str, cast, ok):
+    """The argparse type of a checked flag: the text read by cast and kept
     by ok; any other text is refused as "{rule}, got {text!r}"."""
     def parse(text: str):
         try:
@@ -116,13 +116,16 @@ def _number_arg(rule: str, cast, ok):
     return parse
 
 
-_seed_arg = _number_arg("seed must be an integer >= 0", int,
-                        lambda v: v >= 0)
-_shots_arg = _number_arg("shots must be an integer >= 1", int,
-                         lambda v: v >= 1)
-_threshold_factor_arg = _number_arg(
+_seed_arg = _checked_arg("seed must be an integer >= 0", int,
+                         lambda v: v >= 0)
+_shots_arg = _checked_arg("shots must be an integer >= 1", int,
+                          lambda v: v >= 1)
+_threshold_factor_arg = _checked_arg(
     "threshold factor must be finite and in (0, 1]", float,
     lambda v: 0 < v <= 1)
+# with_suffix needs a name: "." and "" have none
+_out_arg = _checked_arg("output path prefix must end in a file name", str,
+                        lambda v: Path(v).name != "")
 
 
 def cmd_build_bsl(args) -> int:
@@ -278,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-bsl", help="build the lattice and export graphs")
     p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
-    p.add_argument("--out", default="bsl", help="output path prefix")
+    p.add_argument("--out", type=_out_arg, default="bsl",
+                   help="output path prefix")
 
     p = sub.add_parser("verify-nullifiers",
                        help="nullifier variances and the entanglement witness")

@@ -453,26 +453,29 @@ MIN_SHOTS = 100
 
 
 # _read_rows parses a body as the inverse of _format_rows, in blocks of
-# whole lines, with no Python per entry.  Each entry is [-] digits [. digits]
-# [e [+-] 1-3 digits]; its digits give the integer D and the value is
-# D 10^-s.  Its 8-byte words are gathered at any byte offset from two
-# aligned loads, and each word of 8 ASCII digits becomes its value by three
-# masked multiplies (Lemire, Softw. Pract. Exp. 51 (2021)).  The double is
-# then the one strtod, and so np.loadtxt, returns:
-# - D < 2^53 and 0 <= s <= 22: D and 10^s are exact, and one IEEE division
+# whole lines.  An entry in fixed notation, [-] digits [. digits], is read
+# with no Python per entry: its digits give the integer D and the value is
+# D 10^-s, s its count of fraction digits.  Its 8-byte words are gathered
+# at any byte offset from two aligned loads, and each word of 8 ASCII
+# digits becomes its value by three masked multiplies (Lemire, Softw.
+# Pract. Exp. 51 (2021)).  The double is then the one strtod, and so
+# np.loadtxt, returns:
+# - D < 2^53 and s <= 22: D and 10^s are exact, and one IEEE division
 #   rounds their quotient correctly (Clinger, PLDI 1990);
 # - 2^53 <= D < 10^17, 17 digits once a stripped trailing zero is put back,
 #   as %.17g writes: c = D / 10^s or one of its neighbours, taken only if
 #   _format_rows' own digits of c at that decade (_scaled, _decade_step)
 #   are D.  Then "%.17g" % c is the text, and strtod of it is c;
-# - any other entry, and one with no such c: float() of its bytes, which
-#   parses what strtod does, as the bytes hold no space or _.
-# A body that holds another byte than 0-9 , \n - + . e, a sign elsewhere
-# than at an entry's start or after its e, a blank line, a ragged row, no
-# final newline or a non-finite entry is declined: _load_csv then reads
-# the file again with np.loadtxt, which accepts or refuses it as before.
-# So is a block where more than a quarter of the entries would take
-# float(): past that share the kernel reads slower than np.loadtxt.
+# - an entry with an e, which _format_rows leaves to %, any other entry,
+#   and one with no such c: float() of its bytes, which parses what strtod
+#   does, as the bytes hold no space or _.
+# A body that holds another byte than 0-9 , \n - + . e, a sign other than
+# a - that opens its entry or a sign right after its entry's e, a blank
+# line, a ragged row, no final newline or a non-finite entry is declined:
+# _load_csv then reads the file again with np.loadtxt, which accepts or
+# refuses it as before.  So is a block where more than a quarter of the
+# entries would take float(): past that share the kernel reads slower
+# than np.loadtxt.
 
 #: bytes read at a time: a %.17g entry and its separator take 16 to 24
 #: bytes, so a block holds about _CSV_BLOCK_ENTRIES of them.  Reading
@@ -554,56 +557,34 @@ def _parse_block(buf: np.ndarray, start: int, stop: int, n: int,
     field = inner - np.arange(inner.size)
     pos = punct.take(inner)
     kind = kind.take(inner)
-    slow = np.zeros(f, bool)
-    mant_end, exp, signs = ends, 0, np.count_nonzero(neg)
-    e = np.flatnonzero(kind == _E)
-    if e.size:
-        epos, ef = pos.take(e), field.take(e)
-        if not (np.diff(ef) > 0).all():
-            return 0
-        mant_end = ends.copy()
-        mant_end[ef] = epos
-        esign = buf.take(epos + 1)
-        signed = (esign == 45) | (esign == 43)
-        signs += np.count_nonzero(signed)
-        e_end = ends.take(ef)
-        digits = e_end - epos - 1 - signed
-        slow[ef] = (digits < 1) | (digits > 3)
-        value = _swar8(_digit_words(words, e_end, np.clip(digits, 0, 3),
-                                    1)[0]).view(np.int64)
-        exp = np.zeros(f, np.int64)
-        exp[ef] = np.where(esign == 45, -value, value)
-    # every sign opens its entry or follows its e
-    if np.count_nonzero((kind == _MINUS) | (kind == _PLUS)) != signs:
+    # a - may open its entry, and any other sign must follow an e of its
+    # entry; the bytes before a block's first entry are stale
+    sign = np.flatnonzero((kind == _MINUS) | (kind == _PLUS))
+    at = pos.take(sign)
+    opens = at == starts.take(field.take(sign))
+    if not np.where(opens, kind.take(sign) == _MINUS,
+                    buf.take(at - 1) == 101).all():
         return 0
+    slow = np.zeros(f, bool)
+    slow[field[kind == _E]] = True
     p = np.flatnonzero(kind == _POINT)
     pf = field.take(p)
     if not (np.diff(pf) > 0).all():
         return 0
-    if p.size == f and mant_end is ends:
-        # one point in each entry, and no e
-        point = pos.take(p)
-        n_frac = ends - point
-        n_frac -= 1
-    else:
-        point = mant_end.copy()
-        point[pf] = pos.take(p)
-        n_frac = mant_end - point
-        n_frac[pf] -= 1
+    point = ends.copy()
+    point[pf] = pos.take(p)
+    n_frac = ends - point
+    n_frac[pf] -= 1
     n_int = point - starts
     n_int -= neg
-    s = n_frac - exp
-    # a point after the e leaves n_frac < 0; D 10^1 of a 16-digit D takes
-    # s = -1 to 0
-    slow |= ((n_int > 16) | (n_frac < 0) | (n_frac > 24)
-             | (n_int + n_frac < 1) | (s < -1) | (s > 22))
+    slow |= (n_int > 16) | (n_frac > 22) | (n_int + n_frac < 1)
     if np.count_nonzero(slow) * 4 > f:
         return 0
-    np.clip(n_int, 0, 16, out=n_int)
-    np.clip(n_frac, 0, 24, out=n_frac)
+    np.minimum(n_int, 16, out=n_int)
+    np.minimum(n_frac, 22, out=n_frac)
     wide = n_int.max() > 8
     c = np.empty((5 if wide else 4, f), np.uint64)
-    c[:3] = _digit_words(words, mant_end, n_frac, 3)
+    c[:3] = _digit_words(words, ends, n_frac, 3)
     c[3:] = _digit_words(words, point, n_int, 2 if wide else 1)
     c = _swar8(c)
     int_val = c[3] + c[4] * np.uint64(10 ** 8) if wide else c[3]
@@ -613,17 +594,15 @@ def _parse_block(buf: np.ndarray, start: int, stop: int, n: int,
     d += c[2] * np.uint64(10 ** 16)
     d += c[1] * np.uint64(10 ** 8)
     d += c[0]
-    np.divide(d, _POW10.take(np.clip(s, 0, 22)), out=out)
-    big = d >= 2 ** 53
-    slow |= ~big & (s < 0)
-    big = np.flatnonzero(big & ~slow)
+    np.divide(d, _POW10.take(n_frac), out=out)
+    big = np.flatnonzero((d >= 2 ** 53) & ~slow)
     if big.size:
         d = d.take(big)
         lift = d < 10 ** 16
         d *= _U64_POW10.take(lift.view(np.uint8))
-        s = s.take(big) + lift
+        s = n_frac.take(big) + lift
         # D < 10^17 here: its frac part has n_frac digits
-        fits = (s >= 0) & (s <= 22)
+        fits = s <= 22
         if not fits.all():
             slow[big[~fits]] = True
             big, d, s = big[fits], d[fits], s[fits]

@@ -1038,9 +1038,13 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     (["verify-nullifiers", "--shots", "100", "--seed", "-1"],
      "argument --seed: "),
     (["verify-nullifiers", "--shots", "-3"], "argument --shots: "),
+    # a prefix without a name takes no suffix: refused before the build
+    (["build-bsl", "--out", "."], "argument --out: "),
+    (["build-bsl", "--out", ""], "argument --out: "),
 ], ids=["chi", "sigma", "r", "outcomes", "chi-no-suite", "r-negative",
         "squeezing-inf",
-        "threshold-factor-negative", "seed-negative", "shots-negative"])
+        "threshold-factor-negative", "seed-negative", "shots-negative",
+        "out-dot", "out-empty"])
 def test_retired_flags_and_negative_values_exit_2(tmp_path, monkeypatch,
                                                   capsys, argv, message):
     # --chi, --sigma, --r and --outcomes ran one L case; a --cases file

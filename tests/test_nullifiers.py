@@ -719,6 +719,53 @@ def test_reader_leaves_files_of_tiny_shots_to_loadtxt(tmp_path):
     assert np.array_equal(got.view(np.int64), data.view(np.int64))
 
 
+def test_reader_decides_a_sign_from_its_own_entry():
+    # the bytes before a block's first entry are left from the last read;
+    # an e there lets no + open the entry, and a - opens it as before
+    text = b"+0.5,0.25\n" + b"0.5,-0.25\n" * 3
+    pad = nullifiers._CSV_PAD
+    buf = np.zeros(pad + 8 * (len(text) // 8 + 2), np.uint8)
+    buf[pad - 1] = ord("e")
+    buf[pad:pad + len(text)] = np.frombuffer(text, np.uint8)
+    out = np.empty(8)
+    assert nullifiers._parse_block(buf, pad, pad + len(text), 2, out) == 0
+    buf[pad] = ord("-")
+    assert nullifiers._parse_block(buf, pad, pad + len(text), 2, out) == 8
+    assert out.tolist() == [-0.5, 0.25] + [0.5, -0.25] * 3
+
+
+def test_reader_reads_exponent_signs_as_loadtxt(tmp_path):
+    # a + or - right after an entry's e: float() reads the entry, bit for
+    # bit as np.loadtxt reads it
+    texts = ["1.5e+16", "-2.5e-07", "9.8765432109876543e-05", "-1e+22",
+             "1e-5", "-4.9406564584124654e-324", "1.7976931348623157e+308",
+             "-7e-22", "123e+2", "2.2250738585072014e-308"]
+    rows = [f"{text},0.25,-0.5,0.75,0.125" for text in texts] * 12
+    path = tmp_path / "signs.csv"
+    path.write_text(nullifiers._csv_header(5) + "\n" + "\n".join(rows) + "\n")
+    got = nullifiers._read_rows(path, 5)
+    assert got is not None
+    assert np.array_equal(got.view(np.int64), _loadtxt_bits(path))
+
+
+def test_reader_reads_a_quarter_of_exponent_entries(tmp_path):
+    # %.17g writes shots near 1e-30 with an e, and float() reads each; a
+    # block where a quarter of the entries hold one is read by the kernel,
+    # and one more entry tips it to np.loadtxt
+    rng = np.random.default_rng(8)
+    data = rng.uniform(0.5, 2.0, (nullifiers.MIN_SHOTS, 4))
+    data[:, 0] *= 1e-30
+    for name, extra in (("quarter", False), ("over", True)):
+        if extra:
+            data[0, 1] *= 1e-30
+        path = tmp_path / f"{name}.csv"
+        nullifiers._write_csv(path, data)
+        assert (nullifiers._read_rows(path, 4) is None) == extra, name
+        got = nullifiers._load_csv(path, 4)
+        assert np.array_equal(got.view(np.int64), _loadtxt_bits(path)), name
+        assert np.array_equal(got.view(np.int64), data.view(np.int64)), name
+
+
 def test_reader_memory_is_its_output_and_one_block(tmp_path):
     # 200000 x 16 shots are 25.6 MB as doubles and 62 MiB as text; reading
     # them holds the output and one block's arrays
