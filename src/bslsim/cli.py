@@ -123,8 +123,8 @@ _shots_arg = _checked_arg("shots must be an integer >= 1", int,
 _threshold_factor_arg = _checked_arg(
     "threshold factor must be finite and in (0, 1]", float,
     lambda v: 0 < v <= 1)
-# with_suffix needs a name: "." and "" have none
-_out_arg = _checked_arg("output path prefix must end in a file name", str,
+# "", "." and "/" name no file to write, and with_suffix needs a name
+_out_arg = _checked_arg("output path must end in a file name", str,
                         lambda v: Path(v).name != "")
 
 
@@ -298,12 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-factor", type=_threshold_factor_arg,
                    default=0.5,
                    help="witness threshold per vacuum variance (default 0.5)")
-    p.add_argument("--report", help="write the witness report JSON here")
+    p.add_argument("--report", type=_out_arg,
+                   help="write the witness report JSON here")
 
     p = sub.add_parser("run-program", help="execute a measurement program")
     p.add_argument("program", help="program JSON path")
     p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--out", help="write the record JSON here")
+    p.add_argument("--out", type=_out_arg, help="write the record JSON here")
 
     p = sub.add_parser("verify-identities",
                        help="grid verification of the teleportation identities")
@@ -316,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="L,P")
     p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")
     p.add_argument("--cases", help="JSON file with a list of cases to run")
-    p.add_argument("--report", help="write the batch report JSON here")
+    p.add_argument("--report", type=_out_arg,
+                   help="write the batch report JSON here")
 
     p = sub.add_parser("sample-homodyne", help="export homodyne sample CSVs")
     p.add_argument("--lattice", type=_lattice_arg, default=(2, 2), metavar="N,M")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", choices=("q", "p"), required=True)
     p.add_argument("--shots", type=_shots_arg, default=10000)
     p.add_argument("--seed", type=_seed_arg, default=7)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_arg, required=True)
     p.add_argument("--phase-delayed", action="store_true",
                    help="sample the quarter-rotated state instead")
     return parser

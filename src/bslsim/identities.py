@@ -24,37 +24,12 @@ import numpy as np
 from .graphstate import ProgramError, _fields, _number, _three_numbers
 from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
 from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
-                     check_half_extent, check_points, cubic_weights,
-                     fidelity_up_to_phase, q_axis)
+                     check_half_extent, check_points, cubic_phase_amplitude,
+                     fidelity_up_to_phase, squeezed_amplitude)
 
 #: normalization of the ancilla-consuming map relative to its three-factor
 #: closed form: the projection kernel contributes an extra 2**(1/4).
 TELEPORT_MAP_NORM = 2.0 ** 0.25
-
-
-def _as_callable(phi, half_extent, points):
-    """Accept a wavefunction or a callable; return (callable, grid samples)."""
-    if callable(phi):
-        q = q_axis(half_extent, points)
-        vec = WaveFunction(np.asarray(phi(q), dtype=complex), half_extent)
-        return phi, vec
-    if not isinstance(phi, WaveFunction):
-        raise GridError("ancilla must be a WaveFunction or a callable")
-    if phi.psi.shape != (points,) or phi.half_extent != half_extent:
-        raise GridError("ancilla grid does not match the requested grid")
-
-    def interp(s):
-        # cubic-smooth states sampled densely: local cubic interpolation
-        pts = phi.psi.shape[0]
-        dq = 2 * half_extent / pts
-        x = np.clip(np.asarray(s) / dq + pts // 2, 1, pts - 3)
-        i0 = np.floor(x).astype(int)
-        out = np.zeros(np.shape(s), dtype=complex)
-        for k, cf in cubic_weights(x - i0):
-            out += cf * phi.psi[i0 + k]
-        return out
-
-    return interp, phi
 
 
 def teleport_step(psi: WaveFunction, phi: WaveFunction,
@@ -85,15 +60,17 @@ def mb_teleport_circuit(psi: WaveFunction, r: float, theta: float,
 
 
 def verify_teleport_identity(phi, psi: WaveFunction, m: float) -> dict:
-    """Check the single ancilla-teleportation identity for arbitrary phi."""
+    """Check the single ancilla-teleportation identity for an arbitrary
+    ancilla amplitude phi, a function of q: the circuit side takes phi
+    sampled on psi's grid, the closed form evaluates it at sqrt2 m - q."""
     points = psi.psi.shape[0]
-    phi_fun, phi_vec = _as_callable(phi, psi.half_extent, points)
+    phi_vec = WaveFunction(phi(psi.q()), psi.half_extent)
     norm = phi_vec.norm()
     if not norm > 0:
         raise GridError("ancilla has zero norm on the grid")
     scale = 1.0 / norm
     lhs = teleport_step(psi, phi_vec.normalized(), m)
-    rhs = teleport_map(psi, lambda s: scale * phi_fun(s), m)
+    rhs = teleport_map(psi, lambda s: scale * phi(s), m)
     fid = fidelity_up_to_phase(lhs, rhs)
     nl, nr = lhs.norm(), rhs.norm()
     return {
@@ -129,20 +106,6 @@ def _flat_envelope(_s):
     return 1.0
 
 
-def _gauss_envelope(r):
-    def env(s):
-        return (np.pi * np.exp(2 * r)) ** -0.25 * np.exp(-0.5 * np.exp(-2 * r) * s ** 2)
-    return env
-
-
-def _cubic_fun(chi, r):
-    env = _gauss_envelope(r)
-
-    def fun(s):
-        return np.exp(1j * chi / 3 * s ** 3) * env(s)
-    return fun
-
-
 def cubic_gate_circuit(psi: WaveFunction, r: float, chi: float, sigma: float,
                        m_a: float, m_e: float, m_f: float) -> WaveFunction:
     """Route (i): the full gadget circuit for the cubic measurement device.
@@ -170,8 +133,8 @@ def cubic_gate_product(psi: WaveFunction, r: float, chi: float, sigma: float,
         cub = lambda s: np.exp(1j * chi / 3 * s ** 3)
         t_r = 1.0
     else:
-        env = _gauss_envelope(r)
-        cub = _cubic_fun(chi, r)
+        env = squeezed_amplitude(r)
+        cub = cubic_phase_amplitude(chi, r)
         t_r = np.tanh(2 * r)
     out = teleport_map(psi, env, m_a)
     out = teleport_map(out, cub, m_f)
@@ -311,8 +274,11 @@ CASE_FIELDS = {
                     "outcomes": (0.0, 0.0, 0.0), "r": 4.0},
 }
 
-#: the M, L and commutation batteries of run_suite, as cases
+#: the fixed cases of each run_suite battery; E also draws seeded ancillas
+#: first.  The second E case (chi 0) is the r = 1 squeezed ancilla
 SUITE_CASES = {
+    "E": [{"identity": "E", "m": -0.3},
+          {"identity": "E", "chi": 0.0, "r_env": 1.0, "m": 0.4}],
     "M": [{"identity": "M", "theta": np.pi / 6, "m": 0.5, "r": r}
           for r in (2.0, 3.0, 4.0)],
     "L": [{"identity": "L", "chi": 0.2, "sigma": 0.3,
@@ -322,8 +288,8 @@ SUITE_CASES = {
                      "r": 4.0}],
 }
 
-#: the suites run_suite runs: E, each battery of SUITE_CASES, and all
-SUITES = ("E", *SUITE_CASES, "all")
+#: the suites run_suite runs: each battery of SUITE_CASES, and all
+SUITES = (*SUITE_CASES, "all")
 
 
 def _case_report(case: dict, points: int, half_extent: float) -> dict:
@@ -349,8 +315,8 @@ def _case_report(case: dict, points: int, half_extent: float) -> dict:
                                f"(0, {R_MAX_IDENTITY}], got {value}")
     if kind == "E":
         points, chi, r_env, m = check_points(args[0]), *args[1:]
-        phi = WaveFunction.cubic_phase(chi, r_env, half_extent, points)
-        return verify_teleport_identity(phi, default_input(points, half_extent), m)
+        return verify_teleport_identity(cubic_phase_amplitude(chi, r_env),
+                                        default_input(points, half_extent), m)
     verify = {"M": verify_teleport_circuit, "L": verify_cubic_device,
               "commutation": verify_commutation}[kind]
     return verify(*args, default_input(points, half_extent))
@@ -387,8 +353,8 @@ def run_suite(which: str = "all", points: int = DEFAULT_P2,
               half_extent: float = DEFAULT_L, seed: int = 7) -> list[dict]:
     """Run the default verification battery; returns one report per case.
 
-    E draws seeded ancillas, which a case cannot express; the M, L and
-    commutation batteries are SUITE_CASES, run serially by _case_report."""
+    E first draws seeded ancillas, which a case cannot express; then each
+    battery runs its SUITE_CASES serially through _case_report."""
     if which not in SUITES:
         raise ValueError(f"unknown identity suite {which!r}")
     check_half_extent(half_extent)
@@ -405,10 +371,6 @@ def run_suite(which: str = "all", points: int = DEFAULT_P2,
                 return (c[0] + c[1] * sv + c[2] * sv ** 2) * np.exp(-w * sv ** 2)
 
             reports.append(verify_teleport_identity(phi, psi1, rng.normal(0, 0.7)))
-        reports.append(_case_report({"identity": "E", "m": -0.3}, points,
-                                    half_extent))
-        reports.append(verify_teleport_identity(
-            WaveFunction.squeezed(1.0, half_extent, DEFAULT_P1), psi1, 0.4))
     for name, cases in SUITE_CASES.items():
         if which in (name, "all"):
             reports += [_case_report(case, points, half_extent)

@@ -99,6 +99,23 @@ def q_axis(half_extent: float, points: int) -> np.ndarray:
     return (np.arange(points) - points // 2) * (2 * half_extent / points)
 
 
+def squeezed_amplitude(r: float):
+    """q -> <q|S(r)|0>, the Gaussian with <q^2> = e^{2r}/2."""
+    def amplitude(q):
+        return (np.pi * np.exp(2 * r)) ** -0.25 * np.exp(-0.5 * np.exp(-2 * r) * q ** 2)
+    return amplitude
+
+
+def cubic_phase_amplitude(chi: float, r_env: float):
+    """q -> e^{i chi q^3 / 3} <q|S(r_env)|0>, the cubic-phase state
+    regularized by a Gaussian envelope of squeezing r_env."""
+    envelope = squeezed_amplitude(r_env)
+
+    def amplitude(q):
+        return np.exp(1j * chi / 3 * q ** 3) * envelope(q)
+    return amplitude
+
+
 def p_axis(half_extent: float, points: int) -> np.ndarray:
     dq = 2 * half_extent / points
     return (np.arange(points) - points // 2) * (2 * np.pi / (points * dq))
@@ -567,17 +584,18 @@ class WaveFunction:
     @classmethod
     def squeezed(cls, r: float, half_extent: float = DEFAULT_L,
                  points: int = DEFAULT_P1) -> "WaveFunction":
-        """S(r)|0>: Gaussian with <q^2> = e^{2r}/2."""
-        q = q_axis(half_extent, points)
-        psi = (np.pi * np.exp(2 * r)) ** -0.25 * np.exp(-0.5 * np.exp(-2 * r) * q ** 2)
-        return cls(psi, half_extent)
+        """S(r)|0>, squeezed_amplitude(r) on the grid."""
+        return cls(squeezed_amplitude(r)(q_axis(half_extent, points)),
+                   half_extent)
 
     @classmethod
     def cubic_phase(cls, chi: float, r_env: float = 2.0,
                     half_extent: float = DEFAULT_L,
                     points: int = DEFAULT_P1) -> "WaveFunction":
-        """Cubic-phase state regularized by a Gaussian envelope of squeezing r_env."""
-        return cls.squeezed(r_env, half_extent, points).kubic(chi)
+        """Cubic-phase state regularized by a Gaussian envelope of squeezing
+        r_env, cubic_phase_amplitude(chi, r_env) on the grid."""
+        return cls(cubic_phase_amplitude(chi, r_env)(q_axis(half_extent, points)),
+                   half_extent)
 
     @classmethod
     def from_graphstate(cls, state, half_extent: float = DEFAULT_L,

@@ -16,7 +16,7 @@ from bslsim.mbqc import run_program, simulate_single_mode_gate, two_mode_gate, \
     cz_gate_angles, v_gate
 from bslsim.nullifiers import (nullifier_variances, phi_transform,
                                quadrature_nullifiers, sample_homodyne_dataset)
-from bslsim.oracle import WaveFunction
+from bslsim.oracle import WaveFunction, cubic_phase_amplitude
 
 
 def _verdict(num, ok, detail):
@@ -143,8 +143,7 @@ def test_criterion_07_ancilla_teleportation_identity():
 
         rep = verify_teleport_identity(phi, psi, float(rng.normal(0, 0.7)))
         worst = max(worst, 1 - rep["fidelity"])
-    rep = verify_teleport_identity(WaveFunction.cubic_phase(0.1, 2.0, 12.0, 1024),
-                            psi, -0.3)
+    rep = verify_teleport_identity(cubic_phase_amplitude(0.1, 2.0), psi, -0.3)
     worst = max(worst, 1 - rep["fidelity"])
     _verdict(7, worst <= 1e-5,
              f"5 ancillas incl. regularized cubic state: worst 1-F {worst:.2e}")

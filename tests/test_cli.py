@@ -1020,6 +1020,12 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     assert captured.err.count("\n") == 1
 
 
+_OUTPUT_FLAGS = (["verify-nullifiers", "--report"],
+                 ["verify-identities", "M", "--report"],
+                 ["run-program", "p.json", "--out"],
+                 ["sample-homodyne", "--setting", "q", "--out"])
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify-identities", "M", "--chi", "0.1"],
      "unrecognized arguments: --chi 0.1"),
@@ -1041,10 +1047,15 @@ def test_unreadable_json_inputs_exit_2(tmp_path, capsys, argv, content):
     # a prefix without a name takes no suffix: refused before the build
     (["build-bsl", "--out", "."], "argument --out: "),
     (["build-bsl", "--out", ""], "argument --out: "),
+    # every output path must end in a file name: refused before any work
+    *[(argv + [path], f"argument {argv[-1]}: ") for argv in _OUTPUT_FLAGS
+      for path in ("", ".", "/")],
 ], ids=["chi", "sigma", "r", "outcomes", "chi-no-suite", "r-negative",
         "squeezing-inf",
         "threshold-factor-negative", "seed-negative", "shots-negative",
-        "out-dot", "out-empty"])
+        "out-dot", "out-empty",
+        *[f"{argv[0]}-{argv[-1][2:]}-{name}" for argv in _OUTPUT_FLAGS
+          for name in ("empty", "dot", "root")]])
 def test_retired_flags_and_negative_values_exit_2(tmp_path, monkeypatch,
                                                   capsys, argv, message):
     # --chi, --sigma, --r and --outcomes ran one L case; a --cases file

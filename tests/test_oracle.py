@@ -17,7 +17,9 @@ from bslsim.identities import (default_input, run_suite, verify_commutation,
 from bslsim.mbqc import measure_with_response
 from bslsim.oracle import (GridError, WaveFunction, _bluestein, _centred_fft,
                            _p_diag, _shear_table, _two_mode_phase,
-                           cubic_weights, fidelity_up_to_phase, p_axis, q_axis)
+                           cubic_phase_amplitude, cubic_weights,
+                           fidelity_up_to_phase, p_axis, q_axis,
+                           squeezed_amplitude)
 
 L, P1, P2 = 12.0, 1024, 512
 
@@ -448,7 +450,7 @@ def test_boundary_mass_checks():
 
 def test_teleport_identity_gaussian_ancilla():
     psi = WaveFunction.vacuum(L, P1, 0.5, -0.3)
-    rep = verify_teleport_identity(WaveFunction.squeezed(1.0, L, P1), psi, 0.4)
+    rep = verify_teleport_identity(squeezed_amplitude(1.0), psi, 0.4)
     assert rep["pass"]
     assert rep["fidelity"] >= 1 - 1e-5
     assert rep["norm_agreement"] < 1e-4
@@ -456,8 +458,23 @@ def test_teleport_identity_gaussian_ancilla():
 
 def test_teleport_identity_cubic_ancilla():
     psi = WaveFunction.vacuum(L, P1)
-    rep = verify_teleport_identity(WaveFunction.cubic_phase(0.1, 2.0, L, P1), psi, -0.3)
+    rep = verify_teleport_identity(cubic_phase_amplitude(0.1, 2.0), psi, -0.3)
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("half,points", [(3.0, 4), (12.0, 64), (12.0, 1024),
+                                         (24.0, 4096)])
+def test_squeezed_and_cubic_states_sample_the_amplitudes(half, points):
+    # one definition of each ancilla amplitude: the grid states are the
+    # functions sampled on q_axis, bit for bit
+    q = q_axis(half, points)
+    for r in (-1.0, 0.0, 0.5, 2.0, 150.0):
+        assert np.array_equal(WaveFunction.squeezed(r, half, points).psi,
+                              squeezed_amplitude(r)(q))
+        for chi in (-0.3, 0.0, 0.3):
+            assert np.array_equal(
+                WaveFunction.cubic_phase(chi, r, half, points).psi,
+                cubic_phase_amplitude(chi, r)(q))
 
 
 def test_teleport_identity_refuses_a_zero_ancilla():
@@ -612,9 +629,15 @@ def test_case_batteries_are_the_direct_verifier_calls(suite, direct):
 
 def test_e_battery_cubic_case_is_the_direct_call():
     psi = default_input(1024)
-    want = verify_teleport_identity(WaveFunction.cubic_phase(0.1, 2.0, L, 1024),
-                                    psi, -0.3)
+    want = verify_teleport_identity(cubic_phase_amplitude(0.1, 2.0), psi, -0.3)
     assert run_suite("E", 256)[5] == want
+
+
+def test_e_battery_chi_0_case_is_the_squeezed_ancilla():
+    # the chi = 0 case of SUITE_CASES["E"] is the r = 1 squeezed ancilla
+    want = verify_teleport_identity(squeezed_amplitude(1.0),
+                                    default_input(1024), 0.4)
+    assert run_suite("E", 256)[6] == want
 
 
 def test_unknown_suite_is_refused():
