@@ -25,7 +25,7 @@ from .nullifiers import (empirical_variances, lattice_factors,
                          lattice_variances, quadrature_nullifiers,
                          sample_marginal, vacuum_variances,
                          witness_from_variances)
-from .oracle import (DEFAULT_L, DEFAULT_P2, GridError, check_half_extent,
+from .oracle import (DEFAULT_L, DEFAULT_POINTS, GridError, check_half_extent,
                      check_points)
 
 
@@ -120,12 +120,17 @@ _seed_arg = _checked_arg("seed must be an integer >= 0", int,
                          lambda v: v >= 0)
 _shots_arg = _checked_arg("shots must be an integer >= 1", int,
                           lambda v: v >= 1)
+_witness_shots_arg = _checked_arg("shots must be an integer >= 2", int,
+                                  lambda v: v >= 2)
 _threshold_factor_arg = _checked_arg(
     "threshold factor must be finite and in (0, 1]", float,
     lambda v: 0 < v <= 1)
 # "", "." and "/" name no file to write, and with_suffix needs a name
-_out_arg = _checked_arg("output path must end in a file name", str,
-                        lambda v: Path(v).name != "")
+_prefix_arg = _checked_arg("output path must end in a file name", str,
+                           lambda v: Path(v).name != "")
+# nor does a directory, which the write would refuse only after the work
+_out_arg = _checked_arg("output path must name a file, not a directory", str,
+                        lambda v: Path(v).name != "" and not Path(v).is_dir())
 
 
 def cmd_build_bsl(args) -> int:
@@ -158,9 +163,6 @@ def cmd_build_bsl(args) -> int:
 def cmd_verify_nullifiers(args) -> int:
     if args.seed is not None and args.shots is None:
         raise InputError("--seed cannot be used without --shots")
-    if args.shots == 1:
-        raise InputError("--shots must be at least 2: the sampled witness "
-                         "takes a sample variance")
     seed = 7 if args.seed is None else args.seed
     configs = [LatticeConfig(*args.lattice, r)
                for r in args.squeezing_list or [1.0]]
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-bsl", help="build the lattice and export graphs")
     p.add_argument("--lattice", type=_lattice_arg, default=(3, 3), metavar="N,M")
     p.add_argument("-r", "--squeezing", type=float, default=1.0)
-    p.add_argument("--out", type=_out_arg, default="bsl",
+    p.add_argument("--out", type=_prefix_arg, default="bsl",
                    help="output path prefix")
 
     p = sub.add_parser("verify-nullifiers",
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N,M", help="lattice size (default 2,2)")
     p.add_argument("--squeezing", dest="squeezing_list", type=float,
                    action="append", metavar="R")
-    p.add_argument("--shots", type=_shots_arg,
+    p.add_argument("--shots", type=_witness_shots_arg,
                    help="also run the sampled two-setting protocol, with "
                    "at least 2 shots")
     p.add_argument("--seed", type=_seed_arg,
@@ -313,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     # value as a bad suite before it reports the flag
     p.add_argument("suite", nargs="?", metavar="{" + ",".join(SUITES) + "}",
                    help="suite to run (default all)")
-    p.add_argument("--grid", type=_grid_arg, default=(DEFAULT_L, DEFAULT_P2),
-                   metavar="L,P")
+    p.add_argument("--grid", type=_grid_arg,
+                   default=(DEFAULT_L, DEFAULT_POINTS), metavar="L,P")
     p.add_argument("--seed", type=_seed_arg, help="suite seed (default 7)")
     p.add_argument("--cases", help="JSON file with a list of cases to run")
     p.add_argument("--report", type=_out_arg,

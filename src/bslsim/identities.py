@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphstate import ProgramError, _fields, _number, _three_numbers
 from .mbqc import adapted_sigma, commutation_kick, cubic_kick, cubic_shear
-from .oracle import (DEFAULT_L, DEFAULT_P1, DEFAULT_P2, GridError, WaveFunction,
+from .oracle import (DEFAULT_L, DEFAULT_POINTS, GridError, WaveFunction,
                      check_half_extent, check_points, cubic_phase_amplitude,
                      fidelity_up_to_phase, squeezed_amplitude)
 
@@ -151,7 +151,7 @@ def cubic_gate_closed(psi: WaveFunction, chi: float, sigma: float,
     return out.x_shift(kappa).z_shift(np.sqrt(2) * m_a)
 
 
-#: bound on |value| of each cubic-device parameter, the validated
+#: bound on |value| of each cubic-device parameter and E's chi, the validated
 #: grid-resident range: with the suite's other parameters, sigma 2, s 5 and
 #: t 20 pass on a grid of at most 2048 points, while sigma 5, s 10 and t 50
 #: fail on every grid scanned, up to 2048 points; chi and outcomes keep the
@@ -252,9 +252,12 @@ def verify_commutation(s: float, t: float, chi: float, sigma: float,
     }
 
 
-def default_input(points: int = DEFAULT_P2,
+def default_input(points: int = DEFAULT_POINTS,
                   half_extent: float = DEFAULT_L) -> WaveFunction:
-    """The default probe state: the vacuum displaced by (0.3, -0.2)."""
+    """The default probe state: the vacuum displaced by (0.3, -0.2), on the
+    grid (half_extent, points), which is checked before it is allocated."""
+    check_half_extent(half_extent)
+    check_points(points)
     return WaveFunction.vacuum(half_extent, points, 0.3, -0.2)
 
 
@@ -264,10 +267,9 @@ def default_input(points: int = DEFAULT_P2,
 #: case reports underflows to 0 from r = 250
 R_MAX_IDENTITY = 200.0
 
-#: each kind's case fields and defaults, in its verifier's argument order;
-#: an E case runs at its own points, the others at the batch's grid
+#: each kind's case fields and defaults, in its verifier's argument order
 CASE_FIELDS = {
-    "E": {"points": DEFAULT_P1, "chi": 0.1, "r_env": 2.0, "m": 0.0},
+    "E": {"chi": 0.1, "r_env": 2.0, "m": 0.0},
     "M": {"theta": 0.0, "m": 0.0, "r": 4.0},
     "L": {"chi": 0.1, "sigma": 0.3, "outcomes": (0.0, 0.0, 0.0), "r": 4.0},
     "commutation": {"s": 0.0, "t": 0.0, "chi": 0.1, "sigma": 0.3,
@@ -296,9 +298,7 @@ def _case_report(case: dict, points: int, half_extent: float) -> dict:
     """Run one case, read by _fields against its kind's CASE_FIELDS; a grid
     outside the oracle's bounds, a key the kind does not read, a malformed
     value, an r or r_env outside (0, R_MAX_IDENTITY], or a device parameter
-    outside DEVICE_RANGE (checked by its verifier) raises, naming the key."""
-    check_half_extent(half_extent)
-    check_points(points)
+    outside DEVICE_RANGE raises, naming the key."""
     if not isinstance(case, dict):
         raise ProgramError(f"case must be an object, got {case!r}")
     kind = case.get("identity")
@@ -313,16 +313,18 @@ def _case_report(case: dict, points: int, half_extent: float) -> dict:
         if key in ("r", "r_env") and not 0 < value <= R_MAX_IDENTITY:
             raise ProgramError(f"squeezing {key} must be in "
                                f"(0, {R_MAX_IDENTITY}], got {value}")
+    psi = default_input(points, half_extent)
     if kind == "E":
-        points, chi, r_env, m = check_points(args[0]), *args[1:]
-        return verify_teleport_identity(cubic_phase_amplitude(chi, r_env),
-                                        default_input(points, half_extent), m)
+        chi, r_env, m = args
+        _check_device_range(chi=chi)
+        report = verify_teleport_identity(cubic_phase_amplitude(chi, r_env), psi, m)
+        return {**report, "params": dict(zip(table, args))}
     verify = {"M": verify_teleport_circuit, "L": verify_cubic_device,
               "commutation": verify_commutation}[kind]
-    return verify(*args, default_input(points, half_extent))
+    return verify(*args, psi)
 
 
-def run_cases(cases: list, points: int = DEFAULT_P2,
+def run_cases(cases: list, points: int = DEFAULT_POINTS,
               half_extent: float = DEFAULT_L) -> list[dict]:
     """Batch runner: one report per case dict.
 
@@ -349,7 +351,7 @@ def run_cases(cases: list, points: int = DEFAULT_P2,
         return list(pool.map(one, cases))
 
 
-def run_suite(which: str = "all", points: int = DEFAULT_P2,
+def run_suite(which: str = "all", points: int = DEFAULT_POINTS,
               half_extent: float = DEFAULT_L, seed: int = 7) -> list[dict]:
     """Run the default verification battery; returns one report per case.
 
@@ -357,12 +359,10 @@ def run_suite(which: str = "all", points: int = DEFAULT_P2,
     battery runs its SUITE_CASES serially through _case_report."""
     if which not in SUITES:
         raise ValueError(f"unknown identity suite {which!r}")
-    check_half_extent(half_extent)
-    check_points(points)
     reports = []
     if which in ("E", "all"):
         rng = np.random.default_rng(seed)
-        psi1 = default_input(DEFAULT_P1, half_extent)
+        psi = default_input(points, half_extent)
         for k in range(5):
             coef = rng.normal(size=3)
             width = rng.uniform(0.3, 0.6)
@@ -370,7 +370,7 @@ def run_suite(which: str = "all", points: int = DEFAULT_P2,
             def phi(sv, c=coef, w=width):
                 return (c[0] + c[1] * sv + c[2] * sv ** 2) * np.exp(-w * sv ** 2)
 
-            reports.append(verify_teleport_identity(phi, psi1, rng.normal(0, 0.7)))
+            reports.append(verify_teleport_identity(phi, psi, rng.normal(0, 0.7)))
     for name, cases in SUITE_CASES.items():
         if which in (name, "all"):
             reports += [_case_report(case, points, half_extent)

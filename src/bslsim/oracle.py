@@ -54,8 +54,7 @@ SQ2PI = np.sqrt(2 * np.pi)
 
 #: default half-extent and points per mode
 DEFAULT_L = 12.0
-DEFAULT_P1 = 1024
-DEFAULT_P2 = 512
+DEFAULT_POINTS = 512
 #: most points per mode: a two-mode grid of 4096^2 complex values takes 256 MiB
 MAX_POINTS = 4096
 #: largest half extent L: the largest phase the verifiers form is the cubic
@@ -575,31 +574,30 @@ class WaveFunction:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def vacuum(cls, half_extent: float = DEFAULT_L, points: int = DEFAULT_P1,
-               q0: float = 0.0, p0: float = 0.0) -> "WaveFunction":
+    def vacuum(cls, half_extent: float, points: int, q0: float = 0.0,
+               p0: float = 0.0) -> "WaveFunction":
         q = q_axis(half_extent, points)
         psi = np.pi ** -0.25 * np.exp(-0.5 * (q - q0) ** 2 + 1j * p0 * q)
         return cls(psi, half_extent)
 
     @classmethod
-    def squeezed(cls, r: float, half_extent: float = DEFAULT_L,
-                 points: int = DEFAULT_P1) -> "WaveFunction":
+    def squeezed(cls, r: float, half_extent: float,
+                 points: int) -> "WaveFunction":
         """S(r)|0>, squeezed_amplitude(r) on the grid."""
         return cls(squeezed_amplitude(r)(q_axis(half_extent, points)),
                    half_extent)
 
     @classmethod
-    def cubic_phase(cls, chi: float, r_env: float = 2.0,
-                    half_extent: float = DEFAULT_L,
-                    points: int = DEFAULT_P1) -> "WaveFunction":
+    def cubic_phase(cls, chi: float, r_env: float, half_extent: float,
+                    points: int) -> "WaveFunction":
         """Cubic-phase state regularized by a Gaussian envelope of squeezing
         r_env, cubic_phase_amplitude(chi, r_env) on the grid."""
         return cls(cubic_phase_amplitude(chi, r_env)(q_axis(half_extent, points)),
                    half_extent)
 
     @classmethod
-    def from_graphstate(cls, state, half_extent: float = DEFAULT_L,
-                        points: int = DEFAULT_P1) -> "WaveFunction":
+    def from_graphstate(cls, state, half_extent: float,
+                        points: int) -> "WaveFunction":
         """Sample a 1- or 2-mode GraphState wavefunction on the grid."""
         n = state.n_modes
         if n not in (1, 2):

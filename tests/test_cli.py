@@ -633,6 +633,26 @@ def test_verify_identities_chi_runs_one_case(tmp_path, capsys, chi, code,
     assert capsys.readouterr().out == line + "\n"
 
 
+@pytest.mark.parametrize("cases,params", [
+    ([{"identity": "E"}], [{"chi": 0.1, "r_env": 2.0, "m": 0.0}]),
+    # two cases that differ only in chi are told apart
+    ([{"identity": "E", "chi": 0.2}, {"identity": "E", "chi": -0.1}],
+     [{"chi": 0.2, "r_env": 2.0, "m": 0.0},
+      {"chi": -0.1, "r_env": 2.0, "m": 0.0}]),
+    ([{"identity": "E", "m": 0.25, "r_env": 1.5, "chi": 0}],
+     [{"chi": 0.0, "r_env": 1.5, "m": 0.25}]),
+], ids=["defaults", "two-chi", "every-field"])
+def test_e_case_params_echo_its_fields(tmp_path, capsys, cases, params):
+    path, rpath = tmp_path / "cases.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cases))
+    assert main(["verify-identities", "--grid", "12,256", "--cases",
+                 str(path), "--report", str(rpath)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"E: fidelity {rep['fidelity']:.8f} pass params {json.dumps(want)}\n"
+        for rep, want in zip(json.loads(rpath.read_text()), params))
+    assert [rep["params"] for rep in json.loads(rpath.read_text())] == params
+
+
 @pytest.mark.parametrize("case,field", [
     ({"identity": "L", "sigma": 1e300}, "sigma"),
     ({"identity": "L", "sigma": -2.5}, "sigma"),
@@ -643,6 +663,9 @@ def test_verify_identities_chi_runs_one_case(tmp_path, capsys, chi, code,
     ({"identity": "commutation", "t": 21.0}, "t"),
     ({"identity": "commutation", "chi": 0.5}, "chi"),
     ({"identity": "commutation", "outcomes": [0.1, 5, 0.2]}, "outcomes"),
+    # an E case's chi takes the device's bound
+    ({"identity": "E", "chi": 1e300}, "chi"),
+    ({"identity": "E", "chi": -0.5}, "chi"),
 ])
 def test_device_parameters_outside_their_range_are_case_errors(
         tmp_path, capsys, case, field):
@@ -844,34 +867,35 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == [program]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-nullifiers", "--lattice", "2,2"],
-    ["sample-homodyne", "--setting", "q", "--out", "OUT"],
+@pytest.mark.parametrize("argv,least", [
+    (["verify-nullifiers", "--lattice", "2,2"], 2),
+    (["sample-homodyne", "--setting", "q", "--out", "OUT"], 1),
 ], ids=["verify-nullifiers", "sample-homodyne"])
 @pytest.mark.parametrize("shots", ["0", "-3", "2.5"])
-def test_shots_below_one_exit_2(tmp_path, capsys, argv, shots):
+def test_shots_below_one_exit_2(tmp_path, capsys, argv, least, shots):
     out = str(tmp_path / "q.csv")
     with pytest.raises(SystemExit) as exc:
         main([out if a == "OUT" else a for a in argv] + ["--shots", shots])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"argument --shots: shots must be an integer >= 1, got '{shots}'"
-            in captured.err)
+    assert (f"argument --shots: shots must be an integer >= {least}, "
+            f"got '{shots}'" in captured.err)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_nullifiers_refuses_one_shot(tmp_path, capsys):
     # a sample variance of one shot is undefined: a usage error, not a FAIL
     report = tmp_path / "report.json"
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
         warnings.simplefilter("error")
-        assert main(["verify-nullifiers", "--shots", "1",
-                     "--report", str(report)]) == 2
+        main(["verify-nullifiers", "--shots", "1", "--report", str(report)])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: --shots must be at least 2: the sampled "
-                            "witness takes a sample variance\n")
+    assert captured.err.startswith("usage: bslsim verify-nullifiers")
+    assert captured.err.endswith("argument --shots: shots must be an integer "
+                                 ">= 2, got '1'\n")
     assert not report.exists()
 
 
@@ -989,6 +1013,7 @@ def test_grid_points_and_draws_above_their_limits_exit_2(tmp_path, capsys,
 
 def test_case_grid_points_above_the_limit_is_a_case_error(tmp_path, capsys):
     cases = tmp_path / "cases.json"
+    # a case names no grid: points is not a field of any kind
     cases.write_text(json.dumps([{"identity": "E", "points": 1048576}]))
     tracemalloc.start()
     try:
@@ -998,8 +1023,7 @@ def test_case_grid_points_above_the_limit_is_a_case_error(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1 and peak < 2 ** 26
     assert capsys.readouterr().out == (
-        "E: error: grid points per mode must be a power of two in [4, 4096], "
-        "got 1048576\n")
+        "E: error: case has unknown fields ['points']\n")
 
 
 @pytest.mark.parametrize("argv", [["run-program", "FILE"],
@@ -1050,12 +1074,17 @@ _OUTPUT_FLAGS = (["verify-nullifiers", "--report"],
     # every output path must end in a file name: refused before any work
     *[(argv + [path], f"argument {argv[-1]}: ") for argv in _OUTPUT_FLAGS
       for path in ("", ".", "/")],
+    # ... and must not name a directory, which the write would refuse only
+    # after the work
+    *[(argv + [".."], f"argument {argv[-1]}: output path must name a file, "
+       "not a directory, got '..'") for argv in _OUTPUT_FLAGS],
 ], ids=["chi", "sigma", "r", "outcomes", "chi-no-suite", "r-negative",
         "squeezing-inf",
         "threshold-factor-negative", "seed-negative", "shots-negative",
         "out-dot", "out-empty",
         *[f"{argv[0]}-{argv[-1][2:]}-{name}" for argv in _OUTPUT_FLAGS
-          for name in ("empty", "dot", "root")]])
+          for name in ("empty", "dot", "root")],
+        *[f"{argv[0]}-{argv[-1][2:]}-parent-dir" for argv in _OUTPUT_FLAGS]])
 def test_retired_flags_and_negative_values_exit_2(tmp_path, monkeypatch,
                                                   capsys, argv, message):
     # --chi, --sigma, --r and --outcomes ran one L case; a --cases file
@@ -1068,6 +1097,15 @@ def test_retired_flags_and_negative_values_exit_2(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_build_bsl_out_prefix_may_name_a_directory(tmp_path, monkeypatch):
+    # --out is a prefix: adir names adir.json and adir.dot beside it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main(["build-bsl", "--lattice", "2,1", "--out", "adir"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "adir", "adir.dot", "adir.json"]
 
 
 def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
@@ -1097,8 +1135,10 @@ def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
 @pytest.mark.parametrize("case,message", [
     ({"identity": "M", "theta": True}, "theta must be a number, got True"),
     ({"identity": "M", "m": "0.5"}, "m must be a number, got '0.5'"),
-    ({"identity": "E", "points": 64.5}, "points must be an integer, got 64.5"),
-    ({"identity": "E", "points": True}, "points must be an integer, got True"),
+    # an E case runs at the batch's grid, so points is no E field
+    ({"identity": "E", "points": 64.5}, "case has unknown fields ['points']"),
+    ({"identity": "E", "points": True}, "case has unknown fields ['points']"),
+    ({"identity": "E", "points": 64}, "case has unknown fields ['points']"),
     ({"identity": "L", "outcomes": [0.1, 0.2]},
      "outcomes must list three numbers, got [0.1, 0.2]"),
     ({"identity": "L", "outcomes": 0.5},
@@ -1117,10 +1157,11 @@ def test_verify_identities_non_finite_case_field_is_a_case_error(tmp_path,
     ({"identity": "M", "r": -1}, "squeezing r must be in (0, 200.0], got -1.0"),
     ({"identity": "E", "r_env": 400},
      "squeezing r_env must be in (0, 200.0], got 400.0"),
-], ids=["bool", "string", "fractional-points", "bool-points", "two-outcomes",
-        "scalar-outcomes", "bool-outcome", "string-outcome", "misspelled-key",
-        "points-and-misspelled-key", "points-on-L", "sigma-on-E", "r_env-on-L",
-        "r-above-limit", "negative-r", "r_env-above-limit"])
+], ids=["bool", "string", "fractional-points", "bool-points", "points-on-E",
+        "two-outcomes", "scalar-outcomes", "bool-outcome", "string-outcome",
+        "misspelled-key", "points-and-misspelled-key", "points-on-L",
+        "sigma-on-E", "r_env-on-L", "r-above-limit", "negative-r",
+        "r_env-above-limit"])
 def test_malformed_case_field_is_a_case_error_naming_the_key(case, message):
     (rep,) = run_cases([case], 64)
     assert rep["error"] == message and rep["pass"] is False

@@ -268,9 +268,16 @@ def test_teleport_step_keeps_the_grid_errors():
         teleport_step(psi.product(psi), psi, 0.0)
 
 
-#: one case of each kind; the E case runs at its own points
-GRID_CASES = [{"identity": "E", "points": 64}, {"identity": "M"},
-              {"identity": "L"}, {"identity": "commutation"}]
+#: one case of each kind, each run at the batch's grid
+GRID_CASES = [{"identity": "E"}, {"identity": "M"}, {"identity": "L"},
+              {"identity": "commutation"}]
+
+
+def test_every_report_carries_the_grid_it_ran_on():
+    # E included: the batch's points are the grid of every case and draw
+    reports = run_suite("all", 256) + run_cases(GRID_CASES, 256)
+    assert len(reports) == 14 + len(GRID_CASES)
+    assert all(rep["grid"] == [12.0, 256] for rep in reports), reports
 
 
 @pytest.mark.parametrize("half", [0.0, -1.0, np.nan, np.inf, 3e-150, 1e300])
@@ -291,7 +298,7 @@ def test_every_grid_entry_refuses_a_half_extent_out_of_bounds(half):
 
 
 def test_every_grid_entry_refuses_points_out_of_bounds():
-    # the batch's points bind its E cases too, which run at their own points
+    # the batch's points bind its E cases too
     message = "grid points per mode must be a power of two in [4, 4096], got 100"
     reports = run_cases(GRID_CASES, 100)
     assert [rep["error"] for rep in reports] == [message] * len(GRID_CASES)

@@ -628,15 +628,18 @@ def test_case_batteries_are_the_direct_verifier_calls(suite, direct):
 
 
 def test_e_battery_cubic_case_is_the_direct_call():
-    psi = default_input(1024)
+    # the case's report echoes its fields, where the direct call knows only m
+    psi = default_input(256)
     want = verify_teleport_identity(cubic_phase_amplitude(0.1, 2.0), psi, -0.3)
+    want["params"] = {"chi": 0.1, "r_env": 2.0, "m": -0.3}
     assert run_suite("E", 256)[5] == want
 
 
 def test_e_battery_chi_0_case_is_the_squeezed_ancilla():
     # the chi = 0 case of SUITE_CASES["E"] is the r = 1 squeezed ancilla
     want = verify_teleport_identity(squeezed_amplitude(1.0),
-                                    default_input(1024), 0.4)
+                                    default_input(256), 0.4)
+    want["params"] = {"chi": 0.0, "r_env": 1.0, "m": 0.4}
     assert run_suite("E", 256)[6] == want
 
 
